@@ -34,12 +34,13 @@ from .correlation import (
 from .dynamics import PhiScanPoint
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
-from .photon_sim import RngSpec, hbt_streams, hom_streams, simulate_pulse_train
+from .photon_sim import hbt_streams, hom_streams, simulate_pulse_train
 from .pipeline import (
     PipelineOptions,
     file_header,
     read_timestamps,
     run_pipeline,
+    source_streams,
     write_timestamps,
 )
 from .report import aggregate_benchmark, emit_report, parse_reports_json
@@ -58,14 +59,12 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     header = file_header(args.seed, config.config_hash)
     for index, source in enumerate(config.sources):
-        base = index * 8
-        events = simulate_pulse_train(RngSpec(args.seed, base + 0), source, config.setup, args.pulses)
-        t0, t1 = hbt_streams(RngSpec(args.seed, base + 1), events, config.setup, args.pulses)
+        streams = source_streams(args.seed, index)
+        events = simulate_pulse_train(streams.hbt_events, source, config.setup, args.pulses)
+        t0, t1 = hbt_streams(streams.hbt_clicks, events, config.setup, args.pulses)
         write_timestamps(os.path.join(args.out, f"{source.label}_hbt.csv"), t0, t1, header)
-        events = simulate_pulse_train(RngSpec(args.seed, base + 2), source, config.setup, args.pulses)
-        h0, h1 = hom_streams(
-            RngSpec(args.seed, base + 3), events, config.setup, source.overlap, args.pulses
-        )
+        events = simulate_pulse_train(streams.hom_events, source, config.setup, args.pulses)
+        h0, h1 = hom_streams(streams.hom_clicks, events, config.setup, source.overlap, args.pulses)
         write_timestamps(os.path.join(args.out, f"{source.label}_hom.csv"), h0, h1, header)
         print(f"{source.label}: wrote HBT ({t0.size + t1.size} clicks) and "
               f"HOM ({h0.size + h1.size} clicks) streams")

@@ -12,6 +12,17 @@ Reproducibility: every random decision derives from an :class:`RngSpec`
 chunk seeded independently from (seed, stream_id, chunk_index), so the
 generated events are bit-identical no matter how chunks are distributed
 over worker threads.
+
+Cost: the only per-pulse work is the one uniform per pulse that decides
+whether it emits; everything after that scales with the number of events.
+Every generator call that can change a result is made, in a fixed order,
+so the streams depend only on the RngSpec.  One kind of draw is skipped:
+with ``laser_leak_per_pulse == 0`` a chunk makes no laser-leak draws.
+Those would be the chunk's last draws and could select no pulse, and the
+chunk's generator is used for nothing else, so skipping them leaves every
+event unchanged.  The detector stages still draw their efficiency,
+routing and jitter variates for every event, but only compute click
+times for the events the efficiency thinning keeps.
 """
 
 from __future__ import annotations
@@ -139,7 +150,22 @@ def sample_emission_time(rng: np.random.Generator, source: SourceParams, size=No
     x = source.exciton
     cdf, t = _exciton_inverse_cdf_table(x.tau_ps, x.delta_fss_uev, x.theta_rad)
     u = rng.random(size)
-    return np.interp(u, cdf, t)
+    if size is None:
+        return np.interp(u, cdf, t)
+    return _interp_sorted(u, cdf, t)
+
+
+def _interp_sorted(u: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """``np.interp(u, xp, fp)``, evaluated on the sorted ``u``.
+
+    ``np.interp`` computes each point on its own, so the order of the
+    queries does not change any result bit; sorted queries let its search
+    start from the previous knot instead of bisecting the whole table.
+    """
+    order = np.argsort(u)
+    out = np.empty_like(u)
+    out[order] = np.interp(u[order], xp, fp)
+    return out
 
 
 def _reexcite_conditional_prob(source: SourceParams) -> float:
@@ -161,30 +187,42 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
     p2c = _reexcite_conditional_prob(source)
     sigma_pulse = setup.pulse_fwhm_ps * FWHM_TO_SIGMA
 
-    first_mask = g.random(n) < b
-    k = int(first_mask.sum())
+    first_pulses = np.flatnonzero(g.random(n) < b) + lo
+    k = first_pulses.size
     first_times = np.asarray(sample_emission_time(g, source, size=k), dtype=float)
 
     re_sel = g.random(k) < p2c
     m = int(re_sel.sum())
     re_times = first_times[re_sel] + np.asarray(sample_emission_time(g, source, size=m), dtype=float)
 
+    if setup.laser_leak_per_pulse == 0.0:
+        # The leak draws would be the chunk's last ones and select nothing,
+        # so skipping them leaves every other draw unchanged.  Each first
+        # photon is then followed by its re-excitation photon, if any.
+        re_pos = np.flatnonzero(re_sel) + np.arange(1, m + 1)
+        is_re = np.zeros(k + m, dtype=bool)
+        is_re[re_pos] = True
+        is_first = ~is_re
+        pulse = np.empty(k + m, dtype=np.int64)
+        pulse[is_first] = first_pulses
+        pulse[re_pos] = first_pulses[re_sel]
+        emit = np.empty(k + m)
+        emit[is_first] = first_times
+        emit[re_pos] = re_times
+        origin = np.where(is_re, np.int8(Origin.QD_REEXCITE), np.int8(Origin.QD_FIRST))
+        return pulse, emit, origin
+
     leak_mask = g.random(n) < setup.laser_leak_per_pulse
     j = int(leak_mask.sum())
     leak_times = g.normal(0.0, sigma_pulse, size=j)
 
-    pulses_local = np.arange(lo, hi, dtype=np.int64)
-    first_pulses = pulses_local[first_mask]
-    parts_pulse = [first_pulses, first_pulses[re_sel], pulses_local[leak_mask]]
-    parts_time = [first_times, re_times, leak_times]
-    parts_origin = [
+    pulse = np.concatenate([first_pulses, first_pulses[re_sel], np.flatnonzero(leak_mask) + lo])
+    emit = np.concatenate([first_times, re_times, leak_times])
+    origin = np.concatenate([
         np.full(k, Origin.QD_FIRST, dtype=np.int8),
         np.full(m, Origin.QD_REEXCITE, dtype=np.int8),
         np.full(j, Origin.LASER, dtype=np.int8),
-    ]
-    pulse = np.concatenate(parts_pulse)
-    emit = np.concatenate(parts_time)
-    origin = np.concatenate(parts_origin)
+    ])
     order = np.argsort(pulse, kind="stable")
     return pulse[order], emit[order], origin[order]
 
@@ -255,10 +293,29 @@ def _dark_clicks(g: np.random.Generator, setup: SetupParams, duration_ps: float)
     return out
 
 
-def _finalize_streams(times, channels, keep, dark0, dark1):
-    t0 = np.sort(np.concatenate([times[keep & (channels == 0)], dark0]))
-    t1 = np.sort(np.concatenate([times[keep & (channels == 1)], dark1]))
+def _finalize_streams(times, channels, dark0, dark1):
+    # Click times are finite and never -0.0, so every sort algorithm returns
+    # the same bits.  The stable one (a merge sort) is the fastest here:
+    # event times arrive in pulse order and the dark counts are sorted.
+    t0 = np.sort(np.concatenate([times[channels == 0], dark0]), kind="stable")
+    t1 = np.sort(np.concatenate([times[channels == 1], dark1]), kind="stable")
     return t0, t1
+
+
+def _selection(mask: np.ndarray):
+    """Index of the True entries of ``mask``; a slice when all are True, which avoids copies."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
+
+
+def _click_times(batch: EventBatch, kept: np.ndarray, period: float) -> np.ndarray:
+    """``pulse_index * period + emit_time_ps`` (ps) of the kept events only.
+
+    Callers add the remaining terms in place, in the order the full-length
+    expression would, so every kept time is bit-equal to it.
+    """
+    times = batch.pulse_index[kept] * period
+    times += batch.emit_time_ps[kept]
+    return times
 
 
 def hbt_streams(
@@ -283,15 +340,23 @@ def hbt_streams(
     period = setup.rep_period_ps
     sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
 
-    keep = g.random(n) < setup.eta_total
-    channels = g.integers(0, 2, size=n)
-    jitter = g.normal(0.0, sigma_j, size=n) if sigma_j > 0 else np.zeros(n)
-    times = batch.pulse_index * period + batch.emit_time_ps + jitter
+    kept = _selection(g.random(n) < setup.eta_total)
+    channels = g.integers(0, 2, size=n)[kept]
+    times = _click_times(batch, kept, period)
+    if sigma_j > 0:
+        times += g.normal(0.0, sigma_j, size=n)[kept]
     dark0, dark1 = _dark_clicks(g, setup, n_pulses * period)
-    return _finalize_streams(times, channels, keep, dark0, dark1)
+    return _finalize_streams(times, channels, dark0, dark1)
 
 
-def _empirical_pair_overlap(batch: EventBatch, overlap: float) -> float:
+def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    first = np.ones(sorted_values.size, dtype=bool)
+    first[1:] = sorted_values[1:] != sorted_values[:-1]
+    return np.flatnonzero(first)
+
+
+def _empirical_pair_overlap(qd_pulses: np.ndarray, n_pulses: int, overlap: float) -> float:
     """Pairwise coalescence probability that realizes the requested overlap.
 
     The reported mean wavepacket overlap M is defined after correcting the
@@ -308,19 +373,51 @@ def _empirical_pair_overlap(batch: EventBatch, overlap: float) -> float:
         m_pair = M * (1 - g2) * mu^2 / (p1^2 + 3 p1 p2),  g2 = 2 p2 / mu^2.
 
     For an ideal single-photon stream (p2 = 0) this reduces to m_pair = M.
+    ``qd_pulses`` holds the sorted pulse index of every QD photon, so the
+    pulses with one or more photons are its runs of equal values.
     """
-    counts = batch.per_pulse_qd_counts()
-    n = batch.n_pulses
+    n = n_pulses
     if n <= 0:
         return overlap
-    p1 = np.count_nonzero(counts == 1) / n
-    p2 = np.count_nonzero(counts >= 2) / n
-    mu = counts.sum() / n
+    # same[i]: photon i + 1 shares photon i's pulse.  A pulse with two or
+    # more photons is a run of True values in ``same``.
+    same = qd_pulses[1:] == qd_pulses[:-1]
+    n_multi = np.count_nonzero(same[:1]) + np.count_nonzero(same[1:] & ~same[:-1])
+    n_single = qd_pulses.size - np.count_nonzero(same) - n_multi
+    p1 = n_single / n
+    p2 = n_multi / n
+    # A NumPy scalar, so that mu**2 below is NumPy's power of a float64.
+    mu = np.float64(qd_pulses.size) / n
     if p1 <= 0 or mu <= 0:
         return overlap
     g2 = 2.0 * p2 / mu**2
     m_pair = overlap * (1.0 - g2) * mu**2 / (p1**2 + 3.0 * p1 * p2)
     return min(1.0, max(0.0, m_pair))
+
+
+def _greedy_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray):
+    """Event indices of the QD photon pairs that meet in the interferometer.
+
+    The first long-arm QD photon in a slot meets the first short-arm QD
+    photon of the same slot.  A photon's slot is its pulse index plus its
+    arm, so the long photon of pulse k meets the short photon of pulse
+    k + 1.  ``pulse_index`` must be sorted.  Returns (long_photon,
+    short_photon) index arrays ordered by slot.
+    """
+    long_idx = np.flatnonzero(qd & (arm == 1))
+    short_idx = np.flatnonzero(qd & (arm == 0))
+    long_idx = long_idx[_first_of_runs(pulse_index[long_idx])]
+    short_idx = short_idx[_first_of_runs(pulse_index[short_idx])]
+    # rank[i]: rank of event i's pulse among the distinct pulses, from 1.
+    # Pulse k + 1, if it has events, is the pulse ranked next after k.
+    new_pulse = np.ones(pulse_index.size, dtype=bool)
+    np.not_equal(pulse_index[1:], pulse_index[:-1], out=new_pulse[1:])
+    rank = np.cumsum(new_pulse)
+    short_of_rank = np.full(pulse_index.size + 2, -1)
+    short_of_rank[rank[short_idx]] = short_idx
+    partner = short_of_rank[rank[long_idx] + 1]
+    met = (partner >= 0) & (pulse_index[partner] == pulse_index[long_idx] + 1)
+    return long_idx[met], partner[met]
 
 
 def hom_streams(
@@ -339,45 +436,38 @@ def hom_streams(
     probability derived from ``overlap``; everything else routes
     independently.  Laser-leak photons never coalesce.  Efficiency,
     jitter and dark counts are applied as in :func:`hbt_streams`.
+
+    The events must be sorted by pulse index, as
+    :func:`simulate_pulse_train` returns them.
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must lie in [0, 1], got {overlap}")
     batch = _as_arrays(events)
+    if np.any(batch.pulse_index[1:] < batch.pulse_index[:-1]):
+        raise ValueError("events must be sorted by pulse index")
     n_pulses = batch.n_pulses if n_pulses is None else n_pulses
     g = rng.generator()
     n = len(batch)
     period = setup.rep_period_ps
     delay = setup.hom_delay_ps if setup.hom_delay_ps is not None else period
     sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
-    m_pair = _empirical_pair_overlap(batch, overlap)
+    qd = batch.qd_mask()
+    m_pair = _empirical_pair_overlap(batch.pulse_index[_selection(qd)], batch.n_pulses, overlap)
 
     arm = g.integers(0, 2, size=n)
-    slot = batch.pulse_index + arm
-    qd = batch.qd_mask()
-
-    # Greedy pairing: the first long-arm QD photon in a slot meets the
-    # first short-arm QD photon of the same slot.
-    long_idx = np.where(qd & (arm == 1))[0]
-    short_idx = np.where(qd & (arm == 0))[0]
-    long_slots, long_first = np.unique(slot[long_idx], return_index=True)
-    short_slots, short_first = np.unique(slot[short_idx], return_index=True)
-    _, li, si = np.intersect1d(long_slots, short_slots, assume_unique=True, return_indices=True)
-    pair_a = long_idx[long_first[li]]
-    pair_b = short_idx[short_first[si]]
-
+    pair_a, pair_b = _greedy_pairs(batch.pulse_index, qd, arm)
     coalesce = g.random(pair_a.size) < m_pair
     joint_port = g.integers(0, 2, size=pair_a.size)
     channels = g.integers(0, 2, size=n)
     channels[pair_a[coalesce]] = joint_port[coalesce]
     channels[pair_b[coalesce]] = joint_port[coalesce]
 
-    keep = g.random(n) < setup.eta_total
-    jitter = g.normal(0.0, sigma_j, size=n) if sigma_j > 0 else np.zeros(n)
-    times = batch.pulse_index * period + batch.emit_time_ps + arm * delay + jitter
+    kept = _selection(g.random(n) < setup.eta_total)
+    channels = channels[kept]
+    times = _click_times(batch, kept, period)
+    times += arm[kept] * delay
+    if sigma_j > 0:
+        times += g.normal(0.0, sigma_j, size=n)[kept]
     dark0, dark1 = _dark_clicks(g, setup, n_pulses * period)
-    return _finalize_streams(times, channels, keep, dark0, dark1)
+    return _finalize_streams(times, channels, dark0, dark1)
 
-
-def fold_to_pulse_window(times_ps: np.ndarray, period_ps: float) -> np.ndarray:
-    """Map absolute click times onto [0, period) relative to their pulse."""
-    return np.mod(times_ps, period_ps)

@@ -14,6 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +35,30 @@ from .photon_sim import RngSpec, hbt_streams, hom_streams, simulate_pulse_train
 from .report import SourceReport, aggregate_benchmark, emit_report
 
 _STREAMS_PER_SOURCE = 8
+_WRITE_BLOCK_ROWS = 1 << 16
 _PHI_SCAN_ANGLES = 13
 _PHI_SCAN_NOISE = 0.02
+
+
+class SourceStreams(NamedTuple):
+    """The RNG streams of one source, as laid out by :func:`source_streams`."""
+
+    hbt_events: RngSpec
+    hbt_clicks: RngSpec
+    hom_events: RngSpec
+    hom_clicks: RngSpec
+    phi_scan: RngSpec
+
+
+def source_streams(seed: int, source_index: int) -> SourceStreams:
+    """RNG streams of the source at ``source_index`` in the config.
+
+    Source i owns stream ids [8 i, 8 i + 8); the ids after the last field
+    are reserved, so a new stream never moves another source's streams.
+    Every command that simulates a source takes its streams from here.
+    """
+    base = source_index * _STREAMS_PER_SOURCE
+    return SourceStreams(*(RngSpec(seed, base + k) for k in range(len(SourceStreams._fields))))
 
 
 @dataclass(frozen=True)
@@ -62,16 +85,22 @@ def file_header(seed: int, config_hash: str) -> str:
 def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str):
     """Write merged click streams as integer-picosecond rows.
 
-    Integer times avoid float-accumulation drift over long streams.
+    Integer times avoid float-accumulation drift over long streams.  Rows
+    are formatted in blocks of ``_WRITE_BLOCK_ROWS``, which bounds the
+    memory the text takes whatever the stream length.
     """
     channel = np.concatenate([np.zeros(t0.size, dtype=np.int64), np.ones(t1.size, dtype=np.int64)])
-    times = np.concatenate([t0, t1])
-    order = np.lexsort((channel, np.rint(times)))
+    times = np.rint(np.concatenate([t0, t1]))
+    order = np.lexsort((channel, times))
+    channel = channel[order]
+    times = times[order].astype(np.int64)
     with open(path, "w") as f:
         f.write(header + "\n")
         f.write("# channel,time_ps\n")
-        for ch, t in zip(channel[order], np.rint(times[order]).astype(np.int64)):
-            f.write(f"{ch},{t}\n")
+        for lo in range(0, order.size, _WRITE_BLOCK_ROWS):
+            hi = lo + _WRITE_BLOCK_ROWS
+            rows = zip(channel[lo:hi].tolist(), times[lo:hi].tolist())
+            f.write("".join(f"{c},{t}\n" for c, t in rows))
 
 
 def read_timestamps(path):
@@ -130,17 +159,21 @@ def analyze_source(
     options: PipelineOptions = PipelineOptions(),
 ):
     """Simulate one source and recover all of its figures of merit."""
-    base = source_index * _STREAMS_PER_SOURCE
+    streams = source_streams(seed, source_index)
     period = setup.rep_period_ps
     max_delay = options.histogram_periods * period
 
-    hbt_events = simulate_pulse_train(RngSpec(seed, base + 0), source, setup, n_pulses)
-    hbt0, hbt1 = hbt_streams(RngSpec(seed, base + 1), hbt_events, setup, n_pulses)
+    events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
+    hbt0, hbt1 = hbt_streams(streams.hbt_clicks, events, setup, n_pulses)
+    # Drop the HBT events before the HOM train is simulated, so that only
+    # one train's events are alive at a time.
+    del events
     hbt_hist = build_histogram(hbt0, hbt1, options.bin_width_ps, max_delay, period)
     g2 = g2_zero(hbt_hist, options.window_ps)
 
-    hom_events = simulate_pulse_train(RngSpec(seed, base + 2), source, setup, n_pulses)
-    hom0, hom1 = hom_streams(RngSpec(seed, base + 3), hom_events, setup, source.overlap, n_pulses)
+    events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
+    hom0, hom1 = hom_streams(streams.hom_clicks, events, setup, source.overlap, n_pulses)
+    del events
     hom_hist = build_histogram(hom0, hom1, options.bin_width_ps, max_delay, period)
     vis = hom_visibility(hom_hist, options.window_ps)
     overlap = corrected_overlap(vis.value, g2.value)
@@ -152,8 +185,7 @@ def analyze_source(
     trace = decay_trace_from_clicks(hbt0, hbt1, setup, source, options.trace_bin_ps)
     fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
 
-    scan_rng = RngSpec(seed, base + 4).generator()
-    phi_points = synthesize_phi_scan(source, scan_rng)
+    phi_points = synthesize_phi_scan(source, streams.phi_scan.generator())
     classification = classify_transition(phi_points)
 
     duration_s = n_pulses * period * 1e-12

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,9 +11,14 @@ from qdbench.dynamics import exciton_cross_intensity, peak_emission_delay
 from qdbench.model import SetupParams, SourceValidationError, exciton_source, trion_source
 from qdbench.photon_sim import (
     CHUNK_PULSES,
+    EventBatch,
     Origin,
     RngSpec,
     UnsamplableEmissionError,
+    _empirical_pair_overlap,
+    _exciton_inverse_cdf_table,
+    _greedy_pairs,
+    _interp_sorted,
     hbt_streams,
     hom_streams,
     sample_emission_time,
@@ -69,6 +75,22 @@ class TestSampleEmissionTime:
         t_exciton = sample_emission_time(rng, S7)
         assert float(t_trion) >= 0.0
         assert float(t_exciton) >= 0.0
+
+    def test_sorted_lookup_bit_equal_to_interp(self):
+        cdf, t = _exciton_inverse_cdf_table(S7.exciton.tau_ps, S7.exciton.delta_fss_uev,
+                                            S7.exciton.theta_rad)
+        rng = np.random.default_rng(15)
+        # Uniforms off the knots, exactly on every knot (u = 0 included),
+        # and repeated values, in shuffled order.
+        u = np.concatenate([rng.random(20_000), cdf, cdf[:50], [0.0, 0.0]])
+        rng.shuffle(u)
+        bits = lambda a: np.asarray(a, dtype=float).view(np.uint64)
+        assert np.array_equal(bits(_interp_sorted(u, cdf, t)), bits(np.interp(u, cdf, t)))
+
+        for size in (None, 0, 1, 5_000):
+            drawn = sample_emission_time(RngSpec(16, 0).generator(), S7, size=size)
+            u = RngSpec(16, 0).generator().random(size)
+            assert np.array_equal(bits(drawn), bits(np.interp(u, cdf, t)))
 
 
 class TestSimulatePulseTrain:
@@ -143,8 +165,6 @@ class TestHbtStreams:
         assert t0.size / n == pytest.approx(0.5, abs=0.002)
 
     def test_two_photons_split_half_the_time(self, ideal_setup):
-        from qdbench.photon_sim import EventBatch
-
         n = 200_000
         pulse = np.repeat(np.arange(n, dtype=np.int64), 2)
         batch = EventBatch(pulse, np.zeros(2 * n), np.zeros(2 * n, dtype=np.int8), n)
@@ -189,8 +209,6 @@ class TestHbtStreams:
         a0, a1 = hbt_streams(RngSpec(35, 1), batch, setup_single, n)
 
         keep = RngSpec(35, 2).generator().random(len(batch)) < 0.40
-        from qdbench.photon_sim import EventBatch
-
         pre = EventBatch(batch.pulse_index[keep], batch.emit_time_ps[keep],
                          batch.origin[keep], n)
         b0, b1 = hbt_streams(RngSpec(35, 3), pre, setup_second, n)
@@ -295,6 +313,47 @@ class TestHomStreams:
         sigma = math.hypot(vis.std_err, 2 * g2.std_err)
         assert abs(m.value - 0.85) < 3 * sigma
 
+    def test_unsorted_events_rejected(self, clean_setup):
+        batch = single_photon_batch(10)
+        shuffled = EventBatch(batch.pulse_index[::-1].copy(), batch.emit_time_ps,
+                              batch.origin, batch.n_pulses)
+        with pytest.raises(ValueError, match="sorted"):
+            hom_streams(RngSpec(1, 0), shuffled, clean_setup, overlap=0.5)
+
+    def test_pairing_and_overlap_match_dense_reference(self):
+        # Pulses with zero to three QD photons, plus laser photons that never
+        # pair, checked against the per-pulse (dense) formulations.
+        rng = np.random.default_rng(47)
+        n = 20_000
+        per_pulse = rng.choice(4, size=n, p=[0.5, 0.3, 0.15, 0.05])
+        pulse = np.repeat(np.arange(n, dtype=np.int64), per_pulse)
+        origin = rng.choice([Origin.QD_FIRST, Origin.QD_REEXCITE, Origin.LASER],
+                            size=pulse.size, p=[0.6, 0.3, 0.1]).astype(np.int8)
+        batch = EventBatch(pulse, np.zeros(pulse.size), origin, n)
+        arm = rng.integers(0, 2, size=pulse.size)
+        qd = batch.qd_mask()
+
+        slot = pulse + arm
+        long_idx = np.where(qd & (arm == 1))[0]
+        short_idx = np.where(qd & (arm == 0))[0]
+        long_slots, long_first = np.unique(slot[long_idx], return_index=True)
+        short_slots, short_first = np.unique(slot[short_idx], return_index=True)
+        _, li, si = np.intersect1d(long_slots, short_slots, assume_unique=True,
+                                   return_indices=True)
+        pair_a, pair_b = _greedy_pairs(pulse, qd, arm)
+        assert pair_a.size > 1000
+        assert np.array_equal(pair_a, long_idx[long_first[li]])
+        assert np.array_equal(pair_b, short_idx[short_first[si]])
+
+        counts = batch.per_pulse_qd_counts()
+        p1 = np.count_nonzero(counts == 1) / n
+        p2 = np.count_nonzero(counts >= 2) / n
+        mu = counts.sum() / n
+        g2 = 2.0 * p2 / mu**2
+        expected = 0.8 * (1.0 - g2) * mu**2 / (p1**2 + 3.0 * p1 * p2)
+        assert 0.0 < expected < 1.0
+        assert _empirical_pair_overlap(pulse[qd], n, 0.8) == expected
+
     def test_adjacent_side_peaks_suppressed(self, clean_setup):
         # The interferometer pairing removes one photon-pair combination
         # between adjacent slots, suppressing the |k| = 1 peaks to ~3/4 of
@@ -314,3 +373,58 @@ class TestHomStreams:
         near = 0.5 * (areas[1] + areas[-1])
         far = 0.25 * (areas[2] + areas[-2] + areas[3] + areas[-3])
         assert near / far == pytest.approx(0.75, abs=0.02)
+
+
+def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
+    """SHA-256 over every array one HBT and one HOM train produce."""
+    h = hashlib.sha256()
+
+    def add(*arrays):
+        for a in arrays:
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    hbt_ev = simulate_pulse_train(RngSpec(seed, 0), source, setup, n_pulses)
+    add(hbt_ev.pulse_index, hbt_ev.emit_time_ps, hbt_ev.origin)
+    add(*hbt_streams(RngSpec(seed, 1), hbt_ev, setup, n_pulses))
+    hom_ev = simulate_pulse_train(RngSpec(seed, 2), source, setup, n_pulses)
+    add(hom_ev.pulse_index, hom_ev.emit_time_ps, hom_ev.origin)
+    add(*hom_streams(RngSpec(seed, 3), hom_ev, setup, source.overlap, n_pulses))
+    return h.hexdigest()
+
+
+_GOLDEN_SOURCES = {
+    "exciton": exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.pi / 4, brightness_first_lens=0.3,
+                              p_two_photon=0.01, dephasing=0.1),
+    "trion": trion_source(S11_TAU_PS, brightness_first_lens=0.3, p_two_photon=0.01,
+                          dephasing=0.1),
+}
+_GOLDEN_SETUPS = {
+    "default": SetupParams(),
+    "lossless": SetupParams(eta_setup=1.0, eta_det=1.0),
+    "leak_dark": SetupParams(laser_leak_per_pulse=0.02, dark_rate_cps=200_000.0),
+}
+#: Pinned stream digests.  A change to any random draw, its order or the
+#: event layout changes them; such a change must bump the stream layout
+#: deliberately and record new digests.
+_GOLDEN_DIGESTS = {
+    ("exciton", "default"):
+        "e2b38e04322627324ce45c50ec9d867791e41d9185994b1d6ecc57c25e546505",
+    ("exciton", "lossless"):
+        "cd8613fe455c9b11dbe96624aa161767f9b475dea1be6a52aa09b595a3bb7ddf",
+    ("exciton", "leak_dark"):
+        "d706f6fcf74b56a8fbaf7113fda896d727cd635d1b04c54e06332d6c8f26cf14",
+    ("trion", "default"):
+        "0a581379f6bc02f3bda1691924350b9ea67dc5c3ad74400e78e7733ac6acbde3",
+    ("trion", "lossless"):
+        "15ace9e8ad260c5ed34a2d6e473faa74d4b41ce4a6f91defc4f0021c27137fba",
+    ("trion", "leak_dark"):
+        "5a7f57ccbdf33599401528f46729309754a3552b9c7dcf043786d8def4193bfa",
+}
+
+
+@pytest.mark.parametrize("source_name,setup_name", sorted(_GOLDEN_DIGESTS))
+def test_golden_stream_digest(source_name, setup_name):
+    n = 2 * CHUNK_PULSES + 18_929
+    digest = _train_digest(_GOLDEN_SOURCES[source_name], _GOLDEN_SETUPS[setup_name], 2026, n)
+    assert digest == _GOLDEN_DIGESTS[(source_name, setup_name)]

@@ -134,6 +134,24 @@ class TestTimestampFiles:
         assert np.array_equal(back0, np.rint(t0))
         assert np.array_equal(back1, np.rint(t1))
 
+    def test_block_writer_matches_row_loop(self, tmp_path):
+        # More rows than one write block, with ties across the two channels.
+        rng = np.random.default_rng(3)
+        t0 = np.sort(rng.uniform(0.0, 5e7, size=90_000))
+        t1 = np.sort(np.concatenate([rng.uniform(0.0, 5e7, size=60_000), t0[::7] + 0.2]))
+        header = "# qdbench test seed=0 config=x"
+        path = tmp_path / "clicks.csv"
+        write_timestamps(path, t0, t1, header)
+
+        channel = np.concatenate([np.zeros(t0.size, dtype=np.int64),
+                                  np.ones(t1.size, dtype=np.int64)])
+        times = np.concatenate([t0, t1])
+        order = np.lexsort((channel, np.rint(times)))
+        lines = [header + "\n", "# channel,time_ps\n"]
+        for ch, t in zip(channel[order], np.rint(times[order]).astype(np.int64)):
+            lines.append(f"{ch},{t}\n")
+        assert path.read_text() == "".join(lines)
+
 
 class TestCli:
     def _write_config(self, tmp_path):
@@ -178,6 +196,23 @@ class TestCli:
         )
         assert 0.5 < hom_payload["v_raw"] <= 1.0
         assert 0.5 < hom_payload["overlap_corrected"] <= 1.0
+
+    def test_simulate_rows_equal_pipeline_clicks(self, tmp_path, capsys):
+        cfg = FleetConfig.from_parts(
+            [*trion_config(2).sources, *s7_config().sources], CLEAN_SETUP
+        )
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(cfg, cfg_path)
+        common = ["--config", str(cfg_path), "--pulses", "150000", "--seed", "9"]
+        assert cli_main(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
+        assert cli_main(["pipeline", *common, "--save-clicks",
+                         "--out", str(tmp_path / "pipe")]) == 0
+        for source in cfg.sources:
+            for mode in ("hbt", "hom"):
+                simulated = (tmp_path / "sim" / f"{source.label}_{mode}.csv").read_text()
+                saved = (tmp_path / "pipe" / source.label / f"{mode}_clicks.csv").read_text()
+                assert simulated.count("\n") > 1000
+                assert simulated == saved
 
     def test_fit_subcommand(self, tmp_path, capsys):
         from conftest import synth_trace
