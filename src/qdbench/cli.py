@@ -99,16 +99,10 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    t, counts = [], []
-    with open(args.trace) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("t_ps"):
-                continue
-            a, b = line.split(",")
-            t.append(float(a))
-            counts.append(float(b))
-    trace = DecayTrace(np.array(t), np.array(counts), TransitionKind(args.kind))
+    # The column-name line is skipped like a comment.
+    t, counts = np.loadtxt(args.trace, delimiter=",", comments=("#", "t_ps"), ndmin=2,
+                           unpack=True)
+    trace = DecayTrace(t, counts, TransitionKind(args.kind))
     fit = fit_decay(trace, irf_fwhm_ps=args.irf_fwhm)
     payload = {
         "params": fit.params,
@@ -125,15 +119,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    points = []
-    with open(args.phiscan) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("phi"):
-                continue
-            phi, cavity, qd = line.split(",")
-            points.append(PhiScanPoint(float(phi), float(cavity), float(qd)))
-    cls = classify_transition(points)
+    phi, cavity, qd = np.loadtxt(args.phiscan, delimiter=",", comments=("#", "phi"), ndmin=2,
+                                 unpack=True)
+    cls = classify_transition(list(map(PhiScanPoint, phi.tolist(), cavity.tolist(), qd.tolist())))
     payload = {
         "kind": cls.kind.value,
         "theta_est_deg": math.degrees(cls.theta_est_rad) if cls.theta_est_rad is not None else None,

@@ -274,25 +274,16 @@ def write_histogram(hist: CorrelationHistogram, path, meta: dict | None = None):
 
 
 def read_histogram(path) -> CorrelationHistogram:
-    bin_width = rep_period = None
-    delays, counts = [], []
     with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("bin_width_ps="):
-                        bin_width = float(tok.split("=", 1)[1])
-                    elif tok.startswith("rep_period_ps="):
-                        rep_period = float(tok.split("=", 1)[1])
-                continue
-            if line.startswith("bin_center_ps"):
-                continue
-            d, c = line.split(",")
-            delays.append(float(d))
-            counts.append(int(c))
-    if bin_width is None or rep_period is None:
+        lines = f.readlines()
+    header = {}
+    for line in lines:
+        if line.lstrip().startswith("#"):
+            header.update(tok.split("=", 1) for tok in line.strip()[1:].split() if "=" in tok)
+    if "bin_width_ps" not in header or "rep_period_ps" not in header:
         raise ValueError(f"{path}: missing bin_width_ps/rep_period_ps header")
-    return CorrelationHistogram(bin_width, np.array(delays), np.array(counts), rep_period)
+    # The column-name line is skipped like a comment.
+    rows = np.loadtxt(lines, delimiter=",", comments=("#", "bin_center_ps"), ndmin=1,
+                      dtype=[("delay", float), ("count", np.int64)])
+    return CorrelationHistogram(float(header["bin_width_ps"]), rows["delay"], rows["count"],
+                                float(header["rep_period_ps"]))

@@ -36,6 +36,11 @@ from .report import SourceReport, aggregate_benchmark, emit_report
 
 _STREAMS_PER_SOURCE = 8
 _WRITE_BLOCK_ROWS = 1 << 16
+#: Sorted int64 times in [_EDGES[i - 1], _EDGES[i]) share one sign and one
+#: digit count, _RUN_LAYOUTS[i]; _RUN_WIDTHS[i] is the byte width of their rows.
+_EDGES = np.concatenate([1 - 10 ** np.arange(18, 0, -1), [0], 10 ** np.arange(1, 19)])
+_RUN_LAYOUTS = [(True, 19 - i) for i in range(19)] + [(False, d) for d in range(1, 20)]
+_RUN_WIDTHS = np.array([3 + negative + digits for negative, digits in _RUN_LAYOUTS])
 _PHI_SCAN_ANGLES = 13
 _PHI_SCAN_NOISE = 0.02
 
@@ -86,36 +91,80 @@ def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str):
     """Write merged click streams as integer-picosecond rows.
 
     Integer times avoid float-accumulation drift over long streams.  Rows
-    are formatted in blocks of ``_WRITE_BLOCK_ROWS``, which bounds the
-    memory the text takes whatever the stream length.
+    are sorted by time, then channel; clicks from pulse 0 can have negative
+    times.  Each block of ``_WRITE_BLOCK_ROWS`` rows is formatted as one
+    byte array, which bounds the memory the text takes whatever the stream
+    length.
     """
-    channel = np.concatenate([np.zeros(t0.size, dtype=np.int64), np.ones(t1.size, dtype=np.int64)])
     times = np.rint(np.concatenate([t0, t1]))
-    order = np.lexsort((channel, times))
-    channel = channel[order]
+    # Each channel stays sorted after rounding, so the stable sort is a
+    # linear merge that puts channel 0 first on equal times.
+    order = np.argsort(times, kind="stable")
+    channel = (order >= t0.size).astype(np.uint8)
     times = times[order].astype(np.int64)
-    with open(path, "w") as f:
-        f.write(header + "\n")
-        f.write("# channel,time_ps\n")
-        for lo in range(0, order.size, _WRITE_BLOCK_ROWS):
+    with open(path, "wb") as f:
+        f.write(f"{header}\n# channel,time_ps\n".encode())
+        for lo in range(0, times.size, _WRITE_BLOCK_ROWS):
             hi = lo + _WRITE_BLOCK_ROWS
-            rows = zip(channel[lo:hi].tolist(), times[lo:hi].tolist())
-            f.write("".join(f"{c},{t}\n" for c, t in rows))
+            f.write(_format_rows(channel[lo:hi], times[lo:hi]).tobytes())
+
+
+def _format_rows(channel: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The text ``f"{c},{t}\\n"`` of every row as one byte array.
+
+    ``times`` must be sorted, so that rows fall into contiguous runs of one
+    sign and one digit count, cut at ``_EDGES``.  Each run is a fixed-width
+    byte matrix inside the output, filled a column at a time.
+    """
+    bounds = [0, *np.searchsorted(times, _EDGES).tolist(), times.size]
+    text = np.empty(int(np.diff(bounds) @ _RUN_WIDTHS), dtype=np.uint8)
+    pos = 0
+    for (negative, digits), width, lo, hi in zip(_RUN_LAYOUTS, _RUN_WIDTHS,
+                                                  bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        rows = text[pos:pos + (hi - lo) * width].reshape(hi - lo, width)
+        pos += rows.size
+        rows[:, 0] = channel[lo:hi] + ord("0")
+        rows[:, 1] = ord(",")
+        if negative:
+            rows[:, 2] = ord("-")
+        rows[:, -1] = ord("\n")
+        magnitude = -times[lo:hi] if negative else times[lo:hi]
+        _put_digits(rows, width - 1, magnitude.astype(_digit_dtype(digits)), digits)
+    return text
+
+
+def _put_digits(rows: np.ndarray, end: int, values: np.ndarray, n: int):
+    """Write ``values`` as ``n`` zero-padded decimal digits to ``rows[:, end - n:end]``.
+
+    The digits are split in halves, and each half is held in the narrowest
+    unsigned type that fits: narrow integer division is much cheaper.
+    """
+    if n == 1:
+        rows[:, end - 1] = values + ord("0")
+        return
+    k = n // 2
+    high = values // 10**k
+    low = values - high * 10**k
+    _put_digits(rows, end, low.astype(_digit_dtype(k)), k)
+    _put_digits(rows, end - k, high.astype(_digit_dtype(n - k)), n - k)
+
+
+def _digit_dtype(n: int):
+    """The narrowest integer type that holds every ``n``-digit value."""
+    return np.uint8 if n <= 2 else np.uint16 if n <= 4 else np.uint32 if n <= 9 else np.int64
 
 
 def read_timestamps(path):
-    """Read a timestamp file back into per-channel sorted time arrays."""
-    chans, times = [], []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            ch, t = line.split(",")
-            chans.append(int(ch))
-            times.append(float(t))
-    chans = np.array(chans, dtype=np.int64)
-    times = np.array(times, dtype=float)
+    """Read a timestamp file back into per-channel sorted time arrays.
+
+    Times may be decimal.  A row that is not ``channel,time`` with an
+    integer channel raises ``ValueError``.
+    """
+    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=1,
+                      dtype=[("channel", np.int64), ("time_ps", float)])
+    chans, times = rows["channel"], rows["time_ps"]
     return np.sort(times[chans == 0]), np.sort(times[chans == 1])
 
 
@@ -222,7 +271,8 @@ def analyze_source(
         "hom_hist": hom_hist,
         "trace": trace,
         "phi_points": phi_points,
-        "clicks": (hbt0, hbt1, hom0, hom1),
+        # Click streams are large; keep them only when they will be written.
+        "clicks": (hbt0, hbt1, hom0, hom1) if options.save_clicks else None,
     }
 
 

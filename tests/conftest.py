@@ -5,12 +5,20 @@ Trace builders deliberately construct their truth curves with plain numpy
 machinery, so round-trip tests exercise an independent path.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from qdbench.dynamics import gaussian_kernel
 from qdbench.inference import DecayTrace
-from qdbench.model import HBAR_UEV_PS, SetupParams, TransitionKind
+from qdbench.model import (
+    HBAR_UEV_PS,
+    SetupParams,
+    TransitionKind,
+    exciton_source,
+    trion_source,
+)
 
 #: (criterion number, description, passed, detail) tuples collected by the
 #: acceptance suite; printed one per line at the end of the pytest run.
@@ -29,6 +37,20 @@ S7_TAU_PS = 252.0
 S7_DELTA_UEV = 8.58
 S11_TAU_PS = 164.9
 IRF_FWHM_PS = 53.0
+
+#: Sources and detection setups whose outputs are pinned by golden digests:
+#: the detector streams and the saved click files.
+GOLDEN_SOURCES = {
+    "exciton": exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.pi / 4, brightness_first_lens=0.3,
+                              p_two_photon=0.01, dephasing=0.1, label="X1"),
+    "trion": trion_source(S11_TAU_PS, brightness_first_lens=0.3, p_two_photon=0.01,
+                          dephasing=0.1, label="T1"),
+}
+GOLDEN_SETUPS = {
+    "default": SetupParams(),
+    "lossless": SetupParams(eta_setup=1.0, eta_det=1.0),
+    "leak_dark": SetupParams(laser_leak_per_pulse=0.02, dark_rate_cps=200_000.0),
+}
 
 
 def synth_trace(

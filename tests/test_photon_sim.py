@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from conftest import S7_DELTA_UEV, S7_TAU_PS, S11_TAU_PS, single_photon_batch
+from conftest import (
+    GOLDEN_SETUPS,
+    GOLDEN_SOURCES,
+    S7_DELTA_UEV,
+    S7_TAU_PS,
+    S11_TAU_PS,
+    single_photon_batch,
+)
 
 from qdbench.dynamics import exciton_cross_intensity, peak_emission_delay
 from qdbench.model import SetupParams, SourceValidationError, exciton_source, trion_source
@@ -393,17 +400,6 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
     return h.hexdigest()
 
 
-_GOLDEN_SOURCES = {
-    "exciton": exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.pi / 4, brightness_first_lens=0.3,
-                              p_two_photon=0.01, dephasing=0.1),
-    "trion": trion_source(S11_TAU_PS, brightness_first_lens=0.3, p_two_photon=0.01,
-                          dephasing=0.1),
-}
-_GOLDEN_SETUPS = {
-    "default": SetupParams(),
-    "lossless": SetupParams(eta_setup=1.0, eta_det=1.0),
-    "leak_dark": SetupParams(laser_leak_per_pulse=0.02, dark_rate_cps=200_000.0),
-}
 #: Pinned stream digests.  A change to any random draw, its order or the
 #: event layout changes them; such a change must bump the stream layout
 #: deliberately and record new digests.
@@ -426,5 +422,5 @@ _GOLDEN_DIGESTS = {
 @pytest.mark.parametrize("source_name,setup_name", sorted(_GOLDEN_DIGESTS))
 def test_golden_stream_digest(source_name, setup_name):
     n = 2 * CHUNK_PULSES + 18_929
-    digest = _train_digest(_GOLDEN_SOURCES[source_name], _GOLDEN_SETUPS[setup_name], 2026, n)
+    digest = _train_digest(GOLDEN_SOURCES[source_name], GOLDEN_SETUPS[setup_name], 2026, n)
     assert digest == _GOLDEN_DIGESTS[(source_name, setup_name)]

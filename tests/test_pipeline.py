@@ -1,15 +1,28 @@
 import filecmp
+import hashlib
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES
+
+from qdbench import pipeline
 from qdbench.cli import main as cli_main
 from qdbench.config import FleetConfig, write_config
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
-from qdbench.pipeline import read_timestamps, run_pipeline, write_timestamps
+from qdbench.pipeline import (
+    PipelineOptions,
+    analyze_source,
+    read_timestamps,
+    run_pipeline,
+    write_timestamps,
+)
 
 CLEAN_SETUP = SetupParams(eta_setup=1.0, eta_det=1.0)
 
@@ -42,6 +55,16 @@ def s7_config():
 
 
 class TestRunPipeline:
+    @pytest.mark.parametrize("save_clicks", [False, True])
+    def test_clicks_kept_only_when_saved(self, save_clicks):
+        source = trion_config().sources[0]
+        result = analyze_source(source, CLEAN_SETUP, seed=5, source_index=0, n_pulses=50_000,
+                                options=PipelineOptions(save_clicks=save_clicks))
+        if save_clicks:
+            assert [c.size > 0 for c in result["clicks"]] == [True] * 4
+        else:
+            assert result["clicks"] is None
+
     def test_single_trion_smoke(self, tmp_path):
         result = run_pipeline(trion_config(), n_pulses=1_000_000, seed=5, out_dir=str(tmp_path))
         assert not result.failures
@@ -122,6 +145,53 @@ class TestRunPipeline:
         assert "seed=21" in summary["_header"]
 
 
+def _row_loop_reference(t0, t1, header) -> bytes:
+    """The click file as the original row-by-row writer produced it."""
+    channel = np.concatenate([np.zeros(t0.size, dtype=np.int64),
+                              np.ones(t1.size, dtype=np.int64)])
+    times = np.rint(np.concatenate([t0, t1]))
+    order = np.lexsort((channel, times))
+    lines = [header + "\n", "# channel,time_ps\n"]
+    for ch, t in zip(channel[order].tolist(), times[order].astype(np.int64).tolist()):
+        lines.append(f"{ch},{t}\n")
+    return "".join(lines).encode()
+
+
+_DECADES = [sign * (10.0**k + d) for k in range(19) for d in (-1.0, -0.5, 0.0, 0.5)
+            for sign in (1.0, -1.0)]
+_CLICK_TIMES = st.one_of(
+    st.integers(-(10**6), 10**6).map(float),
+    st.integers(-(10**6), 10**6).map(lambda k: k + 0.5),
+    st.sampled_from([*_DECADES, -0.0, -0.4, 0.4]),
+    st.floats(-9e18, 9e18, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _click_streams(draw):
+    """Two sorted channels with negatives, -0.0, .5 ties, 10**k edges and shared times."""
+    t0 = sorted(draw(st.lists(_CLICK_TIMES, max_size=40)))
+    shared = draw(st.lists(st.sampled_from(t0), max_size=10)) if t0 else []
+    t1 = sorted(draw(st.lists(_CLICK_TIMES, max_size=40)) + shared)
+    if draw(st.booleans()):
+        t0, t1 = t1, t0
+    return np.array(t0, dtype=float), np.array(t1, dtype=float)
+
+
+#: SHA-256 of the concatenated ``pipeline --save-clicks`` click files of the
+#: golden fleet, recorded with the original row-by-row writer.
+_GOLDEN_CLICK_SEED = 51
+_GOLDEN_CLICK_PULSES = 100_000
+_GOLDEN_CLICK_DIGESTS = {
+    "default":
+        "f50f5824bbedb05c1fea4e93d9812cc87881d00f6e925be73b89b2a1af260234",
+    "lossless":
+        "767f2bfa71b1e3fae1da47c7cef905da6d923d1544d04d87af752c036ccdffa1",
+    "leak_dark":
+        "6f367cb000bc9bd690f1f793b5d29600193a3351cdf7b36f621e5f5609733ff3",
+}
+
+
 class TestTimestampFiles:
     def test_round_trip_integer_picoseconds(self, tmp_path):
         t0 = np.sort(np.array([3.2, 100.7, 5000.1]))
@@ -142,15 +212,52 @@ class TestTimestampFiles:
         header = "# qdbench test seed=0 config=x"
         path = tmp_path / "clicks.csv"
         write_timestamps(path, t0, t1, header)
+        assert path.read_bytes() == _row_loop_reference(t0, t1, header)
 
-        channel = np.concatenate([np.zeros(t0.size, dtype=np.int64),
-                                  np.ones(t1.size, dtype=np.int64)])
-        times = np.concatenate([t0, t1])
-        order = np.lexsort((channel, np.rint(times)))
-        lines = [header + "\n", "# channel,time_ps\n"]
-        for ch, t in zip(channel[order], np.rint(times[order]).astype(np.int64)):
-            lines.append(f"{ch},{t}\n")
-        assert path.read_text() == "".join(lines)
+    @settings(max_examples=300, deadline=None)
+    @given(streams=_click_streams(), block_rows=st.sampled_from([1, 2, 5, 1 << 16]))
+    def test_writer_matches_row_loop_property(self, tmp_path_factory, streams, block_rows):
+        t0, t1 = streams
+        header = "# qdbench test seed=0 config=x"
+        path = tmp_path_factory.mktemp("clicks") / "clicks.csv"
+        with mock.patch.object(pipeline, "_WRITE_BLOCK_ROWS", block_rows):
+            write_timestamps(path, t0, t1, header)
+        assert path.read_bytes() == _row_loop_reference(t0, t1, header)
+
+    def test_read_accepts_decimal_times(self, tmp_path):
+        path = tmp_path / "clicks.csv"
+        path.write_text("# qdbench test seed=0 config=x\n# channel,time_ps\n"
+                        "0,-3.5\n1,12.25\n0,7\n\n1,1e3\n")
+        back0, back1 = read_timestamps(path)
+        assert back0.tolist() == [-3.5, 7.0]
+        assert back1.tolist() == [12.25, 1000.0]
+
+    @pytest.mark.parametrize("row", ["0,12,5", "0;12", "0,abc", "zero,12"])
+    def test_malformed_row_is_a_validation_error(self, tmp_path, row, capsys):
+        path = tmp_path / "clicks.csv"
+        path.write_text(f"# channel,time_ps\n0,1\n{row}\n1,2\n")
+        with pytest.raises(ValueError):
+            read_timestamps(path)
+        code = cli_main(["analyze", "--timestamps", str(path), "--mode", "hbt",
+                         "--out", str(tmp_path / "analysis")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setup_name", sorted(_GOLDEN_CLICK_DIGESTS))
+    def test_golden_click_file_digest(self, tmp_path, setup_name):
+        config = FleetConfig.from_parts(list(GOLDEN_SOURCES.values()), GOLDEN_SETUPS[setup_name])
+        run_pipeline(config, _GOLDEN_CLICK_PULSES, _GOLDEN_CLICK_SEED, out_dir=str(tmp_path),
+                     options=PipelineOptions(save_clicks=True))
+        files = [
+            (tmp_path / source.label / name).read_bytes()
+            for source in config.sources
+            for name in ("hbt_clicks.csv", "hom_clicks.csv")
+        ]
+        if setup_name == "leak_dark":
+            # A pulse-0 laser-leak click lands before t = 0.
+            assert any(b",-" in data for data in files)
+        digest = hashlib.sha256(b"".join(files)).hexdigest()
+        assert digest == _GOLDEN_CLICK_DIGESTS[setup_name]
 
 
 class TestCli:
