@@ -23,20 +23,15 @@ from .model import (
     validate_source,
 )
 from .dynamics import (
-    IntensityCurve,
     PhiScanPoint,
-    convolve_irf,
-    emission_curve,
     exciton_amplitudes,
     exciton_cross_intensity,
     peak_emission_delay,
     phi_scan_model,
-    trion_intensity,
 )
 from .photon_sim import (
     EventBatch,
     Origin,
-    PhotonEvent,
     RngSpec,
     hbt_streams,
     hom_streams,

@@ -36,6 +36,7 @@ from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
 from .photon_sim import hbt_streams, hom_streams, simulate_pulse_train
 from .pipeline import (
+    HISTOGRAM_PERIODS,
     PipelineOptions,
     file_header,
     read_timestamps,
@@ -61,10 +62,10 @@ def _cmd_simulate(args) -> int:
     for index, source in enumerate(config.sources):
         streams = source_streams(args.seed, index)
         events = simulate_pulse_train(streams.hbt_events, source, config.setup, args.pulses)
-        t0, t1 = hbt_streams(streams.hbt_clicks, events, config.setup, args.pulses)
+        t0, t1 = hbt_streams(streams.hbt_clicks, events, config.setup)
         write_timestamps(os.path.join(args.out, f"{source.label}_hbt.csv"), t0, t1, header)
         events = simulate_pulse_train(streams.hom_events, source, config.setup, args.pulses)
-        h0, h1 = hom_streams(streams.hom_clicks, events, config.setup, source.overlap, args.pulses)
+        h0, h1 = hom_streams(streams.hom_clicks, events, config.setup, source.overlap)
         write_timestamps(os.path.join(args.out, f"{source.label}_hom.csv"), h0, h1, header)
         print(f"{source.label}: wrote HBT ({t0.size + t1.size} clicks) and "
               f"HOM ({h0.size + h1.size} clicks) streams")
@@ -74,7 +75,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     t0, t1 = read_timestamps(args.timestamps)
     period = 1e6 / args.rep_rate_mhz
-    hist = build_histogram(t0, t1, args.bin_width, 10.5 * period, period)
+    hist = build_histogram(t0, t1, args.bin_width, HISTOGRAM_PERIODS * period, period)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.timestamps))[0]
     write_histogram(hist, os.path.join(args.out, f"{stem}_histogram.csv"),

@@ -21,47 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    HBAR_UEV_PS,
-    ExcitonParams,
-    SourceParams,
-    TransitionKind,
-    TrionParams,
-)
+from .model import HBAR_UEV_PS, ExcitonParams, SourceParams, TransitionKind
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
-
-
-class ResolutionError(ValueError):
-    """Grid too coarse to resolve the requested convolution kernel."""
-
-
-@dataclass(frozen=True, eq=False)
-class IntensityCurve:
-    """Intensity sampled on a uniform time grid (arbitrary units)."""
-
-    t_ps: np.ndarray
-    values: np.ndarray
-    grid_step_ps: float
-
-    def __post_init__(self):
-        t = np.asarray(self.t_ps, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "t_ps", t)
-        object.__setattr__(self, "values", v)
-        if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
-            raise ValueError("curve needs matching 1-d time and value arrays with >= 2 points")
-        steps = np.diff(t)
-        if np.any(steps <= 0):
-            raise ValueError("time grid must be strictly increasing")
-        if np.any(np.abs(steps - self.grid_step_ps) > 1e-9 * self.grid_step_ps):
-            raise ValueError("time grid must be uniform to 1e-9 relative")
-        if np.any(v < 0):
-            raise ValueError("intensity values must be non-negative")
-
-    def integral(self) -> float:
-        """Trapezoidal integral over the grid."""
-        return float(np.trapezoid(self.values, self.t_ps))
 
 
 @dataclass(frozen=True)
@@ -106,19 +68,6 @@ def exciton_cross_intensity(t, p: ExcitonParams):
     return np.exp(-tt / p.tau_ps) * beat * math.sin(2.0 * p.theta_rad) ** 2
 
 
-def trion_intensity(t, p: TrionParams):
-    """Trion emission intensity at time t: unnormalized exp(-t/tau)."""
-    tt = _check_nonnegative_time(t)
-    return np.exp(-tt / p.tau_ps)
-
-
-def source_intensity(t, source: SourceParams):
-    """Dispatch to the intensity model matching the source kind."""
-    if source.kind is TransitionKind.EXCITON:
-        return exciton_cross_intensity(t, source.exciton)
-    return trion_intensity(t, source.trion)
-
-
 def cross_intensity_integral(p: ExcitonParams) -> float:
     """Closed-form integral of the cross-polarized intensity over [0, inf).
 
@@ -155,60 +104,6 @@ def gaussian_kernel(grid_step_ps: float, fwhm_ps: float, n_sigma: float = 5.0):
     x = np.arange(-radius, radius + 1) * grid_step_ps
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum(), radius
-
-
-def convolve_padded(values: np.ndarray, kernel: np.ndarray, radius: int) -> np.ndarray:
-    """Convolve with zero padding of one kernel radius on each side.
-
-    The result is cropped back to the input length, so mass within
-    ~n_sigma of the edges can leak off the grid; pad the model grid
-    generously before calling if that matters.
-    """
-    padded = np.concatenate([np.zeros(radius), values, np.zeros(radius)])
-    out = np.convolve(padded, kernel, mode="same")[radius:-radius]
-    return np.clip(out, 0.0, None)
-
-
-def convolve_irf(curve: IntensityCurve, fwhm_ps: float) -> IntensityCurve:
-    """Convolve an intensity curve with a Gaussian instrument response.
-
-    The returned curve lives on the same grid.  fwhm = 0 is the identity.
-    A grid coarser than fwhm/4 undersamples the kernel and is rejected.
-    """
-    if fwhm_ps < 0:
-        raise ValueError(f"fwhm_ps must be >= 0, got {fwhm_ps}")
-    if fwhm_ps == 0.0:
-        return curve
-    if curve.grid_step_ps > fwhm_ps / 4.0:
-        raise ResolutionError(
-            f"grid step {curve.grid_step_ps} ps undersamples a {fwhm_ps} ps FWHM kernel; "
-            f"need grid_step <= fwhm/4"
-        )
-    kernel, radius = gaussian_kernel(curve.grid_step_ps, fwhm_ps)
-    smoothed = convolve_padded(curve.values, kernel, radius)
-    return IntensityCurve(curve.t_ps, smoothed, curve.grid_step_ps)
-
-
-def default_time_grid(source: SourceParams, setup=None) -> np.ndarray:
-    """Default 1 ps grid spanning [-5 sigma_jitter, 10 tau]."""
-    jitter = setup.jitter_fwhm_ps if setup is not None else 0.0
-    lo = -5.0 * jitter * FWHM_TO_SIGMA
-    hi = 10.0 * source.tau_ps
-    n = int(math.ceil(hi - lo)) + 1
-    return lo + np.arange(n, dtype=float)
-
-
-def emission_curve(source: SourceParams, setup=None, t_ps: np.ndarray | None = None) -> IntensityCurve:
-    """Model intensity curve for a source on a uniform grid.
-
-    Times before the excitation pulse carry zero intensity, which is the
-    correct left padding for a subsequent instrument-response convolution.
-    """
-    t = default_time_grid(source, setup) if t_ps is None else np.asarray(t_ps, dtype=float)
-    step = float(t[1] - t[0])
-    pos = np.clip(t, 0.0, None)
-    vals = np.where(t >= 0.0, source_intensity(pos, source), 0.0)
-    return IntensityCurve(t, vals, step)
 
 
 def phi_scan_model(

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import PhiScanPoint, gaussian_kernel
+from .dynamics import PhiScanPoint, gaussian_kernel, peak_emission_delay
 from .leastsq import DegenerateFitError, levenberg_marquardt
-from .model import HBAR_UEV_PS, TransitionKind
+from .model import HBAR_UEV_PS, ExcitonParams, TransitionKind
 
 EXCITON_PARAM_NAMES = ("tau", "delta_fss", "amplitude", "background", "t0")
 TRION_PARAM_NAMES = ("tau", "amplitude", "background", "t0")
@@ -207,8 +207,7 @@ def _initial_guess(trace: DecayTrace, irf_fwhm_ps: float) -> dict:
         delta0 = 2.0 * math.pi * HBAR_UEV_PS * float(freqs[k])
         init["delta_fss"] = max(delta0, 0.5)
         # The intensity peaks one beat-dependent delay after excitation.
-        r = tau0 * init["delta_fss"] / HBAR_UEV_PS
-        peak_delay = 2.0 * HBAR_UEV_PS / init["delta_fss"] * math.atan(r)
+        peak_delay = peak_emission_delay(ExcitonParams(tau0, init["delta_fss"], 0.0))
         init["t0"] = float(t[i_pk]) - peak_delay
     init["tau"] = tau0
     init["amplitude"] = pk - bg0

@@ -9,9 +9,8 @@ timing jitter and dark counts.
 
 Reproducibility: every random decision derives from an :class:`RngSpec`
 (seed, stream_id).  Pulse ranges are processed in fixed-size chunks, each
-chunk seeded independently from (seed, stream_id, chunk_index), so the
-generated events are bit-identical no matter how chunks are distributed
-over worker threads.
+chunk seeded independently from (seed, stream_id, chunk_index), so a
+chunk's events depend only on that key and its pulse range.
 
 Cost: the only per-pulse work is the one uniform per pulse that decides
 whether it emits; everything after that scales with the number of events.
@@ -30,7 +29,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,15 +59,6 @@ class Origin(enum.IntEnum):
     DARK = 3
 
 
-@dataclass(frozen=True)
-class PhotonEvent:
-    """One emission event, time relative to its own excitation pulse."""
-
-    pulse_index: int
-    emit_time_ps: float
-    origin: Origin
-
-
 @dataclass(frozen=True, eq=False)
 class EventBatch:
     """Column-oriented list of photon events, sorted by pulse index."""
@@ -81,17 +70,6 @@ class EventBatch:
 
     def __len__(self) -> int:
         return int(self.pulse_index.size)
-
-    def __getitem__(self, i: int) -> PhotonEvent:
-        return PhotonEvent(
-            int(self.pulse_index[i]),
-            float(self.emit_time_ps[i]),
-            Origin(int(self.origin[i])),
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
     def qd_mask(self) -> np.ndarray:
         return self.origin <= Origin.QD_REEXCITE
@@ -232,7 +210,6 @@ def simulate_pulse_train(
     source: SourceParams,
     setup: SetupParams,
     n_pulses: int,
-    threads: int = 1,
 ) -> EventBatch:
     """Simulate emission events for a train of excitation pulses.
 
@@ -241,47 +218,27 @@ def simulate_pulse_train(
     whose emission restarts after the first one; a laser-leak photon with
     the configured per-pulse probability, Gaussian-timed around the pulse.
 
-    The chunked RNG layout makes the result independent of ``threads``.
+    Each chunk of ``CHUNK_PULSES`` pulses draws from its own generator,
+    keyed by (seed, stream_id, chunk index).
     """
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
     validate_source(source)
     validate_setup(setup)
     if source.kind is TransitionKind.EXCITON and source.brightness_first_lens > 0:
-        # Fail fast on unsamplable emission before launching workers.
+        # Fail fast on unsamplable emission before simulating any chunk.
         _exciton_inverse_cdf_table(
             source.exciton.tau_ps, source.exciton.delta_fss_uev, source.exciton.theta_rad
         )
 
-    bounds = [(lo, min(lo + CHUNK_PULSES, n_pulses)) for lo in range(0, n_pulses, CHUNK_PULSES)]
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(
-                pool.map(
-                    lambda ib: _simulate_chunk(rng, source, setup, ib[1][0], ib[1][1], ib[0]),
-                    enumerate(bounds),
-                )
-            )
-    else:
-        chunks = [
-            _simulate_chunk(rng, source, setup, lo, hi, i) for i, (lo, hi) in enumerate(bounds)
-        ]
+    chunks = [
+        _simulate_chunk(rng, source, setup, lo, min(lo + CHUNK_PULSES, n_pulses), i)
+        for i, lo in enumerate(range(0, n_pulses, CHUNK_PULSES))
+    ]
     pulse = np.concatenate([c[0] for c in chunks])
     emit = np.concatenate([c[1] for c in chunks])
     origin = np.concatenate([c[2] for c in chunks])
     return EventBatch(pulse, emit, origin, n_pulses)
-
-
-def _as_arrays(events) -> EventBatch:
-    if isinstance(events, EventBatch):
-        return events
-    evs = list(events)
-    return EventBatch(
-        np.array([e.pulse_index for e in evs], dtype=np.int64),
-        np.array([e.emit_time_ps for e in evs], dtype=float),
-        np.array([int(e.origin) for e in evs], dtype=np.int8),
-        n_pulses=max((e.pulse_index for e in evs), default=-1) + 1,
-    )
 
 
 def _dark_clicks(g: np.random.Generator, setup: SetupParams, duration_ps: float):
@@ -318,12 +275,7 @@ def _click_times(batch: EventBatch, kept: np.ndarray, period: float) -> np.ndarr
     return times
 
 
-def hbt_streams(
-    rng: RngSpec,
-    events,
-    setup: SetupParams,
-    n_pulses: int | None = None,
-):
+def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     """Detector click streams for an intensity-autocorrelation measurement.
 
     Each photon survives one combined efficiency Bernoulli
@@ -333,8 +285,6 @@ def hbt_streams(
 
     Returns (times_channel0, times_channel1) in ps, each sorted.
     """
-    batch = _as_arrays(events)
-    n_pulses = batch.n_pulses if n_pulses is None else n_pulses
     g = rng.generator()
     n = len(batch)
     period = setup.rep_period_ps
@@ -345,7 +295,7 @@ def hbt_streams(
     times = _click_times(batch, kept, period)
     if sigma_j > 0:
         times += g.normal(0.0, sigma_j, size=n)[kept]
-    dark0, dark1 = _dark_clicks(g, setup, n_pulses * period)
+    dark0, dark1 = _dark_clicks(g, setup, batch.n_pulses * period)
     return _finalize_streams(times, channels, dark0, dark1)
 
 
@@ -420,13 +370,7 @@ def _greedy_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray):
     return long_idx[met], partner[met]
 
 
-def hom_streams(
-    rng: RngSpec,
-    events,
-    setup: SetupParams,
-    overlap: float,
-    n_pulses: int | None = None,
-):
+def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: float):
     """Click streams behind a path-unbalanced two-photon interferometer.
 
     Each photon takes the short or long arm with probability 1/2; the long
@@ -442,10 +386,8 @@ def hom_streams(
     """
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must lie in [0, 1], got {overlap}")
-    batch = _as_arrays(events)
     if np.any(batch.pulse_index[1:] < batch.pulse_index[:-1]):
         raise ValueError("events must be sorted by pulse index")
-    n_pulses = batch.n_pulses if n_pulses is None else n_pulses
     g = rng.generator()
     n = len(batch)
     period = setup.rep_period_ps
@@ -468,6 +410,6 @@ def hom_streams(
     times += arm[kept] * delay
     if sigma_j > 0:
         times += g.normal(0.0, sigma_j, size=n)[kept]
-    dark0, dark1 = _dark_clicks(g, setup, n_pulses * period)
+    dark0, dark1 = _dark_clicks(g, setup, batch.n_pulses * period)
     return _finalize_streams(times, channels, dark0, dark1)
 

@@ -43,6 +43,10 @@ _RUN_LAYOUTS = [(True, 19 - i) for i in range(19)] + [(False, d) for d in range(
 _RUN_WIDTHS = np.array([3 + negative + digits for negative, digits in _RUN_LAYOUTS])
 _PHI_SCAN_ANGLES = 13
 _PHI_SCAN_NOISE = 0.02
+#: Coincidence histograms span +/- this many repetition periods.
+HISTOGRAM_PERIODS = 10.5
+#: Bin width (ps) of the decay trace.
+_TRACE_BIN_PS = 4.0
 
 
 class SourceStreams(NamedTuple):
@@ -70,9 +74,7 @@ def source_streams(seed: int, source_index: int) -> SourceStreams:
 class PipelineOptions:
     bin_width_ps: float = 100.0
     window_ps: float = 2000.0
-    trace_bin_ps: float = 4.0
     save_clicks: bool = False
-    histogram_periods: float = 10.5
 
 
 @dataclass
@@ -210,10 +212,10 @@ def analyze_source(
     """Simulate one source and recover all of its figures of merit."""
     streams = source_streams(seed, source_index)
     period = setup.rep_period_ps
-    max_delay = options.histogram_periods * period
+    max_delay = HISTOGRAM_PERIODS * period
 
     events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
-    hbt0, hbt1 = hbt_streams(streams.hbt_clicks, events, setup, n_pulses)
+    hbt0, hbt1 = hbt_streams(streams.hbt_clicks, events, setup)
     # Drop the HBT events before the HOM train is simulated, so that only
     # one train's events are alive at a time.
     del events
@@ -221,7 +223,7 @@ def analyze_source(
     g2 = g2_zero(hbt_hist, options.window_ps)
 
     events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
-    hom0, hom1 = hom_streams(streams.hom_clicks, events, setup, source.overlap, n_pulses)
+    hom0, hom1 = hom_streams(streams.hom_clicks, events, setup, source.overlap)
     del events
     hom_hist = build_histogram(hom0, hom1, options.bin_width_ps, max_delay, period)
     vis = hom_visibility(hom_hist, options.window_ps)
@@ -231,7 +233,7 @@ def analyze_source(
         (1.0 + vis.value) * g2.std_err / (1.0 - g2.value) ** 2,
     )
 
-    trace = decay_trace_from_clicks(hbt0, hbt1, setup, source, options.trace_bin_ps)
+    trace = decay_trace_from_clicks(hbt0, hbt1, setup, source, _TRACE_BIN_PS)
     fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
 
     phi_points = synthesize_phi_scan(source, streams.phi_scan.generator())
@@ -287,7 +289,7 @@ def _write_source_artifacts(out_dir, source, result, header, options):
     with open(os.path.join(src_dir, "decay_trace.csv"), "w") as f:
         f.write(header + "\n")
         f.write("t_ps,counts\n")
-        for t, c in zip(trace.t_ps, trace.counts):
+        for t, c in zip(trace.t_ps.tolist(), trace.counts.tolist()):
             f.write(f"{t!r},{int(c)}\n")
 
     fit = result["fit"]

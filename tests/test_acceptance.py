@@ -179,16 +179,16 @@ def test_criterion_06_g2_estimator():
     noisy = trion_source(S11_TAU_PS, brightness_first_lens=0.13, p_two_photon=p2)
     assert analytic_g2(noisy) == pytest.approx(0.0237, rel=1e-9)
     events = simulate_pulse_train(RngSpec(41, 0), noisy, CLEAN, n)
-    a, b = hbt_streams(RngSpec(41, 1), events, CLEAN, n)
+    a, b = hbt_streams(RngSpec(41, 1), events, CLEAN)
     calibrated = g2_zero(build_histogram(a, b, 100.0, 10.5 * PERIOD, PERIOD))
 
     ideal = trion_source(S11_TAU_PS, brightness_first_lens=0.13)
     events = simulate_pulse_train(RngSpec(41, 2), ideal, CLEAN, n)
-    a, b = hbt_streams(RngSpec(41, 3), events, CLEAN, n)
+    a, b = hbt_streams(RngSpec(41, 3), events, CLEAN)
     clean_g2 = g2_zero(build_histogram(a, b, 100.0, 10.5 * PERIOD, PERIOD))
 
     batch = poissonian_pulse_train(44, n, mu=0.25, tau_ps=S11_TAU_PS)
-    a, b = hbt_streams(RngSpec(44, 9), batch, CLEAN, n)
+    a, b = hbt_streams(RngSpec(44, 9), batch, CLEAN)
     poisson_g2 = g2_zero(build_histogram(a, b, 100.0, 10.5 * PERIOD, PERIOD))
 
     elapsed = time.time() - start
@@ -215,11 +215,11 @@ def test_criterion_07_hom_chain_consistency():
     src = trion_source(S11_TAU_PS, brightness_first_lens=0.136, p_two_photon=p2)
 
     events = simulate_pulse_train(RngSpec(73, 0), src, CLEAN, n)
-    a, b = hbt_streams(RngSpec(73, 1), events, CLEAN, n)
+    a, b = hbt_streams(RngSpec(73, 1), events, CLEAN)
     g2 = g2_zero(build_histogram(a, b, 100.0, 10.5 * PERIOD, PERIOD))
 
     events = simulate_pulse_train(RngSpec(73, 2), src, CLEAN, n)
-    c, d = hom_streams(RngSpec(73, 3), events, CLEAN, overlap=0.941, n_pulses=n)
+    c, d = hom_streams(RngSpec(73, 3), events, CLEAN, overlap=0.941)
     vis = hom_visibility(build_histogram(c, d, 100.0, 10.5 * PERIOD, PERIOD))
     m = corrected_overlap(vis.value, g2.value)
 

@@ -59,7 +59,7 @@ class TestBuildHistogram:
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3)
         batch = simulate_pulse_train(RngSpec(61, 0), src, setup, 300_000)
-        t0, t1 = hbt_streams(RngSpec(61, 1), batch, setup, 300_000)
+        t0, t1 = hbt_streams(RngSpec(61, 1), batch, setup)
         hist = build_histogram(t0, t1, 100.0, 10.5 * PERIOD, PERIOD)
         peaks = integrate_peaks(hist, 2000.0, range(-6, 7))
         areas = {p.peak_index: p.area for p in peaks}
@@ -102,7 +102,7 @@ class TestIntegratePeaks:
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3, p_two_photon=0.002)
         batch = simulate_pulse_train(RngSpec(63, 0), src, setup, 100_000)
-        t0, t1 = hbt_streams(RngSpec(63, 1), batch, setup, 100_000)
+        t0, t1 = hbt_streams(RngSpec(63, 1), batch, setup)
         hist = build_histogram(t0, t1, 100.0, 10.5 * PERIOD, PERIOD)
         peaks = integrate_peaks(hist, PERIOD / 2, range(-10, 11))
         assert sum(p.area for p in peaks) == hist.total_counts
@@ -125,7 +125,7 @@ class TestIntegratePeaks:
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3)
         batch = simulate_pulse_train(RngSpec(64, 0), src, setup, 1_000_000)
-        t0, t1 = hbt_streams(RngSpec(64, 1), batch, setup, 1_000_000)
+        t0, t1 = hbt_streams(RngSpec(64, 1), batch, setup)
         hist = build_histogram(t0, t1, 100.0, 10.5 * PERIOD, PERIOD)
         peaks = integrate_peaks(hist, 2000.0, [k for k in range(-6, 7) if k != 0])
         areas = np.array([p.area for p in peaks], dtype=float)
@@ -139,7 +139,7 @@ class TestG2Zero:
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3)
         batch = simulate_pulse_train(RngSpec(65, 0), src, setup, 1_000_000)
-        t0, t1 = hbt_streams(RngSpec(65, 1), batch, setup, 1_000_000)
+        t0, t1 = hbt_streams(RngSpec(65, 1), batch, setup)
         hist = build_histogram(t0, t1, 100.0, 10.5 * PERIOD, PERIOD)
         res = g2_zero(hist)
         assert res.zero_area == 0
@@ -148,7 +148,7 @@ class TestG2Zero:
     def test_poissonian_stream_gives_unity(self):
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         batch = poissonian_pulse_train(66, 1_000_000, mu=0.25, tau_ps=S11_TAU_PS)
-        t0, t1 = hbt_streams(RngSpec(66, 1), batch, setup, 1_000_000)
+        t0, t1 = hbt_streams(RngSpec(66, 1), batch, setup)
         hist = build_histogram(t0, t1, 100.0, 10.5 * PERIOD, PERIOD)
         res = g2_zero(hist)
         assert res.value == pytest.approx(1.0, abs=0.02)
@@ -272,7 +272,7 @@ class TestEstimatorScaling:
             vals = []
             for s in range(24):
                 batch = simulate_pulse_train(RngSpec(1000 + s, 0), src, setup, n)
-                t0, t1 = hbt_streams(RngSpec(1000 + s, 1), batch, setup, n)
+                t0, t1 = hbt_streams(RngSpec(1000 + s, 1), batch, setup)
                 hist = build_histogram(t0, t1, 100.0, 10.5 * PERIOD, PERIOD)
                 vals.append(g2_zero(hist).value)
             stds.append(np.std(vals))

@@ -8,22 +8,17 @@ from scipy import integrate
 
 from qdbench.dynamics import (
     FWHM_TO_SIGMA,
-    IntensityCurve,
-    ResolutionError,
-    convolve_irf,
     cross_intensity_integral,
-    emission_curve,
     exciton_amplitudes,
     exciton_cross_intensity,
+    gaussian_kernel,
     peak_emission_delay,
     phi_scan_model,
-    trion_intensity,
 )
 from qdbench.model import (
     HBAR_UEV_PS,
     ExcitonParams,
     TransitionKind,
-    TrionParams,
     exciton_source,
     trion_source,
 )
@@ -111,20 +106,6 @@ class TestExcitonCrossIntensity:
             exciton_cross_intensity(np.array([5.0, -0.1]), S7)
 
 
-class TestTrionIntensity:
-    def test_peak_at_excitation(self):
-        assert trion_intensity(0.0, TrionParams(164.9)) == 1.0
-
-    def test_decay_law(self):
-        p = TrionParams(164.9)
-        assert trion_intensity(164.9, p) == pytest.approx(math.exp(-1.0), rel=1e-12)
-        assert trion_intensity(2 * 164.9, p) == pytest.approx(math.exp(-2.0), rel=1e-12)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            trion_intensity(-5.0, TrionParams(100.0))
-
-
 class TestPeakEmissionDelay:
     def test_s7_against_grid_search(self):
         t_star = peak_emission_delay(S7)
@@ -155,67 +136,22 @@ class TestPeakEmissionDelay:
             peak_emission_delay(ExcitonParams(252.0, 0.0, 0.4))
 
 
-class TestConvolveIrf:
-    def _s7_curve(self, step=1.0, span=None):
-        # Grid with >= 5 sigma of margin on both ends, as the integral
-        # preservation contract assumes (mass cannot leave the grid).
-        src = exciton_source(252.0, 8.58, math.pi / 4)
-        span = 14 * 252.0 if span is None else span
-        t = np.arange(-120.0, span, step)
-        return emission_curve(src, t_ps=t)
+class TestGaussianKernel:
+    @pytest.mark.parametrize("step", [0.5, 1.0, 4.0, 13.25])
+    def test_unit_sum(self, step):
+        # A unit-sum kernel makes the IRF convolution mass-preserving.
+        kernel, radius = gaussian_kernel(step, 53.0)
+        assert kernel.size == 2 * radius + 1
+        assert kernel.sum() == pytest.approx(1.0, rel=1e-12)
 
-    def test_zero_width_is_identity(self):
-        curve = self._s7_curve()
-        out = convolve_irf(curve, 0.0)
-        assert np.array_equal(out.values, curve.values)
-
-    def test_kernel_width_from_fwhm(self):
-        # A unit impulse smeared by the IRF must carry the Gaussian's
-        # second moment: sigma = fwhm / (2 sqrt(2 ln 2)).
-        n = 2001
-        values = np.zeros(n)
-        values[n // 2] = 1.0
-        curve = IntensityCurve(np.arange(n, dtype=float), values, 1.0)
-        out = convolve_irf(curve, 53.0)
-        mean = np.sum(out.t_ps * out.values) / np.sum(out.values)
-        sigma = math.sqrt(np.sum((out.t_ps - mean) ** 2 * out.values) / np.sum(out.values))
+    def test_second_moment_from_fwhm(self):
+        # sigma = fwhm / (2 sqrt(2 ln 2)).
+        kernel, radius = gaussian_kernel(1.0, 53.0)
+        x = np.arange(-radius, radius + 1, dtype=float)
+        assert np.sum(x * kernel) == pytest.approx(0.0, abs=1e-12)
+        sigma = math.sqrt(np.sum(x**2 * kernel))
         assert sigma == pytest.approx(53.0 * FWHM_TO_SIGMA, rel=1e-4)
         assert 53.0 * FWHM_TO_SIGMA == pytest.approx(22.507, abs=1e-3)
-
-    def test_integral_preserved(self):
-        curve = self._s7_curve()
-        out = convolve_irf(curve, 53.0)
-        assert out.integral() == pytest.approx(curve.integral(), rel=1e-6)
-
-    def test_linearity(self):
-        a = self._s7_curve()
-        src_t = trion_source(164.9)
-        b = emission_curve(src_t, t_ps=a.t_ps)
-        mix = IntensityCurve(a.t_ps, 2.0 * a.values + 3.0 * b.values, a.grid_step_ps)
-        lhs = convolve_irf(mix, 53.0).values
-        rhs = 2.0 * convolve_irf(a, 53.0).values + 3.0 * convolve_irf(b, 53.0).values
-        assert np.allclose(lhs, rhs, rtol=1e-9, atol=1e-12)
-
-    def test_undersampled_kernel_rejected(self):
-        curve = self._s7_curve(step=20.0)
-        with pytest.raises(ResolutionError):
-            convolve_irf(curve, 53.0)
-
-    def test_s7_oscillation_damped_not_eliminated(self):
-        curve = self._s7_curve(span=10 * 252.0)
-        out = convolve_irf(curve, 53.0)
-        v = out.values
-        interior = slice(100, 2300)
-        minima = [
-            i
-            for i in range(interior.start, interior.stop)
-            if v[i - 1] > v[i] <= v[i + 1]
-        ]
-        assert minima, "expected surviving beat minima"
-        assert all(v[i] > 0.0 for i in minima)
-        # Damping: the convolved minima sit well above the raw zeros.
-        raw_min = min(curve.values[i] for i in minima)
-        assert min(v[i] for i in minima) > raw_min
 
 
 class TestIntegralIdentity:
@@ -285,21 +221,3 @@ class TestPhiScan:
         with pytest.raises(ValueError):
             phi_scan_model(0.3, TransitionKind.TRION, self.trion, -1.0, 1.0)
 
-
-class TestIntensityCurve:
-    def test_nonuniform_grid_rejected(self):
-        t = np.array([0.0, 1.0, 2.5, 3.0])
-        with pytest.raises(ValueError):
-            IntensityCurve(t, np.ones_like(t), 1.0)
-
-    def test_negative_values_rejected(self):
-        t = np.arange(5.0)
-        with pytest.raises(ValueError):
-            IntensityCurve(t, np.array([0.0, 1.0, -0.1, 1.0, 0.0]), 1.0)
-
-    def test_default_grid_shape(self):
-        src = exciton_source(252.0, 8.58, 0.5)
-        curve = emission_curve(src)
-        assert curve.grid_step_ps == 1.0
-        assert curve.t_ps[-1] >= 10 * 252.0 - 1
-        assert np.all(curve.values[curve.t_ps < 0] == 0.0)

@@ -60,6 +60,14 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(DecayTrace(t, np.ones(t.size), TransitionKind.TRION), 53.0)
 
+    def test_undersampled_irf_rejected(self):
+        # A grid step above fwhm/4 (13.25 ps for 53 ps) loses the kernel shape.
+        trace = synth_trace(TransitionKind.TRION, None, S11_TAU_PS, bin_ps=20.0)
+        with pytest.raises(ValueError, match="undersamples"):
+            fit_decay(trace, irf_fwhm_ps=53.0)
+        # A step of exactly fwhm/4 is still accepted.
+        _DecayModel(synth_trace(TransitionKind.TRION, None, S11_TAU_PS, bin_ps=13.25), 53.0)
+
     def test_short_span_rejected(self):
         trace = synth_trace(TransitionKind.TRION, 4, 800.0, span_ps=900.0, t0_ps=50.0)
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from qdbench.photon_sim import (
     _exciton_inverse_cdf_table,
     _greedy_pairs,
     _interp_sorted,
+    _simulate_chunk,
     hbt_streams,
     hom_streams,
     sample_emission_time,
@@ -150,11 +151,22 @@ class TestSimulatePulseTrain:
 
     def test_deterministic_and_thread_invariant(self):
         n = 3 * CHUNK_PULSES + 1234
-        a = simulate_pulse_train(RngSpec(77, 3), S11, SetupParams(), n, threads=1)
-        b = simulate_pulse_train(RngSpec(77, 3), S11, SetupParams(), n, threads=4)
+        a = simulate_pulse_train(RngSpec(77, 3), S11, SetupParams(), n)
+        b = simulate_pulse_train(RngSpec(77, 3), S11, SetupParams(), n)
         assert np.array_equal(a.pulse_index, b.pulse_index)
         assert np.array_equal(a.emit_time_ps, b.emit_time_ps)
         assert np.array_equal(a.origin, b.origin)
+        # Each chunk depends only on its own key, so chunks simulated in any
+        # order, on any thread, concatenate to the same train.
+        starts = range(0, n, CHUNK_PULSES)
+        chunks = [None] * len(starts)
+        for i in reversed(range(len(starts))):
+            hi = min(starts[i] + CHUNK_PULSES, n)
+            chunks[i] = _simulate_chunk(RngSpec(77, 3), S11, SetupParams(), starts[i], hi, i)
+        pulse, emit, origin = (np.concatenate(column) for column in zip(*chunks))
+        assert np.array_equal(pulse, a.pulse_index)
+        assert np.array_equal(emit, a.emit_time_ps)
+        assert np.array_equal(origin, a.origin)
         c = simulate_pulse_train(RngSpec(77, 4), S11, SetupParams(), n)
         assert not np.array_equal(a.emit_time_ps, c.emit_time_ps)
 
@@ -167,7 +179,7 @@ class TestHbtStreams:
     def test_one_click_per_pulse_balanced_channels(self, ideal_setup):
         n = 1_000_000
         batch = single_photon_batch(n)
-        t0, t1 = hbt_streams(RngSpec(31, 0), batch, ideal_setup, n)
+        t0, t1 = hbt_streams(RngSpec(31, 0), batch, ideal_setup)
         assert t0.size + t1.size == n
         assert t0.size / n == pytest.approx(0.5, abs=0.002)
 
@@ -175,7 +187,7 @@ class TestHbtStreams:
         n = 200_000
         pulse = np.repeat(np.arange(n, dtype=np.int64), 2)
         batch = EventBatch(pulse, np.zeros(2 * n), np.zeros(2 * n, dtype=np.int8), n)
-        t0, t1 = hbt_streams(RngSpec(32, 0), batch, ideal_setup, n)
+        t0, t1 = hbt_streams(RngSpec(32, 0), batch, ideal_setup)
         period = ideal_setup.rep_period_ps
         c0 = np.bincount(np.rint(t0 / period).astype(int), minlength=n)
         c1 = np.bincount(np.rint(t1 / period).astype(int), minlength=n)
@@ -186,7 +198,7 @@ class TestHbtStreams:
         setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=53.0)
         n = 200_000
         batch = single_photon_batch(n)
-        t0, t1 = hbt_streams(RngSpec(33, 0), batch, setup, n)
+        t0, t1 = hbt_streams(RngSpec(33, 0), batch, setup)
         period = setup.rep_period_ps
         residual = np.concatenate([t0, t1])
         residual -= np.rint(residual / period) * period
@@ -194,16 +206,9 @@ class TestHbtStreams:
 
     def test_streams_globally_sorted(self):
         batch = simulate_pulse_train(RngSpec(34, 0), S11, SetupParams(), 100_000)
-        t0, t1 = hbt_streams(RngSpec(34, 1), batch, SetupParams(), 100_000)
+        t0, t1 = hbt_streams(RngSpec(34, 1), batch, SetupParams())
         assert np.all(np.diff(t0) >= 0)
         assert np.all(np.diff(t1) >= 0)
-
-    def test_accepts_plain_event_records(self, ideal_setup):
-        from qdbench.photon_sim import PhotonEvent
-
-        events = [PhotonEvent(k, 10.0 * k, Origin.QD_FIRST) for k in range(1000)]
-        t0, t1 = hbt_streams(RngSpec(37, 0), events, ideal_setup, 1000)
-        assert t0.size + t1.size == 1000
 
     def test_thinning_composition_matches_single_stage(self):
         # One-stage thinning at eta_setup*eta_det versus explicit two-stage
@@ -213,12 +218,12 @@ class TestHbtStreams:
         setup_second = SetupParams(eta_setup=1.0, eta_det=0.30, jitter_fwhm_ps=0.0)
         src = trion_source(150.0, brightness_first_lens=0.3, p_two_photon=0.01)
         batch = simulate_pulse_train(RngSpec(35, 0), src, setup_single, n)
-        a0, a1 = hbt_streams(RngSpec(35, 1), batch, setup_single, n)
+        a0, a1 = hbt_streams(RngSpec(35, 1), batch, setup_single)
 
         keep = RngSpec(35, 2).generator().random(len(batch)) < 0.40
         pre = EventBatch(batch.pulse_index[keep], batch.emit_time_ps[keep],
                          batch.origin[keep], n)
-        b0, b1 = hbt_streams(RngSpec(35, 3), pre, setup_second, n)
+        b0, b1 = hbt_streams(RngSpec(35, 3), pre, setup_second)
 
         period = setup_single.rep_period_ps
         table = []
@@ -240,7 +245,7 @@ class TestHbtStreams:
                             dark_rate_cps=100_000.0)
         src = trion_source(100.0, brightness_first_lens=0.0)
         batch = simulate_pulse_train(RngSpec(36, 0), src, setup, 1_000_000)
-        t0, t1 = hbt_streams(RngSpec(36, 1), batch, setup, 1_000_000)
+        t0, t1 = hbt_streams(RngSpec(36, 1), batch, setup)
         duration_s = 1_000_000 * setup.rep_period_ps * 1e-12
         expect = 100_000.0 * duration_s
         assert t0.size == pytest.approx(expect, abs=4 * math.sqrt(expect))
@@ -251,7 +256,7 @@ class TestHomStreams:
     def test_perfect_overlap_empties_zero_delay_peak(self, clean_setup):
         n = 500_000
         batch = single_photon_batch(n)
-        t0, t1 = hom_streams(RngSpec(41, 0), batch, clean_setup, overlap=1.0, n_pulses=n)
+        t0, t1 = hom_streams(RngSpec(41, 0), batch, clean_setup, overlap=1.0)
         # Zero-delay coincidences: cross-channel pairs within +-2 ns.
         lo = np.searchsorted(t1, t0 - 2000.0)
         hi = np.searchsorted(t1, t0 + 2000.0)
@@ -262,7 +267,7 @@ class TestHomStreams:
 
         n = 1_000_000
         batch = single_photon_batch(n)
-        t0, t1 = hom_streams(RngSpec(42, 0), batch, clean_setup, overlap=0.0, n_pulses=n)
+        t0, t1 = hom_streams(RngSpec(42, 0), batch, clean_setup, overlap=0.0)
         period = clean_setup.rep_period_ps
         hist = build_histogram(t0, t1, 100.0, 10.5 * period, period)
         vis = hom_visibility(hist)
@@ -278,7 +283,7 @@ class TestHomStreams:
                             laser_leak_per_pulse=0.2)
         src = trion_source(150.0, brightness_first_lens=0.3)
         batch = simulate_pulse_train(RngSpec(43, 0), src, setup, n)
-        t0, t1 = hom_streams(RngSpec(43, 1), batch, setup, overlap=1.0, n_pulses=n)
+        t0, t1 = hom_streams(RngSpec(43, 1), batch, setup, overlap=1.0)
         period = setup.rep_period_ps
         hist = build_histogram(t0, t1, 100.0, 10.5 * period, period)
         zero = integrate_peaks(hist, 2000.0, [0])[0].area
@@ -293,8 +298,8 @@ class TestHomStreams:
     def test_deterministic(self, clean_setup):
         n = 200_000
         batch = simulate_pulse_train(RngSpec(44, 0), S11, clean_setup, n)
-        a = hom_streams(RngSpec(44, 1), batch, clean_setup, 0.9, n)
-        b = hom_streams(RngSpec(44, 1), batch, clean_setup, 0.9, n)
+        a = hom_streams(RngSpec(44, 1), batch, clean_setup, 0.9)
+        b = hom_streams(RngSpec(44, 1), batch, clean_setup, 0.9)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_ideal_photon_overlap_round_trip(self, clean_setup):
@@ -311,10 +316,10 @@ class TestHomStreams:
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.25)
         period = clean_setup.rep_period_ps
         ev = simulate_pulse_train(RngSpec(45, 0), src, clean_setup, n)
-        a, b = hbt_streams(RngSpec(45, 1), ev, clean_setup, n)
+        a, b = hbt_streams(RngSpec(45, 1), ev, clean_setup)
         g2 = g2_zero(build_histogram(a, b, 100.0, 10.5 * period, period))
         ev2 = simulate_pulse_train(RngSpec(45, 2), src, clean_setup, n)
-        c, d = hom_streams(RngSpec(45, 3), ev2, clean_setup, 0.85, n)
+        c, d = hom_streams(RngSpec(45, 3), ev2, clean_setup, 0.85)
         vis = hom_visibility(build_histogram(c, d, 100.0, 10.5 * period, period))
         m = corrected_overlap(vis.value, g2.value)
         sigma = math.hypot(vis.std_err, 2 * g2.std_err)
@@ -370,7 +375,7 @@ class TestHomStreams:
 
         n = 1_000_000
         batch = single_photon_batch(n)
-        t0, t1 = hom_streams(RngSpec(46, 0), batch, clean_setup, overlap=0.5, n_pulses=n)
+        t0, t1 = hom_streams(RngSpec(46, 0), batch, clean_setup, overlap=0.5)
         period = clean_setup.rep_period_ps
         hist = build_histogram(t0, t1, 100.0, 10.5 * period, period)
         areas = {
@@ -393,10 +398,10 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
 
     hbt_ev = simulate_pulse_train(RngSpec(seed, 0), source, setup, n_pulses)
     add(hbt_ev.pulse_index, hbt_ev.emit_time_ps, hbt_ev.origin)
-    add(*hbt_streams(RngSpec(seed, 1), hbt_ev, setup, n_pulses))
+    add(*hbt_streams(RngSpec(seed, 1), hbt_ev, setup))
     hom_ev = simulate_pulse_train(RngSpec(seed, 2), source, setup, n_pulses)
     add(hom_ev.pulse_index, hom_ev.emit_time_ps, hom_ev.origin)
-    add(*hom_streams(RngSpec(seed, 3), hom_ev, setup, source.overlap, n_pulses))
+    add(*hom_streams(RngSpec(seed, 3), hom_ev, setup, source.overlap))
     return h.hexdigest()
 
 

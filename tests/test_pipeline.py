@@ -134,6 +134,21 @@ class TestRunPipeline:
         assert "DARK" in result.failures
         assert (tmp_path / "failures.json").exists()
 
+    def test_fit_reproduces_pipeline_fit_from_its_decay_trace(self, tmp_path):
+        cfg = FleetConfig.from_parts([*s7_config().sources, *trion_config().sources],
+                                     CLEAN_SETUP)
+        run_pipeline(cfg, n_pulses=200_000, seed=4, out_dir=str(tmp_path / "run"))
+        for source in cfg.sources:
+            src_dir = tmp_path / "run" / source.label
+            refit = tmp_path / "refit" / source.label
+            assert cli_main([
+                "fit", "--trace", str(src_dir / "decay_trace.csv"),
+                "--kind", source.kind.value,
+                "--irf-fwhm", repr(cfg.setup.jitter_fwhm_ps), "--out", str(refit),
+            ]) == 0
+            expected = json.loads((src_dir / "fit.json").read_text())["params"]
+            assert json.loads((refit / "fit.json").read_text())["params"] == expected
+
     def test_headers_carry_version_seed_and_hash(self, tmp_path):
         cfg = trion_config()
         run_pipeline(cfg, n_pulses=100_000, seed=21, out_dir=str(tmp_path))
