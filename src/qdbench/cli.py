@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -104,14 +103,7 @@ def _cmd_fit(args) -> int:
     t, counts = np.loadtxt(args.trace, delimiter=",", comments=("#", "t_ps"), ndmin=2,
                            unpack=True)
     trace = DecayTrace(t, counts, TransitionKind(args.kind))
-    fit = fit_decay(trace, irf_fwhm_ps=args.irf_fwhm)
-    payload = {
-        "params": fit.params,
-        "std_errs": fit.std_errs,
-        "reduced_chi2": fit.reduced_chi2,
-        "converged": fit.converged,
-        "n_iter": fit.n_iter,
-    }
+    payload = fit_decay(trace, irf_fwhm_ps=args.irf_fwhm).to_dict()
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "fit.json"), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -122,14 +114,8 @@ def _cmd_fit(args) -> int:
 def _cmd_classify(args) -> int:
     phi, cavity, qd = np.loadtxt(args.phiscan, delimiter=",", comments=("#", "phi"), ndmin=2,
                                  unpack=True)
-    cls = classify_transition(list(map(PhiScanPoint, phi.tolist(), cavity.tolist(), qd.tolist())))
-    payload = {
-        "kind": cls.kind.value,
-        "theta_est_deg": math.degrees(cls.theta_est_rad) if cls.theta_est_rad is not None else None,
-        "modulation_depth": cls.modulation_depth,
-        "score_exciton": cls.score_exciton,
-        "score_trion": cls.score_trion,
-    }
+    points = list(map(PhiScanPoint, phi.tolist(), cavity.tolist(), qd.tolist()))
+    payload = classify_transition(points).to_dict()
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "classification.json"), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)

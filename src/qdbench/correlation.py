@@ -100,9 +100,19 @@ class BrightnessChain:
     first_lens_brightness: float
 
 
-def _require_sorted(t: np.ndarray, name: str):
+def _integer_clicks(clicks, name: str) -> np.ndarray:
+    """``clicks`` as int64; raises ``ValueError`` unless they are sorted integers."""
+    t = np.asarray(clicks)
+    if t.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer picoseconds, got dtype {t.dtype}")
+    t = t.astype(np.int64, copy=False)
     if t.size > 1 and np.any(np.diff(t) < 0):
         raise ValueError(f"{name} must be sorted by time")
+    return t
+
+
+#: Reference clicks per gather in :func:`build_histogram`; bounds its memory.
+_HISTOGRAM_BLOCK = 200_000
 
 
 def build_histogram(
@@ -111,28 +121,30 @@ def build_histogram(
     bin_width_ps: float,
     max_delay_ps: float,
     rep_period_ps: float,
-    block: int = 200_000,
 ) -> CorrelationHistogram:
-    """Histogram all pairs (t1 - t0) with |t1 - t0| <= max_delay.
+    """Histogram all pairs (t1 - t0) with |t1 - t0| <= E.
 
+    The clicks are sorted integer picoseconds, as a time tagger emits
+    them; float arrays are rejected.  With ``half = round(max_delay_ps /
+    bin_width_ps)`` the outermost bin edge is ``(half + 0.5) *
+    bin_width_ps`` and E is its floor, so the pairs counted are exactly
+    those inside the edge, and the window search compares integers only.
     A two-pointer sweep (binary-searched window bounds per click) keeps the
     cost linear in clicks plus emitted pairs rather than all-pairs
-    quadratic.  ``block`` limits peak memory when streams are long.
+    quadratic.
     """
     if bin_width_ps <= 0:
         raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
-    t0 = np.asarray(clicks0, dtype=float)
-    t1 = np.asarray(clicks1, dtype=float)
-    _require_sorted(t0, "clicks0")
-    _require_sorted(t1, "clicks1")
+    t0 = _integer_clicks(clicks0, "clicks0")
+    t1 = _integer_clicks(clicks1, "clicks1")
 
     half = int(round(max_delay_ps / bin_width_ps))
-    edge = (half + 0.5) * bin_width_ps
+    e = math.floor((half + 0.5) * bin_width_ps)
     counts = np.zeros(2 * half + 1, dtype=np.int64)
-    for start in range(0, t0.size, block):
-        ref = t0[start : start + block]
-        lo = np.searchsorted(t1, ref - edge, side="left")
-        hi = np.searchsorted(t1, ref + edge, side="right")
+    for start in range(0, t0.size, _HISTOGRAM_BLOCK):
+        ref = t0[start : start + _HISTOGRAM_BLOCK]
+        lo = np.searchsorted(t1, ref - e, side="left")
+        hi = np.searchsorted(t1, ref + e, side="right")
         m = hi - lo
         total = int(m.sum())
         if total == 0:

@@ -15,7 +15,7 @@ amplitude) and is recovered instead from polarization scans by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,6 +62,9 @@ class FitResult:
     converged: bool
     n_iter: int
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
 
 @dataclass(frozen=True)
 class ClassificationResult:
@@ -70,6 +73,17 @@ class ClassificationResult:
     modulation_depth: float
     score_exciton: float
     score_trion: float
+
+    def to_dict(self) -> dict:
+        """JSON fields; the angle is given in degrees."""
+        theta = self.theta_est_rad
+        return {
+            "kind": self.kind.value,
+            "theta_est_deg": math.degrees(theta) if theta is not None else None,
+            "modulation_depth": self.modulation_depth,
+            "score_exciton": self.score_exciton,
+            "score_trion": self.score_trion,
+        }
 
 
 def _raw_model_and_derivs(

@@ -5,7 +5,9 @@ per-pulse emission physics (first photon, re-excitation, laser leakage)
 into an :class:`EventBatch`.  The detector-geometry functions
 ``hbt_streams`` and ``hom_streams`` then turn events into two time-sorted
 click streams, applying efficiency thinning, 50/50 routing, Gaussian
-timing jitter and dark counts.
+timing jitter and dark counts.  Click times are rounded to integer
+picoseconds there, as a time tagger stamps them; this is the one place
+where the package rounds time.
 
 Reproducibility: every random decision derives from an :class:`RngSpec`
 (seed, stream_id).  Pulse ranges are processed in fixed-size chunks, each
@@ -74,9 +76,6 @@ class EventBatch:
     def qd_mask(self) -> np.ndarray:
         return self.origin <= Origin.QD_REEXCITE
 
-    def per_pulse_qd_counts(self) -> np.ndarray:
-        return np.bincount(self.pulse_index[self.qd_mask()], minlength=self.n_pulses)
-
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -117,8 +116,8 @@ def _exciton_inverse_cdf_table(tau_ps: float, delta_fss_uev: float, theta_rad: f
     return cdf / total, t
 
 
-def sample_emission_time(rng: np.random.Generator, source: SourceParams, size=None):
-    """Draw emission times (ps) from the source's intensity profile.
+def sample_emission_time(rng: np.random.Generator, source: SourceParams, size: int):
+    """Draw ``size`` emission times (ps) from the source's intensity profile.
 
     Trion times are closed-form exponential draws; exciton times come
     from inverse-CDF interpolation on a tabulated grid.
@@ -127,10 +126,7 @@ def sample_emission_time(rng: np.random.Generator, source: SourceParams, size=No
         return source.trion.tau_ps * rng.standard_exponential(size=size)
     x = source.exciton
     cdf, t = _exciton_inverse_cdf_table(x.tau_ps, x.delta_fss_uev, x.theta_rad)
-    u = rng.random(size)
-    if size is None:
-        return np.interp(u, cdf, t)
-    return _interp_sorted(u, cdf, t)
+    return _interp_sorted(rng.random(size), cdf, t)
 
 
 def _interp_sorted(u: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
@@ -167,11 +163,11 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
 
     first_pulses = np.flatnonzero(g.random(n) < b) + lo
     k = first_pulses.size
-    first_times = np.asarray(sample_emission_time(g, source, size=k), dtype=float)
+    first_times = sample_emission_time(g, source, size=k)
 
     re_sel = g.random(k) < p2c
     m = int(re_sel.sum())
-    re_times = first_times[re_sel] + np.asarray(sample_emission_time(g, source, size=m), dtype=float)
+    re_times = first_times[re_sel] + sample_emission_time(g, source, size=m)
 
     if setup.laser_leak_per_pulse == 0.0:
         # The leak draws would be the chunk's last ones and select nothing,
@@ -251,12 +247,17 @@ def _dark_clicks(g: np.random.Generator, setup: SetupParams, duration_ps: float)
 
 
 def _finalize_streams(times, channels, dark0, dark1):
-    # Click times are finite and never -0.0, so every sort algorithm returns
-    # the same bits.  The stable one (a merge sort) is the fastest here:
-    # event times arrive in pulse order and the dark counts are sorted.
-    t0 = np.sort(np.concatenate([times[channels == 0], dark0]), kind="stable")
-    t1 = np.sort(np.concatenate([times[channels == 1], dark1]), kind="stable")
-    return t0, t1
+    """Each channel's click times, sorted and rounded to int64 ps (ties to even)."""
+    streams = []
+    for channel, dark in ((0, dark0), (1, dark1)):
+        # Click times are finite and never -0.0, so every sort algorithm
+        # returns the same bits.  The stable one (a merge sort) is the
+        # fastest here: event times arrive in pulse order and the dark
+        # counts are sorted.  Rounding is monotone, so the rounded times
+        # stay sorted.
+        t = np.sort(np.concatenate([times[channels == channel], dark]), kind="stable")
+        streams.append(np.rint(t, out=t).astype(np.int64))
+    return tuple(streams)
 
 
 def _selection(mask: np.ndarray):
@@ -283,7 +284,7 @@ def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     stamped at pulse_index * rep_period + emit_time + Gaussian jitter.
     Dark counts are an independent Poisson process per channel.
 
-    Returns (times_channel0, times_channel1) in ps, each sorted.
+    Returns (times_channel0, times_channel1) as int64 ps, each sorted.
     """
     g = rng.generator()
     n = len(batch)

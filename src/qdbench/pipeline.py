@@ -90,20 +90,20 @@ def file_header(seed: int, config_hash: str) -> str:
 
 
 def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str):
-    """Write merged click streams as integer-picosecond rows.
+    """Write two sorted integer-picosecond click streams as merged rows.
 
-    Integer times avoid float-accumulation drift over long streams.  Rows
-    are sorted by time, then channel; clicks from pulse 0 can have negative
-    times.  Each block of ``_WRITE_BLOCK_ROWS`` rows is formatted as one
-    byte array, which bounds the memory the text takes whatever the stream
-    length.
+    Rows are sorted by time, then channel; clicks from pulse 0 can have
+    negative times.  Each block of ``_WRITE_BLOCK_ROWS`` rows is formatted
+    as one byte array, which bounds the memory the text takes whatever the
+    stream length.
     """
-    times = np.rint(np.concatenate([t0, t1]))
-    # Each channel stays sorted after rounding, so the stable sort is a
-    # linear merge that puts channel 0 first on equal times.
+    # Float times do not cast safely to int64 and raise a TypeError.
+    times = np.concatenate([t0, t1], dtype=np.int64, casting="safe")
+    # Each channel is sorted, so the stable sort is a linear merge that
+    # puts channel 0 first on equal times.
     order = np.argsort(times, kind="stable")
     channel = (order >= t0.size).astype(np.uint8)
-    times = times[order].astype(np.int64)
+    times = times[order]
     with open(path, "wb") as f:
         f.write(f"{header}\n# channel,time_ps\n".encode())
         for lo in range(0, times.size, _WRITE_BLOCK_ROWS):
@@ -159,26 +159,25 @@ def _digit_dtype(n: int):
 
 
 def read_timestamps(path):
-    """Read a timestamp file back into per-channel sorted time arrays.
+    """Read a timestamp file back into per-channel sorted int64 ps arrays.
 
-    Times may be decimal.  A row that is not ``channel,time`` with an
-    integer channel raises ``ValueError``.
+    A row that is not ``channel,time_ps`` with an integer channel and an
+    integer time raises ``ValueError``; a decimal time is such a row.
     """
     rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=1,
-                      dtype=[("channel", np.int64), ("time_ps", float)])
+                      dtype=[("channel", np.int64), ("time_ps", np.int64)])
     chans, times = rows["channel"], rows["time_ps"]
     return np.sort(times[chans == 0]), np.sort(times[chans == 1])
 
 
-def synthesize_phi_scan(source: SourceParams, rng: np.random.Generator,
-                        n_angles: int = _PHI_SCAN_ANGLES, noise: float = _PHI_SCAN_NOISE):
+def synthesize_phi_scan(source: SourceParams, rng: np.random.Generator):
     """Noisy polarization scan of the cavity-rotated and QD line intensities."""
-    phis = np.linspace(0.0, math.pi, n_angles)
+    phis = np.linspace(0.0, math.pi, _PHI_SCAN_ANGLES)
     points = []
     for phi in phis:
         clean = phi_scan_model(float(phi), source.kind, source, amp_cavity=1.0, amp_qd=1.0)
-        factor_c = max(0.0, 1.0 + noise * rng.standard_normal())
-        factor_q = max(0.0, 1.0 + noise * rng.standard_normal())
+        factor_c = max(0.0, 1.0 + _PHI_SCAN_NOISE * rng.standard_normal())
+        factor_q = max(0.0, 1.0 + _PHI_SCAN_NOISE * rng.standard_normal())
         points.append(
             type(clean)(
                 phi_rad=clean.phi_rad,
@@ -190,13 +189,13 @@ def synthesize_phi_scan(source: SourceParams, rng: np.random.Generator,
 
 
 def decay_trace_from_clicks(t0: np.ndarray, t1: np.ndarray, setup: SetupParams,
-                            source: SourceParams, bin_ps: float) -> DecayTrace:
+                            source: SourceParams) -> DecayTrace:
     """Fold detector clicks onto the pulse window and bin them."""
     period = setup.rep_period_ps
     folded = np.mod(np.concatenate([t0, t1]), period)
     span = min(period, 12.0 * source.tau_ps + 400.0)
-    n_bins = int(span / bin_ps)
-    counts, edges = np.histogram(folded, bins=n_bins, range=(0.0, n_bins * bin_ps))
+    n_bins = int(span / _TRACE_BIN_PS)
+    counts, edges = np.histogram(folded, bins=n_bins, range=(0.0, n_bins * _TRACE_BIN_PS))
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DecayTrace(t_ps=centers, counts=counts.astype(float), kind=source.kind)
 
@@ -233,7 +232,7 @@ def analyze_source(
         (1.0 + vis.value) * g2.std_err / (1.0 - g2.value) ** 2,
     )
 
-    trace = decay_trace_from_clicks(hbt0, hbt1, setup, source, _TRACE_BIN_PS)
+    trace = decay_trace_from_clicks(hbt0, hbt1, setup, source)
     fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
 
     phi_points = synthesize_phi_scan(source, streams.phi_scan.generator())
@@ -292,49 +291,16 @@ def _write_source_artifacts(out_dir, source, result, header, options):
         for t, c in zip(trace.t_ps.tolist(), trace.counts.tolist()):
             f.write(f"{t!r},{int(c)}\n")
 
-    fit = result["fit"]
-    with open(os.path.join(src_dir, "fit.json"), "w") as f:
-        json.dump(
-            {
-                "_header": header.strip("# "),
-                "params": fit.params,
-                "std_errs": fit.std_errs,
-                "reduced_chi2": fit.reduced_chi2,
-                "converged": fit.converged,
-                "n_iter": fit.n_iter,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-
-    cls = result["classification"]
-    with open(os.path.join(src_dir, "classification.json"), "w") as f:
-        json.dump(
-            {
-                "_header": header.strip("# "),
-                "kind": cls.kind.value,
-                "theta_est_deg": (
-                    math.degrees(cls.theta_est_rad) if cls.theta_est_rad is not None else None
-                ),
-                "modulation_depth": cls.modulation_depth,
-                "score_exciton": cls.score_exciton,
-                "score_trion": cls.score_trion,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
+    for key in ("fit", "classification", "report"):
+        with open(os.path.join(src_dir, f"{key}.json"), "w") as f:
+            json.dump({"_header": header.strip("# "), **result[key].to_dict()}, f,
+                      indent=2, sort_keys=True)
 
     with open(os.path.join(src_dir, "phi_scan.csv"), "w") as f:
         f.write(header + "\n")
         f.write("phi_rad,cavity_light,qd_light\n")
         for p in result["phi_points"]:
             f.write(f"{p.phi_rad!r},{p.cavity_light!r},{p.qd_light!r}\n")
-
-    with open(os.path.join(src_dir, "report.json"), "w") as f:
-        json.dump({"_header": header.strip("# "), **result["report"].to_dict()}, f,
-                  indent=2, sort_keys=True)
 
     if options.save_clicks:
         hbt0, hbt1, hom0, hom1 = result["clicks"]
@@ -352,33 +318,26 @@ def run_pipeline(
 ) -> PipelineResult:
     """Simulate and analyze every source in the config.
 
-    Per-source failures are recorded and do not abort the rest of the
-    fleet.  Rerunning with identical (config, seed, n_pulses) reproduces
-    identical analysis outputs regardless of ``threads``.
+    Sources run on a pool of ``threads`` threads (at least 1).  Per-source
+    failures are recorded and do not abort the rest of the fleet.
+    Rerunning with identical (config, seed, n_pulses) reproduces identical
+    analysis outputs regardless of ``threads``.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     header = file_header(seed, config.config_hash)
-
-    def work(indexed):
-        index, source = indexed
-        return analyze_source(source, config.setup, seed, index, n_pulses, options)
-
-    indexed_sources = list(enumerate(config.sources))
     results: dict[str, dict] = {}
     failures: dict[str, str] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {src.label: pool.submit(work, (i, src)) for i, src in indexed_sources}
-        for label, fut in futures.items():
-            try:
-                results[label] = fut.result()
-            except Exception as exc:  # per-source isolation
-                failures[label] = f"{type(exc).__name__}: {exc}"
-    else:
-        for i, src in indexed_sources:
-            try:
-                results[src.label] = work((i, src))
-            except Exception as exc:
-                failures[src.label] = f"{type(exc).__name__}: {exc}"
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {
+            src.label: pool.submit(analyze_source, src, config.setup, seed, i, n_pulses, options)
+            for i, src in enumerate(config.sources)
+        }
+    for label, fut in futures.items():
+        try:
+            results[label] = fut.result()
+        except Exception as exc:  # per-source isolation
+            failures[label] = f"{type(exc).__name__}: {exc}"
 
     reports = [results[s.label]["report"] for s in config.sources if s.label in results]
     summary = aggregate_benchmark(reports) if reports else None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .model import TransitionKind
 
@@ -114,23 +114,7 @@ def _sorted_reports(reports):
     return sorted(reports, key=lambda r: r.label)
 
 
-_CSV_FIELDS = (
-    "label",
-    "kind",
-    "g2",
-    "g2_err",
-    "v_raw",
-    "v_raw_err",
-    "overlap_corrected",
-    "overlap_err",
-    "first_lens_brightness",
-    "fibered_rate_cps",
-    "tau_fit_ps",
-    "tau_fit_err_ps",
-    "wavelength_nm",
-    "delta_fss_fit_uev",
-    "delta_fss_fit_err_uev",
-)
+_CSV_FIELDS = tuple(f.name for f in fields(SourceReport))
 
 
 def _csv_cell(value) -> str:
@@ -221,14 +205,14 @@ def emit_report(
 
 def parse_reports_csv(text: str) -> list[SourceReport]:
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    fields = lines[0].split(",")
-    if tuple(fields) != _CSV_FIELDS:
+    columns = lines[0].split(",")
+    if tuple(columns) != _CSV_FIELDS:
         raise ValueError("unexpected csv columns")
     out = []
     for ln in lines[1:]:
         cells = ln.split(",")
         d = {}
-        for field, cell in zip(fields, cells):
+        for field, cell in zip(columns, cells):
             if field == "label":
                 d[field] = cell
             elif field == "kind":

@@ -25,6 +25,11 @@ from qdbench.photon_sim import RngSpec, hbt_streams, simulate_pulse_train
 PERIOD = SetupParams().rep_period_ps
 
 
+def ps(times) -> np.ndarray:
+    """Times rounded to int64 picoseconds, the form click streams take."""
+    return np.rint(times).astype(np.int64)
+
+
 def make_hist(zero_area: int, side_area: int, bin_width=100.0, periods=10):
     """Hand-built histogram with given zero and side peak contents."""
     half = int(round(periods * PERIOD / bin_width)) + 10
@@ -38,7 +43,7 @@ def make_hist(zero_area: int, side_area: int, bin_width=100.0, periods=10):
 
 class TestBuildHistogram:
     def test_identical_streams_all_mass_at_zero(self):
-        t = np.arange(50, dtype=float) * (PERIOD * 11)
+        t = ps(np.arange(50) * (PERIOD * 11))
         hist = build_histogram(t, t, 100.0, 10.5 * PERIOD, PERIOD)
         zero_bin = hist.counts[hist.delays_ps == 0.0]
         assert zero_bin[0] == 50
@@ -47,8 +52,8 @@ class TestBuildHistogram:
     def test_independent_poisson_streams_flat(self):
         rng = np.random.default_rng(5150)
         duration = 2.0e9  # 2 ms in ps
-        t0 = np.sort(rng.uniform(0, duration, size=60_000))
-        t1 = np.sort(rng.uniform(0, duration, size=60_000))
+        t0 = ps(np.sort(rng.uniform(0, duration, size=60_000)))
+        t1 = ps(np.sort(rng.uniform(0, duration, size=60_000)))
         hist = build_histogram(t0, t1, 1000.0, 10.5 * PERIOD, PERIOD)
         expected = np.full(hist.counts.size, hist.counts.mean())
         chi2 = float(np.sum((hist.counts - expected) ** 2 / expected))
@@ -72,29 +77,49 @@ class TestBuildHistogram:
         assert np.all(np.abs(k_centers - np.rint(k_centers / PERIOD) * PERIOD) < 2000.0)
 
     def test_unsorted_stream_rejected(self):
-        good = np.array([0.0, 1.0, 2.0])
-        bad = np.array([1.0, 0.0, 2.0])
+        good = np.array([0, 1, 2])
+        bad = np.array([1, 0, 2])
         with pytest.raises(ValueError):
             build_histogram(good, bad, 10.0, 10.5 * PERIOD, PERIOD)
         with pytest.raises(ValueError):
             build_histogram(bad, good, 10.0, 10.5 * PERIOD, PERIOD)
 
+    @pytest.mark.parametrize("floats", [np.array([0.0, 1.0, 2.0]), np.array([0.0, 1.5, 2.0]),
+                                        np.array([], dtype=float)])
+    def test_float_clicks_rejected(self, floats):
+        good = np.array([0, 1, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="integer picoseconds"):
+            build_histogram(floats, good, 10.0, 10.5 * PERIOD, PERIOD)
+        with pytest.raises(ValueError, match="integer picoseconds"):
+            build_histogram(good, floats, 10.0, 10.5 * PERIOD, PERIOD)
+
     def test_span_invariant_enforced(self):
-        t = np.arange(10, dtype=float)
+        t = np.arange(10)
         with pytest.raises(ValueError):
             build_histogram(t, t, 100.0, 5.0 * PERIOD, PERIOD)
 
     def test_matches_brute_force_pair_count(self):
+        # A bin width whose outermost edge, 10511.5 * 99.9 = 1050098.85 ps,
+        # is not an integer: E = 1050098.  Partners sit exactly at +-E,
+        # which count, and at +-(E + 1), which do not.
+        e = 1_050_098
         rng = np.random.default_rng(62)
-        t0 = np.sort(rng.uniform(0, 1e7, 300))
-        t1 = np.sort(rng.uniform(0, 1e7, 300))
-        max_delay = 10.5 * 1e5
-        hist = build_histogram(t0, t1, 500.0, max_delay, 1e5)
-        edge = (hist.delays_ps[-1] + 250.0)
+        t0 = np.sort(rng.integers(0, 10**7, 300))
+        offsets = np.array([-e - 1, -e, e, e + 1])
+        t1 = np.sort(np.concatenate([rng.integers(0, 10**7, 300),
+                                     (t0[::30, None] + offsets).ravel()]))
+        hist = build_histogram(t0, t1, 99.9, 10.5 * 1e5, 1e5)
+        edge = hist.delays_ps[-1] + 0.5 * 99.9
+        assert math.floor(edge) == e
         brute = 0
         for a in t0:
             brute += int(np.count_nonzero(np.abs(t1 - a) <= edge))
         assert hist.total_counts == brute
+        for delta, counted in ((-e - 1, 0), (-e, 1), (e, 1), (e + 1, 0)):
+            single = build_histogram(np.array([0]), np.array([delta]), 99.9, 10.5 * 1e5, 1e5)
+            assert single.total_counts == counted
+            if counted:  # in the outermost bin on its side
+                assert single.counts[0 if delta < 0 else -1] == 1
 
 
 class TestIntegratePeaks:
@@ -174,9 +199,9 @@ class TestG2Zero:
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(67)
-        t0 = np.sort(rng.integers(0, 2**40, size=20_000)).astype(float)
-        t1 = np.sort(rng.integers(0, 2**40, size=20_000)).astype(float)
-        shift = 2.0**21
+        t0 = np.sort(rng.integers(0, 2**40, size=20_000))
+        t1 = np.sort(rng.integers(0, 2**40, size=20_000))
+        shift = 2**21
         h1 = build_histogram(t0, t1, 100.0, 10.5 * PERIOD, PERIOD)
         h2 = build_histogram(t0 + shift, t1 + shift, 100.0, 10.5 * PERIOD, PERIOD)
         assert np.array_equal(h1.counts, h2.counts)

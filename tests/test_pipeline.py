@@ -15,6 +15,7 @@ from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES
 from qdbench import pipeline
 from qdbench.cli import main as cli_main
 from qdbench.config import FleetConfig, write_config
+from qdbench.correlation import read_histogram
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
 from qdbench.pipeline import (
     PipelineOptions,
@@ -164,33 +165,31 @@ def _row_loop_reference(t0, t1, header) -> bytes:
     """The click file as the original row-by-row writer produced it."""
     channel = np.concatenate([np.zeros(t0.size, dtype=np.int64),
                               np.ones(t1.size, dtype=np.int64)])
-    times = np.rint(np.concatenate([t0, t1]))
+    times = np.concatenate([t0, t1])
     order = np.lexsort((channel, times))
     lines = [header + "\n", "# channel,time_ps\n"]
-    for ch, t in zip(channel[order].tolist(), times[order].astype(np.int64).tolist()):
+    for ch, t in zip(channel[order].tolist(), times[order].tolist()):
         lines.append(f"{ch},{t}\n")
     return "".join(lines).encode()
 
 
-_DECADES = [sign * (10.0**k + d) for k in range(19) for d in (-1.0, -0.5, 0.0, 0.5)
-            for sign in (1.0, -1.0)]
+_DECADES = [sign * (10**k + d) for k in range(19) for d in (-1, 0) for sign in (1, -1)]
 _CLICK_TIMES = st.one_of(
-    st.integers(-(10**6), 10**6).map(float),
-    st.integers(-(10**6), 10**6).map(lambda k: k + 0.5),
-    st.sampled_from([*_DECADES, -0.0, -0.4, 0.4]),
-    st.floats(-9e18, 9e18, allow_nan=False, allow_infinity=False),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from(_DECADES),
+    st.integers(-9 * 10**18, 9 * 10**18),
 )
 
 
 @st.composite
 def _click_streams(draw):
-    """Two sorted channels with negatives, -0.0, .5 ties, 10**k edges and shared times."""
+    """Two sorted int64 channels with negatives, 10**k edges and shared times."""
     t0 = sorted(draw(st.lists(_CLICK_TIMES, max_size=40)))
     shared = draw(st.lists(st.sampled_from(t0), max_size=10)) if t0 else []
     t1 = sorted(draw(st.lists(_CLICK_TIMES, max_size=40)) + shared)
     if draw(st.booleans()):
         t0, t1 = t1, t0
-    return np.array(t0, dtype=float), np.array(t1, dtype=float)
+    return np.array(t0, dtype=np.int64), np.array(t1, dtype=np.int64)
 
 
 #: SHA-256 of the concatenated ``pipeline --save-clicks`` click files of the
@@ -209,21 +208,26 @@ _GOLDEN_CLICK_DIGESTS = {
 
 class TestTimestampFiles:
     def test_round_trip_integer_picoseconds(self, tmp_path):
-        t0 = np.sort(np.array([3.2, 100.7, 5000.1]))
-        t1 = np.sort(np.array([42.9, 77.3]))
+        t0 = np.array([-7, 3, 101, 5000])
+        t1 = np.array([43, 77])
         path = tmp_path / "clicks.csv"
         write_timestamps(path, t0, t1, "# qdbench test seed=0 config=x")
         lines = path.read_text().splitlines()
         assert lines[1] == "# channel,time_ps"
         back0, back1 = read_timestamps(path)
-        assert np.array_equal(back0, np.rint(t0))
-        assert np.array_equal(back1, np.rint(t1))
+        assert back0.dtype == back1.dtype == np.int64
+        assert np.array_equal(back0, t0)
+        assert np.array_equal(back1, t1)
+
+    def test_writer_rejects_float_times(self, tmp_path):
+        with pytest.raises(TypeError):
+            write_timestamps(tmp_path / "clicks.csv", np.array([1.5]), np.array([2]), "# x")
 
     def test_block_writer_matches_row_loop(self, tmp_path):
         # More rows than one write block, with ties across the two channels.
         rng = np.random.default_rng(3)
-        t0 = np.sort(rng.uniform(0.0, 5e7, size=90_000))
-        t1 = np.sort(np.concatenate([rng.uniform(0.0, 5e7, size=60_000), t0[::7] + 0.2]))
+        t0 = np.sort(np.rint(rng.uniform(0.0, 5e7, size=90_000)).astype(np.int64))
+        t1 = np.sort(np.concatenate([rng.integers(0, 5 * 10**7, size=60_000), t0[::7]]))
         header = "# qdbench test seed=0 config=x"
         path = tmp_path / "clicks.csv"
         write_timestamps(path, t0, t1, header)
@@ -239,15 +243,7 @@ class TestTimestampFiles:
             write_timestamps(path, t0, t1, header)
         assert path.read_bytes() == _row_loop_reference(t0, t1, header)
 
-    def test_read_accepts_decimal_times(self, tmp_path):
-        path = tmp_path / "clicks.csv"
-        path.write_text("# qdbench test seed=0 config=x\n# channel,time_ps\n"
-                        "0,-3.5\n1,12.25\n0,7\n\n1,1e3\n")
-        back0, back1 = read_timestamps(path)
-        assert back0.tolist() == [-3.5, 7.0]
-        assert back1.tolist() == [12.25, 1000.0]
-
-    @pytest.mark.parametrize("row", ["0,12,5", "0;12", "0,abc", "zero,12"])
+    @pytest.mark.parametrize("row", ["0,12,5", "0;12", "0,abc", "zero,12", "0,-3.5", "1,12.25"])
     def test_malformed_row_is_a_validation_error(self, tmp_path, row, capsys):
         path = tmp_path / "clicks.csv"
         path.write_text(f"# channel,time_ps\n0,1\n{row}\n1,2\n")
@@ -335,6 +331,46 @@ class TestCli:
                 saved = (tmp_path / "pipe" / source.label / f"{mode}_clicks.csv").read_text()
                 assert simulated.count("\n") > 1000
                 assert simulated == saved
+
+    def test_analyze_of_simulated_files_reproduces_pipeline(self, tmp_path, capsys):
+        # Re-analysing saved clicks bins the same integers the pipeline
+        # binned, so histograms and estimates agree exactly.
+        cfg = FleetConfig.from_parts(
+            [*trion_config(2).sources, *s7_config().sources], CLEAN_SETUP
+        )
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(cfg, cfg_path)
+        common = ["--config", str(cfg_path), "--pulses", "200000", "--seed", "13"]
+        assert cli_main(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
+        assert cli_main(["pipeline", *common, "--out", str(tmp_path / "pipe")]) == 0
+
+        def analyze(name, mode, *extra):
+            analysis = tmp_path / "analysis"
+            assert cli_main(["analyze", "--timestamps", str(tmp_path / "sim" / f"{name}.csv"),
+                             "--mode", mode, "--out", str(analysis), *extra]) == 0
+            estimates = json.loads((analysis / f"{name}_estimates.json").read_text())
+            return estimates, read_histogram(analysis / f"{name}_histogram.csv")
+
+        for source in cfg.sources:
+            pipe = tmp_path / "pipe" / source.label
+            report = json.loads((pipe / "report.json").read_text())
+            hbt, hbt_hist = analyze(f"{source.label}_hbt", "hbt")
+            hom, hom_hist = analyze(f"{source.label}_hom", "hom", "--g2", repr(hbt["g2"]))
+            assert hbt["g2"] == report["g2"]
+            assert hom["v_raw"] == report["v_raw"]
+            assert hom["overlap_corrected"] == report["overlap_corrected"]
+            for hist, mode in ((hbt_hist, "hbt"), (hom_hist, "hom")):
+                assert hist.total_counts > 10_000
+                assert np.array_equal(hist.counts,
+                                      read_histogram(pipe / f"{mode}_histogram.csv").counts)
+
+    def test_threads_below_one_rejected(self, tmp_path, capsys):
+        code = cli_main([
+            "pipeline", "--config", str(self._write_config(tmp_path)), "--pulses", "1000",
+            "--threads", "0", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
 
     def test_fit_subcommand(self, tmp_path, capsys):
         from conftest import synth_trace
