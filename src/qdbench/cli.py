@@ -8,8 +8,8 @@ Subcommands:
   report     aggregate per-source reports into a fleet summary
   pipeline   simulate -> analyze -> fit -> classify -> report in one go
 
-Exit codes: 0 success, 1 validation/usage error, 2 per-source partial
-failure inside a pipeline run.
+Exit codes: 0 success, 1 validation/usage error or unreadable input file,
+2 per-source partial failure inside a pipeline run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, load_config
+from .config import load_config
 from .correlation import (
     build_histogram,
     corrected_overlap,
@@ -33,25 +33,38 @@ from .correlation import (
 from .dynamics import PhiScanPoint
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
-from .photon_sim import hbt_streams, hom_streams, simulate_pulse_train
 from .pipeline import (
     HISTOGRAM_PERIODS,
     PipelineOptions,
     file_header,
     read_timestamps,
     run_pipeline,
-    source_streams,
+    source_clicks,
     write_timestamps,
 )
 from .report import aggregate_benchmark, emit_report, parse_reports_json
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=1, help="global RNG seed")
-    p.add_argument("--pulses", type=int, default=1_000_000, help="excitation pulses per source")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--bin-width", type=float, default=100.0, help="histogram bin width (ps)")
-    p.add_argument("--window", type=float, default=2000.0, help="peak integration half-window (ps)")
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error; exit code 2 is kept for a partial pipeline failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+_FLAGS = {
+    "--seed": dict(type=int, default=1, help="global RNG seed"),
+    "--pulses": dict(type=int, default=1_000_000, help="excitation pulses per source"),
+    "--out": dict(required=True, help="output directory"),
+    "--bin-width": dict(type=float, default=100.0, help="histogram bin width (ps)"),
+    "--window": dict(type=float, default=2000.0, help="peak integration half-window (ps)"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str):
+    for name in names:
+        p.add_argument(name, **_FLAGS[name])
 
 
 def _cmd_simulate(args) -> int:
@@ -59,12 +72,8 @@ def _cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     header = file_header(args.seed, config.config_hash)
     for index, source in enumerate(config.sources):
-        streams = source_streams(args.seed, index)
-        events = simulate_pulse_train(streams.hbt_events, source, config.setup, args.pulses)
-        t0, t1 = hbt_streams(streams.hbt_clicks, events, config.setup)
+        t0, t1, h0, h1 = source_clicks(source, config.setup, args.seed, index, args.pulses)
         write_timestamps(os.path.join(args.out, f"{source.label}_hbt.csv"), t0, t1, header)
-        events = simulate_pulse_train(streams.hom_events, source, config.setup, args.pulses)
-        h0, h1 = hom_streams(streams.hom_clicks, events, config.setup, source.overlap)
         write_timestamps(os.path.join(args.out, f"{source.label}_hom.csv"), h0, h1, header)
         print(f"{source.label}: wrote HBT ({t0.size + t1.size} clicks) and "
               f"HOM ({h0.size + h1.size} clicks) streams")
@@ -158,14 +167,14 @@ def _cmd_pipeline(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qdbench", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="qdbench", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="write click-stream timestamp files")
     p.add_argument("--config", required=True)
-    _add_common(p)
+    _add_flags(p, "--seed", "--pulses", "--out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="histogram + estimators from timestamps")
@@ -174,33 +183,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep-rate-mhz", type=float, default=81.0)
     p.add_argument("--g2", type=float, default=None,
                    help="g2 value used to correct the HOM visibility")
-    _add_common(p)
+    _add_flags(p, "--seed", "--out", "--bin-width", "--window")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fit", help="fit a decay trace")
     p.add_argument("--trace", required=True, help="csv file with t_ps,counts")
     p.add_argument("--kind", choices=["exciton", "trion"], required=True)
     p.add_argument("--irf-fwhm", type=float, default=53.0)
-    _add_common(p)
+    _add_flags(p, "--out")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("classify", help="identify the transition from a phi scan")
     p.add_argument("--phiscan", required=True, help="csv file with phi_rad,cavity_light,qd_light")
-    _add_common(p)
+    _add_flags(p, "--out")
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("report", help="aggregate source reports")
     p.add_argument("--reports", required=True, help="structured-json report file")
     p.add_argument("--format", choices=["table-text", "structured-json", "csv"],
                    default="table-text")
-    _add_common(p)
+    _add_flags(p, "--out")
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("pipeline", help="full simulate/analyze/fit/classify/report run")
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--save-clicks", action="store_true")
-    _add_common(p)
+    _add_flags(p, "--seed", "--pulses", "--out", "--bin-width", "--window")
     p.set_defaults(func=_cmd_pipeline)
     return parser
 
@@ -210,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

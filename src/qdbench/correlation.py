@@ -283,19 +283,3 @@ def write_histogram(hist: CorrelationHistogram, path, meta: dict | None = None):
         lines.append(f"{float(d)!r},{int(c)}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def read_histogram(path) -> CorrelationHistogram:
-    with open(path) as f:
-        lines = f.readlines()
-    header = {}
-    for line in lines:
-        if line.lstrip().startswith("#"):
-            header.update(tok.split("=", 1) for tok in line.strip()[1:].split() if "=" in tok)
-    if "bin_width_ps" not in header or "rep_period_ps" not in header:
-        raise ValueError(f"{path}: missing bin_width_ps/rep_period_ps header")
-    # The column-name line is skipped like a comment.
-    rows = np.loadtxt(lines, delimiter=",", comments=("#", "bin_center_ps"), ndmin=1,
-                      dtype=[("delay", float), ("count", np.int64)])
-    return CorrelationHistogram(float(header["bin_width_ps"]), rows["delay"], rows["count"],
-                                float(header["rep_period_ps"]))

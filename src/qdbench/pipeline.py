@@ -82,7 +82,6 @@ class PipelineResult:
     reports: list[SourceReport]
     summary: object
     failures: dict[str, str] = field(default_factory=dict)
-    out_dir: str | None = None
 
 
 def file_header(seed: int, config_hash: str) -> str:
@@ -200,6 +199,20 @@ def decay_trace_from_clicks(t0: np.ndarray, t1: np.ndarray, setup: SetupParams,
     return DecayTrace(t_ps=centers, counts=counts.astype(float), kind=source.kind)
 
 
+def source_clicks(source: SourceParams, setup: SetupParams, seed: int, source_index: int,
+                  n_pulses: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simulate and detect both trains of one source: ``(hbt0, hbt1, hom0, hom1)``."""
+    streams = source_streams(seed, source_index)
+    events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
+    hbt0, hbt1 = hbt_streams(streams.hbt_clicks, events, setup)
+    # Drop the HBT events before the HOM train is simulated, so that only
+    # one train's events are alive at a time.
+    del events
+    events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
+    hom0, hom1 = hom_streams(streams.hom_clicks, events, setup, source.overlap)
+    return hbt0, hbt1, hom0, hom1
+
+
 def analyze_source(
     source: SourceParams,
     setup: SetupParams,
@@ -207,23 +220,21 @@ def analyze_source(
     source_index: int,
     n_pulses: int,
     options: PipelineOptions = PipelineOptions(),
-):
-    """Simulate one source and recover all of its figures of merit."""
-    streams = source_streams(seed, source_index)
+    out_dir: str | None = None,
+    header: str = "",
+) -> SourceReport:
+    """Simulate one source and recover all of its figures of merit.
+
+    With ``out_dir`` set, the source's artifacts are written to
+    ``out_dir/<label>/``, each file starting with ``header``.
+    """
     period = setup.rep_period_ps
     max_delay = HISTOGRAM_PERIODS * period
 
-    events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
-    hbt0, hbt1 = hbt_streams(streams.hbt_clicks, events, setup)
-    # Drop the HBT events before the HOM train is simulated, so that only
-    # one train's events are alive at a time.
-    del events
+    clicks = source_clicks(source, setup, seed, source_index, n_pulses)
+    hbt0, hbt1, hom0, hom1 = clicks
     hbt_hist = build_histogram(hbt0, hbt1, options.bin_width_ps, max_delay, period)
     g2 = g2_zero(hbt_hist, options.window_ps)
-
-    events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
-    hom0, hom1 = hom_streams(streams.hom_clicks, events, setup, source.overlap)
-    del events
     hom_hist = build_histogram(hom0, hom1, options.bin_width_ps, max_delay, period)
     vis = hom_visibility(hom_hist, options.window_ps)
     overlap = corrected_overlap(vis.value, g2.value)
@@ -235,7 +246,8 @@ def analyze_source(
     trace = decay_trace_from_clicks(hbt0, hbt1, setup, source)
     fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
 
-    phi_points = synthesize_phi_scan(source, streams.phi_scan.generator())
+    phi_rng = source_streams(seed, source_index).phi_scan.generator()
+    phi_points = synthesize_phi_scan(source, phi_rng)
     classification = classify_transition(phi_points)
 
     duration_s = n_pulses * period * 1e-12
@@ -264,46 +276,39 @@ def analyze_source(
             fit.std_errs["delta_fss"] if source.kind is TransitionKind.EXCITON else None
         ),
     )
-    return {
-        "report": report,
-        "fit": fit,
-        "classification": classification,
-        "hbt_hist": hbt_hist,
-        "hom_hist": hom_hist,
-        "trace": trace,
-        "phi_points": phi_points,
-        # Click streams are large; keep them only when they will be written.
-        "clicks": (hbt0, hbt1, hom0, hom1) if options.save_clicks else None,
-    }
+    if out_dir is not None:
+        _write_source_artifacts(out_dir, header, options, report, fit, classification,
+                                hbt_hist, hom_hist, trace, phi_points, clicks)
+    return report
 
 
-def _write_source_artifacts(out_dir, source, result, header, options):
-    src_dir = os.path.join(out_dir, source.label)
+def _write_source_artifacts(out_dir, header, options, report, fit, classification,
+                            hbt_hist, hom_hist, trace, phi_points, clicks):
+    src_dir = os.path.join(out_dir, report.label)
     os.makedirs(src_dir, exist_ok=True)
-    meta = {"source": source.label, "provenance": header.strip("# ").replace(" ", "_")}
-    write_histogram(result["hbt_hist"], os.path.join(src_dir, "hbt_histogram.csv"), meta=meta)
-    write_histogram(result["hom_hist"], os.path.join(src_dir, "hom_histogram.csv"), meta=meta)
+    meta = {"source": report.label, "provenance": header.strip("# ").replace(" ", "_")}
+    write_histogram(hbt_hist, os.path.join(src_dir, "hbt_histogram.csv"), meta=meta)
+    write_histogram(hom_hist, os.path.join(src_dir, "hom_histogram.csv"), meta=meta)
 
-    trace = result["trace"]
     with open(os.path.join(src_dir, "decay_trace.csv"), "w") as f:
         f.write(header + "\n")
         f.write("t_ps,counts\n")
         for t, c in zip(trace.t_ps.tolist(), trace.counts.tolist()):
             f.write(f"{t!r},{int(c)}\n")
 
-    for key in ("fit", "classification", "report"):
-        with open(os.path.join(src_dir, f"{key}.json"), "w") as f:
-            json.dump({"_header": header.strip("# "), **result[key].to_dict()}, f,
+    for name, payload in (("fit", fit), ("classification", classification), ("report", report)):
+        with open(os.path.join(src_dir, f"{name}.json"), "w") as f:
+            json.dump({"_header": header.strip("# "), **payload.to_dict()}, f,
                       indent=2, sort_keys=True)
 
     with open(os.path.join(src_dir, "phi_scan.csv"), "w") as f:
         f.write(header + "\n")
         f.write("phi_rad,cavity_light,qd_light\n")
-        for p in result["phi_points"]:
+        for p in phi_points:
             f.write(f"{p.phi_rad!r},{p.cavity_light!r},{p.qd_light!r}\n")
 
     if options.save_clicks:
-        hbt0, hbt1, hom0, hom1 = result["clicks"]
+        hbt0, hbt1, hom0, hom1 = clicks
         write_timestamps(os.path.join(src_dir, "hbt_clicks.csv"), hbt0, hbt1, header)
         write_timestamps(os.path.join(src_dir, "hom_clicks.csv"), hom0, hom1, header)
 
@@ -318,35 +323,33 @@ def run_pipeline(
 ) -> PipelineResult:
     """Simulate and analyze every source in the config.
 
-    Sources run on a pool of ``threads`` threads (at least 1).  Per-source
-    failures are recorded and do not abort the rest of the fleet.
+    Sources run on a pool of ``threads`` threads (at least 1), and each
+    source's artifacts are written by the thread that analysed it.  A source
+    whose analysis or artifact writing raises is recorded as a failure, left
+    out of the summary, and does not abort the rest of the fleet.
     Rerunning with identical (config, seed, n_pulses) reproduces identical
     analysis outputs regardless of ``threads``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     header = file_header(seed, config.config_hash)
-    results: dict[str, dict] = {}
-    failures: dict[str, str] = {}
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {
-            src.label: pool.submit(analyze_source, src, config.setup, seed, i, n_pulses, options)
+            src.label: pool.submit(analyze_source, src, config.setup, seed, i, n_pulses, options,
+                                   out_dir, header)
             for i, src in enumerate(config.sources)
         }
+    reports: list[SourceReport] = []
+    failures: dict[str, str] = {}
     for label, fut in futures.items():
         try:
-            results[label] = fut.result()
+            reports.append(fut.result())
         except Exception as exc:  # per-source isolation
             failures[label] = f"{type(exc).__name__}: {exc}"
-
-    reports = [results[s.label]["report"] for s in config.sources if s.label in results]
     summary = aggregate_benchmark(reports) if reports else None
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for source in config.sources:
-            if source.label in results:
-                _write_source_artifacts(out_dir, source, results[source.label], header, options)
         if reports:
             for fmt, name in (
                 ("structured-json", "summary.json"),
@@ -358,4 +361,4 @@ def run_pipeline(
             with open(os.path.join(out_dir, "failures.json"), "w") as f:
                 json.dump({"_header": header.strip("# "), **failures}, f, indent=2, sort_keys=True)
 
-    return PipelineResult(reports=reports, summary=summary, failures=failures, out_dir=out_dir)
+    return PipelineResult(reports=reports, summary=summary, failures=failures)

@@ -203,28 +203,6 @@ def emit_report(
         f.write(render_report(summary, reports, fmt, header=header))
 
 
-def parse_reports_csv(text: str) -> list[SourceReport]:
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    columns = lines[0].split(",")
-    if tuple(columns) != _CSV_FIELDS:
-        raise ValueError("unexpected csv columns")
-    out = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        d = {}
-        for field, cell in zip(columns, cells):
-            if field == "label":
-                d[field] = cell
-            elif field == "kind":
-                d[field] = cell
-            elif cell == "":
-                d[field] = None
-            else:
-                d[field] = float(cell)
-        out.append(SourceReport.from_dict(d))
-    return out
-
-
 def parse_reports_json(text: str) -> list[SourceReport]:
     payload = json.loads(text)
     return [SourceReport.from_dict(d) for d in payload["sources"]]

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from qdbench.correlation import CorrelationHistogram
 from qdbench.dynamics import gaussian_kernel
 from qdbench.inference import DecayTrace
 from qdbench.model import (
@@ -87,6 +88,23 @@ def synth_trace(
     else:
         counts = np.random.default_rng(seed).poisson(lam).astype(float)
     return DecayTrace(t_ps=t, counts=counts, kind=kind)
+
+
+def read_histogram(path) -> CorrelationHistogram:
+    """Read a histogram file back; the inverse of ``correlation.write_histogram``."""
+    with open(path) as f:
+        lines = f.readlines()
+    header = {}
+    for line in lines:
+        if line.lstrip().startswith("#"):
+            header.update(tok.split("=", 1) for tok in line.strip()[1:].split() if "=" in tok)
+    if "bin_width_ps" not in header or "rep_period_ps" not in header:
+        raise ValueError(f"{path}: missing bin_width_ps/rep_period_ps header")
+    # The column-name line is skipped like a comment.
+    rows = np.loadtxt(lines, delimiter=",", comments=("#", "bin_center_ps"), ndmin=1,
+                      dtype=[("delay", float), ("count", np.int64)])
+    return CorrelationHistogram(float(header["bin_width_ps"]), rows["delay"], rows["count"],
+                                float(header["rep_period_ps"]))
 
 
 def poissonian_pulse_train(seed: int, n_pulses: int, mu: float, tau_ps: float):

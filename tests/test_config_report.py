@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -9,10 +10,30 @@ from qdbench.report import (
     SourceReport,
     aggregate_benchmark,
     emit_report,
-    parse_reports_csv,
     parse_reports_json,
     render_report,
 )
+
+
+def parse_reports_csv(text: str) -> list[SourceReport]:
+    """Parse a ``csv`` report back into source reports; empty cells are ``None``."""
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    columns = lines[0].split(",")
+    if tuple(columns) != tuple(f.name for f in fields(SourceReport)):
+        raise ValueError("unexpected csv columns")
+    out = []
+    for ln in lines[1:]:
+        d = {}
+        for field, cell in zip(columns, ln.split(",")):
+            if field in ("label", "kind"):
+                d[field] = cell
+            elif cell == "":
+                d[field] = None
+            else:
+                d[field] = float(cell)
+        out.append(SourceReport.from_dict(d))
+    return out
+
 
 MINIMAL_TRION = """
 [source:S11]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import S11_TAU_PS, poissonian_pulse_train
+from conftest import S11_TAU_PS, poissonian_pulse_train, read_histogram
 
 from qdbench.correlation import (
     CorrelationHistogram,
@@ -16,7 +16,6 @@ from qdbench.correlation import (
     g2_zero,
     hom_visibility,
     integrate_peaks,
-    read_histogram,
     write_histogram,
 )
 from qdbench.model import SetupParams, trion_source

@@ -10,16 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES
+from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES, read_histogram
 
 from qdbench import pipeline
 from qdbench.cli import main as cli_main
 from qdbench.config import FleetConfig, write_config
-from qdbench.correlation import read_histogram
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
 from qdbench.pipeline import (
     PipelineOptions,
-    analyze_source,
     read_timestamps,
     run_pipeline,
     write_timestamps,
@@ -56,16 +54,6 @@ def s7_config():
 
 
 class TestRunPipeline:
-    @pytest.mark.parametrize("save_clicks", [False, True])
-    def test_clicks_kept_only_when_saved(self, save_clicks):
-        source = trion_config().sources[0]
-        result = analyze_source(source, CLEAN_SETUP, seed=5, source_index=0, n_pulses=50_000,
-                                options=PipelineOptions(save_clicks=save_clicks))
-        if save_clicks:
-            assert [c.size > 0 for c in result["clicks"]] == [True] * 4
-        else:
-            assert result["clicks"] is None
-
     def test_single_trion_smoke(self, tmp_path):
         result = run_pipeline(trion_config(), n_pulses=1_000_000, seed=5, out_dir=str(tmp_path))
         assert not result.failures
@@ -134,6 +122,25 @@ class TestRunPipeline:
         assert [r.label for r in result.reports] == ["GOOD"]
         assert "DARK" in result.failures
         assert (tmp_path / "failures.json").exists()
+
+    def test_artifact_write_failure_isolated_to_its_source(self, tmp_path, capsys):
+        cfg = trion_config(n=3)
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(cfg, cfg_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "S12").write_text("a file where the source directory goes\n")
+        code = cli_main(["pipeline", "--config", str(cfg_path), "--pulses", "100000",
+                         "--seed", "3", "--out", str(out)])
+        assert code == 2
+        failures = json.loads((out / "failures.json").read_text())
+        assert list(failures) == ["S12", "_header"]
+        assert failures["S12"].startswith("FileExistsError")
+        for label in ("S11", "S13"):
+            assert (out / label / "report.json").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert [s["label"] for s in summary["sources"]] == ["S11", "S13"]
+        assert "S12: FAILED (FileExistsError" in capsys.readouterr().err
 
     def test_fit_reproduces_pipeline_fit_from_its_decay_trace(self, tmp_path):
         cfg = FleetConfig.from_parts([*s7_config().sources, *trion_config().sources],
@@ -420,6 +427,30 @@ class TestCli:
             "--seed", "1", "--out", str(tmp_path / "o"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--timestamps", "t.csv", "--mode", "hbx", "--out", "o"],
+        ["pipeline", "--config", "fleet.cfg"],
+        ["fit", "--trace", "t.csv", "--kind", "trion", "--out", "o", "--seed", "1"],
+        ["simulate", "--config", "fleet.cfg", "--out", "o", "--window", "2000"],
+        ["frobnicate"],
+        ["analyze", "--timestamps", "missing.csv", "--mode", "hbt", "--out", "o"],
+        ["fit", "--trace", "missing.csv", "--kind", "trion", "--out", "o"],
+        ["classify", "--phiscan", "missing.csv", "--out", "o"],
+        ["report", "--reports", "missing.json", "--out", "o"],
+        ["simulate", "--config", "missing.cfg", "--out", "o"],
+        ["pipeline", "--config", "missing.cfg", "--out", "o"],
+    ], ids=["bad-choice", "missing-flag", "fit-seed", "simulate-window", "unknown-command",
+            "no-timestamps", "no-trace", "no-phiscan", "no-reports", "simulate-no-config",
+            "pipeline-no-config"])
+    def test_usage_error_and_missing_input_exit_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse exits from inside main
+            code = exc.code
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_partial_failure_exit_code(self, tmp_path):
         good = trion_source(164.9, brightness_first_lens=0.147, label="GOOD")

@@ -1,0 +1,30 @@
+"""The experiment scripts run end to end at a small size."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import qdbench
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+SRC = pathlib.Path(qdbench.__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script, args, outputs", [
+    ("s7_characterization.py", ["--pulses", "200000"],
+     ["S7/fit.json", "S7/report.json", "summary.json"]),
+    ("fleet_benchmark.py", ["--pulses", "200000", "--threads", "2"],
+     ["fleet.cfg", "summary.csv", "X01/report.json", "T01/report.json"]),
+    ("phi_scan_identification.py", [], ["S5-like_scan.csv", "S13-like_scan.csv"]),
+])
+def test_script_runs(tmp_path, script, args, outputs):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args, "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for name in outputs:
+        assert (tmp_path / name).exists(), name
