@@ -134,12 +134,13 @@ def _cmd_classify(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.reports) as f:
-        reports = parse_reports_json(f.read())
+        reports, header = parse_reports_json(f.read())
     summary = aggregate_benchmark(reports)
     os.makedirs(args.out, exist_ok=True)
     suffix = {"structured-json": "json", "csv": "csv", "table-text": "txt"}[args.format]
     path = os.path.join(args.out, f"summary.{suffix}")
-    emit_report(summary, reports, args.format, path)
+    # The summary keeps the provenance of the run that wrote its input.
+    emit_report(summary, reports, args.format, path, header=header)
     with open(path) as f:
         print(f.read())
     return 0

@@ -12,18 +12,23 @@ where the package rounds time.
 Reproducibility: every random decision derives from an :class:`RngSpec`
 (seed, stream_id).  Pulse ranges are processed in fixed-size chunks, each
 chunk seeded independently from (seed, stream_id, chunk_index), so a
-chunk's events depend only on that key and its pulse range.
+chunk's events depend only on that key and its pulse range.  The order
+and kind of every draw is the stream layout, versioned by
+:data:`STREAM_LAYOUT`; a change to either changes the streams.
 
-Cost: the only per-pulse work is the one uniform per pulse that decides
-whether it emits; everything after that scales with the number of events.
-Every generator call that can change a result is made, in a fixed order,
-so the streams depend only on the RngSpec.  One kind of draw is skipped:
-with ``laser_leak_per_pulse == 0`` a chunk makes no laser-leak draws.
-Those would be the chunk's last draws and could select no pulse, and the
-chunk's generator is used for nothing else, so skipping them leaves every
-event unchanged.  The detector stages still draw their efficiency,
-routing and jitter variates for every event, but only compute click
-times for the events the efficiency thinning keeps.
+Cost: the only per-pulse work is one 32-bit Bernoulli decision per pulse
+(two per raw 64-bit word) that decides whether it emits; everything after
+that scales with the number of events.  Every generator call that can
+change a result is made, in a fixed order, so the streams depend only on
+the RngSpec.  One kind of draw is skipped: with
+``laser_leak_per_pulse == 0`` a chunk makes no laser-leak draws.  Those
+would be the chunk's last draws and could select no pulse, and the chunk's
+generator is used for nothing else, so skipping them leaves every event
+unchanged.  The detector stages draw the detection decision for every
+event and then route and jitter only the detected ones; the HOM stage
+also draws every event's interferometer arm, which decides who meets
+whom, but draws coalescence only for pairs whose photons are both
+detected.
 """
 
 from __future__ import annotations
@@ -48,6 +53,9 @@ from .model import (
 
 #: Pulses per RNG chunk.  Fixed: changing it changes every simulated stream.
 CHUNK_PULSES = 1 << 16
+#: Version of the order and kind of random draws.  Artifact headers carry
+#: it, so files written under another layout are told apart by their header.
+STREAM_LAYOUT = 2
 
 
 class UnsamplableEmissionError(ValueError):
@@ -142,6 +150,23 @@ def _interp_sorted(u: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bernoulli(g: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """``n`` independent decisions, each True with probability ``p``.
+
+    Each decision compares 32 random bits with ``round(p * 2**32)``, so
+    ``p`` is rounded to a multiple of 2**-32; p = 0 keeps nothing and
+    p = 1 keeps everything.  One raw 64-bit word gives two decisions: its
+    low half, then its high half, whatever the host byte order.  Exactly
+    ``ceil(n / 2)`` words are drawn for every ``p``.
+    """
+    words = g.bit_generator.random_raw((n + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")[:n]
+    threshold = round(p * 2**32)
+    if threshold == 0:
+        return np.zeros(n, dtype=bool)
+    return halves <= np.uint32(threshold - 1)
+
+
 def _reexcite_conditional_prob(source: SourceParams) -> float:
     """Conditional re-excitation probability given a first photon.
 
@@ -161,11 +186,11 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
     p2c = _reexcite_conditional_prob(source)
     sigma_pulse = setup.pulse_fwhm_ps * FWHM_TO_SIGMA
 
-    first_pulses = np.flatnonzero(g.random(n) < b) + lo
+    first_pulses = np.flatnonzero(_bernoulli(g, b, n)) + lo
     k = first_pulses.size
     first_times = sample_emission_time(g, source, size=k)
 
-    re_sel = g.random(k) < p2c
+    re_sel = _bernoulli(g, p2c, k)
     m = int(re_sel.sum())
     re_times = first_times[re_sel] + sample_emission_time(g, source, size=m)
 
@@ -186,7 +211,7 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
         origin = np.where(is_re, np.int8(Origin.QD_REEXCITE), np.int8(Origin.QD_FIRST))
         return pulse, emit, origin
 
-    leak_mask = g.random(n) < setup.laser_leak_per_pulse
+    leak_mask = _bernoulli(g, setup.laser_leak_per_pulse, n)
     j = int(leak_mask.sum())
     leak_times = g.normal(0.0, sigma_pulse, size=j)
 
@@ -246,16 +271,19 @@ def _dark_clicks(g: np.random.Generator, setup: SetupParams, duration_ps: float)
     return out
 
 
-def _finalize_streams(times, channels, dark0, dark1):
-    """Each channel's click times, sorted and rounded to int64 ps (ties to even)."""
+def _finalize_streams(times, on_channel1, dark0, dark1):
+    """Each channel's click times, sorted and rounded to int64 ps (ties to even).
+
+    ``on_channel1`` is True for the events routed to channel 1.
+    """
     streams = []
-    for channel, dark in ((0, dark0), (1, dark1)):
+    for detected, dark in ((times[~on_channel1], dark0), (times[on_channel1], dark1)):
         # Click times are finite and never -0.0, so every sort algorithm
         # returns the same bits.  The stable one (a merge sort) is the
         # fastest here: event times arrive in pulse order and the dark
         # counts are sorted.  Rounding is monotone, so the rounded times
         # stay sorted.
-        t = np.sort(np.concatenate([times[channels == channel], dark]), kind="stable")
+        t = np.sort(np.concatenate([detected, dark]), kind="stable")
         streams.append(np.rint(t, out=t).astype(np.int64))
     return tuple(streams)
 
@@ -284,27 +312,22 @@ def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     stamped at pulse_index * rep_period + emit_time + Gaussian jitter.
     Dark counts are an independent Poisson process per channel.
 
+    Draws: detection for every event, then channel and jitter for the
+    detected ones only, then the dark counts.
+
     Returns (times_channel0, times_channel1) as int64 ps, each sorted.
     """
     g = rng.generator()
-    n = len(batch)
     period = setup.rep_period_ps
     sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
 
-    kept = _selection(g.random(n) < setup.eta_total)
-    channels = g.integers(0, 2, size=n)[kept]
+    kept = _selection(_bernoulli(g, setup.eta_total, len(batch)))
     times = _click_times(batch, kept, period)
+    channels = _bernoulli(g, 0.5, times.size)
     if sigma_j > 0:
-        times += g.normal(0.0, sigma_j, size=n)[kept]
+        times += g.normal(0.0, sigma_j, size=times.size)
     dark0, dark1 = _dark_clicks(g, setup, batch.n_pulses * period)
     return _finalize_streams(times, channels, dark0, dark1)
-
-
-def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
-    """Index of the first element of each run of equal values."""
-    first = np.ones(sorted_values.size, dtype=bool)
-    first[1:] = sorted_values[1:] != sorted_values[:-1]
-    return np.flatnonzero(first)
 
 
 def _empirical_pair_overlap(qd_pulses: np.ndarray, n_pulses: int, overlap: float) -> float:
@@ -346,29 +369,42 @@ def _empirical_pair_overlap(qd_pulses: np.ndarray, n_pulses: int, overlap: float
     return min(1.0, max(0.0, m_pair))
 
 
-def _greedy_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray):
-    """Event indices of the QD photon pairs that meet in the interferometer.
+def _kept_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray,
+                detected: np.ndarray):
+    """Event indices of the detected QD photon pairs that meet in the interferometer.
 
-    The first long-arm QD photon in a slot meets the first short-arm QD
-    photon of the same slot.  A photon's slot is its pulse index plus its
-    arm, so the long photon of pulse k meets the short photon of pulse
-    k + 1.  ``pulse_index`` must be sorted.  Returns (long_photon,
-    short_photon) index arrays ordered by slot.
+    ``arm`` is True for the long arm.  On the full batch, the first
+    long-arm QD photon of pulse k meets the first short-arm QD photon of
+    pulse k + 1.  This returns only the pairs in which both photons are
+    ``detected``, as (long_photon, short_photon) index arrays ordered by
+    pulse.  A detected photon that is not the first of its arm in its pulse
+    stays unpaired even when the first one was not detected.
+    ``pulse_index`` must be sorted.
     """
-    long_idx = np.flatnonzero(qd & (arm == 1))
-    short_idx = np.flatnonzero(qd & (arm == 0))
-    long_idx = long_idx[_first_of_runs(pulse_index[long_idx])]
-    short_idx = short_idx[_first_of_runs(pulse_index[short_idx])]
-    # rank[i]: rank of event i's pulse among the distinct pulses, from 1.
-    # Pulse k + 1, if it has events, is the pulse ranked next after k.
-    new_pulse = np.ones(pulse_index.size, dtype=bool)
-    np.not_equal(pulse_index[1:], pulse_index[:-1], out=new_pulse[1:])
-    rank = np.cumsum(new_pulse)
-    short_of_rank = np.full(pulse_index.size + 2, -1)
-    short_of_rank[rank[short_idx]] = short_idx
-    partner = short_of_rank[rank[long_idx] + 1]
-    met = (partner >= 0) & (pulse_index[partner] == pulse_index[long_idx] + 1)
-    return long_idx[met], partner[met]
+    # Only events that share their pulse with the event before them can be
+    # preceded by an earlier photon of their pulse and arm, and few pulses
+    # hold more than one event.  Walk each of them back through its pulse.
+    later = np.flatnonzero(pulse_index[1:] == pulse_index[:-1]) + 1
+    earlier = later - 1
+    shadowed = np.zeros(pulse_index.size, dtype=bool)
+    while later.size:
+        clash = qd[earlier] & (arm[earlier] == arm[later])
+        shadowed[later[clash]] = True
+        go_on = ~clash & (earlier > 0)
+        later, earlier = later[go_on], earlier[go_on] - 1
+        same = pulse_index[earlier] == pulse_index[later]
+        later, earlier = later[same], earlier[same]
+
+    first = qd & detected & ~shadowed
+    long_idx = np.flatnonzero(first & arm)
+    short_idx = np.flatnonzero(first & ~arm)
+    # A pulse holds at most one first photon per arm, so the short-arm
+    # pulses are sorted and unique.  The -1 sentinel meets no long photon.
+    short_pulse = np.append(pulse_index[short_idx], -1)
+    want = pulse_index[long_idx] + 1
+    at = np.searchsorted(short_pulse[:-1], want)
+    met = short_pulse[at] == want
+    return long_idx[met], short_idx[at[met]]
 
 
 def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: float):
@@ -381,6 +417,13 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     probability derived from ``overlap``; everything else routes
     independently.  Laser-leak photons never coalesce.  Efficiency,
     jitter and dark counts are applied as in :func:`hbt_streams`.
+
+    Draws: the arm of every event, then detection for every event, then
+    coalescence and the joint port for the meeting pairs whose photons
+    are both detected, then channel and jitter for the detected events,
+    then the dark counts.  A coalesced pair that loses a photon leaves one
+    click on a uniformly random port, which is independent routing, so
+    the pairs with a lost photon need no draw of their own.
 
     The events must be sorted by pulse index, as
     :func:`simulate_pulse_train` returns them.
@@ -397,20 +440,23 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     qd = batch.qd_mask()
     m_pair = _empirical_pair_overlap(batch.pulse_index[_selection(qd)], batch.n_pulses, overlap)
 
-    arm = g.integers(0, 2, size=n)
-    pair_a, pair_b = _greedy_pairs(batch.pulse_index, qd, arm)
-    coalesce = g.random(pair_a.size) < m_pair
-    joint_port = g.integers(0, 2, size=pair_a.size)
-    channels = g.integers(0, 2, size=n)
-    channels[pair_a[coalesce]] = joint_port[coalesce]
-    channels[pair_b[coalesce]] = joint_port[coalesce]
+    arm = _bernoulli(g, 0.5, n)
+    detected = _bernoulli(g, setup.eta_total, n)
+    pair_a, pair_b = _kept_pairs(batch.pulse_index, qd, arm, detected)
+    coalesce = _bernoulli(g, m_pair, pair_a.size)
+    pair_a, pair_b = pair_a[coalesce], pair_b[coalesce]
+    joint_port = _bernoulli(g, 0.5, pair_a.size)
 
-    kept = _selection(g.random(n) < setup.eta_total)
-    channels = channels[kept]
+    kept = _selection(detected)
     times = _click_times(batch, kept, period)
     times += arm[kept] * delay
+    channels = _bernoulli(g, 0.5, times.size)
+    if isinstance(kept, np.ndarray):
+        # Positions of the paired events among the detected ones.
+        pair_a, pair_b = np.searchsorted(kept, pair_a), np.searchsorted(kept, pair_b)
+    channels[pair_a] = joint_port
+    channels[pair_b] = joint_port
     if sigma_j > 0:
-        times += g.normal(0.0, sigma_j, size=n)[kept]
+        times += g.normal(0.0, sigma_j, size=times.size)
     dark0, dark1 = _dark_clicks(g, setup, batch.n_pulses * period)
     return _finalize_streams(times, channels, dark0, dark1)
-

@@ -3,8 +3,9 @@
 Each source gets an independent family of RNG streams derived from the
 global seed and its position in the config, so per-source work can run on
 any number of threads with byte-identical results.  Every artifact file
-starts with a header carrying the tool version, the seed and the config
-hash; nothing time- or host-dependent is ever written.
+starts with a header carrying the tool version, the seed, the config
+hash and the stream layout; nothing time- or host-dependent is ever
+written.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .correlation import (
 from .dynamics import phi_scan_model
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import SetupParams, SourceParams, TransitionKind
-from .photon_sim import RngSpec, hbt_streams, hom_streams, simulate_pulse_train
+from .photon_sim import STREAM_LAYOUT, RngSpec, hbt_streams, hom_streams, simulate_pulse_train
 from .report import SourceReport, aggregate_benchmark, emit_report
 
 _STREAMS_PER_SOURCE = 8
@@ -85,7 +86,8 @@ class PipelineResult:
 
 
 def file_header(seed: int, config_hash: str) -> str:
-    return f"# qdbench {__version__} seed={seed} config={config_hash}"
+    return (f"# qdbench {__version__} seed={seed} config={config_hash} "
+            f"stream_layout={STREAM_LAYOUT}")
 
 
 def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str):

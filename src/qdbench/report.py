@@ -203,6 +203,7 @@ def emit_report(
         f.write(render_report(summary, reports, fmt, header=header))
 
 
-def parse_reports_json(text: str) -> list[SourceReport]:
+def parse_reports_json(text: str) -> tuple[list[SourceReport], str | None]:
+    """The source reports of a structured-json report, and its header (None without one)."""
     payload = json.loads(text)
-    return [SourceReport.from_dict(d) for d in payload["sources"]]
+    return [SourceReport.from_dict(d) for d in payload["sources"]], payload.get("_header")

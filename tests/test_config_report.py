@@ -1,4 +1,3 @@
-import json
 from dataclasses import fields
 
 import pytest
@@ -244,9 +243,8 @@ class TestEmitReport:
         path = tmp_path / "fleet.json"
         emit_report(summary, self.reports, "structured-json", path,
                     header="# test seed=1 config=x")
-        payload = json.loads(path.read_text())
-        assert payload["_header"] == "test seed=1 config=x"
-        back = parse_reports_json(path.read_text())
+        back, header = parse_reports_json(path.read_text())
+        assert header == "test seed=1 config=x"
         assert sorted(r.label for r in back) == ["S11", "S13", "S7"]
         by_label = {r.label: r for r in back}
         for r in self.reports:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from conftest import (
@@ -22,10 +24,11 @@ from qdbench.photon_sim import (
     Origin,
     RngSpec,
     UnsamplableEmissionError,
+    _bernoulli,
     _empirical_pair_overlap,
     _exciton_inverse_cdf_table,
-    _greedy_pairs,
     _interp_sorted,
+    _kept_pairs,
     _simulate_chunk,
     hbt_streams,
     hom_streams,
@@ -39,6 +42,38 @@ S11 = trion_source(S11_TAU_PS, brightness_first_lens=0.147, label="S11")
 
 def qd_photons_per_pulse(batch: EventBatch) -> np.ndarray:
     return np.bincount(batch.pulse_index[batch.qd_mask()], minlength=batch.n_pulses)
+
+
+def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
+    """Index of the first element of each run of equal values."""
+    first = np.ones(sorted_values.size, dtype=bool)
+    first[1:] = sorted_values[1:] != sorted_values[:-1]
+    return np.flatnonzero(first)
+
+
+def greedy_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray):
+    """Reference pairing of every QD photon, detected or not.
+
+    The first long-arm QD photon in a slot meets the first short-arm QD
+    photon of the same slot.  A photon's slot is its pulse index plus its
+    arm, so the long photon of pulse k meets the short photon of pulse
+    k + 1.  ``pulse_index`` must be sorted.  Returns (long_photon,
+    short_photon) index arrays ordered by slot.
+    """
+    long_idx = np.flatnonzero(qd & (arm == 1))
+    short_idx = np.flatnonzero(qd & (arm == 0))
+    long_idx = long_idx[_first_of_runs(pulse_index[long_idx])]
+    short_idx = short_idx[_first_of_runs(pulse_index[short_idx])]
+    # rank[i]: rank of event i's pulse among the distinct pulses, from 1.
+    # Pulse k + 1, if it has events, is the pulse ranked next after k.
+    new_pulse = np.ones(pulse_index.size, dtype=bool)
+    np.not_equal(pulse_index[1:], pulse_index[:-1], out=new_pulse[1:])
+    rank = np.cumsum(new_pulse)
+    short_of_rank = np.full(pulse_index.size + 2, -1)
+    short_of_rank[rank[short_idx]] = short_idx
+    partner = short_of_rank[rank[long_idx] + 1]
+    met = (partner >= 0) & (pulse_index[partner] == pulse_index[long_idx] + 1)
+    return long_idx[met], partner[met]
 
 
 class TestSampleEmissionTime:
@@ -96,6 +131,33 @@ class TestSampleEmissionTime:
             drawn = sample_emission_time(RngSpec(16, 0).generator(), S7, size=size)
             u = RngSpec(16, 0).generator().random(size)
             assert np.array_equal(bits(drawn), bits(np.interp(u, cdf, t)))
+
+
+class TestBernoulli:
+    @pytest.mark.parametrize("p", [0.045, 0.3, 0.5])
+    def test_frequency_within_4_sigma(self, p):
+        n = 1_000_001
+        hits = np.count_nonzero(_bernoulli(RngSpec(17, 0).generator(), p, n))
+        assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+
+    @pytest.mark.parametrize("p,expected", [(0.0, False), (1.0, True)])
+    def test_certain_outcomes_draw_the_same_words(self, p, expected):
+        g = RngSpec(18, 0).generator()
+        assert np.all(_bernoulli(g, p, 1001) == expected)
+        # ceil(1001 / 2) words are drawn whatever p is.
+        words = RngSpec(18, 0).generator().bit_generator.random_raw(502)
+        assert g.bit_generator.random_raw() == words[-1]
+        assert _bernoulli(g, p, 0).size == 0
+
+    def test_decisions_independent_of_host_byte_order(self):
+        # Decision 2i reads the low 32 bits of word i and decision 2i + 1
+        # its high 32 bits, as values, so no byte order enters.
+        words = RngSpec(19, 0).generator().bit_generator.random_raw(500)
+        halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()
+        got = _bernoulli(RngSpec(19, 0).generator(), 0.3, 999)
+        assert np.array_equal(got, (halves < round(0.3 * 2**32))[:999])
+        digest = hashlib.sha256(np.packbits(got).tobytes()).hexdigest()
+        assert digest[:16] == "8a6fd61dd83a5a42"
 
 
 class TestSimulatePulseTrain:
@@ -350,7 +412,7 @@ class TestHomStreams:
         short_slots, short_first = np.unique(slot[short_idx], return_index=True)
         _, li, si = np.intersect1d(long_slots, short_slots, assume_unique=True,
                                    return_indices=True)
-        pair_a, pair_b = _greedy_pairs(pulse, qd, arm)
+        pair_a, pair_b = greedy_pairs(pulse, qd, arm)
         assert pair_a.size > 1000
         assert np.array_equal(pair_a, long_idx[long_first[li]])
         assert np.array_equal(pair_b, short_idx[short_first[si]])
@@ -384,6 +446,51 @@ class TestHomStreams:
         far = 0.25 * (areas[2] + areas[-2] + areas[3] + areas[-3])
         assert near / far == pytest.approx(0.75, abs=0.02)
 
+    @pytest.mark.parametrize("overlap", [1.0, 0.6])
+    def test_thinning_before_routing_keeps_the_interference_law(self, overlap):
+        # With p2 = 0 the raw visibility equals the pair overlap whatever
+        # the efficiency, so lossy and lossless runs must agree.
+        from qdbench.correlation import build_histogram, hom_visibility
+
+        src = trion_source(S11_TAU_PS, brightness_first_lens=0.3)
+        vis = []
+        for setup, n in ((SetupParams(), 4_000_000),
+                         (SetupParams(eta_setup=1.0, eta_det=1.0), 500_000)):
+            batch = simulate_pulse_train(RngSpec(48, 0), src, setup, n)
+            t0, t1 = hom_streams(RngSpec(48, 1), batch, setup, overlap)
+            period = setup.rep_period_ps
+            vis.append(hom_visibility(build_histogram(t0, t1, 100.0, 10.5 * period, period)))
+        lossy, lossless = vis
+        assert lossy.side_mean > 1000
+        assert abs(lossy.value - lossless.value) <= 4 * math.hypot(lossy.std_err,
+                                                                   lossless.std_err)
+
+
+@st.composite
+def _paired_batches(draw):
+    """Pulses of zero to three events across a chunk edge, with arms and detections."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 400))
+    per_pulse = rng.choice(4, size=n, p=[0.3, 0.3, 0.25, 0.15])
+    start = CHUNK_PULSES - n // 2
+    pulse = np.repeat(np.arange(start, start + n, dtype=np.int64), per_pulse)
+    origin = rng.choice([Origin.QD_FIRST, Origin.QD_REEXCITE, Origin.LASER],
+                        size=pulse.size, p=[0.5, 0.3, 0.2])
+    arm = rng.random(pulse.size) < 0.5
+    detected = _bernoulli(rng, draw(st.sampled_from([0.0, 0.12, 1.0])), pulse.size)
+    return pulse, origin <= Origin.QD_REEXCITE, arm, detected
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_paired_batches())
+def test_kept_pairs_are_the_full_batch_pairs_both_detected(case):
+    pulse, qd, arm, detected = case
+    long_ref, short_ref = greedy_pairs(pulse, qd, arm)
+    both = detected[long_ref] & detected[short_ref]
+    long_kept, short_kept = _kept_pairs(pulse, qd, arm, detected)
+    assert np.array_equal(long_kept, long_ref[both])
+    assert np.array_equal(short_kept, short_ref[both])
+
 
 def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
     """SHA-256 over every array one HBT and one HOM train produce."""
@@ -403,23 +510,23 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
     return h.hexdigest()
 
 
-#: Pinned stream digests.  A change to any random draw, its order or the
-#: event layout changes them; such a change must bump the stream layout
-#: deliberately and record new digests.  Click arrays are hashed as the
-#: int64 picoseconds the stream functions return.
+#: Pinned stream digests of stream layout 2.  A change to any random draw,
+#: its order or the event layout changes them; such a change must bump
+#: ``STREAM_LAYOUT`` deliberately and record new digests.  Click arrays are
+#: hashed as the int64 picoseconds the stream functions return.
 _GOLDEN_DIGESTS = {
     ("exciton", "default"):
-        "9aca3de9cdb10d092582b171d8c2ddd3f5da338098b078d73ca493d54053583f",
+        "f438eb05296fde88eb82b90df7d72f1756bce05580928096d5dc2de9e4ab4bdc",
     ("exciton", "lossless"):
-        "6624fc93d62f7b32c716039c12012becde71e6f9d3961a6d4c30f5e494b2a57c",
+        "2ae31878b6c54b249deb6fdb53d94f06180457e5ff8d4753664eef79ec7d80c1",
     ("exciton", "leak_dark"):
-        "bcbb6fb2c0b27bd8a72592c51a595244e42e09217abdaaa4d32e117621ce5219",
+        "2f3ef5ecd0eacc8a3415204ced9a995184e3309a9ccb471bb331eb5318eb82e2",
     ("trion", "default"):
-        "1c215408a0ad6cfea86d8299d3bc4102b979ab918a39e79458eb36acbc18b702",
+        "86981a653622834c482772ee45c78e28e94ebf97e2f8770c7285180e3f662fde",
     ("trion", "lossless"):
-        "16629b60d7536f1b046b4858c4b643356a85185fccc33eb3ef21b92fce4a4f28",
+        "0536f784d36a245f0c37c3974b3c827301ce7cd89662edb0c760def95509e20e",
     ("trion", "leak_dark"):
-        "e26da554bfb92a60e18cc52ef76b429b77da3a17346adfa5bbeb25fd16c45abf",
+        "408bdf6bffec394efc6466d202e1b9aace4d5c9fd3b4669128a22fdc45ce347d",
 }
 
 

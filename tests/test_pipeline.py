@@ -164,6 +164,7 @@ class TestRunPipeline:
         assert text.startswith("# qdbench 0.1.0")
         assert "seed=21" in text
         assert cfg.config_hash in text
+        assert text.endswith(" stream_layout=2")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "seed=21" in summary["_header"]
 
@@ -200,16 +201,17 @@ def _click_streams(draw):
 
 
 #: SHA-256 of the concatenated ``pipeline --save-clicks`` click files of the
-#: golden fleet, recorded with the original row-by-row writer.
-_GOLDEN_CLICK_SEED = 51
+#: golden fleet under stream layout 2.  The seed is the first one whose
+#: leak_dark files hold a click before t = 0 (about one seed in 300 does).
+_GOLDEN_CLICK_SEED = 133
 _GOLDEN_CLICK_PULSES = 100_000
 _GOLDEN_CLICK_DIGESTS = {
     "default":
-        "f50f5824bbedb05c1fea4e93d9812cc87881d00f6e925be73b89b2a1af260234",
+        "d7cbbf9c34ad8d22987fe9a8c99868f2b9408138134436b7b35e28c376b0239c",
     "lossless":
-        "767f2bfa71b1e3fae1da47c7cef905da6d923d1544d04d87af752c036ccdffa1",
+        "caf5e0eb6297e844012ad2f3b18e2b41d0c6462f39987ac1b4f299185a83dae9",
     "leak_dark":
-        "6f367cb000bc9bd690f1f793b5d29600193a3351cdf7b36f621e5f5609733ff3",
+        "1e6949b939aaf942584819a52c761243bf74c2d4e332be1fa35ca8ed39663f59",
 }
 
 
@@ -417,7 +419,10 @@ class TestCli:
             "report", "--reports", str(out / "summary.json"), "--format", "csv",
             "--out", str(tmp_path / "rep"),
         ]) == 0
-        assert (tmp_path / "rep" / "summary.csv").exists()
+        # The summary carries the provenance line of the run it summarises.
+        first_line = (tmp_path / "rep" / "summary.csv").read_text().splitlines()[0]
+        assert first_line.startswith("# qdbench ") and first_line.endswith(" stream_layout=2")
+        assert first_line == (out / "summary.csv").read_text().splitlines()[0]
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
