@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 validation/usage error or unreadable input file,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -28,7 +27,6 @@ from .correlation import (
     corrected_overlap,
     g2_zero,
     hom_visibility,
-    write_histogram,
 )
 from .dynamics import PhiScanPoint
 from .inference import DecayTrace, classify_transition, fit_decay
@@ -37,9 +35,12 @@ from .pipeline import (
     HISTOGRAM_PERIODS,
     PipelineOptions,
     file_header,
+    read_header,
     read_timestamps,
     run_pipeline,
     source_clicks,
+    write_histogram,
+    write_json,
     write_timestamps,
 )
 from .report import aggregate_benchmark, emit_report, parse_reports_json
@@ -80,14 +81,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _print_file(path):
+    with open(path) as f:
+        print(f.read())
+
+
 def _cmd_analyze(args) -> int:
     t0, t1 = read_timestamps(args.timestamps)
+    header = read_header(args.timestamps)
     period = 1e6 / args.rep_rate_mhz
     hist = build_histogram(t0, t1, args.bin_width, HISTOGRAM_PERIODS * period, period)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.timestamps))[0]
-    write_histogram(hist, os.path.join(args.out, f"{stem}_histogram.csv"),
-                    meta={"seed": args.seed})
+    write_histogram(hist, os.path.join(args.out, f"{stem}_histogram.csv"), header)
     result: dict = {"mode": args.mode}
     if args.mode == "hbt":
         g2 = g2_zero(hist, args.window)
@@ -100,10 +106,9 @@ def _cmd_analyze(args) -> int:
         if args.g2 is not None:
             m = corrected_overlap(vis.value, args.g2)
             result.update(overlap_corrected=m.value, overlap_clamped=m.clamped)
-    out_path = os.path.join(args.out, f"{stem}_estimates.json")
-    with open(out_path, "w") as f:
-        json.dump(result, f, indent=2, sort_keys=True)
-    print(json.dumps(result, indent=2, sort_keys=True))
+    path = os.path.join(args.out, f"{stem}_estimates.json")
+    write_json(path, result, header)
+    _print_file(path)
     return 0
 
 
@@ -114,9 +119,9 @@ def _cmd_fit(args) -> int:
     trace = DecayTrace(t, counts, TransitionKind(args.kind))
     payload = fit_decay(trace, irf_fwhm_ps=args.irf_fwhm).to_dict()
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "fit.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    path = os.path.join(args.out, "fit.json")
+    write_json(path, payload, read_header(args.trace))
+    _print_file(path)
     return 0
 
 
@@ -126,9 +131,9 @@ def _cmd_classify(args) -> int:
     points = list(map(PhiScanPoint, phi.tolist(), cavity.tolist(), qd.tolist()))
     payload = classify_transition(points).to_dict()
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "classification.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    path = os.path.join(args.out, "classification.json")
+    write_json(path, payload, read_header(args.phiscan))
+    _print_file(path)
     return 0
 
 
@@ -141,8 +146,7 @@ def _cmd_report(args) -> int:
     path = os.path.join(args.out, f"summary.{suffix}")
     # The summary keeps the provenance of the run that wrote its input.
     emit_report(summary, reports, args.format, path, header=header)
-    with open(path) as f:
-        print(f.read())
+    _print_file(path)
     return 0
 
 
@@ -184,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep-rate-mhz", type=float, default=81.0)
     p.add_argument("--g2", type=float, default=None,
                    help="g2 value used to correct the HOM visibility")
-    _add_flags(p, "--seed", "--out", "--bin-width", "--window")
+    p.add_argument("--seed", type=int, help="ignored: outputs carry the timestamp file's header")
+    _add_flags(p, "--out", "--bin-width", "--window")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fit", help="fit a decay trace")

@@ -66,7 +66,6 @@ class PeakIntegral:
 
     peak_index: int
     area: int
-    window_ps: float
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,6 @@ class G2Result:
     std_err: float
     zero_area: int
     side_mean: float
-    n_side_peaks: int
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,6 @@ class HomResult:
     std_err: float
     zero_area: int
     side_mean: float
-    n_side_peaks: int
 
 
 @dataclass(frozen=True)
@@ -178,7 +175,7 @@ def integrate_peaks(
         if abs(center) + window_ps > span + tol:
             raise ValueError(f"peak {k} at {center:.0f} ps lies outside the histogram span")
         mask = np.abs(hist.delays_ps - center) <= window_ps + tol
-        out.append(PeakIntegral(peak_index=k, area=int(hist.counts[mask].sum()), window_ps=window_ps))
+        out.append(PeakIntegral(peak_index=k, area=int(hist.counts[mask].sum())))
     return out
 
 
@@ -201,7 +198,7 @@ def _peak_ratio(hist, window_ps, side_peaks):
         math.sqrt(a0) / s_mean,
         a0 * math.sqrt(side_areas.sum()) / (n * s_mean**2),
     )
-    return ratio, err, a0, s_mean, n
+    return ratio, err, a0, s_mean
 
 
 def g2_zero(
@@ -210,8 +207,8 @@ def g2_zero(
     side_peaks=DEFAULT_SIDE_PEAKS,
 ) -> G2Result:
     """Zero-delay autocorrelation normalized by the mean side peak."""
-    ratio, err, a0, s_mean, n = _peak_ratio(hist, window_ps, side_peaks)
-    return G2Result(value=ratio, std_err=err, zero_area=a0, side_mean=s_mean, n_side_peaks=n)
+    ratio, err, a0, s_mean = _peak_ratio(hist, window_ps, side_peaks)
+    return G2Result(value=ratio, std_err=err, zero_area=a0, side_mean=s_mean)
 
 
 def hom_visibility(
@@ -224,13 +221,12 @@ def hom_visibility(
     The |k| = 1 side peaks are partially suppressed by the interferometer
     pairing and are excluded from the default normalization set.
     """
-    ratio, err, a0, s_mean, n = _peak_ratio(hist, window_ps, side_peaks)
+    ratio, err, a0, s_mean = _peak_ratio(hist, window_ps, side_peaks)
     return HomResult(
         value=1.0 - 2.0 * ratio,
         std_err=2.0 * err,
         zero_area=a0,
         side_mean=s_mean,
-        n_side_peaks=n,
     )
 
 
@@ -269,17 +265,3 @@ def brightness_chain(detected_rate_cps: float, setup: SetupParams) -> Brightness
         fibered_brightness=fibered_b,
         first_lens_brightness=first_lens_b,
     )
-
-
-def write_histogram(hist: CorrelationHistogram, path, meta: dict | None = None):
-    """Write a histogram as delimited text: bin_center_ps,counts."""
-    lines = []
-    head = f"# bin_width_ps={hist.bin_width_ps!r} rep_period_ps={hist.rep_period_ps!r}"
-    if meta:
-        head += " " + " ".join(f"{k}={v}" for k, v in meta.items())
-    lines.append(head)
-    lines.append("bin_center_ps,counts")
-    for d, c in zip(hist.delays_ps, hist.counts):
-        lines.append(f"{float(d)!r},{int(c)}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")

@@ -24,7 +24,6 @@ class LMResult:
     rss: float
     n_iter: int
     converged: bool
-    grad_norm: float
 
     @property
     def std_errs(self) -> np.ndarray:
@@ -67,7 +66,6 @@ def levenberg_marquardt(
     nu = 2.0
     n_iter = 0
     converged = False
-    grad_norm = np.inf
 
     j = np.asarray(jac(p), dtype=float)
     a = j.T @ j
@@ -119,5 +117,4 @@ def levenberg_marquardt(
         rss=rss,
         n_iter=n_iter,
         converged=converged,
-        grad_norm=float(np.max(np.abs(g))),
     )

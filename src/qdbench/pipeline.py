@@ -2,10 +2,11 @@
 
 Each source gets an independent family of RNG streams derived from the
 global seed and its position in the config, so per-source work can run on
-any number of threads with byte-identical results.  Every artifact file
-starts with a header carrying the tool version, the seed, the config
-hash and the stream layout; nothing time- or host-dependent is ever
-written.
+any number of threads with byte-identical results.  Every command writes
+its artifacts through this module's writers.  A header is the bare line of
+:func:`file_header` (version, seed, config hash, stream layout): text files
+start with it behind ``# ``, JSON files hold it as ``_header``, and
+``None`` writes neither.  Nothing time- or host-dependent is ever written.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .correlation import (
     corrected_overlap,
     g2_zero,
     hom_visibility,
-    write_histogram,
 )
 from .dynamics import phi_scan_model
 from .inference import DecayTrace, classify_transition, fit_decay
@@ -86,11 +86,44 @@ class PipelineResult:
 
 
 def file_header(seed: int, config_hash: str) -> str:
-    return (f"# qdbench {__version__} seed={seed} config={config_hash} "
+    return (f"qdbench {__version__} seed={seed} config={config_hash} "
             f"stream_layout={STREAM_LAYOUT}")
 
 
-def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str):
+def read_header(path) -> str | None:
+    """The provenance line a file starts with, or None for a hand-made file."""
+    with open(path) as f:
+        line = f.readline()
+    return line[2:].rstrip("\n") if line.startswith("# qdbench ") else None
+
+
+def _comment(header: str | None) -> str:
+    return "" if header is None else f"# {header}\n"
+
+
+def write_table(path, header: str | None, names, columns, notes: str | None = None):
+    """Write ``# header``, a ``# notes`` line, the column names, then rows (floats by repr)."""
+    cells = (map(repr, np.asarray(column).tolist()) for column in columns)
+    with open(path, "w") as f:
+        f.write(_comment(header) + _comment(notes) + ",".join(names) + "\n")
+        f.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def write_histogram(hist, path, header: str | None):
+    """Write a histogram's ``bin_center_ps,counts`` rows under its bin width and period."""
+    write_table(path, header, ("bin_center_ps", "counts"), (hist.delays_ps, hist.counts),
+                f"bin_width_ps={hist.bin_width_ps!r} rep_period_ps={hist.rep_period_ps!r}")
+
+
+def write_json(path, payload: dict, header: str | None):
+    """Write ``payload`` as indented JSON with sorted keys, ``header`` as ``_header``."""
+    if header is not None:
+        payload = {"_header": header, **payload}
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+
+
+def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str | None):
     """Write two sorted integer-picosecond click streams as merged rows.
 
     Rows are sorted by time, then channel; clicks from pulse 0 can have
@@ -106,7 +139,7 @@ def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str):
     channel = (order >= t0.size).astype(np.uint8)
     times = times[order]
     with open(path, "wb") as f:
-        f.write(f"{header}\n# channel,time_ps\n".encode())
+        f.write(f"{_comment(header)}# channel,time_ps\n".encode())
         for lo in range(0, times.size, _WRITE_BLOCK_ROWS):
             hi = lo + _WRITE_BLOCK_ROWS
             f.write(_format_rows(channel[lo:hi], times[lo:hi]).tobytes())
@@ -223,7 +256,7 @@ def analyze_source(
     n_pulses: int,
     options: PipelineOptions = PipelineOptions(),
     out_dir: str | None = None,
-    header: str = "",
+    header: str | None = None,
 ) -> SourceReport:
     """Simulate one source and recover all of its figures of merit.
 
@@ -288,26 +321,15 @@ def _write_source_artifacts(out_dir, header, options, report, fit, classificatio
                             hbt_hist, hom_hist, trace, phi_points, clicks):
     src_dir = os.path.join(out_dir, report.label)
     os.makedirs(src_dir, exist_ok=True)
-    meta = {"source": report.label, "provenance": header.strip("# ").replace(" ", "_")}
-    write_histogram(hbt_hist, os.path.join(src_dir, "hbt_histogram.csv"), meta=meta)
-    write_histogram(hom_hist, os.path.join(src_dir, "hom_histogram.csv"), meta=meta)
-
-    with open(os.path.join(src_dir, "decay_trace.csv"), "w") as f:
-        f.write(header + "\n")
-        f.write("t_ps,counts\n")
-        for t, c in zip(trace.t_ps.tolist(), trace.counts.tolist()):
-            f.write(f"{t!r},{int(c)}\n")
-
+    write_histogram(hbt_hist, os.path.join(src_dir, "hbt_histogram.csv"), header)
+    write_histogram(hom_hist, os.path.join(src_dir, "hom_histogram.csv"), header)
+    write_table(os.path.join(src_dir, "decay_trace.csv"), header, ("t_ps", "counts"),
+                (trace.t_ps, trace.counts.astype(np.int64)))
     for name, payload in (("fit", fit), ("classification", classification), ("report", report)):
-        with open(os.path.join(src_dir, f"{name}.json"), "w") as f:
-            json.dump({"_header": header.strip("# "), **payload.to_dict()}, f,
-                      indent=2, sort_keys=True)
-
-    with open(os.path.join(src_dir, "phi_scan.csv"), "w") as f:
-        f.write(header + "\n")
-        f.write("phi_rad,cavity_light,qd_light\n")
-        for p in phi_points:
-            f.write(f"{p.phi_rad!r},{p.cavity_light!r},{p.qd_light!r}\n")
+        write_json(os.path.join(src_dir, f"{name}.json"), payload.to_dict(), header)
+    write_table(os.path.join(src_dir, "phi_scan.csv"), header,
+                ("phi_rad", "cavity_light", "qd_light"),
+                zip(*((p.phi_rad, p.cavity_light, p.qd_light) for p in phi_points)))
 
     if options.save_clicks:
         hbt0, hbt1, hom0, hom1 = clicks
@@ -360,7 +382,6 @@ def run_pipeline(
             ):
                 emit_report(summary, reports, fmt, os.path.join(out_dir, name), header=header)
         if failures:
-            with open(os.path.join(out_dir, "failures.json"), "w") as f:
-                json.dump({"_header": header.strip("# "), **failures}, f, indent=2, sort_keys=True)
+            write_json(os.path.join(out_dir, "failures.json"), failures, header)
 
     return PipelineResult(reports=reports, summary=summary, failures=failures)

@@ -7,7 +7,6 @@ always by source label so reruns are byte-identical.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -135,8 +134,9 @@ def render_report(
 ) -> str:
     """Render the fleet report in one of: table-text, structured-json, csv.
 
-    ``header`` (tool version, seed, config hash) becomes a leading comment
-    line for text formats and a "_header" field for JSON.
+    ``header`` is the bare provenance line (``pipeline.file_header``).  Text
+    formats start with it behind ``# ``, and JSON holds it as ``_header``;
+    ``None`` writes neither.
     """
     reports = _sorted_reports(reports)
     if fmt == "structured-json":
@@ -150,36 +150,30 @@ def render_report(
             "sources": [r.to_dict() for r in reports],
         }
         if header is not None:
-            payload["_header"] = header.lstrip("# ").strip()
+            payload["_header"] = header
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    prefix = "" if header is None else (header if header.startswith("#") else "# " + header)
+    lines = [] if header is None else [f"# {header}"]
     if fmt == "csv":
-        buf = io.StringIO()
-        if prefix:
-            buf.write(prefix.strip() + "\n")
-        buf.write(",".join(_CSV_FIELDS) + "\n")
+        lines.append(",".join(_CSV_FIELDS))
         for r in reports:
             d = r.to_dict()
-            buf.write(",".join(_csv_cell(d[field]) for field in _CSV_FIELDS) + "\n")
-        return buf.getvalue()
+            lines.append(",".join(_csv_cell(d[field]) for field in _CSV_FIELDS))
+        return "\n".join(lines) + "\n"
     if fmt == "table-text":
-        lines = []
-        if prefix:
-            lines.append(prefix.strip())
         lines.append(f"std convention: {summary.std_convention}")
-        header = (
+        columns = (
             f"{'label':<10}{'kind':<9}{'g2':>9}{'V_raw':>9}{'M':>9}"
             f"{'B_lens':>9}{'tau_ps':>9}{'lambda_nm':>11}"
         )
-        lines.append(header)
-        lines.append("-" * len(header))
+        lines.append(columns)
+        lines.append("-" * len(columns))
         for r in reports:
             lines.append(
                 f"{r.label:<10}{r.kind.value:<9}{r.g2:>9.4f}{r.v_raw:>9.4f}"
                 f"{r.overlap_corrected:>9.4f}{r.first_lens_brightness:>9.4f}"
                 f"{r.tau_fit_ps:>9.1f}{r.wavelength_nm:>11.2f}"
             )
-        lines.append("-" * len(header))
+        lines.append("-" * len(columns))
         for group in ("exciton", "trion", "all"):
             st = summary.stats[group]
             lines.append(

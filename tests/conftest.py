@@ -91,7 +91,7 @@ def synth_trace(
 
 
 def read_histogram(path) -> CorrelationHistogram:
-    """Read a histogram file back; the inverse of ``correlation.write_histogram``."""
+    """Read a histogram file back; the inverse of ``pipeline.write_histogram``."""
     with open(path) as f:
         lines = f.readlines()
     header = {}

@@ -228,7 +228,7 @@ class TestEmitReport:
     def test_csv_round_trip_exact(self, tmp_path):
         summary = aggregate_benchmark(self.reports)
         path = tmp_path / "fleet.csv"
-        emit_report(summary, self.reports, "csv", path, header="# test seed=1 config=x")
+        emit_report(summary, self.reports, "csv", path, header="test seed=1 config=x")
         back = parse_reports_csv(path.read_text())
         assert len(back) == 3
         by_label = {r.label: r for r in back}
@@ -242,7 +242,7 @@ class TestEmitReport:
         summary = aggregate_benchmark(self.reports)
         path = tmp_path / "fleet.json"
         emit_report(summary, self.reports, "structured-json", path,
-                    header="# test seed=1 config=x")
+                    header="test seed=1 config=x")
         back, header = parse_reports_json(path.read_text())
         assert header == "test seed=1 config=x"
         assert sorted(r.label for r in back) == ["S11", "S13", "S7"]

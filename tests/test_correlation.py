@@ -16,10 +16,10 @@ from qdbench.correlation import (
     g2_zero,
     hom_visibility,
     integrate_peaks,
-    write_histogram,
 )
 from qdbench.model import SetupParams, trion_source
 from qdbench.photon_sim import RngSpec, hbt_streams, simulate_pulse_train
+from qdbench.pipeline import write_histogram
 
 PERIOD = SetupParams().rep_period_ps
 
@@ -316,7 +316,7 @@ class TestHistogramIO:
     def test_round_trip(self, tmp_path):
         hist = make_hist(42, 137)
         path = tmp_path / "hist.csv"
-        write_histogram(hist, path, meta={"seed": 1})
+        write_histogram(hist, path, "qdbench test seed=1 config=x")
         back = read_histogram(path)
         assert back.bin_width_ps == hist.bin_width_ps
         assert back.rep_period_ps == hist.rep_period_ps

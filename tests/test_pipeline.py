@@ -154,8 +154,10 @@ class TestRunPipeline:
                 "--kind", source.kind.value,
                 "--irf-fwhm", repr(cfg.setup.jitter_fwhm_ps), "--out", str(refit),
             ]) == 0
-            expected = json.loads((src_dir / "fit.json").read_text())["params"]
-            assert json.loads((refit / "fit.json").read_text())["params"] == expected
+            assert cli_main(["classify", "--phiscan", str(src_dir / "phi_scan.csv"),
+                             "--out", str(refit)]) == 0
+            for name in ("fit.json", "classification.json"):
+                assert (refit / name).read_bytes() == (src_dir / name).read_bytes()
 
     def test_headers_carry_version_seed_and_hash(self, tmp_path):
         cfg = trion_config()
@@ -175,7 +177,7 @@ def _row_loop_reference(t0, t1, header) -> bytes:
                               np.ones(t1.size, dtype=np.int64)])
     times = np.concatenate([t0, t1])
     order = np.lexsort((channel, times))
-    lines = [header + "\n", "# channel,time_ps\n"]
+    lines = [f"# {header}\n", "# channel,time_ps\n"]
     for ch, t in zip(channel[order].tolist(), times[order].tolist()):
         lines.append(f"{ch},{t}\n")
     return "".join(lines).encode()
@@ -220,7 +222,7 @@ class TestTimestampFiles:
         t0 = np.array([-7, 3, 101, 5000])
         t1 = np.array([43, 77])
         path = tmp_path / "clicks.csv"
-        write_timestamps(path, t0, t1, "# qdbench test seed=0 config=x")
+        write_timestamps(path, t0, t1, "qdbench test seed=0 config=x")
         lines = path.read_text().splitlines()
         assert lines[1] == "# channel,time_ps"
         back0, back1 = read_timestamps(path)
@@ -230,14 +232,14 @@ class TestTimestampFiles:
 
     def test_writer_rejects_float_times(self, tmp_path):
         with pytest.raises(TypeError):
-            write_timestamps(tmp_path / "clicks.csv", np.array([1.5]), np.array([2]), "# x")
+            write_timestamps(tmp_path / "clicks.csv", np.array([1.5]), np.array([2]), "x")
 
     def test_block_writer_matches_row_loop(self, tmp_path):
         # More rows than one write block, with ties across the two channels.
         rng = np.random.default_rng(3)
         t0 = np.sort(np.rint(rng.uniform(0.0, 5e7, size=90_000)).astype(np.int64))
         t1 = np.sort(np.concatenate([rng.integers(0, 5 * 10**7, size=60_000), t0[::7]]))
-        header = "# qdbench test seed=0 config=x"
+        header = "qdbench test seed=0 config=x"
         path = tmp_path / "clicks.csv"
         write_timestamps(path, t0, t1, header)
         assert path.read_bytes() == _row_loop_reference(t0, t1, header)
@@ -246,7 +248,7 @@ class TestTimestampFiles:
     @given(streams=_click_streams(), block_rows=st.sampled_from([1, 2, 5, 1 << 16]))
     def test_writer_matches_row_loop_property(self, tmp_path_factory, streams, block_rows):
         t0, t1 = streams
-        header = "# qdbench test seed=0 config=x"
+        header = "qdbench test seed=0 config=x"
         path = tmp_path_factory.mktemp("clicks") / "clicks.csv"
         with mock.patch.object(pipeline, "_WRITE_BLOCK_ROWS", block_rows):
             write_timestamps(path, t0, t1, header)
@@ -358,7 +360,7 @@ class TestCli:
             assert cli_main(["analyze", "--timestamps", str(tmp_path / "sim" / f"{name}.csv"),
                              "--mode", mode, "--out", str(analysis), *extra]) == 0
             estimates = json.loads((analysis / f"{name}_estimates.json").read_text())
-            return estimates, read_histogram(analysis / f"{name}_histogram.csv")
+            return estimates, analysis / f"{name}_histogram.csv"
 
         for source in cfg.sources:
             pipe = tmp_path / "pipe" / source.label
@@ -368,10 +370,10 @@ class TestCli:
             assert hbt["g2"] == report["g2"]
             assert hom["v_raw"] == report["v_raw"]
             assert hom["overlap_corrected"] == report["overlap_corrected"]
+            assert hbt["_header"] == hom["_header"] == report["_header"]
             for hist, mode in ((hbt_hist, "hbt"), (hom_hist, "hom")):
-                assert hist.total_counts > 10_000
-                assert np.array_equal(hist.counts,
-                                      read_histogram(pipe / f"{mode}_histogram.csv").counts)
+                assert read_histogram(hist).total_counts > 10_000
+                assert hist.read_bytes() == (pipe / f"{mode}_histogram.csv").read_bytes()
 
     def test_threads_below_one_rejected(self, tmp_path, capsys):
         code = cli_main([
@@ -396,6 +398,7 @@ class TestCli:
         ]) == 0
         payload = json.loads((tmp_path / "fit" / "fit.json").read_text())
         assert payload["params"]["tau"] == pytest.approx(164.9, abs=1.5)
+        assert "_header" not in payload  # a hand-made file carries no provenance
 
     def test_classify_subcommand(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -407,6 +410,7 @@ class TestCli:
         payload = json.loads((tmp_path / "classification.json").read_text())
         assert payload["kind"] == "exciton"
         assert payload["theta_est_deg"] == pytest.approx(math.degrees(0.6), abs=0.01)
+        assert "_header" not in payload  # a hand-made file carries no provenance
 
     def test_report_subcommand(self, tmp_path):
         cfg_path = self._write_config(tmp_path)
