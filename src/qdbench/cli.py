@@ -36,6 +36,7 @@ from .pipeline import (
     PipelineOptions,
     file_header,
     read_header,
+    read_notes,
     read_timestamps,
     run_pipeline,
     source_clicks,
@@ -72,10 +73,11 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     header = file_header(args.seed, config.config_hash)
+    period = config.setup.rep_period_ps
     for index, source in enumerate(config.sources):
         t0, t1, h0, h1 = source_clicks(source, config.setup, args.seed, index, args.pulses)
-        write_timestamps(os.path.join(args.out, f"{source.label}_hbt.csv"), t0, t1, header)
-        write_timestamps(os.path.join(args.out, f"{source.label}_hom.csv"), h0, h1, header)
+        write_timestamps(os.path.join(args.out, f"{source.label}_hbt.csv"), t0, t1, header, period)
+        write_timestamps(os.path.join(args.out, f"{source.label}_hom.csv"), h0, h1, header, period)
         print(f"{source.label}: wrote HBT ({t0.size + t1.size} clicks) and "
               f"HOM ({h0.size + h1.size} clicks) streams")
     return 0
@@ -86,10 +88,24 @@ def _print_file(path):
         print(f.read())
 
 
+def _setting(path, note: str, flag: str, given: float | None) -> float:
+    """A run setting: the ``note`` that ``path`` records, or ``flag``'s value if it records none."""
+    notes = read_notes(path)
+    if note in notes and given is not None:
+        raise ValueError(f"{path} records {note}; {flag} is only for files without it")
+    if note not in notes and given is None:
+        raise ValueError(f"{path} records no {note}; pass {flag}")
+    return notes.get(note, given)
+
+
 def _cmd_analyze(args) -> int:
     t0, t1 = read_timestamps(args.timestamps)
     header = read_header(args.timestamps)
-    period = 1e6 / args.rep_rate_mhz
+    rate = args.rep_rate_mhz
+    if rate is not None and not rate > 0:
+        raise ValueError(f"--rep-rate-mhz must be > 0, got {rate}")
+    period = _setting(args.timestamps, "rep_period_ps", "--rep-rate-mhz",
+                      None if rate is None else 1e6 / rate)
     hist = build_histogram(t0, t1, args.bin_width, HISTOGRAM_PERIODS * period, period)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.timestamps))[0]
@@ -117,7 +133,8 @@ def _cmd_fit(args) -> int:
     t, counts = np.loadtxt(args.trace, delimiter=",", comments=("#", "t_ps"), ndmin=2,
                            unpack=True)
     trace = DecayTrace(t, counts, TransitionKind(args.kind))
-    payload = fit_decay(trace, irf_fwhm_ps=args.irf_fwhm).to_dict()
+    irf_fwhm = _setting(args.trace, "irf_fwhm_ps", "--irf-fwhm", args.irf_fwhm)
+    payload = fit_decay(trace, irf_fwhm_ps=irf_fwhm).to_dict()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "fit.json")
     write_json(path, payload, read_header(args.trace))
@@ -185,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="histogram + estimators from timestamps")
     p.add_argument("--timestamps", required=True)
     p.add_argument("--mode", choices=["hbt", "hom"], required=True)
-    p.add_argument("--rep-rate-mhz", type=float, default=81.0)
+    p.add_argument("--rep-rate-mhz", type=float,
+                   help="repetition rate, for a file without a rep_period_ps note")
     p.add_argument("--g2", type=float, default=None,
                    help="g2 value used to correct the HOM visibility")
     p.add_argument("--seed", type=int, help="ignored: outputs carry the timestamp file's header")
@@ -195,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a decay trace")
     p.add_argument("--trace", required=True, help="csv file with t_ps,counts")
     p.add_argument("--kind", choices=["exciton", "trion"], required=True)
-    p.add_argument("--irf-fwhm", type=float, default=53.0)
+    p.add_argument("--irf-fwhm", type=float,
+                   help="IRF FWHM (ps), for a file without an irf_fwhm_ps note")
     _add_flags(p, "--out")
     p.set_defaults(func=_cmd_fit)
 

@@ -2,12 +2,13 @@
 
 Simulation is organized as two stages.  ``simulate_pulse_train`` draws the
 per-pulse emission physics (first photon, re-excitation, laser leakage)
-into an :class:`EventBatch`.  The detector-geometry functions
-``hbt_streams`` and ``hom_streams`` then turn events into two time-sorted
-click streams, applying efficiency thinning, 50/50 routing, Gaussian
-timing jitter and dark counts.  Click times are rounded to integer
-picoseconds there, as a time tagger stamps them; this is the one place
-where the package rounds time.
+and the efficiency thinning (eta_setup * eta_det) into an
+:class:`EventBatch` that holds only the photons that reach the detectors.
+The detector-geometry functions ``hbt_streams`` and ``hom_streams`` then
+turn those photons into two time-sorted click streams, applying 50/50
+routing, Gaussian timing jitter and dark counts.  Click times are rounded
+to integer picoseconds there, as a time tagger stamps them; this is the
+one place where the package rounds time.
 
 Reproducibility: every random decision derives from an :class:`RngSpec`
 (seed, stream_id).  Pulse ranges are processed in fixed-size chunks, each
@@ -17,17 +18,19 @@ and kind of every draw is the stream layout, versioned by
 :data:`STREAM_LAYOUT`; a change to either changes the streams.
 
 Cost: the only per-pulse work is one 32-bit Bernoulli decision per pulse
-(two per raw 64-bit word) that decides whether it emits; everything after
-that scales with the number of events.  Every generator call that can
-change a result is made, in a fixed order, so the streams depend only on
-the RngSpec.  One kind of draw is skipped: with
-``laser_leak_per_pulse == 0`` a chunk makes no laser-leak draws.  Those
-would be the chunk's last draws and could select no pulse, and the chunk's
-generator is used for nothing else, so skipping them leaves every event
-unchanged.  The detector stages draw the detection decision for every
-event and then route and jitter only the detected ones; the HOM stage
-also draws every event's interferometer arm, which decides who meets
-whom, but draws coalescence only for pairs whose photons are both
+(two per raw 64-bit word) that decides whether it emits, and a second one
+when laser leakage is enabled.  Each chunk then draws one detection
+decision per photon, and draws emission times and builds rows only for
+the detected photons and for the few anchors (:attr:`Origin.ANCHOR`), so
+at the default efficiency of 0.12 a batch holds about an eighth of the
+photons emitted.  Every later cost scales with the rows of the batch.
+Every generator call that can change a result is made, in a fixed order,
+so the streams depend only on the RngSpec; with
+``laser_leak_per_pulse == 0`` a chunk makes no laser-leak draws, and with
+lossless detection (eta_setup * eta_det == 1) no detection draws.  The HBT
+stage routes and jitters every detected photon; the HOM stage also draws
+the interferometer arm of every row, anchors included, which decides who
+meets whom, and draws coalescence only for pairs whose photons are both
 detected.
 """
 
@@ -55,7 +58,7 @@ from .model import (
 CHUNK_PULSES = 1 << 16
 #: Version of the order and kind of random draws.  Artifact headers carry
 #: it, so files written under another layout are told apart by their header.
-STREAM_LAYOUT = 2
+STREAM_LAYOUT = 3
 
 
 class UnsamplableEmissionError(ValueError):
@@ -65,24 +68,41 @@ class UnsamplableEmissionError(ValueError):
 class Origin(enum.IntEnum):
     QD_FIRST = 0
     QD_REEXCITE = 1
-    LASER = 2
-    DARK = 3
+    #: A first photon the detectors lose, kept as a row because its
+    #: re-excitation photon is detected: that photon's emission time is
+    #: offset from it, and in HOM its arm can still shadow that photon.
+    ANCHOR = 2
+    LASER = 3
+    DARK = 4
 
 
 @dataclass(frozen=True, eq=False)
 class EventBatch:
-    """Column-oriented list of photon events, sorted by pulse index."""
+    """Column-oriented list of the photons that reach the detectors, sorted by pulse index.
+
+    Every row is detected except the :attr:`Origin.ANCHOR` rows, so the
+    detector stages do not thin a batch again.  ``brightness`` and
+    ``p_two_photon`` are the source's per-pulse probabilities of a first
+    photon and of a second one, which set the HOM coalescence probability;
+    a hand-built batch that leaves ``p_two_photon`` at 0 is a stream of
+    single photons.
+    """
 
     pulse_index: np.ndarray
     emit_time_ps: np.ndarray
     origin: np.ndarray
     n_pulses: int
+    brightness: float = 0.0
+    p_two_photon: float = 0.0
 
     def __len__(self) -> int:
         return int(self.pulse_index.size)
 
     def qd_mask(self) -> np.ndarray:
-        return self.origin <= Origin.QD_REEXCITE
+        return self.origin <= Origin.ANCHOR
+
+    def detected_mask(self) -> np.ndarray:
+        return self.origin != Origin.ANCHOR
 
 
 @dataclass(frozen=True)
@@ -180,48 +200,71 @@ def _reexcite_conditional_prob(source: SourceParams) -> float:
 
 
 def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: int):
+    """The rows of pulses [lo, hi) as (pulse, emit, origin): detected photons and anchors.
+
+    Draws: emission for every pulse; re-excitation for every first photon;
+    only with ``laser_leak_per_pulse > 0``, the leak decision for every
+    pulse; only with ``eta_setup * eta_det < 1``, detection for every
+    photon (first photons, re-excitation photons, then leak photons); the
+    emission times of the first photons that get a row; the delays of the
+    detected re-excitation photons; the times of the detected leak photons.
+    """
     g = rng.generator(chunk_key)
     n = hi - lo
-    b = source.brightness_first_lens
-    p2c = _reexcite_conditional_prob(source)
-    sigma_pulse = setup.pulse_fwhm_ps * FWHM_TO_SIGMA
+    leak = setup.laser_leak_per_pulse
 
-    first_pulses = np.flatnonzero(_bernoulli(g, b, n)) + lo
+    first_pulses = np.flatnonzero(_bernoulli(g, source.brightness_first_lens, n)) + lo
     k = first_pulses.size
-    first_times = sample_emission_time(g, source, size=k)
+    # re_of[i]: the first photon that re-excitation photon i follows.
+    re_of = np.flatnonzero(_bernoulli(g, _reexcite_conditional_prob(source), k))
+    m = re_of.size
+    leak_pulses = (np.flatnonzero(_bernoulli(g, leak, n)) + lo if leak > 0
+                   else np.empty(0, dtype=np.int64))
+    photons = k + m + leak_pulses.size
+    detected = (_bernoulli(g, setup.eta_total, photons) if setup.eta_total < 1
+                else np.ones(photons, dtype=bool))
+    first_detected = detected[:k]
+    re_of = re_of[detected[k:k + m]]
+    leak_pulses = leak_pulses[detected[k + m:]]
 
-    re_sel = _bernoulli(g, p2c, k)
-    m = int(re_sel.sum())
-    re_times = first_times[re_sel] + sample_emission_time(g, source, size=m)
+    # A first photon gets a row when it is detected or when its
+    # re-excitation photon is: then the row is an anchor.
+    has_row = first_detected.copy()
+    has_row[re_of] = True
+    rows = _selection(has_row)
+    row_pulses = first_pulses[rows]
+    first_times = sample_emission_time(g, source, size=row_pulses.size)
+    # re_row[i]: the row of the first photon that re-excitation photon i follows.
+    re_row = re_of if isinstance(rows, slice) else np.searchsorted(rows, re_of)
+    re_times = first_times[re_row] + sample_emission_time(g, source, size=re_row.size)
+    first_origin = np.full(row_pulses.size, Origin.QD_FIRST, dtype=np.int8)
+    first_origin[~first_detected[rows]] = Origin.ANCHOR
 
-    if setup.laser_leak_per_pulse == 0.0:
-        # The leak draws would be the chunk's last ones and select nothing,
-        # so skipping them leaves every other draw unchanged.  Each first
-        # photon is then followed by its re-excitation photon, if any.
-        re_pos = np.flatnonzero(re_sel) + np.arange(1, m + 1)
-        is_re = np.zeros(k + m, dtype=bool)
-        is_re[re_pos] = True
-        is_first = ~is_re
-        pulse = np.empty(k + m, dtype=np.int64)
-        pulse[is_first] = first_pulses
-        pulse[re_pos] = first_pulses[re_sel]
-        emit = np.empty(k + m)
+    if leak == 0:
+        # Each first photon's row is followed by its re-excitation photon's
+        # row, if any; this is the stable sort below, without the sort.
+        re_pos = re_row + np.arange(1, re_row.size + 1)
+        is_first = np.ones(row_pulses.size + re_row.size, dtype=bool)
+        is_first[re_pos] = False
+        pulse = np.empty(is_first.size, dtype=np.int64)
+        pulse[is_first] = row_pulses
+        pulse[re_pos] = row_pulses[re_row]
+        emit = np.empty(is_first.size)
         emit[is_first] = first_times
         emit[re_pos] = re_times
-        origin = np.where(is_re, np.int8(Origin.QD_REEXCITE), np.int8(Origin.QD_FIRST))
+        origin = np.full(is_first.size, Origin.QD_REEXCITE, dtype=np.int8)
+        origin[is_first] = first_origin
         return pulse, emit, origin
 
-    leak_mask = _bernoulli(g, setup.laser_leak_per_pulse, n)
-    j = int(leak_mask.sum())
-    leak_times = g.normal(0.0, sigma_pulse, size=j)
-
-    pulse = np.concatenate([first_pulses, first_pulses[re_sel], np.flatnonzero(leak_mask) + lo])
+    leak_times = g.normal(0.0, setup.pulse_fwhm_ps * FWHM_TO_SIGMA, size=leak_pulses.size)
+    pulse = np.concatenate([row_pulses, row_pulses[re_row], leak_pulses])
     emit = np.concatenate([first_times, re_times, leak_times])
     origin = np.concatenate([
-        np.full(k, Origin.QD_FIRST, dtype=np.int8),
-        np.full(m, Origin.QD_REEXCITE, dtype=np.int8),
-        np.full(j, Origin.LASER, dtype=np.int8),
+        first_origin,
+        np.full(re_row.size, Origin.QD_REEXCITE, dtype=np.int8),
+        np.full(leak_pulses.size, Origin.LASER, dtype=np.int8),
     ])
+    # Within a pulse: the first photon, its re-excitation photon, the leak photon.
     order = np.argsort(pulse, kind="stable")
     return pulse[order], emit[order], origin[order]
 
@@ -232,12 +275,15 @@ def simulate_pulse_train(
     setup: SetupParams,
     n_pulses: int,
 ) -> EventBatch:
-    """Simulate emission events for a train of excitation pulses.
+    """Simulate the photons of a train of excitation pulses that reach the detectors.
 
     Per pulse, independently: a first photon with probability equal to the
     first-lens brightness; given a first photon, a re-excitation photon
     whose emission restarts after the first one; a laser-leak photon with
     the configured per-pulse probability, Gaussian-timed around the pulse.
+    Each photon is then detected with probability eta_setup * eta_det, and
+    the batch holds the detected ones, plus an :attr:`Origin.ANCHOR` row
+    for each lost first photon whose re-excitation photon is detected.
 
     Each chunk of ``CHUNK_PULSES`` pulses draws from its own generator,
     keyed by (seed, stream_id, chunk index).
@@ -259,7 +305,8 @@ def simulate_pulse_train(
     pulse = np.concatenate([c[0] for c in chunks])
     emit = np.concatenate([c[1] for c in chunks])
     origin = np.concatenate([c[2] for c in chunks])
-    return EventBatch(pulse, emit, origin, n_pulses)
+    return EventBatch(pulse, emit, origin, n_pulses,
+                      source.brightness_first_lens, source.p_two_photon)
 
 
 def _dark_clicks(g: np.random.Generator, setup: SetupParams, duration_ps: float):
@@ -307,13 +354,13 @@ def _click_times(batch: EventBatch, kept: np.ndarray, period: float) -> np.ndarr
 def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     """Detector click streams for an intensity-autocorrelation measurement.
 
-    Each photon survives one combined efficiency Bernoulli
-    (eta_setup * eta_det), is routed 50/50 to one of two detectors, and is
-    stamped at pulse_index * rep_period + emit_time + Gaussian jitter.
+    Each detected photon of the batch (every row but the anchors; the
+    batch is not thinned again) is routed 50/50 to one of two detectors
+    and stamped at pulse_index * rep_period + emit_time + Gaussian jitter.
     Dark counts are an independent Poisson process per channel.
 
-    Draws: detection for every event, then channel and jitter for the
-    detected ones only, then the dark counts.
+    Draws: channel and jitter for the detected photons, then the dark
+    counts.
 
     Returns (times_channel0, times_channel1) as int64 ps, each sorted.
     """
@@ -321,8 +368,7 @@ def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     period = setup.rep_period_ps
     sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
 
-    kept = _selection(_bernoulli(g, setup.eta_total, len(batch)))
-    times = _click_times(batch, kept, period)
+    times = _click_times(batch, _selection(batch.detected_mask()), period)
     channels = _bernoulli(g, 0.5, times.size)
     if sigma_j > 0:
         times += g.normal(0.0, sigma_j, size=times.size)
@@ -330,7 +376,7 @@ def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     return _finalize_streams(times, channels, dark0, dark1)
 
 
-def _empirical_pair_overlap(qd_pulses: np.ndarray, n_pulses: int, overlap: float) -> float:
+def _pair_overlap(brightness: float, p_two_photon: float, overlap: float) -> float:
     """Pairwise coalescence probability that realizes the requested overlap.
 
     The reported mean wavepacket overlap M is defined after correcting the
@@ -340,32 +386,21 @@ def _empirical_pair_overlap(qd_pulses: np.ndarray, n_pulses: int, overlap: float
 
         V_raw = [m_pair * (p1^2 + 3 p1 p2) - 2 p2] / mu^2
 
-    with p1, p2 the one- and two-photon pulse fractions and mu the mean
-    photon number.  Solving for m_pair so that the corrected visibility
-    equals M inverts the correction exactly:
+    with p1 = b - p2 and p2 the source's one- and two-photon pulse
+    probabilities (b its brightness) and mu = b + p2 its mean photon
+    number.  Solving for m_pair so that the corrected visibility equals M
+    inverts the correction exactly:
 
         m_pair = M * (1 - g2) * mu^2 / (p1^2 + 3 p1 p2),  g2 = 2 p2 / mu^2.
 
-    For an ideal single-photon stream (p2 = 0) this reduces to m_pair = M.
-    ``qd_pulses`` holds the sorted pulse index of every QD photon, so the
-    pulses with one or more photons are its runs of equal values.
+    For an ideal single-photon stream (p2 = 0) this is exactly m_pair = M.
     """
-    n = n_pulses
-    if n <= 0:
+    p1 = brightness - p_two_photon
+    if p1 <= 0:
         return overlap
-    # same[i]: photon i + 1 shares photon i's pulse.  A pulse with two or
-    # more photons is a run of True values in ``same``.
-    same = qd_pulses[1:] == qd_pulses[:-1]
-    n_multi = np.count_nonzero(same[:1]) + np.count_nonzero(same[1:] & ~same[:-1])
-    n_single = qd_pulses.size - np.count_nonzero(same) - n_multi
-    p1 = n_single / n
-    p2 = n_multi / n
-    # A NumPy scalar, so that mu**2 below is NumPy's power of a float64.
-    mu = np.float64(qd_pulses.size) / n
-    if p1 <= 0 or mu <= 0:
-        return overlap
-    g2 = 2.0 * p2 / mu**2
-    m_pair = overlap * (1.0 - g2) * mu**2 / (p1**2 + 3.0 * p1 * p2)
+    mu = brightness + p_two_photon
+    g2 = 2.0 * p_two_photon / mu**2
+    m_pair = overlap * ((1.0 - g2) * mu**2 / (p1**2 + 3.0 * p1 * p_two_photon))
     return min(1.0, max(0.0, m_pair))
 
 
@@ -378,8 +413,10 @@ def _kept_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray,
     pulse k + 1.  This returns only the pairs in which both photons are
     ``detected``, as (long_photon, short_photon) index arrays ordered by
     pulse.  A detected photon that is not the first of its arm in its pulse
-    stays unpaired even when the first one was not detected.
-    ``pulse_index`` must be sorted.
+    stays unpaired even when the first one was not detected.  A lost
+    photon matters only when it can shadow a later detected QD photon of
+    its pulse, so the rows of the other lost photons may be left out, as
+    :func:`simulate_pulse_train` does.  ``pulse_index`` must be sorted.
     """
     # Only events that share their pulse with the event before them can be
     # preceded by an earlier photon of their pulse and arm, and few pulses
@@ -414,16 +451,17 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     arm adds one repetition period, so a long photon from pulse k meets a
     short photon from pulse k+1 in the same output slot.  Meeting QD
     photons coalesce (both exit the same, random, port) with the pairwise
-    probability derived from ``overlap``; everything else routes
-    independently.  Laser-leak photons never coalesce.  Efficiency,
-    jitter and dark counts are applied as in :func:`hbt_streams`.
+    probability derived from ``overlap`` and the batch's brightness and
+    two-photon probability; everything else routes independently.
+    Laser-leak photons never coalesce.  Jitter and dark counts are applied
+    as in :func:`hbt_streams`, and the batch is not thinned again.
 
-    Draws: the arm of every event, then detection for every event, then
-    coalescence and the joint port for the meeting pairs whose photons
-    are both detected, then channel and jitter for the detected events,
-    then the dark counts.  A coalesced pair that loses a photon leaves one
-    click on a uniformly random port, which is independent routing, so
-    the pairs with a lost photon need no draw of their own.
+    Draws: the arm of every row, anchors included, then coalescence and
+    the joint port for the meeting pairs whose photons are both detected,
+    then channel and jitter for the detected photons, then the dark
+    counts.  A coalesced pair that loses a photon leaves one click on a
+    uniformly random port, which is independent routing, so the pairs
+    with a lost photon need no draw of their own.
 
     The events must be sorted by pulse index, as
     :func:`simulate_pulse_train` returns them.
@@ -433,16 +471,14 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     if np.any(batch.pulse_index[1:] < batch.pulse_index[:-1]):
         raise ValueError("events must be sorted by pulse index")
     g = rng.generator()
-    n = len(batch)
     period = setup.rep_period_ps
     delay = setup.hom_delay_ps if setup.hom_delay_ps is not None else period
     sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
-    qd = batch.qd_mask()
-    m_pair = _empirical_pair_overlap(batch.pulse_index[_selection(qd)], batch.n_pulses, overlap)
+    detected = batch.detected_mask()
+    m_pair = _pair_overlap(batch.brightness, batch.p_two_photon, overlap)
 
-    arm = _bernoulli(g, 0.5, n)
-    detected = _bernoulli(g, setup.eta_total, n)
-    pair_a, pair_b = _kept_pairs(batch.pulse_index, qd, arm, detected)
+    arm = _bernoulli(g, 0.5, len(batch))
+    pair_a, pair_b = _kept_pairs(batch.pulse_index, batch.qd_mask(), arm, detected)
     coalesce = _bernoulli(g, m_pair, pair_a.size)
     pair_a, pair_b = pair_a[coalesce], pair_b[coalesce]
     joint_port = _bernoulli(g, 0.5, pair_a.size)

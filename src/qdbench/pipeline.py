@@ -6,7 +6,11 @@ any number of threads with byte-identical results.  Every command writes
 its artifacts through this module's writers.  A header is the bare line of
 :func:`file_header` (version, seed, config hash, stream layout): text files
 start with it behind ``# ``, JSON files hold it as ``_header``, and
-``None`` writes neither.  Nothing time- or host-dependent is ever written.
+``None`` writes neither.  A text file that must be read with a run setting
+(a histogram's bin width and period, a click file's period, a decay
+trace's IRF width) records it on a ``# key=value`` note line, which
+:func:`read_notes` reads back.  Nothing time- or host-dependent is ever
+written.
 """
 
 from __future__ import annotations
@@ -97,6 +101,22 @@ def read_header(path) -> str | None:
     return line[2:].rstrip("\n") if line.startswith("# qdbench ") else None
 
 
+def read_notes(path) -> dict[str, float]:
+    """The ``key=value`` settings on a text file's leading ``#`` lines, header excluded.
+
+    Tables hold them on the note line after the header, and click files on
+    the line after ``# channel,time_ps``; a hand-made file may hold none.
+    """
+    notes = {}
+    with open(path) as f:
+        for line in f:
+            if not line.startswith("#"):
+                break
+            if not line.startswith("# qdbench "):
+                notes.update(token.split("=", 1) for token in line[1:].split() if "=" in token)
+    return {key: float(value) for key, value in notes.items()}
+
+
 def _comment(header: str | None) -> str:
     return "" if header is None else f"# {header}\n"
 
@@ -123,11 +143,13 @@ def write_json(path, payload: dict, header: str | None):
         json.dump(payload, f, indent=2, sort_keys=True)
 
 
-def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str | None):
+def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str | None,
+                     rep_period_ps: float):
     """Write two sorted integer-picosecond click streams as merged rows.
 
-    Rows are sorted by time, then channel; clicks from pulse 0 can have
-    negative times.  Each block of ``_WRITE_BLOCK_ROWS`` rows is formatted
+    The column names and a ``rep_period_ps=`` note come first, then rows
+    sorted by time, then channel; clicks from pulse 0 can have negative
+    times.  Each block of ``_WRITE_BLOCK_ROWS`` rows is formatted
     as one byte array, which bounds the memory the text takes whatever the
     stream length.
     """
@@ -139,7 +161,8 @@ def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str | None):
     channel = (order >= t0.size).astype(np.uint8)
     times = times[order]
     with open(path, "wb") as f:
-        f.write(f"{_comment(header)}# channel,time_ps\n".encode())
+        f.write(f"{_comment(header)}# channel,time_ps\n"
+                f"# rep_period_ps={float(rep_period_ps)!r}\n".encode())
         for lo in range(0, times.size, _WRITE_BLOCK_ROWS):
             hi = lo + _WRITE_BLOCK_ROWS
             f.write(_format_rows(channel[lo:hi], times[lo:hi]).tobytes())
@@ -312,19 +335,20 @@ def analyze_source(
         ),
     )
     if out_dir is not None:
-        _write_source_artifacts(out_dir, header, options, report, fit, classification,
+        _write_source_artifacts(out_dir, header, options, setup, report, fit, classification,
                                 hbt_hist, hom_hist, trace, phi_points, clicks)
     return report
 
 
-def _write_source_artifacts(out_dir, header, options, report, fit, classification,
+def _write_source_artifacts(out_dir, header, options, setup, report, fit, classification,
                             hbt_hist, hom_hist, trace, phi_points, clicks):
     src_dir = os.path.join(out_dir, report.label)
     os.makedirs(src_dir, exist_ok=True)
     write_histogram(hbt_hist, os.path.join(src_dir, "hbt_histogram.csv"), header)
     write_histogram(hom_hist, os.path.join(src_dir, "hom_histogram.csv"), header)
     write_table(os.path.join(src_dir, "decay_trace.csv"), header, ("t_ps", "counts"),
-                (trace.t_ps, trace.counts.astype(np.int64)))
+                (trace.t_ps, trace.counts.astype(np.int64)),
+                f"irf_fwhm_ps={float(setup.jitter_fwhm_ps)!r}")
     for name, payload in (("fit", fit), ("classification", classification), ("report", report)):
         write_json(os.path.join(src_dir, f"{name}.json"), payload.to_dict(), header)
     write_table(os.path.join(src_dir, "phi_scan.csv"), header,
@@ -333,8 +357,9 @@ def _write_source_artifacts(out_dir, header, options, report, fit, classificatio
 
     if options.save_clicks:
         hbt0, hbt1, hom0, hom1 = clicks
-        write_timestamps(os.path.join(src_dir, "hbt_clicks.csv"), hbt0, hbt1, header)
-        write_timestamps(os.path.join(src_dir, "hom_clicks.csv"), hom0, hom1, header)
+        period = setup.rep_period_ps
+        write_timestamps(os.path.join(src_dir, "hbt_clicks.csv"), hbt0, hbt1, header, period)
+        write_timestamps(os.path.join(src_dir, "hom_clicks.csv"), hom0, hom1, header, period)
 
 
 def run_pipeline(

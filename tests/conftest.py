@@ -20,6 +20,7 @@ from qdbench.model import (
     exciton_source,
     trion_source,
 )
+from qdbench.pipeline import read_notes
 
 #: (criterion number, description, passed, detail) tuples collected by the
 #: acceptance suite; printed one per line at the end of the pytest run.
@@ -92,19 +93,14 @@ def synth_trace(
 
 def read_histogram(path) -> CorrelationHistogram:
     """Read a histogram file back; the inverse of ``pipeline.write_histogram``."""
-    with open(path) as f:
-        lines = f.readlines()
-    header = {}
-    for line in lines:
-        if line.lstrip().startswith("#"):
-            header.update(tok.split("=", 1) for tok in line.strip()[1:].split() if "=" in tok)
-    if "bin_width_ps" not in header or "rep_period_ps" not in header:
-        raise ValueError(f"{path}: missing bin_width_ps/rep_period_ps header")
+    notes = read_notes(path)
+    if "bin_width_ps" not in notes or "rep_period_ps" not in notes:
+        raise ValueError(f"{path}: missing bin_width_ps/rep_period_ps note")
     # The column-name line is skipped like a comment.
-    rows = np.loadtxt(lines, delimiter=",", comments=("#", "bin_center_ps"), ndmin=1,
+    rows = np.loadtxt(path, delimiter=",", comments=("#", "bin_center_ps"), ndmin=1,
                       dtype=[("delay", float), ("count", np.int64)])
-    return CorrelationHistogram(float(header["bin_width_ps"]), rows["delay"], rows["count"],
-                                float(header["rep_period_ps"]))
+    return CorrelationHistogram(notes["bin_width_ps"], rows["delay"], rows["count"],
+                                notes["rep_period_ps"])
 
 
 def poissonian_pulse_train(seed: int, n_pulses: int, mu: float, tau_ps: float):

@@ -25,10 +25,10 @@ from qdbench.photon_sim import (
     RngSpec,
     UnsamplableEmissionError,
     _bernoulli,
-    _empirical_pair_overlap,
     _exciton_inverse_cdf_table,
     _interp_sorted,
     _kept_pairs,
+    _pair_overlap,
     _simulate_chunk,
     hbt_streams,
     hom_streams,
@@ -38,6 +38,7 @@ from qdbench.photon_sim import (
 
 S7 = exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.pi / 4, brightness_first_lens=0.136, label="S7")
 S11 = trion_source(S11_TAU_PS, brightness_first_lens=0.147, label="S11")
+LOSSLESS = SetupParams(eta_setup=1.0, eta_det=1.0)
 
 
 def qd_photons_per_pulse(batch: EventBatch) -> np.ndarray:
@@ -168,7 +169,7 @@ class TestSimulatePulseTrain:
 
     def test_first_photon_count_binomial(self):
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.136)
-        batch = simulate_pulse_train(RngSpec(22, 0), src, SetupParams(), 1_000_000)
+        batch = simulate_pulse_train(RngSpec(22, 0), src, LOSSLESS, 1_000_000)
         n_first = int(np.count_nonzero(batch.origin == Origin.QD_FIRST))
         assert n_first == pytest.approx(136_000, abs=1_000)
 
@@ -185,7 +186,7 @@ class TestSimulatePulseTrain:
 
     def test_reexcitation_rate_and_delay(self):
         src = trion_source(150.0, brightness_first_lens=0.4, p_two_photon=0.02)
-        batch = simulate_pulse_train(RngSpec(24, 0), src, SetupParams(), 500_000)
+        batch = simulate_pulse_train(RngSpec(24, 0), src, LOSSLESS, 500_000)
         counts = qd_photons_per_pulse(batch)
         p2_hat = np.count_nonzero(counts >= 2) / batch.n_pulses
         assert p2_hat == pytest.approx(0.02, abs=0.001)
@@ -201,7 +202,7 @@ class TestSimulatePulseTrain:
 
     def test_laser_leak_events(self):
         src = trion_source(100.0, brightness_first_lens=0.0)
-        setup = SetupParams(laser_leak_per_pulse=0.05)
+        setup = SetupParams(eta_setup=1.0, eta_det=1.0, laser_leak_per_pulse=0.05)
         batch = simulate_pulse_train(RngSpec(25, 0), src, setup, 200_000)
         n_leak = int(np.count_nonzero(batch.origin == Origin.LASER))
         assert n_leak == pytest.approx(10_000, abs=400)
@@ -232,6 +233,36 @@ class TestSimulatePulseTrain:
     def test_events_sorted_by_pulse(self):
         batch = simulate_pulse_train(RngSpec(26, 0), S7, SetupParams(), 100_000)
         assert np.all(np.diff(batch.pulse_index) >= 0)
+
+    @pytest.mark.parametrize("leak", [0.0, 0.05])
+    def test_thinning_at_emission_keeps_the_detected_photons(self, leak):
+        # The emission decisions are drawn before detection, so a lossless
+        # train from the same key holds every photon the lossy one emitted.
+        n = 2 * CHUNK_PULSES + 5_000
+        src = trion_source(150.0, brightness_first_lens=0.4, p_two_photon=0.05)
+        lossless = SetupParams(eta_setup=1.0, eta_det=1.0, laser_leak_per_pulse=leak)
+        lossy = SetupParams(laser_leak_per_pulse=leak)
+        full = simulate_pulse_train(RngSpec(27, 0), src, lossless, n)
+        thin = simulate_pulse_train(RngSpec(27, 0), src, lossy, n)
+        assert not np.any(full.origin == Origin.ANCHOR)
+        assert np.all(full.detected_mask())
+
+        photons = len(full)
+        kept = int(np.count_nonzero(thin.detected_mask()))
+        eta = lossy.eta_total
+        assert abs(kept - eta * photons) < 4 * math.sqrt(photons * eta * (1 - eta))
+        # Every row is a photon of the full train: same pulse, same kind.
+        for kind in (Origin.QD_REEXCITE, Origin.LASER):
+            assert np.all(np.isin(thin.pulse_index[thin.origin == kind],
+                                  full.pulse_index[full.origin == kind]))
+        # An anchor is the lost first photon of a pulse whose re-excitation
+        # photon is kept, and it comes right before that photon.
+        anchors = np.flatnonzero(thin.origin == Origin.ANCHOR)
+        assert anchors.size > 0
+        assert np.all(thin.origin[anchors + 1] == Origin.QD_REEXCITE)
+        assert np.array_equal(thin.pulse_index[anchors + 1], thin.pulse_index[anchors])
+        assert np.all(thin.emit_time_ps[anchors + 1] > thin.emit_time_ps[anchors])
+        assert (thin.brightness, thin.p_two_photon) == (0.4, 0.05)
 
 
 class TestHbtStreams:
@@ -271,19 +302,21 @@ class TestHbtStreams:
         assert np.all(np.diff(t1) >= 0)
 
     def test_thinning_composition_matches_single_stage(self):
-        # One-stage thinning at eta_setup*eta_det versus explicit two-stage
-        # thinning must give the same per-pulse click distribution.
+        # Thinning inside simulate_pulse_train at eta_setup*eta_det versus
+        # a lossless train thinned by hand at eta_setup, then at eta_det,
+        # must give the same per-pulse click distribution.
         n = 1_000_000
         setup_single = SetupParams(eta_setup=0.40, eta_det=0.30, jitter_fwhm_ps=0.0)
-        setup_second = SetupParams(eta_setup=1.0, eta_det=0.30, jitter_fwhm_ps=0.0)
+        setup_lossless = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=0.0)
         src = trion_source(150.0, brightness_first_lens=0.3, p_two_photon=0.01)
         batch = simulate_pulse_train(RngSpec(35, 0), src, setup_single, n)
         a0, a1 = hbt_streams(RngSpec(35, 1), batch, setup_single)
 
-        keep = RngSpec(35, 2).generator().random(len(batch)) < 0.40
-        pre = EventBatch(batch.pulse_index[keep], batch.emit_time_ps[keep],
-                         batch.origin[keep], n)
-        b0, b1 = hbt_streams(RngSpec(35, 3), pre, setup_second)
+        pre = simulate_pulse_train(RngSpec(35, 2), src, setup_lossless, n)
+        for stage, eta in enumerate((0.40, 0.30)):
+            keep = RngSpec(35, 3 + stage).generator().random(len(pre)) < eta
+            pre = EventBatch(pre.pulse_index[keep], pre.emit_time_ps[keep], pre.origin[keep], n)
+        b0, b1 = hbt_streams(RngSpec(35, 5), pre, setup_lossless)
 
         period = setup_single.rep_period_ps
         table = []
@@ -417,14 +450,22 @@ class TestHomStreams:
         assert np.array_equal(pair_a, long_idx[long_first[li]])
         assert np.array_equal(pair_b, short_idx[short_first[si]])
 
-        counts = qd_photons_per_pulse(batch)
-        p1 = np.count_nonzero(counts == 1) / n
-        p2 = np.count_nonzero(counts >= 2) / n
-        mu = counts.sum() / n
+    @pytest.mark.parametrize("brightness,p2", [(0.3, 0.01), (0.136, 2.2e-4), (0.5, 0.1)])
+    def test_pair_overlap_inverts_the_visibility_correction(self, brightness, p2):
+        # The pairing model's raw visibility at this coalescence
+        # probability, corrected for g2, gives back the overlap.
+        m_pair = _pair_overlap(brightness, p2, 0.8)
+        assert 0.0 < m_pair < 1.0
+        p1, mu = brightness - p2, brightness + p2
         g2 = 2.0 * p2 / mu**2
-        expected = 0.8 * (1.0 - g2) * mu**2 / (p1**2 + 3.0 * p1 * p2)
-        assert 0.0 < expected < 1.0
-        assert _empirical_pair_overlap(pulse[qd], n, 0.8) == expected
+        v_raw = (m_pair * (p1**2 + 3.0 * p1 * p2) - 2.0 * p2) / mu**2
+        assert (v_raw + g2) / (1.0 - g2) == pytest.approx(0.8, rel=1e-12)
+
+    @pytest.mark.parametrize("brightness", [0.0, 0.045, 0.3, 1.0])
+    @pytest.mark.parametrize("overlap", [0.0, 0.37, 0.941, 1.0])
+    def test_single_photons_coalesce_at_the_overlap(self, brightness, overlap):
+        # p2 = 0, as in a hand-built single-photon batch, gives exactly the overlap.
+        assert _pair_overlap(brightness, 0.0, overlap) == overlap
 
     def test_adjacent_side_peaks_suppressed(self, clean_setup):
         # The interferometer pairing removes one photon-pair combination
@@ -491,6 +532,23 @@ def test_kept_pairs_are_the_full_batch_pairs_both_detected(case):
     assert np.array_equal(long_kept, long_ref[both])
     assert np.array_equal(short_kept, short_ref[both])
 
+    # Thinned as simulate_pulse_train thins: the detected rows, plus the
+    # anchors, the lost QD photons that precede a detected QD photon of
+    # their pulse.  The pairs, mapped back to the full batch, are the same.
+    rows = np.flatnonzero(detected | _anchors(pulse, qd, detected))
+    long_thin, short_thin = _kept_pairs(pulse[rows], qd[rows], arm[rows], detected[rows])
+    assert np.array_equal(rows[long_thin], long_ref[both])
+    assert np.array_equal(rows[short_thin], short_ref[both])
+
+
+def _anchors(pulse: np.ndarray, qd: np.ndarray, detected: np.ndarray) -> np.ndarray:
+    """Lost QD photons followed, later in their pulse, by a detected QD photon."""
+    anchor = np.zeros(pulse.size, dtype=bool)
+    for i in np.flatnonzero(qd & detected):
+        earlier = np.flatnonzero((pulse[:i] == pulse[i]) & qd[:i] & ~detected[:i])
+        anchor[earlier] = True
+    return anchor
+
 
 def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
     """SHA-256 over every array one HBT and one HOM train produce."""
@@ -510,23 +568,23 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
     return h.hexdigest()
 
 
-#: Pinned stream digests of stream layout 2.  A change to any random draw,
+#: Pinned stream digests of stream layout 3.  A change to any random draw,
 #: its order or the event layout changes them; such a change must bump
 #: ``STREAM_LAYOUT`` deliberately and record new digests.  Click arrays are
 #: hashed as the int64 picoseconds the stream functions return.
 _GOLDEN_DIGESTS = {
     ("exciton", "default"):
-        "f438eb05296fde88eb82b90df7d72f1756bce05580928096d5dc2de9e4ab4bdc",
+        "cd064a7071bf578f7914bd14ca733f727d3ed0b7489ed81d461ee011da9755c2",
     ("exciton", "lossless"):
-        "2ae31878b6c54b249deb6fdb53d94f06180457e5ff8d4753664eef79ec7d80c1",
+        "f36581397244cfdc49a751aaed8f6fb01b5546d560a0976b916d062dcbde70d7",
     ("exciton", "leak_dark"):
-        "2f3ef5ecd0eacc8a3415204ced9a995184e3309a9ccb471bb331eb5318eb82e2",
+        "e27cd3070198f8347e3130fb070fbacd80ee990f4a8de5ba75bdf249ee08e4f0",
     ("trion", "default"):
-        "86981a653622834c482772ee45c78e28e94ebf97e2f8770c7285180e3f662fde",
+        "5086fcbe406ed3e7fb4294ecd927a9c09440d4640010c9a8f7f5c516d5ab47bb",
     ("trion", "lossless"):
-        "0536f784d36a245f0c37c3974b3c827301ce7cd89662edb0c760def95509e20e",
+        "eea144e39f7fdfae0ef7a4adaea6cefe2256250e78cdfc3c005734bcb30d904b",
     ("trion", "leak_dark"):
-        "408bdf6bffec394efc6466d202e1b9aace4d5c9fd3b4669128a22fdc45ce347d",
+        "e7b07b70e50d80f556f2e6b72e01572e03d898dd49725b748f8cd4405b33d7ac",
 }
 
 

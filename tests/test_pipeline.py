@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES, read_histogram
 
-from qdbench import pipeline
+from qdbench import photon_sim, pipeline
 from qdbench.cli import main as cli_main
 from qdbench.config import FleetConfig, write_config
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
@@ -151,13 +152,28 @@ class TestRunPipeline:
             refit = tmp_path / "refit" / source.label
             assert cli_main([
                 "fit", "--trace", str(src_dir / "decay_trace.csv"),
-                "--kind", source.kind.value,
-                "--irf-fwhm", repr(cfg.setup.jitter_fwhm_ps), "--out", str(refit),
+                "--kind", source.kind.value, "--out", str(refit),
             ]) == 0
             assert cli_main(["classify", "--phiscan", str(src_dir / "phi_scan.csv"),
                              "--out", str(refit)]) == 0
             for name in ("fit.json", "classification.json"):
                 assert (refit / name).read_bytes() == (src_dir / name).read_bytes()
+
+    def test_lossy_trains_hold_a_fraction_of_the_lossless_memory(self):
+        # At the default efficiency (0.12) a batch holds only the photons
+        # the detectors keep, so simulate and detect peak far below the
+        # same call with lossless detection.
+        src = trion_source(164.9, brightness_first_lens=0.3)
+        peaks = []
+        for setup in (SetupParams(), CLEAN_SETUP):
+            tracemalloc.start()
+            try:
+                pipeline.source_clicks(src, setup, 1, 0, 1_000_000)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        lossy, lossless = peaks
+        assert lossy < lossless / 3
 
     def test_headers_carry_version_seed_and_hash(self, tmp_path):
         cfg = trion_config()
@@ -166,18 +182,18 @@ class TestRunPipeline:
         assert text.startswith("# qdbench 0.1.0")
         assert "seed=21" in text
         assert cfg.config_hash in text
-        assert text.endswith(" stream_layout=2")
+        assert text.endswith(f" stream_layout={photon_sim.STREAM_LAYOUT}")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "seed=21" in summary["_header"]
 
 
-def _row_loop_reference(t0, t1, header) -> bytes:
-    """The click file as the original row-by-row writer produced it."""
+def _row_loop_reference(t0, t1, header, rep_period_ps) -> bytes:
+    """The click file as a row-by-row writer produces it."""
     channel = np.concatenate([np.zeros(t0.size, dtype=np.int64),
                               np.ones(t1.size, dtype=np.int64)])
     times = np.concatenate([t0, t1])
     order = np.lexsort((channel, times))
-    lines = [f"# {header}\n", "# channel,time_ps\n"]
+    lines = [f"# {header}\n", "# channel,time_ps\n", f"# rep_period_ps={rep_period_ps!r}\n"]
     for ch, t in zip(channel[order].tolist(), times[order].tolist()):
         lines.append(f"{ch},{t}\n")
     return "".join(lines).encode()
@@ -203,17 +219,17 @@ def _click_streams(draw):
 
 
 #: SHA-256 of the concatenated ``pipeline --save-clicks`` click files of the
-#: golden fleet under stream layout 2.  The seed is the first one whose
-#: leak_dark files hold a click before t = 0 (about one seed in 300 does).
-_GOLDEN_CLICK_SEED = 133
+#: golden fleet under stream layout 3.  The seed is the first one whose
+#: leak_dark files hold a click before t = 0 (about one seed in 200 does).
+_GOLDEN_CLICK_SEED = 359
 _GOLDEN_CLICK_PULSES = 100_000
 _GOLDEN_CLICK_DIGESTS = {
     "default":
-        "d7cbbf9c34ad8d22987fe9a8c99868f2b9408138134436b7b35e28c376b0239c",
+        "5cdc0a7810327ede2b91d61d810b315f8887369904a285e90f141ad54a1a7f4a",
     "lossless":
-        "caf5e0eb6297e844012ad2f3b18e2b41d0c6462f39987ac1b4f299185a83dae9",
+        "2f828f090ea51a547843394d4852bb7bc6bb45c4b38a92429b21e6895f38864f",
     "leak_dark":
-        "1e6949b939aaf942584819a52c761243bf74c2d4e332be1fa35ca8ed39663f59",
+        "d37ecc04f326623bf1aaad4a8f7f6103d5c8d444cd3230602be14c04959ef490",
 }
 
 
@@ -222,9 +238,9 @@ class TestTimestampFiles:
         t0 = np.array([-7, 3, 101, 5000])
         t1 = np.array([43, 77])
         path = tmp_path / "clicks.csv"
-        write_timestamps(path, t0, t1, "qdbench test seed=0 config=x")
+        write_timestamps(path, t0, t1, "qdbench test seed=0 config=x", 12345.0)
         lines = path.read_text().splitlines()
-        assert lines[1] == "# channel,time_ps"
+        assert lines[1:3] == ["# channel,time_ps", "# rep_period_ps=12345.0"]
         back0, back1 = read_timestamps(path)
         assert back0.dtype == back1.dtype == np.int64
         assert np.array_equal(back0, t0)
@@ -232,7 +248,7 @@ class TestTimestampFiles:
 
     def test_writer_rejects_float_times(self, tmp_path):
         with pytest.raises(TypeError):
-            write_timestamps(tmp_path / "clicks.csv", np.array([1.5]), np.array([2]), "x")
+            write_timestamps(tmp_path / "clicks.csv", np.array([1.5]), np.array([2]), "x", 1e4)
 
     def test_block_writer_matches_row_loop(self, tmp_path):
         # More rows than one write block, with ties across the two channels.
@@ -241,8 +257,8 @@ class TestTimestampFiles:
         t1 = np.sort(np.concatenate([rng.integers(0, 5 * 10**7, size=60_000), t0[::7]]))
         header = "qdbench test seed=0 config=x"
         path = tmp_path / "clicks.csv"
-        write_timestamps(path, t0, t1, header)
-        assert path.read_bytes() == _row_loop_reference(t0, t1, header)
+        write_timestamps(path, t0, t1, header, 12345.679012345678)
+        assert path.read_bytes() == _row_loop_reference(t0, t1, header, 12345.679012345678)
 
     @settings(max_examples=300, deadline=None)
     @given(streams=_click_streams(), block_rows=st.sampled_from([1, 2, 5, 1 << 16]))
@@ -251,8 +267,8 @@ class TestTimestampFiles:
         header = "qdbench test seed=0 config=x"
         path = tmp_path_factory.mktemp("clicks") / "clicks.csv"
         with mock.patch.object(pipeline, "_WRITE_BLOCK_ROWS", block_rows):
-            write_timestamps(path, t0, t1, header)
-        assert path.read_bytes() == _row_loop_reference(t0, t1, header)
+            write_timestamps(path, t0, t1, header, 1e4)
+        assert path.read_bytes() == _row_loop_reference(t0, t1, header, 1e4)
 
     @pytest.mark.parametrize("row", ["0,12,5", "0;12", "0,abc", "zero,12", "0,-3.5", "1,12.25"])
     def test_malformed_row_is_a_validation_error(self, tmp_path, row, capsys):
@@ -261,7 +277,7 @@ class TestTimestampFiles:
         with pytest.raises(ValueError):
             read_timestamps(path)
         code = cli_main(["analyze", "--timestamps", str(path), "--mode", "hbt",
-                         "--out", str(tmp_path / "analysis")])
+                         "--rep-rate-mhz", "81", "--out", str(tmp_path / "analysis")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
@@ -375,6 +391,44 @@ class TestCli:
                 assert read_histogram(hist).total_counts > 10_000
                 assert hist.read_bytes() == (pipe / f"{mode}_histogram.csv").read_bytes()
 
+    def test_analyze_and_fit_read_the_run_settings_from_its_files(self, tmp_path, capsys):
+        # Off the default rate and jitter, the click and trace files tell
+        # `analyze` and `fit` the run's repetition period and IRF width.
+        setup = SetupParams(rep_rate_mhz=76.0, jitter_fwhm_ps=40.0)
+        cfg = FleetConfig.from_parts(trion_config().sources, setup)
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(cfg, cfg_path)
+        run = tmp_path / "run"
+        assert cli_main(["pipeline", "--config", str(cfg_path), "--pulses", "200000",
+                         "--seed", "1", "--save-clicks", "--out", str(run)]) == 0
+        src_dir, out = run / "S11", tmp_path / "again"
+        for mode in ("hbt", "hom"):
+            assert cli_main(["analyze", "--timestamps", str(src_dir / f"{mode}_clicks.csv"),
+                             "--mode", mode, "--out", str(out)]) == 0
+            assert ((out / f"{mode}_clicks_histogram.csv").read_bytes()
+                    == (src_dir / f"{mode}_histogram.csv").read_bytes())
+        assert cli_main(["fit", "--trace", str(src_dir / "decay_trace.csv"), "--kind", "trion",
+                         "--out", str(out)]) == 0
+        assert (out / "fit.json").read_bytes() == (src_dir / "fit.json").read_bytes()
+
+        # A flag is only for a file that does not record its setting.
+        capsys.readouterr()
+        assert cli_main(["analyze", "--timestamps", str(src_dir / "hbt_clicks.csv"),
+                         "--mode", "hbt", "--rep-rate-mhz", "76", "--out", str(out)]) == 1
+        assert cli_main(["fit", "--trace", str(src_dir / "decay_trace.csv"), "--kind", "trion",
+                         "--irf-fwhm", "40", "--out", str(out)]) == 1
+        hand_made = tmp_path / "clicks.csv"
+        hand_made.write_text("# channel,time_ps\n0,1\n1,2\n")
+        assert cli_main(["analyze", "--timestamps", str(hand_made), "--mode", "hbt",
+                         "--out", str(out)]) == 1
+        assert cli_main(["analyze", "--timestamps", str(hand_made), "--mode", "hbt",
+                         "--rep-rate-mhz", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--rep-rate-mhz is only for files without it" in err
+        assert "--irf-fwhm is only for files without it" in err
+        assert "records no rep_period_ps; pass --rep-rate-mhz" in err
+        assert "--rep-rate-mhz must be > 0, got 0.0" in err
+
     def test_threads_below_one_rejected(self, tmp_path, capsys):
         code = cli_main([
             "pipeline", "--config", str(self._write_config(tmp_path)), "--pulses", "1000",
@@ -425,7 +479,8 @@ class TestCli:
         ]) == 0
         # The summary carries the provenance line of the run it summarises.
         first_line = (tmp_path / "rep" / "summary.csv").read_text().splitlines()[0]
-        assert first_line.startswith("# qdbench ") and first_line.endswith(" stream_layout=2")
+        assert first_line.startswith("# qdbench ")
+        assert first_line.endswith(f" stream_layout={photon_sim.STREAM_LAYOUT}")
         assert first_line == (out / "summary.csv").read_text().splitlines()[0]
 
     def test_validation_error_exit_code(self, tmp_path):

@@ -3,6 +3,8 @@
 import pathlib
 import re
 
+from qdbench.photon_sim import STREAM_LAYOUT
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -17,3 +19,8 @@ def _python_block(section: str) -> str:
 def test_library_use_example_runs(capsys):
     exec(compile(_python_block("Library use"), str(README), "exec"), {})
     assert "G2Result(" in capsys.readouterr().out
+
+
+def test_stream_layout_is_the_current_one():
+    layouts = re.findall(r"`photon_sim\.STREAM_LAYOUT`, now (\d+)", README.read_text())
+    assert layouts == [str(STREAM_LAYOUT)]
