@@ -194,8 +194,10 @@ def _peak_ratio(hist, window_ps, side_peaks):
         raise ValueError("side peaks are empty; normalization undefined")
     n = len(side)
     ratio = a0 / s_mean
+    # An empty zero peak does not pin its mean at zero: floor the Poisson
+    # variance at one count, as the decay fit floors its weights.
     err = math.hypot(
-        math.sqrt(a0) / s_mean,
+        math.sqrt(max(a0, 1)) / s_mean,
         a0 * math.sqrt(side_areas.sum()) / (n * s_mean**2),
     )
     return ratio, err, a0, s_mean

@@ -17,21 +17,22 @@ chunk's events depend only on that key and its pulse range.  The order
 and kind of every draw is the stream layout, versioned by
 :data:`STREAM_LAYOUT`; a change to either changes the streams.
 
-Cost: the only per-pulse work is one 32-bit Bernoulli decision per pulse
-(two per raw 64-bit word) that decides whether it emits, and a second one
-when laser leakage is enabled.  Each chunk then draws one detection
-decision per photon, and draws emission times and builds rows only for
-the detected photons and for the few anchors (:attr:`Origin.ANCHOR`), so
-at the default efficiency of 0.12 a batch holds about an eighth of the
-photons emitted.  Every later cost scales with the rows of the batch.
-Every generator call that can change a result is made, in a fixed order,
-so the streams depend only on the RngSpec; with
-``laser_leak_per_pulse == 0`` a chunk makes no laser-leak draws, and with
-lossless detection (eta_setup * eta_det == 1) no detection draws.  The HBT
-stage routes and jitters every detected photon; the HOM stage also draws
-the interferometer arm of every row, anchors included, which decides who
-meets whom, and draws coalescence only for pairs whose photons are both
-detected.
+Cost: no draw is made per pulse.  Each chunk draws the pulses that give a
+row directly, as geometric gaps between them, and then makes every other
+draw per row: whether a row is an anchor (:attr:`Origin.ANCHOR`, a lost
+first photon kept for its detected re-excitation photon), whether its
+re-excitation photon is detected, and the emission times.  Detected leak
+photons are drawn the same way, as gaps.  At the default efficiency of
+0.12 about 1.4% of a typical source's pulses give a row, and a batch holds
+about an eighth of the photons emitted.  Every cost scales with the rows
+of the batch, not with the pulses.  Every generator call that can change
+a result is made, in a fixed order, so the streams depend only on the
+RngSpec; with ``laser_leak_per_pulse == 0`` a chunk makes no laser-leak
+draws, and without anchors (lossless detection, or no re-excitation) no
+anchor draws.  The HBT stage routes and jitters every detected photon;
+the HOM stage also draws the interferometer arm of every row, anchors
+included, which decides who meets whom, and draws coalescence only for
+pairs whose photons are both detected.
 """
 
 from __future__ import annotations
@@ -55,10 +56,13 @@ from .model import (
 )
 
 #: Pulses per RNG chunk.  Fixed: changing it changes every simulated stream.
-CHUNK_PULSES = 1 << 16
+CHUNK_PULSES = 1 << 20
 #: Version of the order and kind of random draws.  Artifact headers carry
 #: it, so files written under another layout are told apart by their header.
-STREAM_LAYOUT = 3
+STREAM_LAYOUT = 4
+#: Queries sorted at a time by :func:`_interp_sorted`.  Any value gives the
+#: same bits; 16384 float64 queries (128 KiB) sort and scatter in cache.
+_SORT_BLOCK = 1 << 14
 
 
 class UnsamplableEmissionError(ValueError):
@@ -158,15 +162,19 @@ def sample_emission_time(rng: np.random.Generator, source: SourceParams, size: i
 
 
 def _interp_sorted(u: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
-    """``np.interp(u, xp, fp)``, evaluated on the sorted ``u``.
+    """``np.interp(u, xp, fp)``, evaluated on sorted blocks of ``u``.
 
     ``np.interp`` computes each point on its own, so the order of the
     queries does not change any result bit; sorted queries let its search
     start from the previous knot instead of bisecting the whole table.
+    Blocks of ``_SORT_BLOCK`` queries keep the sort and the scatter in
+    cache, as a lossless chunk holds up to half a million emission times.
     """
-    order = np.argsort(u)
     out = np.empty_like(u)
-    out[order] = np.interp(u[order], xp, fp)
+    for lo in range(0, u.size, _SORT_BLOCK):
+        block = u[lo:lo + _SORT_BLOCK]
+        order = np.argsort(block)
+        out[lo:lo + _SORT_BLOCK][order] = np.interp(block[order], xp, fp)
     return out
 
 
@@ -199,52 +207,89 @@ def _reexcite_conditional_prob(source: SourceParams) -> float:
     return source.p_two_photon / b
 
 
+def _gap_block(n: int, p: float) -> int:
+    """Gaps drawn per block: the expected events in n pulses plus six standard deviations."""
+    return int(n * p + 6.0 * math.sqrt(n * p) + 16)
+
+
+def _event_pulses(g: np.random.Generator, p: float, n: int) -> np.ndarray:
+    """The pulses in [0, n) that hold an event of per-pulse probability ``p``.
+
+    Returns sorted, unique int64 indices.  The gaps between events are
+    geometric, each drawn as ``floor(E * s) + 1`` with E standard
+    exponential (ziggurat, no transcendental function per event) and
+    s = -1 / log1p(-p); p = 1 gives s = 0, so every pulse.  Gaps are drawn
+    in blocks of :func:`_gap_block` until the last position reaches n - 1
+    or beyond; the positions past the last pulse are dropped.  p = 0 makes
+    no draw.
+    """
+    if p == 0.0:
+        return np.empty(0, dtype=np.int64)
+    scale = 0.0 if p == 1.0 else -1.0 / math.log1p(-p)
+    block = _gap_block(n, p)
+    blocks = []
+    last = -1
+    while last < n - 1:
+        e = g.standard_exponential(block)
+        e *= scale
+        # A gap of n already leaves the chunk; the cap keeps the cast exact.
+        np.minimum(e, n, out=e)
+        pos = e.astype(np.int64)
+        pos += 1
+        pos[0] += last
+        np.cumsum(pos, out=pos)
+        blocks.append(pos)
+        last = int(pos[-1])
+    pulses = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return pulses[:np.searchsorted(pulses, n)]
+
+
 def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: int):
     """The rows of pulses [lo, hi) as (pulse, emit, origin): detected photons and anchors.
 
-    Draws: emission for every pulse; re-excitation for every first photon;
-    only with ``laser_leak_per_pulse > 0``, the leak decision for every
-    pulse; only with ``eta_setup * eta_det < 1``, detection for every
-    photon (first photons, re-excitation photons, then leak photons); the
-    emission times of the first photons that get a row; the delays of the
-    detected re-excitation photons; the times of the detected leak photons.
+    Only the pulses that give a row are drawn.  With b the brightness,
+    r = p2 / b and eta = eta_setup * eta_det, a pulse gives a row with
+    probability b * eta + b * (1 - eta) * r * eta: a detected first photon,
+    or an anchor, a lost first photon whose re-excitation photon is
+    detected.
+
+    Draws: the row pulses, as geometric gaps; only when anchors can occur
+    (0 < eta < 1 and r > 0), the anchor decision per row; per row, whether
+    its re-excitation photon is detected (forced for anchors); only with
+    ``laser_leak_per_pulse > 0``, the pulses of the detected leak photons,
+    as geometric gaps; the emission times of the rows' first photons, the
+    delays of the detected re-excitation photons, the times of the leak
+    photons.
     """
     g = rng.generator(chunk_key)
     n = hi - lo
+    b = source.brightness_first_lens
+    r = _reexcite_conditional_prob(source)
+    eta = setup.eta_total
     leak = setup.laser_leak_per_pulse
+    p_anchor = b * (1.0 - eta) * r * eta
+    p_row = b * eta + p_anchor
 
-    first_pulses = np.flatnonzero(_bernoulli(g, source.brightness_first_lens, n)) + lo
-    k = first_pulses.size
-    # re_of[i]: the first photon that re-excitation photon i follows.
-    re_of = np.flatnonzero(_bernoulli(g, _reexcite_conditional_prob(source), k))
-    m = re_of.size
-    leak_pulses = (np.flatnonzero(_bernoulli(g, leak, n)) + lo if leak > 0
+    row_pulses = _event_pulses(g, p_row, n) + lo
+    k = row_pulses.size
+    anchor = (_bernoulli(g, p_anchor / p_row, k) if p_anchor > 0
+              else np.zeros(k, dtype=bool))
+    re_detected = _bernoulli(g, r * eta, k) | anchor
+    leak_pulses = (_event_pulses(g, leak * eta, n) + lo if leak > 0
                    else np.empty(0, dtype=np.int64))
-    photons = k + m + leak_pulses.size
-    detected = (_bernoulli(g, setup.eta_total, photons) if setup.eta_total < 1
-                else np.ones(photons, dtype=bool))
-    first_detected = detected[:k]
-    re_of = re_of[detected[k:k + m]]
-    leak_pulses = leak_pulses[detected[k + m:]]
 
-    # A first photon gets a row when it is detected or when its
-    # re-excitation photon is: then the row is an anchor.
-    has_row = first_detected.copy()
-    has_row[re_of] = True
-    rows = _selection(has_row)
-    row_pulses = first_pulses[rows]
-    first_times = sample_emission_time(g, source, size=row_pulses.size)
+    first_times = sample_emission_time(g, source, size=k)
     # re_row[i]: the row of the first photon that re-excitation photon i follows.
-    re_row = re_of if isinstance(rows, slice) else np.searchsorted(rows, re_of)
+    re_row = np.flatnonzero(re_detected)
     re_times = first_times[re_row] + sample_emission_time(g, source, size=re_row.size)
-    first_origin = np.full(row_pulses.size, Origin.QD_FIRST, dtype=np.int8)
-    first_origin[~first_detected[rows]] = Origin.ANCHOR
+    first_origin = np.full(k, Origin.QD_FIRST, dtype=np.int8)
+    first_origin[anchor] = Origin.ANCHOR
 
     if leak == 0:
         # Each first photon's row is followed by its re-excitation photon's
         # row, if any; this is the stable sort below, without the sort.
         re_pos = re_row + np.arange(1, re_row.size + 1)
-        is_first = np.ones(row_pulses.size + re_row.size, dtype=bool)
+        is_first = np.ones(k + re_row.size, dtype=bool)
         is_first[re_pos] = False
         pulse = np.empty(is_first.size, dtype=np.int64)
         pulse[is_first] = row_pulses
@@ -287,6 +332,10 @@ def simulate_pulse_train(
 
     Each chunk of ``CHUNK_PULSES`` pulses draws from its own generator,
     keyed by (seed, stream_id, chunk index).
+
+    Draws, per chunk: the pulses that give a row, then the per-row anchor
+    and re-excitation decisions, the pulses of the detected leak photons,
+    then the emission times (see :func:`_simulate_chunk`).
     """
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")

@@ -9,6 +9,7 @@ from scipy import stats
 from conftest import S11_TAU_PS, poissonian_pulse_train, read_histogram
 
 from qdbench.correlation import (
+    DEFAULT_SIDE_PEAKS,
     CorrelationHistogram,
     brightness_chain,
     build_histogram,
@@ -195,6 +196,24 @@ class TestG2Zero:
             math.sqrt(100) / 10_000, 100 * math.sqrt(20_000) / (2 * 10_000**2)
         )
         assert res.std_err == pytest.approx(expected, rel=1e-12)
+
+    def test_empty_zero_peak_error_floored_at_one_count(self):
+        res = g2_zero(make_hist(0, 1000))
+        assert res.value == 0.0
+        assert res.std_err == 1 / res.side_mean
+        assert hom_visibility(make_hist(0, 1000)).std_err == 2 / res.side_mean
+
+    @pytest.mark.parametrize("zero_area", [1, 2, 50])
+    def test_nonempty_zero_peak_error_unchanged(self, zero_area):
+        # Bit-equal to the plain Poisson error sqrt(a0) whenever a0 >= 1.
+        hist = make_hist(zero_area, 1000)
+        side = np.full(len(DEFAULT_SIDE_PEAKS), 1000.0)
+        s_mean = float(side.mean())
+        err = math.hypot(math.sqrt(zero_area) / s_mean,
+                         zero_area * math.sqrt(side.sum()) / (side.size * s_mean**2))
+        g2, vis = g2_zero(hist), hom_visibility(hist)
+        assert (g2.value, g2.std_err) == (zero_area / s_mean, err)
+        assert (vis.value, vis.std_err) == (1.0 - 2.0 * (zero_area / s_mean), 2.0 * err)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(67)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from conftest import (
     single_photon_batch,
 )
 
+from qdbench import photon_sim
 from qdbench.dynamics import exciton_cross_intensity, peak_emission_delay
 from qdbench.model import SetupParams, SourceValidationError, exciton_source, trion_source
 from qdbench.photon_sim import (
@@ -25,6 +27,7 @@ from qdbench.photon_sim import (
     RngSpec,
     UnsamplableEmissionError,
     _bernoulli,
+    _event_pulses,
     _exciton_inverse_cdf_table,
     _interp_sorted,
     _kept_pairs,
@@ -161,6 +164,61 @@ class TestBernoulli:
         assert digest[:16] == "8a6fd61dd83a5a42"
 
 
+class TestEventPulses:
+    @staticmethod
+    def _assert_pulse_set(pulses, n):
+        assert pulses.dtype == np.int64
+        assert np.all(np.diff(pulses) > 0)
+        assert pulses.size == 0 or (pulses[0] >= 0 and pulses[-1] < n)
+
+    @pytest.mark.parametrize("p", [0.0138, 0.185, 0.5])
+    def test_count_within_4_sigma(self, p):
+        n = 1_000_003
+        pulses = _event_pulses(RngSpec(51, 0).generator(), p, n)
+        self._assert_pulse_set(pulses, n)
+        assert abs(pulses.size - n * p) < 4 * math.sqrt(n * p * (1 - p))
+
+    @pytest.mark.parametrize("p", [0.0138, 0.185])
+    def test_gaps_are_geometric(self, p):
+        pulses = _event_pulses(RngSpec(52, 0).generator(), p, 2_000_000)
+        # The first gap runs from the pulse before the chunk.
+        gaps = np.diff(pulses, prepend=-1)
+        # Bins 1..k-1, then the tail k.., with k chosen so the tail expects ~50.
+        k = int(math.log(50 / gaps.size) / math.log1p(-p)) + 1
+        observed = np.bincount(np.minimum(gaps, k), minlength=k + 1)[1:]
+        j = np.arange(1, k)
+        expected = np.append(p * (1 - p) ** (j - 1), (1 - p) ** (k - 1)) * gaps.size
+        assert stats.chisquare(observed, expected).pvalue > 0.01
+
+    def test_certain_outcomes(self):
+        g = RngSpec(53, 0).generator()
+        assert _event_pulses(g, 0.0, 1000).size == 0
+        # p = 0 makes no draw.
+        assert g.bit_generator.random_raw() == RngSpec(53, 0).generator().bit_generator.random_raw()
+        assert np.array_equal(_event_pulses(g, 1.0, 1000), np.arange(1000))
+        assert np.array_equal(_event_pulses(g, 1.0, 1), [0])
+
+    @pytest.mark.parametrize("p", [0.0138, 0.5, 1.0])
+    def test_continued_blocks_follow_one_gap_stream(self, p):
+        # Blocks of three gaps force the continuation; the pulses are the
+        # partial sums of one exponential stream, drawn in whole blocks.
+        n = 2_000
+        with mock.patch.object(photon_sim, "_gap_block", lambda n, p: 3):
+            g = RngSpec(54, 0).generator()
+            pulses = _event_pulses(g, p, n)
+        self._assert_pulse_set(pulses, n)
+        scale = 0.0 if p == 1.0 else -1.0 / math.log1p(-p)
+        gaps = np.floor(RngSpec(54, 0).generator().standard_exponential(2 * n) * scale) + 1
+        positions = np.cumsum(gaps).astype(np.int64) - 1
+        # Whole blocks up to the one that reaches the last pulse.
+        drawn = 3 * (int(np.argmax(positions >= n - 1)) // 3 + 1)
+        assert drawn > 3
+        assert np.array_equal(pulses, positions[:drawn][positions[:drawn] < n])
+        ref = RngSpec(54, 0).generator()
+        ref.standard_exponential(drawn)
+        assert g.bit_generator.random_raw() == ref.bit_generator.random_raw()
+
+
 class TestSimulatePulseTrain:
     def test_no_reexcitation_when_p_two_photon_zero(self):
         batch = simulate_pulse_train(RngSpec(21, 0), S11, SetupParams(), 200_000)
@@ -236,25 +294,36 @@ class TestSimulatePulseTrain:
 
     @pytest.mark.parametrize("leak", [0.0, 0.05])
     def test_thinning_at_emission_keeps_the_detected_photons(self, leak):
-        # The emission decisions are drawn before detection, so a lossless
-        # train from the same key holds every photon the lossy one emitted.
+        # Per pulse: a first photon with probability b, then a re-excitation
+        # photon with r = p2 / b, each detected with eta.  The batch holds the
+        # detected photons plus an anchor for each lost first photon whose
+        # re-excitation photon is detected.
         n = 2 * CHUNK_PULSES + 5_000
-        src = trion_source(150.0, brightness_first_lens=0.4, p_two_photon=0.05)
+        b, p2 = 0.4, 0.05
+        src = trion_source(150.0, brightness_first_lens=b, p_two_photon=p2)
         lossless = SetupParams(eta_setup=1.0, eta_det=1.0, laser_leak_per_pulse=leak)
         lossy = SetupParams(laser_leak_per_pulse=leak)
         full = simulate_pulse_train(RngSpec(27, 0), src, lossless, n)
-        thin = simulate_pulse_train(RngSpec(27, 0), src, lossy, n)
         assert not np.any(full.origin == Origin.ANCHOR)
         assert np.all(full.detected_mask())
 
-        photons = len(full)
-        kept = int(np.count_nonzero(thin.detected_mask()))
-        eta = lossy.eta_total
-        assert abs(kept - eta * photons) < 4 * math.sqrt(photons * eta * (1 - eta))
-        # Every row is a photon of the full train: same pulse, same kind.
-        for kind in (Origin.QD_REEXCITE, Origin.LASER):
-            assert np.all(np.isin(thin.pulse_index[thin.origin == kind],
-                                  full.pulse_index[full.origin == kind]))
+        thin = simulate_pulse_train(RngSpec(27, 0), src, lossy, n)
+        eta, r = lossy.eta_total, p2 / b
+        detected_qd = thin.qd_mask() & thin.detected_mask()
+        per_pulse = np.bincount(thin.pulse_index[detected_qd], minlength=n)
+        p_first, p_re, p_both = b * eta, b * r * eta, b * eta * r * eta
+        var_qd = p_first * (1 - p_first) + p_re * (1 - p_re) + 2 * (p_both - p_first * p_re)
+        p_anchor = b * (1 - eta) * r * eta
+        laws = [
+            # Detected QD photons: b eta (1 + r eta) + b (1 - eta) r eta per pulse.
+            (per_pulse.sum(), p_first + p_re, var_qd),
+            (np.count_nonzero(thin.origin == Origin.ANCHOR), p_anchor, p_anchor * (1 - p_anchor)),
+            (np.count_nonzero(per_pulse == 2), p_both, p_both * (1 - p_both)),
+            (np.count_nonzero(thin.origin == Origin.LASER), leak * eta,
+             leak * eta * (1 - leak * eta)),
+        ]
+        for count, mean, var in laws:
+            assert abs(count - n * mean) <= 4 * math.sqrt(n * var)
         # An anchor is the lost first photon of a pulse whose re-excitation
         # photon is kept, and it comes right before that photon.
         anchors = np.flatnonzero(thin.origin == Origin.ANCHOR)
@@ -568,23 +637,23 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
     return h.hexdigest()
 
 
-#: Pinned stream digests of stream layout 3.  A change to any random draw,
+#: Pinned stream digests of stream layout 4.  A change to any random draw,
 #: its order or the event layout changes them; such a change must bump
 #: ``STREAM_LAYOUT`` deliberately and record new digests.  Click arrays are
 #: hashed as the int64 picoseconds the stream functions return.
 _GOLDEN_DIGESTS = {
     ("exciton", "default"):
-        "cd064a7071bf578f7914bd14ca733f727d3ed0b7489ed81d461ee011da9755c2",
+        "bd1605510956621ac0696a8ccc999efd9bc55ea78bd3b238af9174245b7e524a",
     ("exciton", "lossless"):
-        "f36581397244cfdc49a751aaed8f6fb01b5546d560a0976b916d062dcbde70d7",
+        "db1c37e4d7e597597ca3ceb01b540cbd2a62d4ba7f0b4f9b65f9e22581907b7c",
     ("exciton", "leak_dark"):
-        "e27cd3070198f8347e3130fb070fbacd80ee990f4a8de5ba75bdf249ee08e4f0",
+        "e322a6f95e9fd92ad7d15d3d9265d596472bbd339b2e198bf8eab218baeb2854",
     ("trion", "default"):
-        "5086fcbe406ed3e7fb4294ecd927a9c09440d4640010c9a8f7f5c516d5ab47bb",
+        "e9a41dbd9b28681dd987eadbcdc5f9d03a0ea53c1f71a16910aa96d1ee9de7ad",
     ("trion", "lossless"):
-        "eea144e39f7fdfae0ef7a4adaea6cefe2256250e78cdfc3c005734bcb30d904b",
+        "24d33e9830f00d8c9b02c51fdad3260e105f83c90e11c85d3d876f3ce3314857",
     ("trion", "leak_dark"):
-        "e7b07b70e50d80f556f2e6b72e01572e03d898dd49725b748f8cd4405b33d7ac",
+        "18aeef1fef19eaae3f23c05b19d3d7dd515bbb16ccecd3ad6450499e72cc8258",
 }
 
 
