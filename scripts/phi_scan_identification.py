@@ -15,6 +15,7 @@ import numpy as np
 from qdbench.dynamics import PhiScanPoint, phi_scan_model
 from qdbench.inference import classify_transition
 from qdbench.model import exciton_source, trion_source
+from qdbench.pipeline import write_table
 
 
 def scan(source, rng, n_angles=25, noise=0.05):
@@ -45,10 +46,8 @@ def main():
     for source in sources:
         points = scan(source, rng, noise=args.noise)
         path = os.path.join(args.out, f"{source.label}_scan.csv")
-        with open(path, "w") as f:
-            f.write("phi_rad,cavity_light,qd_light\n")
-            for p in points:
-                f.write(f"{p.phi_rad!r},{p.cavity_light!r},{p.qd_light!r}\n")
+        write_table(path, None, ("phi_rad", "cavity_light", "qd_light"),
+                    zip(*((p.phi_rad, p.cavity_light, p.qd_light) for p in points)))
         res = classify_transition(points)
         theta = (
             f", theta = {math.degrees(res.theta_est_rad):.1f} deg"

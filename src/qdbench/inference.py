@@ -1,15 +1,19 @@
 """Parameter recovery: decay-trace fitting and transition classification.
 
 ``fit_decay`` fits a counted decay trace with the appropriate emission
-model convolved with a fixed-width Gaussian instrument response, using
-weighted damped least squares (weights 1/max(counts, 1)).  The model is
+model convolved with a fixed-width Gaussian instrument response.  The
+model is
 
     counts(t) = amplitude * (model (*) irf)(t - t0) + background
 
 with model parameters tau (both kinds) and delta_fss (exciton only).  The
-angle theta is not identifiable from a decay trace (it only scales the
-amplitude) and is recovered instead from polarization scans by
-``classify_transition``.
+start takes tau from the trace's 1/e fall and searches a grid over
+delta_fss and t0, with amplitude and background solved in closed form.
+Two passes of weighted damped least squares follow: the first weighs each
+bin by its observed counts, 1/max(counts, 1), and the second by the first
+pass's fitted expectation, 1/max(prediction, 1).  The angle theta is not
+identifiable from a decay trace (it only scales the amplitude) and is
+recovered instead from polarization scans by ``classify_transition``.
 """
 
 from __future__ import annotations
@@ -19,9 +23,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import PhiScanPoint, gaussian_kernel, peak_emission_delay
+from .dynamics import PhiScanPoint, gaussian_kernel
 from .leastsq import DegenerateFitError, levenberg_marquardt
-from .model import HBAR_UEV_PS, ExcitonParams, TransitionKind
+from .model import HBAR_UEV_PS, TransitionKind
 
 EXCITON_PARAM_NAMES = ("tau", "delta_fss", "amplitude", "background", "t0")
 TRION_PARAM_NAMES = ("tau", "amplitude", "background", "t0")
@@ -184,111 +188,87 @@ class _DecayModel:
         return j * self.sqrt_w[:, None]
 
 
-def _boxcar(values: np.ndarray, width: int) -> np.ndarray:
-    width = max(1, min(width, values.size))
-    kernel = np.ones(width) / width
-    return np.convolve(values, kernel, mode="same")
+#: Whole-bin shifts of the start search's excitation time on either side of
+#: the peak-aligned placement.
+_START_SHIFTS = 6
+#: Smallest splitting (ueV) on the start search's grid; below it the exciton
+#: model barely bends within a lifetime and differs from it only in amplitude.
+_START_DELTA_MIN = 0.5
 
 
-def _initial_guess(trace: DecayTrace, irf_fwhm_ps: float) -> dict:
-    t, c = trace.t_ps, trace.counts
-    smooth = _boxcar(c, max(3, int(round(irf_fwhm_ps / max(t[1] - t[0], 1e-9)))))
-    n_tail = max(3, c.size // 20)
-    bg0 = float(np.mean(np.sort(smooth)[: 2 * n_tail]))
+def _start(model: _DecayModel, t: np.ndarray, irf_fwhm_ps: float) -> np.ndarray:
+    """The best start on a coarse grid, for the damped least-squares fit.
+
+    tau comes from the 1/e fall of the trace smoothed with the instrument
+    response.  For each splitting on a grid bounded by what the response
+    resolves (one value for a trion), the model is convolved once, placed
+    so that its peak meets the data's peak, and shifted by whole bins at
+    two half-bin offsets.  Amplitude and background are linear, so each
+    candidate costs one weighted 2x2 solve; the lowest weighted RSS wins.
+    """
+    c, h, n = model.counts, model.step, model.counts.size
+    smooth = np.convolve(c, model.kernel, mode="same")
+    bg0 = float(np.mean(np.sort(smooth)[: 2 * max(3, n // 20)]))
     i_pk = int(np.argmax(smooth))
     pk = float(smooth[i_pk])
     if pk - bg0 <= 5.0 * math.sqrt(bg0 + 1.0):
         raise DegenerateFitError("no decay signal above background")
+    # The last bin above the 1/e level: a beat trough can dip below it early.
+    above = np.flatnonzero(smooth[i_pk:] > bg0 + (pk - bg0) / math.e)
+    tau = h * max(above[-1] + 1, 2)
+    if t[-1] - t[0] < 3.0 * tau:
+        raise ValueError(
+            f"trace spans {t[-1] - t[0]:.0f} ps but the estimated lifetime is "
+            f"{tau:.0f} ps; need >= 3 lifetimes"
+        )
 
-    tail = smooth[i_pk:]
-    target = bg0 + (pk - bg0) / math.e
-    below = np.where(tail <= target)[0]
-    tau0 = float(t[i_pk + below[0]] - t[i_pk]) if below.size else float((t[-1] - t[i_pk]) / 3.0)
-    tau0 = max(tau0, 2.0 * (t[1] - t[0]))
-
-    rise = np.where(smooth[: i_pk + 1] >= bg0 + (pk - bg0) / 2.0)[0]
-    t_half = float(t[rise[0]]) if rise.size else float(t[max(i_pk - 1, 0)])
-
-    init = {"background": bg0, "t0": t_half}
-    if trace.kind is TransitionKind.EXCITON:
-        # Dominant beat frequency from a Fourier probe of the detrended tail.
-        seg = c[i_pk:] - _boxcar(c[i_pk:], max(5, int(round(tau0 / (t[1] - t[0])))))
-        seg = seg * np.exp(np.clip(t[i_pk:] - t[i_pk], 0, 6 * tau0) / (2 * tau0))
-        spec = np.abs(np.fft.rfft(seg, n=8 * seg.size))
-        freqs = np.fft.rfftfreq(8 * seg.size, d=t[1] - t[0])
-        lo = max(2, int(np.searchsorted(freqs, 0.25 / (t[-1] - t[i_pk]))))
-        k = lo + int(np.argmax(spec[lo:]))
-        delta0 = 2.0 * math.pi * HBAR_UEV_PS * float(freqs[k])
-        init["delta_fss"] = max(delta0, 0.5)
-        # The intensity peaks one beat-dependent delay after excitation.
-        peak_delay = peak_emission_delay(ExcitonParams(tau0, init["delta_fss"], 0.0))
-        init["t0"] = float(t[i_pk]) - peak_delay
-    init["tau"] = tau0
-    init["amplitude"] = pk - bg0
-    return init
-
-
-def _refine_start(model: _DecayModel, p0: np.ndarray, span_ps: float = 24.0,
-                  step_ps: float = 2.0) -> np.ndarray:
-    """Coarse scan over the excitation time with linear amplitude solves.
-
-    The weighted RSS is rugged in t0 on the scale of a few picoseconds
-    (the steep rise flips residual signs bin by bin), so a descent started
-    from a mis-timed guess can stall in a nearby local minimum.  For each
-    candidate t0 the optimal amplitude and background follow from a
-    weighted linear solve; the best candidate seeds the full fit.
-    """
-    w = model.sqrt_w
-    y = model.counts * w
-    best = None
-    for dt in np.arange(-span_ps, span_ps + 0.5 * step_ps, step_ps):
-        trial = p0.copy()
-        trial[-3], trial[-2] = 1.0, 0.0
-        trial[-1] = p0[-1] + dt
-        shape = model.predict_components(trial)[1]
-        design = np.stack([shape * w, w], axis=1)
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-        rss = float(np.sum((design @ coef - y) ** 2))
-        if best is None or rss < best[0]:
-            best = (rss, trial[-1], coef)
-    _, t0_best, coef = best
-    out = p0.copy()
-    out[-3] = max(float(coef[0]), 1e-12)
-    out[-2] = max(float(coef[1]), 0.0)
-    out[-1] = t0_best
-    return out
+    if model.kind is TransitionKind.EXCITON:
+        # A beat period 2 pi hbar / delta shorter than two response widths
+        # (or four bins, with no response) washes out.
+        delta_max = math.pi * HBAR_UEV_PS / max(irf_fwhm_ps, 2.0 * h)
+        deltas = np.arange(_START_DELTA_MIN, delta_max, HBAR_UEV_PS / tau)
+    else:
+        deltas = [0.0]
+    w = model.sqrt_w**2
+    wc = w * c
+    sw, swc, swcc = w.sum(), wc.sum(), wc @ c
+    lead = n + _START_SHIFTS + model.radius
+    best = (math.inf, None)
+    for delta in deltas:
+        for offset in (0.0, 0.5 * h):
+            u = offset + h * np.arange(-lead, lead)
+            m = _raw_model_and_derivs(u, model.kind, tau, delta, h)[0]
+            shape = np.convolve(m, model.kernel, mode="same")
+            starts = np.argmax(shape) - i_pk + np.arange(-_START_SHIFTS, _START_SHIFTS + 1)
+            starts = np.clip(starts, 0, shape.size - n)
+            win = np.lib.stride_tricks.sliding_window_view(shape, n)[starts]
+            sss, ss, ssc = (win * win) @ w, win @ w, win @ wc
+            det = sss * sw - ss * ss
+            amp = (ssc * sw - ss * swc) / det
+            bg = (sss * swc - ss * ssc) / det
+            rss = swcc - amp * ssc - bg * swc
+            k = int(np.argmin(rss))
+            if rss[k] < best[0]:
+                t0 = t[0] - u[starts[k]]
+                best = (rss[k], (delta, max(amp[k], 1e-12), max(bg[k], 0.0), t0))
+    delta, amp, bg, t0 = best[1]
+    if model.kind is TransitionKind.EXCITON:
+        return np.array([tau, delta, amp, bg, t0])
+    return np.array([tau, amp, bg, t0])
 
 
-def fit_decay(
-    trace: DecayTrace,
-    irf_fwhm_ps: float,
-    init: dict | None = None,
-    max_iter: int = 500,
-) -> FitResult:
+def fit_decay(trace: DecayTrace, irf_fwhm_ps: float) -> FitResult:
     """Fit a decay trace with the kind-appropriate model plus IRF.
 
-    The instrument-response width is held fixed.  ``init`` may override
-    any of the auto-initialized parameters by name.
+    The instrument-response width is held fixed.  The fit starts from the
+    best point of :func:`_start`'s grid.
     """
     if trace.t_ps.size < 50:
         raise ValueError(f"need >= 50 bins to fit a decay, got {trace.t_ps.size}")
     model = _DecayModel(trace, irf_fwhm_ps)
-    guess = _initial_guess(trace, irf_fwhm_ps)
-    if init:
-        guess.update(init)
     names = EXCITON_PARAM_NAMES if trace.kind is TransitionKind.EXCITON else TRION_PARAM_NAMES
-    span = trace.t_ps[-1] - trace.t_ps[0]
-    if span < 3.0 * guess["tau"]:
-        raise ValueError(
-            f"trace spans {span:.0f} ps but the estimated lifetime is "
-            f"{guess['tau']:.0f} ps; need >= 3 lifetimes"
-        )
-    p0 = np.array([guess[name] for name in names], dtype=float)
-    p0 = _refine_start(model, p0)
-
-    result = levenberg_marquardt(
-        model.residuals, model.jacobian, p0, max_iter=max_iter
-    )
+    p0 = _start(model, trace.t_ps, irf_fwhm_ps)
+    result = levenberg_marquardt(model.residuals, model.jacobian, p0)
     # One reweighting pass: replace the observed-count variance estimate by
     # the fitted expectation.  Observed-count weights overweight downward
     # fluctuations and bias the decay constant low once bins hold few
@@ -296,9 +276,7 @@ def fit_decay(
     # high (the two estimates then agree).
     pred = model.predict_components(result.params)[0]
     model.sqrt_w = 1.0 / np.sqrt(np.maximum(pred, 1.0))
-    result = levenberg_marquardt(
-        model.residuals, model.jacobian, result.params, max_iter=max_iter
-    )
+    result = levenberg_marquardt(model.residuals, model.jacobian, result.params)
     dof = max(trace.t_ps.size - len(names), 1)
     params = {name: float(v) for name, v in zip(names, result.params)}
     errs = {name: float(e) for name, e in zip(names, result.std_errs)}

@@ -77,7 +77,6 @@ class Origin(enum.IntEnum):
     #: offset from it, and in HOM its arm can still shadow that photon.
     ANCHOR = 2
     LASER = 3
-    DARK = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,7 +520,6 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
         raise ValueError("events must be sorted by pulse index")
     g = rng.generator()
     period = setup.rep_period_ps
-    delay = setup.hom_delay_ps if setup.hom_delay_ps is not None else period
     sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
     detected = batch.detected_mask()
     m_pair = _pair_overlap(batch.brightness, batch.p_two_photon, overlap)
@@ -534,7 +532,7 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
 
     kept = _selection(detected)
     times = _click_times(batch, kept, period)
-    times += arm[kept] * delay
+    times += arm[kept] * setup.hom_delay_ps
     channels = _bernoulli(g, 0.5, times.size)
     if isinstance(kept, np.ndarray):
         # Positions of the paired events among the detected ones.
