@@ -33,13 +33,14 @@ from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
 from .pipeline import (
     HISTOGRAM_PERIODS,
+    TRAINS,
     PipelineOptions,
     file_header,
     read_header,
     read_notes,
     read_timestamps,
     run_pipeline,
-    source_clicks,
+    train_clicks,
     write_histogram,
     write_json,
     write_timestamps,
@@ -75,11 +76,17 @@ def _cmd_simulate(args) -> int:
     header = file_header(args.seed, config.config_hash)
     period = config.setup.rep_period_ps
     for index, source in enumerate(config.sources):
-        t0, t1, h0, h1 = source_clicks(source, config.setup, args.seed, index, args.pulses)
-        write_timestamps(os.path.join(args.out, f"{source.label}_hbt.csv"), t0, t1, header, period)
-        write_timestamps(os.path.join(args.out, f"{source.label}_hom.csv"), h0, h1, header, period)
-        print(f"{source.label}: wrote HBT ({t0.size + t1.size} clicks) and "
-              f"HOM ({h0.size + h1.size} clicks) streams")
+        counts = []
+        # Each train's file is written, and its clicks dropped, before the
+        # next train is simulated.
+        for train in TRAINS:
+            t0, t1 = train_clicks(source, config.setup, args.seed, index, args.pulses, train)
+            path = os.path.join(args.out, f"{source.label}_{train}.csv")
+            write_timestamps(path, t0, t1, header, period)
+            counts.append(t0.size + t1.size)
+            del t0, t1
+        print(f"{source.label}: wrote HBT ({counts[0]} clicks) and "
+              f"HOM ({counts[1]} clicks) streams")
     return 0
 
 

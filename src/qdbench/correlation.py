@@ -55,10 +55,6 @@ class CorrelationHistogram:
                 f"periods ({10 * self.rep_period_ps:.0f} ps)"
             )
 
-    @property
-    def total_counts(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass(frozen=True)
 class PeakIntegral:
@@ -103,13 +99,15 @@ def _integer_clicks(clicks, name: str) -> np.ndarray:
     if t.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integer picoseconds, got dtype {t.dtype}")
     t = t.astype(np.int64, copy=False)
-    if t.size > 1 and np.any(np.diff(t) < 0):
+    if np.any(t[1:] < t[:-1]):
         raise ValueError(f"{name} must be sorted by time")
     return t
 
 
 #: Reference clicks per gather in :func:`build_histogram`; bounds its memory.
-_HISTOGRAM_BLOCK = 200_000
+#: Any value gives the same counts.  On 1.5M lossless clicks, 32768 was as
+#: fast as 4096 and faster than 200000 (54 against 67 ms).
+_HISTOGRAM_BLOCK = 1 << 15
 
 
 def build_histogram(

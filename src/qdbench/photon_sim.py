@@ -63,6 +63,10 @@ STREAM_LAYOUT = 4
 #: Queries sorted at a time by :func:`_interp_sorted`.  Any value gives the
 #: same bits; 16384 float64 queries (128 KiB) sort and scatter in cache.
 _SORT_BLOCK = 1 << 14
+#: Batch rows handled at a time by the detector stages (pairing, stamping,
+#: the int64 cast).  Any value gives the same bits; 16384 rows keep their
+#: temporaries near 1 MiB whatever the train length, at no cost in time.
+_ROW_BLOCK = 1 << 14
 
 
 class UnsamplableEmissionError(ValueError):
@@ -293,6 +297,7 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
         pulse = np.empty(is_first.size, dtype=np.int64)
         pulse[is_first] = row_pulses
         pulse[re_pos] = row_pulses[re_row]
+        del row_pulses  # the chunk holds at most two of its long columns at once
         emit = np.empty(is_first.size)
         emit[is_first] = first_times
         emit[re_pos] = re_times
@@ -350,11 +355,22 @@ def simulate_pulse_train(
         _simulate_chunk(rng, source, setup, lo, min(lo + CHUNK_PULSES, n_pulses), i)
         for i, lo in enumerate(range(0, n_pulses, CHUNK_PULSES))
     ]
-    pulse = np.concatenate([c[0] for c in chunks])
-    emit = np.concatenate([c[1] for c in chunks])
-    origin = np.concatenate([c[2] for c in chunks])
+    # Joined one column at a time, each column's chunks freed as soon as it
+    # is joined, so the batch is never held twice.
+    columns = [list(parts) for parts in zip(*chunks)]
+    del chunks
+    pulse, emit, origin = map(_join, columns)
     return EventBatch(pulse, emit, origin, n_pulses,
                       source.brightness_first_lens, source.p_two_photon)
+
+
+def _join(parts: list) -> np.ndarray:
+    """The concatenation of ``parts``, emptying the list, so each part is freed once joined."""
+    if len(parts) == 1:
+        return parts.pop()
+    joined = np.concatenate(parts)
+    parts.clear()
+    return joined
 
 
 def _dark_clicks(g: np.random.Generator, setup: SetupParams, duration_ps: float):
@@ -366,37 +382,78 @@ def _dark_clicks(g: np.random.Generator, setup: SetupParams, duration_ps: float)
     return out
 
 
-def _finalize_streams(times, on_channel1, dark0, dark1):
-    """Each channel's click times, sorted and rounded to int64 ps (ties to even).
+def _finalize_streams(stamped, darks):
+    """Each channel's clicks: its stamped times and its dark counts, sorted and rounded to int64 ps.
 
-    ``on_channel1`` is True for the events routed to channel 1.
+    Works in place on the float buffers of ``stamped``, which nothing else
+    may reference: each grows to take its channel's dark counts, is sorted
+    and rounded (ties to even), and is returned cast to int64 in its own
+    memory, ``_ROW_BLOCK`` values at a time.
     """
     streams = []
-    for detected, dark in ((times[~on_channel1], dark0), (times[on_channel1], dark1)):
+    for t, dark in zip(stamped, darks):
+        n = t.size
+        t.resize(n + dark.size, refcheck=False)
+        t[n:] = dark
         # Click times are finite and never -0.0, so every sort algorithm
         # returns the same bits.  The stable one (a merge sort) is the
         # fastest here: event times arrive in pulse order and the dark
         # counts are sorted.  Rounding is monotone, so the rounded times
         # stay sorted.
-        t = np.sort(np.concatenate([detected, dark]), kind="stable")
-        streams.append(np.rint(t, out=t).astype(np.int64))
+        t.sort(kind="stable")
+        np.rint(t, out=t)
+        ints = t.view(np.int64)
+        for lo in range(0, t.size, _ROW_BLOCK):
+            ints[lo:lo + _ROW_BLOCK] = t[lo:lo + _ROW_BLOCK]
+        streams.append(ints)
     return tuple(streams)
 
 
-def _selection(mask: np.ndarray):
-    """Index of the True entries of ``mask``; a slice when all are True, which avoids copies."""
-    return slice(None) if mask.all() else np.flatnonzero(mask)
+def _stamp_clicks(g: np.random.Generator, batch: EventBatch, setup: SetupParams,
+                  on_channel1: np.ndarray, arm: np.ndarray | None = None):
+    """Both channels' click streams of the batch's detected rows, plus dark counts.
 
+    A detected row (every row but the anchors) is stamped at pulse_index *
+    rep_period + emit_time, plus ``hom_delay_ps`` where ``arm`` (one entry
+    per row) puts it on the long arm, plus Gaussian jitter.  It goes to
+    channel 1 where ``on_channel1`` (one entry per detected row) is True.
 
-def _click_times(batch: EventBatch, kept: np.ndarray, period: float) -> np.ndarray:
-    """``pulse_index * period + emit_time_ps`` (ps) of the kept events only.
+    Draws: the jitter of the detected rows, in row order, then the dark
+    counts.  Rows are stamped ``_ROW_BLOCK`` at a time, straight into one
+    buffer per channel.  ``Generator.normal`` draws in sequence, so the
+    jitter of a block has the bits of the same rows of one draw over the
+    train.
 
-    Callers add the remaining terms in place, in the order the full-length
-    expression would, so every kept time is bit-equal to it.
+    Returns (times_channel0, times_channel1) as int64 ps, each sorted.
     """
-    times = batch.pulse_index[kept] * period
-    times += batch.emit_time_ps[kept]
-    return times
+    period = setup.rep_period_ps
+    sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
+    n1 = int(np.count_nonzero(on_channel1))
+    t0, t1 = np.empty(on_channel1.size - n1), np.empty(n1)
+    done = filled0 = filled1 = 0
+    for lo in range(0, len(batch), _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        pulse, emit = batch.pulse_index[rows], batch.emit_time_ps[rows]
+        long_arm = None if arm is None else arm[rows]
+        detected = batch.origin[rows] != Origin.ANCHOR
+        if not detected.all():
+            pulse, emit = pulse[detected], emit[detected]
+            long_arm = None if long_arm is None else long_arm[detected]
+        times = pulse * period
+        times += emit
+        if long_arm is not None:
+            times += long_arm * setup.hom_delay_ps
+        if sigma_j > 0:
+            times += g.normal(0.0, sigma_j, size=times.size)
+        channel1 = on_channel1[done:done + times.size]
+        done += times.size
+        k1 = int(np.count_nonzero(channel1))
+        k0 = times.size - k1
+        np.compress(~channel1, times, out=t0[filled0:filled0 + k0])
+        np.compress(channel1, times, out=t1[filled1:filled1 + k1])
+        filled0, filled1 = filled0 + k0, filled1 + k1
+    darks = _dark_clicks(g, setup, batch.n_pulses * period)
+    return _finalize_streams((t0, t1), darks)
 
 
 def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
@@ -413,15 +470,8 @@ def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     Returns (times_channel0, times_channel1) as int64 ps, each sorted.
     """
     g = rng.generator()
-    period = setup.rep_period_ps
-    sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
-
-    times = _click_times(batch, _selection(batch.detected_mask()), period)
-    channels = _bernoulli(g, 0.5, times.size)
-    if sigma_j > 0:
-        times += g.normal(0.0, sigma_j, size=times.size)
-    dark0, dark1 = _dark_clicks(g, setup, batch.n_pulses * period)
-    return _finalize_streams(times, channels, dark0, dark1)
+    channels = _bernoulli(g, 0.5, int(np.count_nonzero(batch.detected_mask())))
+    return _stamp_clicks(g, batch, setup, channels)
 
 
 def _pair_overlap(brightness: float, p_two_photon: float, overlap: float) -> float:
@@ -466,30 +516,37 @@ def _kept_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray,
     its pulse, so the rows of the other lost photons may be left out, as
     :func:`simulate_pulse_train` does.  ``pulse_index`` must be sorted.
     """
+    first = qd & detected
     # Only events that share their pulse with the event before them can be
     # preceded by an earlier photon of their pulse and arm, and few pulses
     # hold more than one event.  Walk each of them back through its pulse.
     later = np.flatnonzero(pulse_index[1:] == pulse_index[:-1]) + 1
     earlier = later - 1
-    shadowed = np.zeros(pulse_index.size, dtype=bool)
     while later.size:
         clash = qd[earlier] & (arm[earlier] == arm[later])
-        shadowed[later[clash]] = True
+        first[later[clash]] = False
         go_on = ~clash & (earlier > 0)
         later, earlier = later[go_on], earlier[go_on] - 1
         same = pulse_index[earlier] == pulse_index[later]
         later, earlier = later[same], earlier[same]
 
-    first = qd & detected & ~shadowed
-    long_idx = np.flatnonzero(first & arm)
-    short_idx = np.flatnonzero(first & ~arm)
-    # A pulse holds at most one first photon per arm, so the short-arm
-    # pulses are sorted and unique.  The -1 sentinel meets no long photon.
-    short_pulse = np.append(pulse_index[short_idx], -1)
-    want = pulse_index[long_idx] + 1
-    at = np.searchsorted(short_pulse[:-1], want)
-    met = short_pulse[at] == want
-    return long_idx[met], short_idx[at[met]]
+    # Matched a block of rows at a time.  The long photons of a block's
+    # pulses meet short ones of those pulses or of the pulse after its last.
+    long_met, short_met = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, pulse_index.size, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, pulse_index.size)
+        end = np.searchsorted(pulse_index, pulse_index[hi - 1] + 2)
+        long_idx = lo + np.flatnonzero(first[lo:hi] & arm[lo:hi])
+        short_idx = lo + np.flatnonzero(first[lo:end] & ~arm[lo:end])
+        # A pulse holds at most one first photon per arm, so the short-arm
+        # pulses are sorted and unique.  The -1 sentinel meets no long photon.
+        short_pulse = np.append(pulse_index[short_idx], -1)
+        want = pulse_index[long_idx] + 1
+        at = np.searchsorted(short_pulse[:-1], want)
+        met = short_pulse[at] == want
+        long_met.append(long_idx[met])
+        short_met.append(short_idx[at[met]])
+    return np.concatenate(long_met), np.concatenate(short_met)
 
 
 def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: float):
@@ -519,8 +576,6 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     if np.any(batch.pulse_index[1:] < batch.pulse_index[:-1]):
         raise ValueError("events must be sorted by pulse index")
     g = rng.generator()
-    period = setup.rep_period_ps
-    sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
     detected = batch.detected_mask()
     m_pair = _pair_overlap(batch.brightness, batch.p_two_photon, overlap)
 
@@ -530,16 +585,11 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     pair_a, pair_b = pair_a[coalesce], pair_b[coalesce]
     joint_port = _bernoulli(g, 0.5, pair_a.size)
 
-    kept = _selection(detected)
-    times = _click_times(batch, kept, period)
-    times += arm[kept] * setup.hom_delay_ps
-    channels = _bernoulli(g, 0.5, times.size)
-    if isinstance(kept, np.ndarray):
-        # Positions of the paired events among the detected ones.
-        pair_a, pair_b = np.searchsorted(kept, pair_a), np.searchsorted(kept, pair_b)
-    channels[pair_a] = joint_port
-    channels[pair_b] = joint_port
-    if sigma_j > 0:
-        times += g.normal(0.0, sigma_j, size=times.size)
-    dark0, dark1 = _dark_clicks(g, setup, batch.n_pulses * period)
-    return _finalize_streams(times, channels, dark0, dark1)
+    lost = np.flatnonzero(~detected)
+    del detected
+    channels = _bernoulli(g, 0.5, len(batch) - lost.size)
+    # A paired row's position among the detected rows: its row less the
+    # anchors before it.
+    channels[pair_a - np.searchsorted(lost, pair_a)] = joint_port
+    channels[pair_b - np.searchsorted(lost, pair_b)] = joint_port
+    return _stamp_clicks(g, batch, setup, channels, arm)

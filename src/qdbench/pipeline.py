@@ -15,6 +15,7 @@ written.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -40,6 +41,8 @@ from .photon_sim import STREAM_LAYOUT, RngSpec, hbt_streams, hom_streams, simula
 from .report import SourceReport, aggregate_benchmark, emit_report
 
 _STREAMS_PER_SOURCE = 8
+#: Clicks folded at a time by :func:`decay_trace_from_clicks`.
+_FOLD_BLOCK = 1 << 16
 _WRITE_BLOCK_ROWS = 1 << 16
 #: Sorted int64 times in [_EDGES[i - 1], _EDGES[i]) share one sign and one
 #: digit count, _RUN_LAYOUTS[i]; _RUN_WIDTHS[i] is the byte width of their rows.
@@ -121,17 +124,36 @@ def _comment(header: str | None) -> str:
     return "" if header is None else f"# {header}\n"
 
 
+def _cells(column) -> list[str]:
+    """A column's values as text, floats by repr."""
+    return list(map(repr, np.asarray(column).tolist()))
+
+
 def write_table(path, header: str | None, names, columns, notes: str | None = None):
     """Write ``# header``, a ``# notes`` line, the column names, then rows (floats by repr)."""
-    cells = (map(repr, np.asarray(column).tolist()) for column in columns)
+    _write_rows(path, header, names, map(_cells, columns), notes)
+
+
+def _write_rows(path, header: str | None, names, cells, notes: str | None):
     with open(path, "w") as f:
         f.write(_comment(header) + _comment(notes) + ",".join(names) + "\n")
         f.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
+@functools.lru_cache(maxsize=1)
+def _delay_cells(delays: bytes) -> tuple[str, ...]:
+    """The text of a delay column, given as its float64 bytes.
+
+    Every histogram of a run has the same delays, so they are formatted
+    once.  Keyed by bytes, 0.0 and -0.0, whose text differs, stay apart.
+    """
+    return tuple(_cells(np.frombuffer(delays)))
+
+
 def write_histogram(hist, path, header: str | None):
     """Write a histogram's ``bin_center_ps,counts`` rows under its bin width and period."""
-    write_table(path, header, ("bin_center_ps", "counts"), (hist.delays_ps, hist.counts),
+    _write_rows(path, header, ("bin_center_ps", "counts"),
+                (_delay_cells(hist.delays_ps.tobytes()), _cells(hist.counts)),
                 f"bin_width_ps={hist.bin_width_ps!r} rep_period_ps={hist.rep_period_ps!r}")
 
 
@@ -247,28 +269,44 @@ def synthesize_phi_scan(source: SourceParams, rng: np.random.Generator):
 
 def decay_trace_from_clicks(t0: np.ndarray, t1: np.ndarray, setup: SetupParams,
                             source: SourceParams) -> DecayTrace:
-    """Fold detector clicks onto the pulse window and bin them."""
+    """Fold detector clicks onto the pulse window and bin them.
+
+    Each channel is folded ``_FOLD_BLOCK`` clicks at a time; histogram
+    counts add, so the blocks change no count.
+    """
     period = setup.rep_period_ps
-    folded = np.mod(np.concatenate([t0, t1]), period)
     span = min(period, 12.0 * source.tau_ps + 400.0)
     n_bins = int(span / _TRACE_BIN_PS)
-    counts, edges = np.histogram(folded, bins=n_bins, range=(0.0, n_bins * _TRACE_BIN_PS))
+    grid = dict(bins=n_bins, range=(0.0, n_bins * _TRACE_BIN_PS))
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for t in (t0, t1):
+        for lo in range(0, t.size, _FOLD_BLOCK):
+            counts += np.histogram(np.mod(t[lo:lo + _FOLD_BLOCK], period), **grid)[0]
+    edges = np.histogram_bin_edges(np.empty(0), **grid)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DecayTrace(t_ps=centers, counts=counts.astype(float), kind=source.kind)
 
 
-def source_clicks(source: SourceParams, setup: SetupParams, seed: int, source_index: int,
-                  n_pulses: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate and detect both trains of one source: ``(hbt0, hbt1, hom0, hom1)``."""
+#: The two trains of a source, in the order a source simulates them.
+TRAINS = ("hbt", "hom")
+
+
+def train_clicks(source: SourceParams, setup: SetupParams, seed: int, source_index: int,
+                 n_pulses: int, train: str) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate and detect one train of one source: its two click streams.
+
+    ``train`` is ``"hbt"`` or ``"hom"``.  The train's events are freed on
+    return, so a caller that handles one train at a time holds one train's
+    events or clicks, never both trains'.
+    """
     streams = source_streams(seed, source_index)
-    events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
-    hbt0, hbt1 = hbt_streams(streams.hbt_clicks, events, setup)
-    # Drop the HBT events before the HOM train is simulated, so that only
-    # one train's events are alive at a time.
-    del events
-    events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
-    hom0, hom1 = hom_streams(streams.hom_clicks, events, setup, source.overlap)
-    return hbt0, hbt1, hom0, hom1
+    if train == "hbt":
+        events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
+        return hbt_streams(streams.hbt_clicks, events, setup)
+    if train == "hom":
+        events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
+        return hom_streams(streams.hom_clicks, events, setup, source.overlap)
+    raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
 
 
 def analyze_source(
@@ -288,12 +326,26 @@ def analyze_source(
     """
     period = setup.rep_period_ps
     max_delay = HISTOGRAM_PERIODS * period
+    # The click streams that --save-clicks writes; the others are dropped
+    # as soon as their train is analysed.
+    saved = [] if out_dir is not None and options.save_clicks else None
 
-    clicks = source_clicks(source, setup, seed, source_index, n_pulses)
-    hbt0, hbt1, hom0, hom1 = clicks
-    hbt_hist = build_histogram(hbt0, hbt1, options.bin_width_ps, max_delay, period)
+    # HBT is analysed before the HOM train is simulated.
+    t0, t1 = train_clicks(source, setup, seed, source_index, n_pulses, "hbt")
+    hbt_hist = build_histogram(t0, t1, options.bin_width_ps, max_delay, period)
     g2 = g2_zero(hbt_hist, options.window_ps)
-    hom_hist = build_histogram(hom0, hom1, options.bin_width_ps, max_delay, period)
+    trace = decay_trace_from_clicks(t0, t1, setup, source)
+    n_clicks = t0.size + t1.size
+    if saved is not None:
+        saved += (t0, t1)
+    del t0, t1
+    fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
+
+    t0, t1 = train_clicks(source, setup, seed, source_index, n_pulses, "hom")
+    hom_hist = build_histogram(t0, t1, options.bin_width_ps, max_delay, period)
+    if saved is not None:
+        saved += (t0, t1)
+    del t0, t1
     vis = hom_visibility(hom_hist, options.window_ps)
     overlap = corrected_overlap(vis.value, g2.value)
     overlap_err = math.hypot(
@@ -301,15 +353,11 @@ def analyze_source(
         (1.0 + vis.value) * g2.std_err / (1.0 - g2.value) ** 2,
     )
 
-    trace = decay_trace_from_clicks(hbt0, hbt1, setup, source)
-    fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
-
     phi_rng = source_streams(seed, source_index).phi_scan.generator()
     phi_points = synthesize_phi_scan(source, phi_rng)
     classification = classify_transition(phi_points)
 
     duration_s = n_pulses * period * 1e-12
-    n_clicks = hbt0.size + hbt1.size
     detected_rate = n_clicks / duration_s
     chain = brightness_chain(detected_rate, setup)
 
@@ -336,12 +384,13 @@ def analyze_source(
     )
     if out_dir is not None:
         _write_source_artifacts(out_dir, header, options, setup, report, fit, classification,
-                                hbt_hist, hom_hist, trace, phi_points, clicks)
+                                hbt_hist, hom_hist, trace, phi_points, saved)
     return report
 
 
 def _write_source_artifacts(out_dir, header, options, setup, report, fit, classification,
                             hbt_hist, hom_hist, trace, phi_points, clicks):
+    """Write a source's artifacts; ``clicks`` is (hbt0, hbt1, hom0, hom1) or None."""
     src_dir = os.path.join(out_dir, report.label)
     os.makedirs(src_dir, exist_ok=True)
     write_histogram(hbt_hist, os.path.join(src_dir, "hbt_histogram.csv"), header)

@@ -18,7 +18,7 @@ from qdbench.inference import (
 )
 from qdbench.leastsq import DegenerateFitError
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
-from qdbench.pipeline import decay_trace_from_clicks, source_clicks
+from qdbench.pipeline import decay_trace_from_clicks, train_clicks
 
 
 class TestFitDecay:
@@ -145,7 +145,7 @@ class TestFitDecay:
             for index, source in enumerate(draw_fleet(2026)):
                 if source.kind is not TransitionKind.EXCITON:
                     continue
-                hbt0, hbt1, _, _ = source_clicks(source, setup, seed, index, 300_000)
+                hbt0, hbt1 = train_clicks(source, setup, seed, index, 300_000, "hbt")
                 fit = fit_decay(decay_trace_from_clicks(hbt0, hbt1, setup, source),
                                 setup.jitter_fwhm_ps)
                 z_tau = (fit.params["tau"] - source.tau_ps) / fit.std_errs["tau"]

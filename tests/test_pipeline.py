@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 
 from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES, read_histogram
 
-from qdbench import photon_sim, pipeline
+from qdbench import correlation, photon_sim, pipeline
 from qdbench.cli import main as cli_main
 from qdbench.config import FleetConfig, write_config
+from qdbench.correlation import CorrelationHistogram
+from qdbench.fleet import draw_fleet
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
 from qdbench.pipeline import (
     PipelineOptions,
@@ -115,6 +117,25 @@ class TestRunPipeline:
             )
             assert not mismatch and not errors
 
+    @pytest.mark.parametrize("setup_name", sorted(GOLDEN_SETUPS))
+    def test_block_sizes_change_no_byte(self, tmp_path, monkeypatch, setup_name):
+        # Detector stamping and pairing, the histogram gather and the decay
+        # trace fold all work in blocks; small blocks split every train.
+        config = FleetConfig.from_parts(list(GOLDEN_SOURCES.values()), GOLDEN_SETUPS[setup_name])
+        options = PipelineOptions(save_clicks=True)
+        run_pipeline(config, 300_000, 11, out_dir=str(tmp_path / "a"), options=options)
+        monkeypatch.setattr(photon_sim, "_ROW_BLOCK", 1000)
+        monkeypatch.setattr(correlation, "_HISTOGRAM_BLOCK", 777)
+        monkeypatch.setattr(pipeline, "_FOLD_BLOCK", 999)
+        run_pipeline(config, 300_000, 11, out_dir=str(tmp_path / "b"), options=options)
+        for source in config.sources:
+            names = sorted(os.listdir(tmp_path / "a" / source.label))
+            assert "hom_clicks.csv" in names
+            match, mismatch, errors = filecmp.cmpfiles(
+                tmp_path / "a" / source.label, tmp_path / "b" / source.label, names,
+                shallow=False)
+            assert match == names, (mismatch, errors)
+
     def test_per_source_failure_recorded_and_run_continues(self, tmp_path):
         good = trion_source(164.9, brightness_first_lens=0.147, label="GOOD")
         dark = exciton_source(252.0, 8.58, 0.0, brightness_first_lens=0.1, label="DARK")
@@ -168,12 +189,31 @@ class TestRunPipeline:
         for setup in (SetupParams(), CLEAN_SETUP):
             tracemalloc.start()
             try:
-                pipeline.source_clicks(src, setup, 1, 0, 1_000_000)
+                for train in pipeline.TRAINS:
+                    pipeline.train_clicks(src, setup, 1, 0, 1_000_000, train)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         lossy, lossless = peaks
         assert lossy < lossless / 3
+
+    def test_a_source_peaks_at_its_events_plus_its_clicks(self):
+        # A source analyses HBT before it simulates HOM, and the detector
+        # stages stamp clicks in blocks, so a lossless source peaks near 30
+        # bytes per HBT row: one train's events (17 bytes), its clicks (8)
+        # and a few per-row flags.  Holding the HBT clicks while HOM ran,
+        # plus full-length temporaries, took 61.
+        fleet = draw_fleet(2026)
+        index = [s.label for s in fleet].index("T01")
+        events = pipeline.source_streams(1, index).hbt_events
+        rows = len(photon_sim.simulate_pulse_train(events, fleet[index], CLEAN_SETUP, 1_000_000))
+        tracemalloc.start()
+        try:
+            pipeline.analyze_source(fleet[index], CLEAN_SETUP, 1, index, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / rows < 36, f"{peak / rows:.1f} bytes per HBT row"
 
     def test_headers_carry_version_seed_and_hash(self, tmp_path):
         cfg = trion_config()
@@ -298,6 +338,35 @@ class TestTimestampFiles:
         assert digest == _GOLDEN_CLICK_DIGESTS[setup_name]
 
 
+def _table_reference(header, notes, names, columns) -> bytes:
+    """A table as a row-by-row writer produces it: every value by repr."""
+    lines = [f"# {header}\n", f"# {notes}\n", ",".join(names) + "\n"]
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    lines += [",".join(map(repr, row)) + "\n" for row in rows]
+    return "".join(lines).encode()
+
+
+class TestHistogramTables:
+    def test_tables_match_a_row_by_row_writer(self, tmp_path):
+        # The tables of a run share one delay column, which is formatted
+        # once.  A new bin width, or a center bin of -0.0 instead of 0.0,
+        # must still be written as its own text.
+        rng = np.random.default_rng(5)
+        period = 12345.0
+        for i, (width, center) in enumerate([(33.3, 0.0), (33.3, 0.0), (100.0, 0.0),
+                                              (12.5, 0.0), (33.3, -0.0), (33.3, 0.0)]):
+            half = round(pipeline.HISTOGRAM_PERIODS * period / width)
+            delays = (np.arange(2 * half + 1) - half) * width
+            delays[half] = center
+            hist = CorrelationHistogram(width, delays, rng.poisson(50.0, delays.size), period)
+            path = tmp_path / f"hist{i}.csv"
+            pipeline.write_histogram(hist, path, "qdbench test")
+            notes = f"bin_width_ps={width!r} rep_period_ps={period!r}"
+            assert path.read_bytes() == _table_reference(
+                "qdbench test", notes, ("bin_center_ps", "counts"), (delays, hist.counts))
+            assert path.read_text().count("\n-0.0,") == (math.copysign(1.0, center) < 0)
+
+
 class TestCli:
     def _write_config(self, tmp_path):
         cfg = trion_config()
@@ -388,7 +457,7 @@ class TestCli:
             assert hom["overlap_corrected"] == report["overlap_corrected"]
             assert hbt["_header"] == hom["_header"] == report["_header"]
             for hist, mode in ((hbt_hist, "hbt"), (hom_hist, "hom")):
-                assert read_histogram(hist).total_counts > 10_000
+                assert read_histogram(hist).counts.sum() > 10_000
                 assert hist.read_bytes() == (pipe / f"{mode}_histogram.csv").read_bytes()
 
     def test_analyze_and_fit_read_the_run_settings_from_its_files(self, tmp_path, capsys):
