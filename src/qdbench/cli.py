@@ -60,8 +60,10 @@ _FLAGS = {
     "--seed": dict(type=int, default=1, help="global RNG seed"),
     "--pulses": dict(type=int, default=1_000_000, help="excitation pulses per source"),
     "--out": dict(required=True, help="output directory"),
-    "--bin-width": dict(type=float, default=100.0, help="histogram bin width (ps)"),
-    "--window": dict(type=float, default=2000.0, help="peak integration half-window (ps)"),
+    "--bin-width": dict(type=float, default=PipelineOptions.bin_width_ps,
+                        help="histogram bin width (ps)"),
+    "--window": dict(type=float, default=PipelineOptions.window_ps,
+                     help="peak integration half-window (ps)"),
 }
 
 

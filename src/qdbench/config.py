@@ -15,15 +15,19 @@ Format example::
     brightness_first_lens = 0.136
     p_two_photon = 0.0002
 
-Unknown keys are rejected with their line number; all validation problems
-across the whole file are aggregated into one error.
+The ``[setup]`` keys are the fields of :class:`SetupParams` and default
+to its field defaults.  A source needs ``kind`` and ``tau_ps``, and an
+exciton also ``delta_fss_uev`` and ``theta_deg``; its other keys are the
+remaining fields of :class:`SourceParams` and default to theirs.  Unknown
+keys are rejected with their line number; all validation problems across
+the whole file are aggregated into one error.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import (
     ExcitonParams,
@@ -35,38 +39,12 @@ from .model import (
     source_violations,
 )
 
-_SETUP_KEYS = {
-    "rep_rate_mhz": float,
-    "pulse_fwhm_ps": float,
-    "eta_setup": float,
-    "eta_det": float,
-    "jitter_fwhm_ps": float,
-    "laser_leak_per_pulse": float,
-    "hom_delay_ps": float,
-    "dark_rate_cps": float,
-}
-
-_SOURCE_KEYS = {
-    "kind": str,
-    "tau_ps": float,
-    "delta_fss_uev": float,
-    "theta_deg": float,
-    "e_mean_uev": float,
-    "brightness_first_lens": float,
-    "p_two_photon": float,
-    "wavelength_nm": float,
-    "dephasing": float,
-}
-
-_SOURCE_DEFAULTS = {
-    "delta_fss_uev": 0.0,
-    "theta_deg": 45.0,
-    "e_mean_uev": 0.0,
-    "brightness_first_lens": 0.0,
-    "p_two_photon": 0.0,
-    "wavelength_nm": 924.7,
-    "dephasing": 0.0,
-}
+_SETUP_KEYS = tuple(f.name for f in fields(SetupParams))
+_EXCITON_KEYS = ("delta_fss_uev", "theta_deg")
+#: Source keys shared by both kinds, each a SourceParams field with its default.
+_COMMON_KEYS = tuple(f.name for f in fields(SourceParams)
+                     if f.name not in ("kind", "exciton", "trion", "label"))
+_SOURCE_KEYS = ("kind", "tau_ps", *_EXCITON_KEYS, *_COMMON_KEYS)
 
 
 class ConfigError(ValueError):
@@ -106,11 +84,8 @@ def dump_config(sources, setup: SetupParams) -> str:
         if s.kind is TransitionKind.EXCITON:
             lines.append(f"delta_fss_uev = {s.exciton.delta_fss_uev!r}")
             lines.append(f"theta_deg = {math.degrees(s.exciton.theta_rad)!r}")
-            lines.append(f"e_mean_uev = {s.exciton.e_mean_uev!r}")
-        lines.append(f"brightness_first_lens = {s.brightness_first_lens!r}")
-        lines.append(f"p_two_photon = {s.p_two_photon!r}")
-        lines.append(f"wavelength_nm = {s.wavelength_nm!r}")
-        lines.append(f"dephasing = {s.dephasing!r}")
+        for key in _COMMON_KEYS:
+            lines.append(f"{key} = {getattr(s, key)!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -144,14 +119,12 @@ def _parse_sections(text: str, errors: list[str]):
     return sections
 
 
-def _coerce(key, value, lineno, expected, errors):
-    if expected is float:
-        try:
-            return float(value)
-        except ValueError:
-            errors.append(f"line {lineno}: {key} must be a number, got {value!r}")
-            return None
-    return value
+def _number(key, value, lineno, errors):
+    try:
+        return float(value)
+    except ValueError:
+        errors.append(f"line {lineno}: {key} must be a number, got {value!r}")
+        return None
 
 
 def _build_setup(entries, errors) -> SetupParams:
@@ -160,7 +133,7 @@ def _build_setup(entries, errors) -> SetupParams:
         if key not in _SETUP_KEYS:
             errors.append(f"line {lineno}: unknown setup key {key!r}")
             continue
-        v = _coerce(key, value, lineno, _SETUP_KEYS[key], errors)
+        v = _number(key, value, lineno, errors)
         if v is not None:
             kwargs[key] = v
     setup = SetupParams(**kwargs)
@@ -169,49 +142,36 @@ def _build_setup(entries, errors) -> SetupParams:
 
 
 def _build_source(label, header_line, entries, errors) -> SourceParams | None:
-    values = dict(_SOURCE_DEFAULTS)
-    seen = {}
+    values = {}
     for key, (value, lineno) in entries.items():
         if key not in _SOURCE_KEYS:
             errors.append(f"line {lineno}: unknown source key {key!r}")
             continue
-        v = _coerce(key, value, lineno, _SOURCE_KEYS[key], errors)
+        v = value if key == "kind" else _number(key, value, lineno, errors)
         if v is not None:
             values[key] = v
-            seen[key] = lineno
-    missing = [k for k in ("kind", "tau_ps") if k not in seen]
+    kind_text = values.get("kind", "").lower()
+    required = ["kind", "tau_ps", *(_EXCITON_KEYS if kind_text == "exciton" else ())]
+    missing = [k for k in required if k not in values]
     if missing:
         errors.append(f"line {header_line}: source {label!r} missing required keys {missing}")
         return None
-    kind_text = str(values["kind"]).lower()
     if kind_text not in ("exciton", "trion"):
-        errors.append(f"line {seen['kind']}: kind must be 'exciton' or 'trion', got {values['kind']!r}")
+        errors.append(f"line {entries['kind'][1]}: kind must be 'exciton' or 'trion', "
+                      f"got {values['kind']!r}")
         return None
     kind = TransitionKind(kind_text)
-    if kind is TransitionKind.TRION:
-        for key in ("delta_fss_uev", "theta_deg", "e_mean_uev"):
-            if key in seen:
-                errors.append(f"line {seen[key]}: {key} is not valid for a trion source")
-    common = dict(
-        brightness_first_lens=values["brightness_first_lens"],
-        p_two_photon=values["p_two_photon"],
-        wavelength_nm=values["wavelength_nm"],
-        dephasing=values["dephasing"],
-        label=label,
-    )
+    common = {key: values[key] for key in _COMMON_KEYS if key in values}
     if kind is TransitionKind.EXCITON:
-        source = SourceParams(
-            kind=kind,
-            exciton=ExcitonParams(
-                tau_ps=values["tau_ps"],
-                delta_fss_uev=values["delta_fss_uev"],
-                theta_rad=math.radians(values["theta_deg"]),
-                e_mean_uev=values["e_mean_uev"],
-            ),
-            **common,
-        )
+        exciton = ExcitonParams(values["tau_ps"], values["delta_fss_uev"],
+                                math.radians(values["theta_deg"]))
+        source = SourceParams(kind=kind, exciton=exciton, label=label, **common)
     else:
-        source = SourceParams(kind=kind, trion=TrionParams(tau_ps=values["tau_ps"]), **common)
+        for key in _EXCITON_KEYS:
+            if key in entries:
+                errors.append(f"line {entries[key][1]}: {key} is not valid for a trion source")
+        source = SourceParams(kind=kind, trion=TrionParams(values["tau_ps"]), label=label,
+                              **common)
     errors.extend(source_violations(source))
     return source
 

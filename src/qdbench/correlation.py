@@ -17,7 +17,11 @@ import numpy as np
 
 from .model import SetupParams
 
-DEFAULT_SIDE_PEAKS = (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6)
+#: The side peaks that normalize the zero-delay peak.  The |k| = 1 peaks
+#: are partially suppressed by the interferometer pairing, so they are left out.
+SIDE_PEAKS = (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6)
+#: Default peak integration half-window (ps).
+WINDOW_PS = 2000.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,20 +181,15 @@ def integrate_peaks(
     return out
 
 
-def _peak_ratio(hist, window_ps, side_peaks):
-    side = tuple(side_peaks)
-    if 0 in side:
-        raise ValueError("side peaks must exclude the zero-delay peak")
-    if not side:
-        raise ValueError("need at least one side peak for normalization")
-    integrals = integrate_peaks(hist, window_ps, (0, *side))
+def _peak_ratio(hist, window_ps):
+    integrals = integrate_peaks(hist, window_ps, (0, *SIDE_PEAKS))
     areas = {p.peak_index: p.area for p in integrals}
     a0 = areas[0]
-    side_areas = np.array([areas[k] for k in side], dtype=float)
+    side_areas = np.array([areas[k] for k in SIDE_PEAKS], dtype=float)
     s_mean = float(side_areas.mean())
     if s_mean <= 0:
         raise ValueError("side peaks are empty; normalization undefined")
-    n = len(side)
+    n = len(SIDE_PEAKS)
     ratio = a0 / s_mean
     # An empty zero peak does not pin its mean at zero: floor the Poisson
     # variance at one count, as the decay fit floors its weights.
@@ -201,27 +200,15 @@ def _peak_ratio(hist, window_ps, side_peaks):
     return ratio, err, a0, s_mean
 
 
-def g2_zero(
-    hist: CorrelationHistogram,
-    window_ps: float = 2000.0,
-    side_peaks=DEFAULT_SIDE_PEAKS,
-) -> G2Result:
-    """Zero-delay autocorrelation normalized by the mean side peak."""
-    ratio, err, a0, s_mean = _peak_ratio(hist, window_ps, side_peaks)
+def g2_zero(hist: CorrelationHistogram, window_ps: float = WINDOW_PS) -> G2Result:
+    """Zero-delay autocorrelation normalized by the mean ``SIDE_PEAKS`` area."""
+    ratio, err, a0, s_mean = _peak_ratio(hist, window_ps)
     return G2Result(value=ratio, std_err=err, zero_area=a0, side_mean=s_mean)
 
 
-def hom_visibility(
-    hist: CorrelationHistogram,
-    window_ps: float = 2000.0,
-    side_peaks=DEFAULT_SIDE_PEAKS,
-) -> HomResult:
-    """Raw two-photon interference visibility V = 1 - 2 * A0.
-
-    The |k| = 1 side peaks are partially suppressed by the interferometer
-    pairing and are excluded from the default normalization set.
-    """
-    ratio, err, a0, s_mean = _peak_ratio(hist, window_ps, side_peaks)
+def hom_visibility(hist: CorrelationHistogram, window_ps: float = WINDOW_PS) -> HomResult:
+    """Raw two-photon interference visibility V = 1 - 2 * A0, A0 normalized by ``SIDE_PEAKS``."""
+    ratio, err, a0, s_mean = _peak_ratio(hist, window_ps)
     return HomResult(
         value=1.0 - 2.0 * ratio,
         std_err=2.0 * err,

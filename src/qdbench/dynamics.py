@@ -50,14 +50,15 @@ def exciton_amplitudes(t, p: ExcitonParams):
     """Eigenstate amplitudes (a_V', a_H') of the decaying exciton at time t.
 
     Starting from the cavity-aligned superposition cos(theta)|V'> +
-    sin(theta)|H'>, each component evolves with its own energy phase and
-    the shared amplitude decay exp(-t/2tau), so the total population is
-    exp(-t/tau).
+    sin(theta)|H'>, each component evolves with the phase of its energy,
+    +delta/2 for V' and -delta/2 for H', and the shared amplitude decay
+    exp(-t/2tau), so the total population is exp(-t/tau).
     """
     tt = _check_nonnegative_time(t)
     decay = np.exp(-tt / (2.0 * p.tau_ps))
-    a_v = np.cos(p.theta_rad) * np.exp(-1j * p.e_v_prime_uev * tt / HBAR_UEV_PS) * decay
-    a_h = np.sin(p.theta_rad) * np.exp(-1j * p.e_h_prime_uev * tt / HBAR_UEV_PS) * decay
+    half = 0.5 * p.delta_fss_uev
+    a_v = np.cos(p.theta_rad) * np.exp(-1j * half * tt / HBAR_UEV_PS) * decay
+    a_h = np.sin(p.theta_rad) * np.exp(1j * half * tt / HBAR_UEV_PS) * decay
     return a_v, a_h
 
 
@@ -92,15 +93,15 @@ def peak_emission_delay(p: ExcitonParams) -> float:
     return 2.0 * HBAR_UEV_PS / p.delta_fss_uev * math.atan(r)
 
 
-def gaussian_kernel(grid_step_ps: float, fwhm_ps: float, n_sigma: float = 5.0):
+def gaussian_kernel(grid_step_ps: float, fwhm_ps: float):
     """Discrete unit-sum Gaussian kernel sampled on the given grid step.
 
-    Returns (kernel, radius).  The kernel spans +/- n_sigma standard
-    deviations; the sum normalization keeps discrete convolution exactly
+    Returns (kernel, radius).  The kernel spans +/- 5 standard deviations;
+    the sum normalization keeps discrete convolution exactly
     mass-preserving.
     """
     sigma = fwhm_ps * FWHM_TO_SIGMA
-    radius = max(1, int(math.ceil(n_sigma * sigma / grid_step_ps)))
+    radius = max(1, int(math.ceil(5.0 * sigma / grid_step_ps)))
     x = np.arange(-radius, radius + 1) * grid_step_ps
     k = np.exp(-0.5 * (x / sigma) ** 2)
     return k / k.sum(), radius

@@ -62,14 +62,8 @@ def p_two_photon_for_g2(g2: float, brightness: float) -> float:
     return p2
 
 
-def draw_fleet(
-    seed: int,
-    n_excitons: int = 7,
-    n_trions: int = 8,
-    exciton_stats: KindStats = EXCITON_STATS,
-    trion_stats: KindStats = TRION_STATS,
-) -> list[SourceParams]:
-    """Draw a synthetic fleet with kind-level statistics as generator truth.
+def draw_fleet(seed: int) -> list[SourceParams]:
+    """Draw 7 excitons and 8 trions from ``EXCITON_STATS`` and ``TRION_STATS``.
 
     Draws are clipped to physically valid ranges, so the realized fleet
     means (what a round-trip benchmark must recover) are the means of the
@@ -86,8 +80,8 @@ def draw_fleet(
         wl = float(rng.normal(WAVELENGTH_MEAN_NM, WAVELENGTH_STD_NM))
         return g2, overlap, b, tau, wl
 
-    for i in range(n_excitons):
-        g2, overlap, b, tau, wl = draw_common(exciton_stats)
+    for i in range(7):
+        g2, overlap, b, tau, wl = draw_common(EXCITON_STATS)
         delta = float(rng.uniform(5.0, 10.0))
         theta = float(rng.uniform(math.radians(20.0), math.radians(70.0)))
         sources.append(
@@ -102,8 +96,8 @@ def draw_fleet(
                 label=f"X{i + 1:02d}",
             )
         )
-    for i in range(n_trions):
-        g2, overlap, b, tau, wl = draw_common(trion_stats)
+    for i in range(8):
+        g2, overlap, b, tau, wl = draw_common(TRION_STATS)
         sources.append(
             trion_source(
                 tau_ps=tau,

@@ -49,14 +49,14 @@ class ExcitonParams:
     ``theta_rad`` is the angle between the cavity polarization axis and
     the exciton dipole axis.  The emission depends on it only through
     sin^2(2*theta), so it is canonicalized into [0, pi).  The two
-    eigenstate energies are stored as mean +/- half the fine-structure
-    splitting; the mean is a global phase with no observable effect.
+    eigenstates sit at +/- half the fine-structure splitting
+    ``delta_fss_uev``; their mean energy is a global phase with no
+    observable effect, so it is not a parameter.
     """
 
     tau_ps: float
     delta_fss_uev: float
     theta_rad: float
-    e_mean_uev: float = 0.0
 
     def __post_init__(self):
         theta = float(self.theta_rad) % math.pi
@@ -64,14 +64,6 @@ class ExcitonParams:
             # float modulo of a tiny negative angle rounds up to pi itself
             theta = 0.0
         object.__setattr__(self, "theta_rad", theta)
-
-    @property
-    def e_v_prime_uev(self) -> float:
-        return self.e_mean_uev + 0.5 * self.delta_fss_uev
-
-    @property
-    def e_h_prime_uev(self) -> float:
-        return self.e_mean_uev - 0.5 * self.delta_fss_uev
 
 
 @dataclass(frozen=True)
@@ -125,9 +117,10 @@ class SetupParams:
 
     Defaults follow a pulsed resonant-excitation setup: 15 ps pulses at
     81 MHz, ~40% setup transmission, ~30% detector efficiency and 53 ps
-    FWHM Gaussian detector jitter.  ``hom_delay_ps`` is the path
-    imbalance of the interferometer used for two-photon interference and
-    defaults to exactly one repetition period.
+    FWHM Gaussian detector jitter.  The two-photon interferometer's path
+    imbalance is not a setting: it is one repetition period, the one delay
+    at which the long photon of pulse k meets the short photon of pulse
+    k + 1.
     """
 
     rep_rate_mhz: float = 81.0
@@ -136,12 +129,7 @@ class SetupParams:
     eta_det: float = 0.30
     jitter_fwhm_ps: float = 53.0
     laser_leak_per_pulse: float = 0.0
-    hom_delay_ps: float | None = None
     dark_rate_cps: float = 0.0
-
-    def __post_init__(self):
-        if self.hom_delay_ps is None and self.rep_rate_mhz > 0:
-            object.__setattr__(self, "hom_delay_ps", self.rep_period_ps)
 
     @property
     def rep_period_ps(self) -> float:
@@ -228,8 +216,6 @@ def setup_violations(setup: SetupParams) -> list[str]:
         v = getattr(setup, name)
         if not (0.0 <= v <= 1.0):
             errs.append(f"setup: {name} must lie in [0, 1], got {v}")
-    if setup.hom_delay_ps is not None and not setup.hom_delay_ps > 0:
-        errs.append(f"setup: hom_delay_ps must be > 0, got {setup.hom_delay_ps}")
     if setup.dark_rate_cps < 0:
         errs.append(f"setup: dark_rate_cps must be >= 0, got {setup.dark_rate_cps}")
     return errs
@@ -242,50 +228,18 @@ def validate_setup(setup: SetupParams) -> SetupParams:
     return setup
 
 
-def exciton_source(
-    tau_ps: float,
-    delta_fss_uev: float,
-    theta_rad: float,
-    *,
-    brightness_first_lens: float = 0.0,
-    p_two_photon: float = 0.0,
-    wavelength_nm: float = 924.7,
-    dephasing: float = 0.0,
-    e_mean_uev: float = 0.0,
-    label: str = "",
-) -> SourceParams:
-    """Convenience constructor for a validated exciton source."""
-    return validate_source(
-        SourceParams(
-            kind=TransitionKind.EXCITON,
-            exciton=ExcitonParams(tau_ps, delta_fss_uev, theta_rad, e_mean_uev),
-            brightness_first_lens=brightness_first_lens,
-            p_two_photon=p_two_photon,
-            wavelength_nm=wavelength_nm,
-            dephasing=dephasing,
-            label=label,
-        )
-    )
+def exciton_source(tau_ps: float, delta_fss_uev: float, theta_rad: float,
+                   **common) -> SourceParams:
+    """Validated exciton source; ``common`` takes the other ``SourceParams`` fields."""
+    return validate_source(SourceParams(
+        kind=TransitionKind.EXCITON,
+        exciton=ExcitonParams(tau_ps, delta_fss_uev, theta_rad),
+        **common,
+    ))
 
 
-def trion_source(
-    tau_ps: float,
-    *,
-    brightness_first_lens: float = 0.0,
-    p_two_photon: float = 0.0,
-    wavelength_nm: float = 924.7,
-    dephasing: float = 0.0,
-    label: str = "",
-) -> SourceParams:
-    """Convenience constructor for a validated trion source."""
+def trion_source(tau_ps: float, **common) -> SourceParams:
+    """Validated trion source; ``common`` takes the other ``SourceParams`` fields."""
     return validate_source(
-        SourceParams(
-            kind=TransitionKind.TRION,
-            trion=TrionParams(tau_ps),
-            brightness_first_lens=brightness_first_lens,
-            p_two_photon=p_two_photon,
-            wavelength_nm=wavelength_nm,
-            dephasing=dephasing,
-            label=label,
-        )
+        SourceParams(kind=TransitionKind.TRION, trion=TrionParams(tau_ps), **common)
     )

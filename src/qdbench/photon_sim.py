@@ -414,8 +414,8 @@ def _stamp_clicks(g: np.random.Generator, batch: EventBatch, setup: SetupParams,
     """Both channels' click streams of the batch's detected rows, plus dark counts.
 
     A detected row (every row but the anchors) is stamped at pulse_index *
-    rep_period + emit_time, plus ``hom_delay_ps`` where ``arm`` (one entry
-    per row) puts it on the long arm, plus Gaussian jitter.  It goes to
+    rep_period + emit_time, plus one more rep_period where ``arm`` (one
+    entry per row) puts it on the long arm, plus Gaussian jitter.  It goes to
     channel 1 where ``on_channel1`` (one entry per detected row) is True.
 
     Draws: the jitter of the detected rows, in row order, then the dark
@@ -442,7 +442,7 @@ def _stamp_clicks(g: np.random.Generator, batch: EventBatch, setup: SetupParams,
         times = pulse * period
         times += emit
         if long_arm is not None:
-            times += long_arm * setup.hom_delay_ps
+            times += long_arm * period
         if sigma_j > 0:
             times += g.normal(0.0, sigma_j, size=times.size)
         channel1 = on_channel1[done:done + times.size]

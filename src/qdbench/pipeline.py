@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .config import FleetConfig
 from .correlation import (
+    WINDOW_PS,
     brightness_chain,
     build_histogram,
     corrected_overlap,
@@ -36,7 +37,7 @@ from .correlation import (
 )
 from .dynamics import phi_scan_model
 from .inference import DecayTrace, classify_transition, fit_decay
-from .model import SetupParams, SourceParams, TransitionKind
+from .model import SetupParams, SourceParams
 from .photon_sim import STREAM_LAYOUT, RngSpec, hbt_streams, hom_streams, simulate_pulse_train
 from .report import SourceReport, aggregate_benchmark, emit_report
 
@@ -81,7 +82,7 @@ def source_streams(seed: int, source_index: int) -> SourceStreams:
 @dataclass(frozen=True)
 class PipelineOptions:
     bin_width_ps: float = 100.0
-    window_ps: float = 2000.0
+    window_ps: float = WINDOW_PS
     save_clicks: bool = False
 
 
@@ -375,12 +376,8 @@ def analyze_source(
         tau_fit_ps=fit.params["tau"],
         tau_fit_err_ps=fit.std_errs["tau"],
         wavelength_nm=source.wavelength_nm,
-        delta_fss_fit_uev=(
-            fit.params["delta_fss"] if source.kind is TransitionKind.EXCITON else None
-        ),
-        delta_fss_fit_err_uev=(
-            fit.std_errs["delta_fss"] if source.kind is TransitionKind.EXCITON else None
-        ),
+        delta_fss_fit_uev=fit.params.get("delta_fss"),
+        delta_fss_fit_err_uev=fit.std_errs.get("delta_fss"),
     )
     if out_dir is not None:
         _write_source_artifacts(out_dir, header, options, setup, report, fit, classification,

@@ -1,10 +1,12 @@
-from dataclasses import fields
+import math
+from dataclasses import MISSING, fields
 
 import pytest
 
+from qdbench.cli import main as cli_main
 from qdbench.config import ConfigError, FleetConfig, dump_config, load_config, parse_config
 from qdbench.fleet import analytic_g2, draw_fleet, p_two_photon_for_g2
-from qdbench.model import SetupParams, TransitionKind
+from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
 from qdbench.report import (
     SourceReport,
     aggregate_benchmark,
@@ -82,7 +84,7 @@ class TestConfig:
     def test_multiple_errors_all_reported(self):
         text = (
             "[source:A]\nkind = trion\ntau_ps = -5\n"
-            "[source:B]\nkind = exciton\ntau_ps = 100\ndelta_fss_uev = -1\n"
+            "[source:B]\nkind = exciton\ntau_ps = 100\ndelta_fss_uev = -1\ntheta_deg = 45\n"
         )
         with pytest.raises(ConfigError) as err:
             parse_config(text)
@@ -109,6 +111,51 @@ class TestConfig:
             assert a.label == b.label
             assert a.brightness_first_lens == pytest.approx(b.brightness_first_lens, rel=1e-12)
             assert a.tau_ps == pytest.approx(b.tau_ps, rel=1e-12)
+
+    def test_round_trip_keeps_every_field(self):
+        setup = SetupParams(rep_rate_mhz=76.0, pulse_fwhm_ps=12.0, eta_setup=0.5, eta_det=0.6,
+                            jitter_fwhm_ps=40.0, laser_leak_per_pulse=0.01, dark_rate_cps=150.0)
+        common = dict(brightness_first_lens=0.2, p_two_photon=0.001, wavelength_nm=925.3,
+                      dephasing=0.05)
+        sources = (exciton_source(240.0, 7.5, math.radians(30.0), label="X1", **common),
+                   trion_source(170.0, label="T1", **common))
+        # Every value with a default is set away from it; the None-default
+        # fields are the parameter blocks, one per kind.
+        for record in (setup, *sources):
+            for f in fields(record):
+                if f.default not in (MISSING, None):
+                    assert getattr(record, f.name) != f.default, f.name
+        back = parse_config(dump_config(sources, setup))
+        assert back.setup == setup
+        assert back.sources == sources
+
+    def test_exciton_needs_splitting_and_angle(self):
+        text = "[setup]\n\n[source:X1]\nkind = exciton\ntau_ps = 252\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [
+            "line 3: source 'X1' missing required keys ['delta_fss_uev', 'theta_deg']"
+        ]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + "theta_deg = 45\n")
+        assert err.value.errors == ["line 3: source 'X1' missing required keys ['delta_fss_uev']"]
+
+    @pytest.mark.parametrize("line,key,section", [(2, "hom_delay_ps", "setup"),
+                                                  (9, "e_mean_uev", "source")])
+    def test_removed_keys_rejected(self, tmp_path, capsys, line, key, section):
+        lines = ["[setup]", "eta_det = 0.3", "[source:X1]", "kind = exciton", "tau_ps = 252",
+                 "delta_fss_uev = 8.58", "theta_deg = 45", "brightness_first_lens = 0.1"]
+        lines.insert(line - 1, f"{key} = 0.0")
+        path = tmp_path / "fleet.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        message = f"line {line}: unknown {section} key {key!r}"
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert err.value.errors == [message]
+        code = cli_main(["pipeline", "--config", str(path), "--pulses", "1000",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_duplicate_label_rejected(self):
         text = MINIMAL_TRION + "\n[source:S11]\nkind = trion\ntau_ps = 150\n"

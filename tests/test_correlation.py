@@ -9,7 +9,7 @@ from scipy import stats
 from conftest import S11_TAU_PS, poissonian_pulse_train, read_histogram
 
 from qdbench.correlation import (
-    DEFAULT_SIDE_PEAKS,
+    SIDE_PEAKS,
     CorrelationHistogram,
     brightness_chain,
     build_histogram,
@@ -183,17 +183,12 @@ class TestG2Zero:
         with pytest.raises(ValueError):
             g2_zero(hist)
 
-    def test_side_set_must_exclude_zero(self):
-        hist = make_hist(5, 100)
-        with pytest.raises(ValueError):
-            g2_zero(hist, side_peaks=(0, 1, 2))
-
     def test_poisson_error_propagation(self):
         hist = make_hist(100, 10_000)
-        res = g2_zero(hist, side_peaks=(-2, 2))
+        res = g2_zero(hist)
         assert res.value == pytest.approx(0.01)
         expected = math.hypot(
-            math.sqrt(100) / 10_000, 100 * math.sqrt(20_000) / (2 * 10_000**2)
+            math.sqrt(100) / 10_000, 100 * math.sqrt(100_000) / (10 * 10_000**2)
         )
         assert res.std_err == pytest.approx(expected, rel=1e-12)
 
@@ -207,7 +202,7 @@ class TestG2Zero:
     def test_nonempty_zero_peak_error_unchanged(self, zero_area):
         # Bit-equal to the plain Poisson error sqrt(a0) whenever a0 >= 1.
         hist = make_hist(zero_area, 1000)
-        side = np.full(len(DEFAULT_SIDE_PEAKS), 1000.0)
+        side = np.full(len(SIDE_PEAKS), 1000.0)
         s_mean = float(side.mean())
         err = math.hypot(math.sqrt(zero_area) / s_mean,
                          zero_area * math.sqrt(side.sum()) / (side.size * s_mean**2))

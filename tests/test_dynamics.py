@@ -89,18 +89,6 @@ class TestExcitonCrossIntensity:
                 float(projection_oracle(t, p)), rel=1e-10, abs=1e-300
             )
 
-    def test_mean_energy_is_unobservable_global_phase(self):
-        # A common energy offset multiplies both amplitudes by one phase
-        # factor; the projected intensity is unchanged (up to the float
-        # noise of evaluating large phases).
-        p0 = ExcitonParams(252.0, 8.58, 0.6, e_mean_uev=0.0)
-        p1 = ExcitonParams(252.0, 8.58, 0.6, e_mean_uev=1.5e6)
-        for t in (0.0, 17.3, 241.0, 1333.7):
-            assert float(projection_oracle(t, p1)) == pytest.approx(
-                float(projection_oracle(t, p0)), rel=1e-6
-            )
-            assert exciton_cross_intensity(t, p1) == exciton_cross_intensity(t, p0)
-
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             exciton_cross_intensity(np.array([5.0, -0.1]), S7)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdbench.dynamics import exciton_amplitudes
 from qdbench.model import (
     HBAR_UEV_PS,
     ExcitonParams,
@@ -122,16 +123,13 @@ class TestExcitonParams:
         assert ExcitonParams(100.0, 5.0, -0.25).theta_rad == pytest.approx(math.pi - 0.25)
 
     def test_eigenstate_energy_difference_is_delta(self):
-        p = ExcitonParams(100.0, 8.58, 0.5, e_mean_uev=1.5e6)
-        assert p.e_v_prime_uev - p.e_h_prime_uev == pytest.approx(8.58, rel=1e-9)
+        # The relative phase of the two eigenstate amplitudes turns at delta / hbar.
+        p = ExcitonParams(100.0, 8.58, 0.5)
+        a_v, a_h = exciton_amplitudes(37.0, p)
+        assert np.angle(a_h / a_v) == pytest.approx(8.58 * 37.0 / HBAR_UEV_PS, rel=1e-12)
 
 
 class TestSetupParams:
-    def test_hom_delay_defaults_to_exact_rep_period(self):
-        setup = SetupParams()
-        assert setup.hom_delay_ps == setup.rep_period_ps
-        assert setup.rep_period_ps == pytest.approx(12345.679, abs=1e-3)
-
     def test_defaults_match_operating_point(self):
         setup = SetupParams()
         assert setup.rep_rate_mhz == 81.0
@@ -139,6 +137,7 @@ class TestSetupParams:
         assert setup.eta_setup == 0.40
         assert setup.eta_det == 0.30
         assert setup.jitter_fwhm_ps == 53.0
+        assert setup.rep_period_ps == pytest.approx(12345.679, abs=1e-3)
 
     def test_invalid_efficiency_rejected(self):
         with pytest.raises(SourceValidationError):

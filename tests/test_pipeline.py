@@ -265,11 +265,11 @@ _GOLDEN_CLICK_SEED = 10
 _GOLDEN_CLICK_PULSES = 100_000
 _GOLDEN_CLICK_DIGESTS = {
     "default":
-        "61f4cfc92be69f03d266e80cbfd6f7a07f6b97e6df93ddd50a69776c0b8e8f8e",
+        "1732f18bc8d0a29facf86bf62f145a7457512bdb2d2ab5fe37dd25149c6ab95f",
     "lossless":
-        "c73e64cfb331977c6768b998fe296ad99b23fb17a5242192075af6711ebab7be",
+        "199772231bad680e7ed0703d6b3755908131f0f73f1540432dba430e69cbdcbe",
     "leak_dark":
-        "cdf7c7d07bf500bbcd22dc73f1397b3e41de0d5b0ed084e232200b3f41dec009",
+        "0062c14da5a1b5f9ac15179e1b950149b990f94949d2e5b4a98d8b776808b22a",
 }
 
 

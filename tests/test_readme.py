@@ -3,24 +3,34 @@
 import pathlib
 import re
 
+from qdbench.config import _SETUP_KEYS, _SOURCE_KEYS, parse_config
+from qdbench.model import SetupParams
 from qdbench.photon_sim import STREAM_LAYOUT
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _python_block(section: str) -> str:
+def _block(section: str, language: str) -> str:
     text = README.read_text()
     body = text.split(f"## {section}\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", body, flags=re.DOTALL)
-    assert len(blocks) == 1, f"expected one python block under '{section}'"
+    blocks = re.findall(rf"```{language}\n(.*?)```", body, flags=re.DOTALL)
+    assert len(blocks) == 1, f"expected one {language} block under '{section}'"
     return blocks[0]
 
 
 def test_library_use_example_runs(capsys):
-    exec(compile(_python_block("Library use"), str(README), "exec"), {})
+    exec(compile(_block("Library use", "python"), str(README), "exec"), {})
     assert "G2Result(" in capsys.readouterr().out
 
 
 def test_stream_layout_is_the_current_one():
     layouts = re.findall(r"`photon_sim\.STREAM_LAYOUT`, now (\d+)", README.read_text())
     assert layouts == [str(STREAM_LAYOUT)]
+
+
+def test_config_example_parses_and_names_every_key():
+    text = _block("Config format", "ini")
+    config = parse_config(text)
+    assert config.setup == SetupParams()  # its [setup] says it lists the defaults
+    keys = re.findall(r"^(\w+) =", text, flags=re.MULTILINE)
+    assert sorted(keys) == sorted(_SETUP_KEYS + _SOURCE_KEYS)
