@@ -130,6 +130,23 @@ class TestExcitonParams:
 
 
 class TestSetupParams:
+    def test_hom_delay_defaults_to_exact_rep_period(self):
+        # The HOM long arm is not a setting: it delays a photon by exactly
+        # one repetition period, so a pulse-0 photon emitted at 0 ps clicks
+        # at 0 ps (short arm) or at one period (long arm), and nowhere else.
+        from conftest import single_photon_batch
+
+        from qdbench.photon_sim import RngSpec, hom_streams
+
+        setup = SetupParams(jitter_fwhm_ps=0.0)
+        assert setup.rep_period_ps == pytest.approx(12345.679, abs=1e-3)
+        clicks = np.concatenate([
+            np.concatenate(hom_streams(RngSpec(seed, 0), single_photon_batch(1), setup, 1.0))
+            for seed in range(32)
+        ])
+        assert clicks.size == 32
+        assert set(clicks.tolist()) == {0, round(setup.rep_period_ps)}
+
     def test_defaults_match_operating_point(self):
         setup = SetupParams()
         assert setup.rep_rate_mhz == 81.0
