@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation/usage error or unreadable input file,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -248,7 +249,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: glibc ``mallopt`` parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_blocks():
+    """Let the C allocator keep freed blocks of up to a few MiB for reuse.
+
+    A pipeline run allocates and frees each RNG chunk's events, clicks and
+    temporaries in turn.  By default glibc hands such blocks back to the
+    kernel once freed, so each chunk faults its pages in again: about 3e4
+    minor faults and a tenth of the wall time of a default fleet run on two
+    threads.  Without glibc's ``mallopt`` nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_blocks()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -132,30 +132,81 @@ def build_histogram(
     cost linear in clicks plus emitted pairs rather than all-pairs
     quadratic.
     """
-    if bin_width_ps <= 0:
-        raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
-    t0 = _integer_clicks(clicks0, "clicks0")
-    t1 = _integer_clicks(clicks1, "clicks1")
+    counter = PairCounter(bin_width_ps, max_delay_ps, rep_period_ps)
+    counter.add(clicks0, clicks1)
+    return counter.histogram()
 
-    half = int(round(max_delay_ps / bin_width_ps))
-    e = math.floor((half + 0.5) * bin_width_ps)
-    counts = np.zeros(2 * half + 1, dtype=np.int64)
-    for start in range(0, t0.size, _HISTOGRAM_BLOCK):
-        ref = t0[start : start + _HISTOGRAM_BLOCK]
-        lo = np.searchsorted(t1, ref - e, side="left")
-        hi = np.searchsorted(t1, ref + e, side="right")
-        m = hi - lo
-        total = int(m.sum())
-        if total == 0:
-            continue
-        # Flat index trick: for each reference click, take its window
-        # [lo, hi) of partner clicks in one vectorized gather.
-        offsets = np.repeat(hi - np.cumsum(m), m) + np.arange(total)
-        deltas = t1[offsets] - np.repeat(ref, m)
-        idx = np.rint(deltas / bin_width_ps).astype(np.int64) + half
-        np.add.at(counts, np.clip(idx, 0, counts.size - 1), 1)
-    delays = (np.arange(2 * half + 1) - half) * bin_width_ps
-    return CorrelationHistogram(bin_width_ps, delays, counts, rep_period_ps)
+
+class PairCounter:
+    """The histogram of :func:`build_histogram`, counted over time-ordered blocks of clicks.
+
+    Each block added must start no earlier than the last click added
+    before it.  A pair across blocks then pairs a click of the new block
+    with one of the last E ps before it, so only those clicks are kept
+    between blocks, and the counts equal those of the whole streams.
+    """
+
+    def __init__(self, bin_width_ps: float, max_delay_ps: float, rep_period_ps: float):
+        if bin_width_ps <= 0:
+            raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
+        self.bin_width_ps = bin_width_ps
+        self.rep_period_ps = rep_period_ps
+        self._half = int(round(max_delay_ps / bin_width_ps))
+        self._e = math.floor((self._half + 0.5) * bin_width_ps)
+        self.counts = np.zeros(2 * self._half + 1, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        self._tail = (empty, empty)
+        self._last = None
+
+    def add(self, clicks0, clicks1):
+        """Count the pairs of a block of clicks, within it and with the clicks before it."""
+        t0 = _integer_clicks(clicks0, "clicks0")
+        t1 = _integer_clicks(clicks1, "clicks1")
+        ends = [(t[0], t[-1]) for t in (t0, t1) if t.size]
+        if not ends:
+            return
+        first, last = min(a for a, _ in ends), max(b for _, b in ends)
+        if self._last is not None and first < self._last:
+            raise ValueError(f"a block starting at {first} ps follows a click at {self._last} ps")
+        e = self._e
+        tail0, tail1 = self._tail
+        self._count(t0, t1)
+        if tail0.size:
+            self._count(tail0, t1[:np.searchsorted(t1, tail0[-1] + e, side="right")])
+        if tail1.size:
+            self._count(t0[:np.searchsorted(t0, tail1[-1] + e, side="right")], tail1)
+        self._last = last
+        self._tail = tuple(_since(tail, t, last - e) for tail, t in ((tail0, t0), (tail1, t1)))
+
+    def _count(self, t0: np.ndarray, t1: np.ndarray):
+        half, e, counts = self._half, self._e, self.counts
+        for start in range(0, t0.size, _HISTOGRAM_BLOCK):
+            ref = t0[start : start + _HISTOGRAM_BLOCK]
+            lo = np.searchsorted(t1, ref - e, side="left")
+            hi = np.searchsorted(t1, ref + e, side="right")
+            m = hi - lo
+            total = int(m.sum())
+            if total == 0:
+                continue
+            # Flat index trick: for each reference click, take its window
+            # [lo, hi) of partner clicks in one vectorized gather.
+            offsets = np.repeat(hi - np.cumsum(m), m) + np.arange(total)
+            deltas = t1[offsets] - np.repeat(ref, m)
+            idx = np.rint(deltas / self.bin_width_ps).astype(np.int64) + half
+            np.add.at(counts, np.clip(idx, 0, counts.size - 1), 1)
+
+    def histogram(self) -> CorrelationHistogram:
+        delays = (np.arange(2 * self._half + 1) - self._half) * self.bin_width_ps
+        return CorrelationHistogram(self.bin_width_ps, delays, self.counts.copy(),
+                                    self.rep_period_ps)
+
+
+def _since(tail: np.ndarray, t: np.ndarray, start: int) -> np.ndarray:
+    """The clicks of ``tail`` followed by ``t`` from ``start`` on, copied out of ``t``."""
+    cut = int(np.searchsorted(t, start, side="left"))
+    if cut > 0:
+        return t[cut:].copy()
+    return np.concatenate([tail[np.searchsorted(tail, start, side="left"):], t])
 
 
 def integrate_peaks(

@@ -153,11 +153,23 @@ class _DecayModel:
         n = t.size
         self.t_pad = t[0] + self.step * np.arange(-self.radius, n + self.radius)
         self.crop = slice(self.radius, self.radius + n)
+        self._last_key, self._last = None, None
 
     def _conv(self, values: np.ndarray) -> np.ndarray:
         return np.convolve(values, self.kernel, mode="same")[self.crop]
 
     def predict_components(self, params: np.ndarray):
+        """The model and its parts at ``params``; the last evaluation is reused.
+
+        After an accepted step the fit asks for the Jacobian at the point
+        whose residuals it has just taken, so each point is evaluated once.
+        """
+        key = params.tobytes()
+        if key != self._last_key:
+            self._last_key, self._last = key, self._evaluate(params)
+        return self._last
+
+    def _evaluate(self, params: np.ndarray):
         if self.kind is TransitionKind.EXCITON:
             tau, delta, amp, bg, t0 = params
         else:

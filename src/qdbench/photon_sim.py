@@ -13,9 +13,17 @@ one place where the package rounds time.
 Reproducibility: every random decision derives from an :class:`RngSpec`
 (seed, stream_id).  Pulse ranges are processed in fixed-size chunks, each
 chunk seeded independently from (seed, stream_id, chunk_index), so a
-chunk's events depend only on that key and its pulse range.  The order
+chunk's events depend only on that key and its pulse range.  The detector
+stages draw per chunk as well, chunk 0 from the click stream's own
+generator and chunk c >= 1 from the one keyed by c, so a train can be
+simulated, detected and analysed one chunk at a time
+(:func:`detected_chunks`).  The long photon of a chunk's last pulse meets
+a short photon of the next chunk's first pulse, so the interferometer
+carries the long-arm rows of that pulse into the next chunk.  The order
 and kind of every draw is the stream layout, versioned by
-:data:`STREAM_LAYOUT`; a change to either changes the streams.
+:data:`STREAM_LAYOUT`; a change to either changes the streams.  Layout 5
+keyed the detector draws by chunk; a train of one chunk kept its layout-4
+streams.
 
 Cost: no draw is made per pulse.  Each chunk draws the pulses that give a
 row directly, as geometric gaps between them, and then makes every other
@@ -59,7 +67,7 @@ from .model import (
 CHUNK_PULSES = 1 << 20
 #: Version of the order and kind of random draws.  Artifact headers carry
 #: it, so files written under another layout are told apart by their header.
-STREAM_LAYOUT = 4
+STREAM_LAYOUT = 5
 #: Queries sorted at a time by :func:`_interp_sorted`.  Any value gives the
 #: same bits; 16384 float64 queries (128 KiB) sort and scatter in cache.
 _SORT_BLOCK = 1 << 14
@@ -318,6 +326,33 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
     return pulse[order], emit[order], origin[order]
 
 
+def _chunks(n_pulses: int) -> list[tuple[int, int, int]]:
+    """(index, lo, hi) of each RNG chunk, pulses [lo, hi), of a train of ``n_pulses`` pulses."""
+    return [(i, lo, min(lo + CHUNK_PULSES, n_pulses))
+            for i, lo in enumerate(range(0, max(n_pulses, 1), CHUNK_PULSES))]
+
+
+def _chunk_generator(rng: RngSpec, index: int) -> np.random.Generator:
+    """The generator of chunk ``index``'s detector draws.
+
+    Chunk 0 draws from the train's own generator, so a train of one chunk
+    has the streams it had before detection was keyed by chunk.
+    """
+    return rng.generator() if index == 0 else rng.generator(index)
+
+
+def _check_train(source: SourceParams, setup: SetupParams, n_pulses: int):
+    if n_pulses <= 0:
+        raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
+    validate_source(source)
+    validate_setup(setup)
+    if source.kind is TransitionKind.EXCITON and source.brightness_first_lens > 0:
+        # Fail fast on unsamplable emission before simulating any chunk.
+        _exciton_inverse_cdf_table(
+            source.exciton.tau_ps, source.exciton.delta_fss_uev, source.exciton.theta_rad
+        )
+
+
 def simulate_pulse_train(
     rng: RngSpec,
     source: SourceParams,
@@ -341,20 +376,8 @@ def simulate_pulse_train(
     and re-excitation decisions, the pulses of the detected leak photons,
     then the emission times (see :func:`_simulate_chunk`).
     """
-    if n_pulses <= 0:
-        raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
-    validate_source(source)
-    validate_setup(setup)
-    if source.kind is TransitionKind.EXCITON and source.brightness_first_lens > 0:
-        # Fail fast on unsamplable emission before simulating any chunk.
-        _exciton_inverse_cdf_table(
-            source.exciton.tau_ps, source.exciton.delta_fss_uev, source.exciton.theta_rad
-        )
-
-    chunks = [
-        _simulate_chunk(rng, source, setup, lo, min(lo + CHUNK_PULSES, n_pulses), i)
-        for i, lo in enumerate(range(0, n_pulses, CHUNK_PULSES))
-    ]
+    _check_train(source, setup, n_pulses)
+    chunks = [_simulate_chunk(rng, source, setup, lo, hi, i) for i, lo, hi in _chunks(n_pulses)]
     # Joined one column at a time, each column's chunks freed as soon as it
     # is joined, so the batch is never held twice.
     columns = [list(parts) for parts in zip(*chunks)]
@@ -373,12 +396,13 @@ def _join(parts: list) -> np.ndarray:
     return joined
 
 
-def _dark_clicks(g: np.random.Generator, setup: SetupParams, duration_ps: float):
-    lam = setup.dark_rate_cps * duration_ps * 1e-12
+def _dark_clicks(g: np.random.Generator, setup: SetupParams, lo_ps: float, hi_ps: float):
+    """Each channel's dark counts in [lo_ps, hi_ps), sorted."""
+    lam = setup.dark_rate_cps * (hi_ps - lo_ps) * 1e-12
     out = []
     for _ in range(2):
         n = int(g.poisson(lam))
-        out.append(np.sort(g.uniform(0.0, duration_ps, size=n)))
+        out.append(np.sort(g.uniform(lo_ps, hi_ps, size=n)))
     return out
 
 
@@ -409,33 +433,36 @@ def _finalize_streams(stamped, darks):
     return tuple(streams)
 
 
-def _stamp_clicks(g: np.random.Generator, batch: EventBatch, setup: SetupParams,
+def _stamp_clicks(g: np.random.Generator, rows, setup: SetupParams, lo: int, hi: int,
                   on_channel1: np.ndarray, arm: np.ndarray | None = None):
-    """Both channels' click streams of the batch's detected rows, plus dark counts.
+    """Both channels' click streams of a chunk's detected rows, plus its dark counts.
 
-    A detected row (every row but the anchors) is stamped at pulse_index *
-    rep_period + emit_time, plus one more rep_period where ``arm`` (one
-    entry per row) puts it on the long arm, plus Gaussian jitter.  It goes to
-    channel 1 where ``on_channel1`` (one entry per detected row) is True.
+    ``rows`` are the chunk's (pulse index, emission time, origin) columns
+    and [lo, hi) its pulses.  A detected row (every row but the anchors) is
+    stamped at pulse_index * rep_period + emit_time, plus one more
+    rep_period where ``arm`` (one entry per row) puts it on the long arm,
+    plus Gaussian jitter.  It goes to channel 1 where ``on_channel1`` (one
+    entry per detected row) is True.
 
     Draws: the jitter of the detected rows, in row order, then the dark
-    counts.  Rows are stamped ``_ROW_BLOCK`` at a time, straight into one
-    buffer per channel.  ``Generator.normal`` draws in sequence, so the
-    jitter of a block has the bits of the same rows of one draw over the
-    train.
+    counts over the chunk's pulses.  Rows are stamped ``_ROW_BLOCK`` at a
+    time, straight into one buffer per channel.  ``Generator.normal`` draws
+    in sequence, so the jitter of a block has the bits of the same rows of
+    one draw over the chunk.
 
     Returns (times_channel0, times_channel1) as int64 ps, each sorted.
     """
     period = setup.rep_period_ps
     sigma_j = setup.jitter_fwhm_ps * FWHM_TO_SIGMA
+    pulse_index, emit_time, origin = rows
     n1 = int(np.count_nonzero(on_channel1))
     t0, t1 = np.empty(on_channel1.size - n1), np.empty(n1)
     done = filled0 = filled1 = 0
-    for lo in range(0, len(batch), _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        pulse, emit = batch.pulse_index[rows], batch.emit_time_ps[rows]
-        long_arm = None if arm is None else arm[rows]
-        detected = batch.origin[rows] != Origin.ANCHOR
+    for start in range(0, pulse_index.size, _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        pulse, emit = pulse_index[block], emit_time[block]
+        long_arm = None if arm is None else arm[block]
+        detected = origin[block] != Origin.ANCHOR
         if not detected.all():
             pulse, emit = pulse[detected], emit[detected]
             long_arm = None if long_arm is None else long_arm[detected]
@@ -452,8 +479,112 @@ def _stamp_clicks(g: np.random.Generator, batch: EventBatch, setup: SetupParams,
         np.compress(~channel1, times, out=t0[filled0:filled0 + k0])
         np.compress(channel1, times, out=t1[filled1:filled1 + k1])
         filled0, filled1 = filled0 + k0, filled1 + k1
-    darks = _dark_clicks(g, setup, batch.n_pulses * period)
+    darks = _dark_clicks(g, setup, lo * period, hi * period)
     return _finalize_streams((t0, t1), darks)
+
+
+def _hbt_chunks(rng: RngSpec, setup: SetupParams, chunks):
+    """The HBT stage of a train: yields (hi, t0, t1) for each (index, lo, hi, rows) of ``chunks``.
+
+    Draws, per chunk from its own generator: the channel of each detected
+    row, then the jitter and the dark counts.  A chunk's rows are dropped
+    before its clicks are yielded.
+    """
+    for index, lo, hi, rows in chunks:
+        g = _chunk_generator(rng, index)
+        channels = _bernoulli(g, 0.5, int(np.count_nonzero(rows[2] != Origin.ANCHOR)))
+        streams = _stamp_clicks(g, rows, setup, lo, hi, channels)
+        del rows, channels
+        yield hi, *streams
+
+
+def _carry_rows(columns: tuple, carry: tuple | None, hi: int, last: bool):
+    """A chunk's interferometer rows: the rows carried into it, then its own, less those it carries on.
+
+    ``columns`` hold the chunk's own rows, pulse index first and arm last,
+    and ``carry`` the rows carried in, as the same columns, or None.  The
+    long photon of pulse hi - 1 meets a short photon of pulse hi, the next
+    chunk's first pulse, so unless the chunk is the train's ``last`` its
+    long-arm rows of that pulse are carried on, in order.  Returns (the
+    rows the chunk pairs, routes and stamps; the rows carried on, or None).
+    """
+    if carry is not None:
+        columns = tuple(np.concatenate(pair) for pair in zip(carry, columns))
+    if last:
+        return columns, None
+    pulse, arm = columns[0], columns[-1]
+    tail = int(np.searchsorted(pulse, hi - 1))
+    out = tail + np.flatnonzero(arm[tail:])
+    if out.size == 0:
+        return columns, None
+    keep = np.ones(pulse.size, dtype=bool)
+    keep[out] = False
+    return tuple(c[keep] for c in columns), tuple(c[out] for c in columns)
+
+
+def _hom_chunks(rng: RngSpec, setup: SetupParams, chunks, n_pulses: int, m_pair: float):
+    """The HOM stage of a train: yields (hi, t0, t1) for each (index, lo, hi, rows) of ``chunks``.
+
+    Draws, per chunk from its own generator: the arm of each of its rows,
+    anchors included; then, over the rows carried in and its own less those
+    it carries on (see :func:`_carry_rows`), coalescence and the joint port
+    of the meeting pairs whose photons are both detected, the channel of
+    each detected row, the jitter and the dark counts.  Carried rows keep
+    the arm drawn in their own chunk.  A chunk's rows are dropped before
+    its clicks are yielded.
+    """
+    carry = None
+    for index, lo, hi, rows in chunks:
+        g = _chunk_generator(rng, index)
+        arm = _bernoulli(g, 0.5, rows[0].size)
+        rows, carry = _carry_rows((*rows, arm), carry, hi, hi == n_pulses)
+        streams = _interfere(g, rows, setup, lo, hi, m_pair)
+        del rows, arm
+        yield hi, *streams
+
+
+def _interfere(g: np.random.Generator, rows, setup: SetupParams, lo: int, hi: int,
+               m_pair: float):
+    """A chunk's interferometer clicks, its (pulse, emit, origin, arm) ``rows`` paired and routed."""
+    pulse, emit, origin, arm = rows
+    detected = origin != Origin.ANCHOR
+    pair_a, pair_b = _kept_pairs(pulse, origin <= Origin.ANCHOR, arm, detected)
+    coalesce = _bernoulli(g, m_pair, pair_a.size)
+    pair_a, pair_b = pair_a[coalesce], pair_b[coalesce]
+    joint_port = _bernoulli(g, 0.5, pair_a.size)
+
+    lost = np.flatnonzero(~detected)
+    del detected
+    channels = _bernoulli(g, 0.5, pulse.size - lost.size)
+    # A paired row's position among the detected rows: its row less the
+    # anchors before it.
+    channels[pair_a - np.searchsorted(lost, pair_a)] = joint_port
+    channels[pair_b - np.searchsorted(lost, pair_b)] = joint_port
+    return _stamp_clicks(g, (pulse, emit, origin), setup, lo, hi, channels, arm)
+
+
+def _batch_chunks(batch: EventBatch):
+    """(index, lo, hi, rows) of each RNG chunk of a batch, rows as column views."""
+    bounds = _chunks(batch.n_pulses)
+    cuts = np.searchsorted(batch.pulse_index, [lo for _, lo, _ in bounds[1:]]).tolist()
+    for (index, lo, hi), a, b in zip(bounds, [0, *cuts], [*cuts, len(batch)]):
+        yield index, lo, hi, (batch.pulse_index[a:b], batch.emit_time_ps[a:b], batch.origin[a:b])
+
+
+def _merge(streams) -> tuple[np.ndarray, np.ndarray]:
+    """Each channel's clicks over all the (hi, t0, t1) of ``streams``, sorted.
+
+    The streams of neighbouring chunks overlap in time at their edge.
+    """
+    columns = [list(parts) for parts in zip(*((t0, t1) for _, t0, t1 in streams))]
+    merged = []
+    for parts in columns:
+        several = len(parts) > 1
+        t = _join(parts)
+        if several:
+            t.sort(kind="stable")
+        merged.append(t)
+    return tuple(merged)
 
 
 def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
@@ -464,14 +595,12 @@ def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     and stamped at pulse_index * rep_period + emit_time + Gaussian jitter.
     Dark counts are an independent Poisson process per channel.
 
-    Draws: channel and jitter for the detected photons, then the dark
-    counts.
+    Draws, per RNG chunk of the batch's pulses: channel and jitter for the
+    detected photons, then the dark counts over the chunk.
 
     Returns (times_channel0, times_channel1) as int64 ps, each sorted.
     """
-    g = rng.generator()
-    channels = _bernoulli(g, 0.5, int(np.count_nonzero(batch.detected_mask())))
-    return _stamp_clicks(g, batch, setup, channels)
+    return _merge(_hbt_chunks(rng, setup, _batch_chunks(batch)))
 
 
 def _pair_overlap(brightness: float, p_two_photon: float, overlap: float) -> float:
@@ -493,6 +622,8 @@ def _pair_overlap(brightness: float, p_two_photon: float, overlap: float) -> flo
 
     For an ideal single-photon stream (p2 = 0) this is exactly m_pair = M.
     """
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap must lie in [0, 1], got {overlap}")
     p1 = brightness - p_two_photon
     if p1 <= 0:
         return overlap
@@ -561,35 +692,53 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     Laser-leak photons never coalesce.  Jitter and dark counts are applied
     as in :func:`hbt_streams`, and the batch is not thinned again.
 
-    Draws: the arm of every row, anchors included, then coalescence and
-    the joint port for the meeting pairs whose photons are both detected,
-    then channel and jitter for the detected photons, then the dark
-    counts.  A coalesced pair that loses a photon leaves one click on a
-    uniformly random port, which is independent routing, so the pairs
-    with a lost photon need no draw of their own.
+    Draws, per RNG chunk of the batch's pulses (see :func:`_hom_chunks`):
+    the arm of every row, anchors included, then coalescence and the joint
+    port for the meeting pairs whose photons are both detected, then
+    channel and jitter for the detected photons, then the dark counts.  A
+    coalesced pair that loses a photon leaves one click on a uniformly
+    random port, which is independent routing, so the pairs with a lost
+    photon need no draw of their own.
 
     The events must be sorted by pulse index, as
     :func:`simulate_pulse_train` returns them.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must lie in [0, 1], got {overlap}")
+    m_pair = _pair_overlap(batch.brightness, batch.p_two_photon, overlap)
     if np.any(batch.pulse_index[1:] < batch.pulse_index[:-1]):
         raise ValueError("events must be sorted by pulse index")
-    g = rng.generator()
-    detected = batch.detected_mask()
-    m_pair = _pair_overlap(batch.brightness, batch.p_two_photon, overlap)
+    return _merge(_hom_chunks(rng, setup, _batch_chunks(batch), batch.n_pulses, m_pair))
 
-    arm = _bernoulli(g, 0.5, len(batch))
-    pair_a, pair_b = _kept_pairs(batch.pulse_index, batch.qd_mask(), arm, detected)
-    coalesce = _bernoulli(g, m_pair, pair_a.size)
-    pair_a, pair_b = pair_a[coalesce], pair_b[coalesce]
-    joint_port = _bernoulli(g, 0.5, pair_a.size)
 
-    lost = np.flatnonzero(~detected)
-    del detected
-    channels = _bernoulli(g, 0.5, len(batch) - lost.size)
-    # A paired row's position among the detected rows: its row less the
-    # anchors before it.
-    channels[pair_a - np.searchsorted(lost, pair_a)] = joint_port
-    channels[pair_b - np.searchsorted(lost, pair_b)] = joint_port
-    return _stamp_clicks(g, batch, setup, channels, arm)
+def detected_chunks(events: RngSpec, clicks: RngSpec, source: SourceParams,
+                    setup: SetupParams, n_pulses: int, overlap: float | None = None):
+    """Simulate and detect a train one RNG chunk at a time.
+
+    With ``overlap`` None the chunks go through the HBT stage, else through
+    the interferometer at that overlap.  Yields (t0, t1, settled) per
+    chunk: its two click streams, int64 ps and each sorted, and a time
+    before which no later chunk has a click.  The streams of all chunks,
+    merged, are :func:`hbt_streams` or :func:`hom_streams` of
+    ``simulate_pulse_train(events, source, setup, n_pulses)``, so a caller
+    holds one chunk's events and clicks at a time.
+
+    ``settled`` is the start of the chunk's last pulse: a later click comes
+    from a later pulse, or from a long-arm photon of that last pulse, or is
+    a dark count of a later chunk, so it precedes the chunk's last pulse
+    only if a jitter or laser-pulse draw reaches back more than a period.
+    That is checked, and raises ``RuntimeError``.
+    """
+    _check_train(source, setup, n_pulses)
+    chunks = ((i, lo, hi, _simulate_chunk(events, source, setup, lo, hi, i))
+              for i, lo, hi in _chunks(n_pulses))
+    if overlap is None:
+        streams = _hbt_chunks(clicks, setup, chunks)
+    else:
+        m_pair = _pair_overlap(source.brightness_first_lens, source.p_two_photon, overlap)
+        streams = _hom_chunks(clicks, setup, chunks, n_pulses, m_pair)
+    settled = None
+    for hi, t0, t1 in streams:
+        if settled is not None and any(t.size and t[0] < settled for t in (t0, t1)):
+            raise RuntimeError(f"a click of the chunk ending at pulse {hi} precedes the previous "
+                               f"chunk's last pulse; the jitter is too wide for streaming")
+        settled = math.floor((hi - 1) * setup.rep_period_ps)
+        yield t0, t1, settled

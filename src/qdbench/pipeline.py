@@ -29,8 +29,9 @@ from . import __version__
 from .config import FleetConfig
 from .correlation import (
     WINDOW_PS,
+    PairCounter,
     brightness_chain,
-    build_histogram,
+    build_histogram,  # noqa: F401  (perfbench traces pipeline.build_histogram)
     corrected_overlap,
     g2_zero,
     hom_visibility,
@@ -38,12 +39,25 @@ from .correlation import (
 from .dynamics import phi_scan_model
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import SetupParams, SourceParams
-from .photon_sim import STREAM_LAYOUT, RngSpec, hbt_streams, hom_streams, simulate_pulse_train
+from .photon_sim import (
+    STREAM_LAYOUT,
+    RngSpec,
+    _join,
+    detected_chunks,
+    hbt_streams,
+    hom_streams,
+    simulate_pulse_train,
+)
 from .report import SourceReport, aggregate_benchmark, emit_report
 
 _STREAMS_PER_SOURCE = 8
-#: Clicks folded at a time by :func:`decay_trace_from_clicks`.
+#: Clicks folded at a time by :func:`_fold_decay`.
 _FOLD_BLOCK = 1 << 16
+#: Clicks of a train that wait before they are folded (see :class:`_TrainFold`).
+#: Any value gives the same bytes.  A default-setup chunk holds about 2e4
+#: clicks, so a few chunks fold together; at 2**17 the waiting clicks alone
+#: would double a source's peak memory.
+_FLUSH_CLICKS = 1 << 15
 _WRITE_BLOCK_ROWS = 1 << 16
 #: Sorted int64 times in [_EDGES[i - 1], _EDGES[i]) share one sign and one
 #: digit count, _RUN_LAYOUTS[i]; _RUN_WIDTHS[i] is the byte width of their rows.
@@ -138,7 +152,7 @@ def write_table(path, header: str | None, names, columns, notes: str | None = No
 def _write_rows(path, header: str | None, names, cells, notes: str | None):
     with open(path, "w") as f:
         f.write(_comment(header) + _comment(notes) + ",".join(names) + "\n")
-        f.writelines(",".join(row) + "\n" for row in zip(*cells))
+        f.write("\n".join([*map(",".join, zip(*cells)), ""]))
 
 
 @functools.lru_cache(maxsize=1)
@@ -268,24 +282,42 @@ def synthesize_phi_scan(source: SourceParams, rng: np.random.Generator):
     return points
 
 
-def decay_trace_from_clicks(t0: np.ndarray, t1: np.ndarray, setup: SetupParams,
-                            source: SourceParams) -> DecayTrace:
-    """Fold detector clicks onto the pulse window and bin them.
+def _trace_bins(setup: SetupParams, source: SourceParams) -> int:
+    """Bins of a source's decay trace: 4 ps each from the pulse on, over at most one period."""
+    return int(min(setup.rep_period_ps, 12.0 * source.tau_ps + 400.0) / _TRACE_BIN_PS)
 
-    Each channel is folded ``_FOLD_BLOCK`` clicks at a time; histogram
-    counts add, so the blocks change no count.
+
+def _fold_decay(counts: np.ndarray, t: np.ndarray, period: float):
+    """Add clicks ``t``, folded onto the pulse period, to the decay-trace ``counts``.
+
+    The bins are [4k, 4k + 4) ps, the last one closed: ``np.histogram``'s
+    bins over (0, 4 * counts.size), whose edges are exact multiples of 4.
+    Folded ``_FOLD_BLOCK`` clicks at a time; counts add, so the blocks
+    change no count.
     """
-    period = setup.rep_period_ps
-    span = min(period, 12.0 * source.tau_ps + 400.0)
-    n_bins = int(span / _TRACE_BIN_PS)
-    grid = dict(bins=n_bins, range=(0.0, n_bins * _TRACE_BIN_PS))
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for t in (t0, t1):
-        for lo in range(0, t.size, _FOLD_BLOCK):
-            counts += np.histogram(np.mod(t[lo:lo + _FOLD_BLOCK], period), **grid)[0]
-    edges = np.histogram_bin_edges(np.empty(0), **grid)
+    top = counts.size * _TRACE_BIN_PS
+    for lo in range(0, t.size, _FOLD_BLOCK):
+        x = np.mod(t[lo:lo + _FOLD_BLOCK], period)
+        x = x[x <= top]
+        x /= _TRACE_BIN_PS
+        idx = x.astype(np.intp)
+        np.minimum(idx, counts.size - 1, out=idx)
+        counts += np.bincount(idx, minlength=counts.size)
+
+
+def _decay_trace(counts: np.ndarray, source: SourceParams) -> DecayTrace:
+    edges = np.linspace(0.0, counts.size * _TRACE_BIN_PS, counts.size + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DecayTrace(t_ps=centers, counts=counts.astype(float), kind=source.kind)
+
+
+def decay_trace_from_clicks(t0: np.ndarray, t1: np.ndarray, setup: SetupParams,
+                            source: SourceParams) -> DecayTrace:
+    """Fold detector clicks onto the pulse window and bin them."""
+    counts = np.zeros(_trace_bins(setup, source), dtype=np.int64)
+    for t in (t0, t1):
+        _fold_decay(counts, t, setup.rep_period_ps)
+    return _decay_trace(counts, source)
 
 
 #: The two trains of a source, in the order a source simulates them.
@@ -294,11 +326,11 @@ TRAINS = ("hbt", "hom")
 
 def train_clicks(source: SourceParams, setup: SetupParams, seed: int, source_index: int,
                  n_pulses: int, train: str) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate and detect one train of one source: its two click streams.
+    """Simulate and detect one whole train of one source: its two click streams.
 
     ``train`` is ``"hbt"`` or ``"hom"``.  The train's events are freed on
-    return, so a caller that handles one train at a time holds one train's
-    events or clicks, never both trains'.
+    return.  :func:`analyze_source` streams the same clicks a chunk at a
+    time instead.
     """
     streams = source_streams(seed, source_index)
     if train == "hbt":
@@ -308,6 +340,63 @@ def train_clicks(source: SourceParams, setup: SetupParams, seed: int, source_ind
         events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
         return hom_streams(streams.hom_clicks, events, setup, source.overlap)
     raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
+
+
+class _TrainFold:
+    """A train's accumulators, fed the train one RNG chunk at a time.
+
+    Chunks' clicks wait until at least ``_FLUSH_CLICKS`` of them do, or the
+    train ends.  Then the waiting clicks before the last chunk's settled
+    time, which no later click precedes, are merged per channel into a
+    block and folded: into the pair counts, the decay-trace counts (with
+    ``trace_bins``) and the click count, and, with ``keep``, into the
+    train's kept clicks.  The blocks follow each other in time, so their
+    concatenation per channel is the train's whole stream.
+    """
+
+    def __init__(self, options: PipelineOptions, period: float, trace_bins: int = 0,
+                 keep: bool = False):
+        self.period = period
+        self.pairs = PairCounter(options.bin_width_ps, HISTOGRAM_PERIODS * period, period)
+        self.decay = np.zeros(trace_bins, dtype=np.int64)
+        self.n_clicks = 0
+        self._kept = ([], []) if keep else None
+        self._waiting = []
+
+    def fold(self, chunks) -> "_TrainFold":
+        """Fold every (t0, t1, settled) chunk of a train, in order."""
+        waiting = 0
+        for t0, t1, settled in chunks:
+            self._waiting.append((t0, t1))
+            waiting += t0.size + t1.size
+            del t0, t1  # the chunk's clicks live on only while they wait
+            if waiting >= _FLUSH_CLICKS:
+                waiting = self._flush(settled)
+        self._flush(None)
+        return self
+
+    def _flush(self, settled: int | None) -> int:
+        """Fold the waiting clicks before ``settled`` (all with None); returns how many still wait."""
+        block, rest = [], []
+        for parts in zip(*self._waiting):
+            t = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts), kind="stable")
+            cut = t.size if settled is None else int(np.searchsorted(t, settled))
+            block.append(t[:cut])
+            rest.append(t[cut:].copy())
+        self._waiting = [tuple(rest)]
+        self.pairs.add(*block)
+        if self.decay.size:
+            for t in block:
+                _fold_decay(self.decay, t, self.period)
+        self.n_clicks += block[0].size + block[1].size
+        if self._kept is not None:
+            for kept, t in zip(self._kept, block):
+                kept.append(t)
+        return rest[0].size + rest[1].size
+
+    def clicks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The train's kept click streams."""
+        return tuple(_join(kept) for kept in self._kept)
 
 
 def analyze_source(
@@ -322,31 +411,27 @@ def analyze_source(
 ) -> SourceReport:
     """Simulate one source and recover all of its figures of merit.
 
-    With ``out_dir`` set, the source's artifacts are written to
-    ``out_dir/<label>/``, each file starting with ``header``.
+    Each train is simulated, detected and folded one RNG chunk at a time,
+    so a source holds one chunk's events and clicks, plus, with
+    ``--save-clicks``, its trains' clicks.  With ``out_dir`` set, the
+    source's artifacts are written to ``out_dir/<label>/``, each file
+    starting with ``header``.
     """
     period = setup.rep_period_ps
-    max_delay = HISTOGRAM_PERIODS * period
-    # The click streams that --save-clicks writes; the others are dropped
-    # as soon as their train is analysed.
-    saved = [] if out_dir is not None and options.save_clicks else None
+    streams = source_streams(seed, source_index)
+    keep = out_dir is not None and options.save_clicks
 
     # HBT is analysed before the HOM train is simulated.
-    t0, t1 = train_clicks(source, setup, seed, source_index, n_pulses, "hbt")
-    hbt_hist = build_histogram(t0, t1, options.bin_width_ps, max_delay, period)
+    hbt = _TrainFold(options, period, _trace_bins(setup, source), keep).fold(detected_chunks(
+        streams.hbt_events, streams.hbt_clicks, source, setup, n_pulses))
+    hbt_hist = hbt.pairs.histogram()
     g2 = g2_zero(hbt_hist, options.window_ps)
-    trace = decay_trace_from_clicks(t0, t1, setup, source)
-    n_clicks = t0.size + t1.size
-    if saved is not None:
-        saved += (t0, t1)
-    del t0, t1
+    trace = _decay_trace(hbt.decay, source)
     fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
 
-    t0, t1 = train_clicks(source, setup, seed, source_index, n_pulses, "hom")
-    hom_hist = build_histogram(t0, t1, options.bin_width_ps, max_delay, period)
-    if saved is not None:
-        saved += (t0, t1)
-    del t0, t1
+    hom = _TrainFold(options, period, keep=keep).fold(detected_chunks(
+        streams.hom_events, streams.hom_clicks, source, setup, n_pulses, source.overlap))
+    hom_hist = hom.pairs.histogram()
     vis = hom_visibility(hom_hist, options.window_ps)
     overlap = corrected_overlap(vis.value, g2.value)
     overlap_err = math.hypot(
@@ -354,12 +439,12 @@ def analyze_source(
         (1.0 + vis.value) * g2.std_err / (1.0 - g2.value) ** 2,
     )
 
-    phi_rng = source_streams(seed, source_index).phi_scan.generator()
+    phi_rng = streams.phi_scan.generator()
     phi_points = synthesize_phi_scan(source, phi_rng)
     classification = classify_transition(phi_points)
 
     duration_s = n_pulses * period * 1e-12
-    detected_rate = n_clicks / duration_s
+    detected_rate = hbt.n_clicks / duration_s
     chain = brightness_chain(detected_rate, setup)
 
     report = SourceReport(
@@ -380,8 +465,9 @@ def analyze_source(
         delta_fss_fit_err_uev=fit.std_errs.get("delta_fss"),
     )
     if out_dir is not None:
+        clicks = (*hbt.clicks(), *hom.clicks()) if keep else None
         _write_source_artifacts(out_dir, header, options, setup, report, fit, classification,
-                                hbt_hist, hom_hist, trace, phi_points, saved)
+                                hbt_hist, hom_hist, trace, phi_points, clicks)
     return report
 
 

@@ -6,6 +6,7 @@ pre-verified seeds so the suite is deterministic.
 """
 
 import filecmp
+import json
 import math
 import os
 import time
@@ -24,6 +25,8 @@ from conftest import (
     synth_trace,
 )
 
+from qdbench import photon_sim, pipeline
+from qdbench.cli import main as cli_main
 from qdbench.config import FleetConfig
 from qdbench.correlation import (
     brightness_chain,
@@ -412,3 +415,59 @@ def test_criterion_11_pipeline_determinism(tmp_path):
         identical and elapsed < 600.0,
         f"{len(files)} files compared across 3 runs, {elapsed:.1f} s",
     )
+
+
+@pytest.mark.parametrize("setup_name", ["default", "lossless", "leak_dark"])
+def test_streamed_sources_equal_their_whole_trains(tmp_path, monkeypatch, capsys, setup_name):
+    # Criterion 11 across chunk sizes: with chunks of a few thousand pulses
+    # every train is streamed over several chunks and folded in blocks, and
+    # the artifacts equal those built from each whole train, at two flush
+    # sizes and two thread counts.  Saved clicks re-analyse to the same g2
+    # and V.
+    setup = conftest.GOLDEN_SETUPS[setup_name]
+    config = FleetConfig.from_parts(list(conftest.GOLDEN_SOURCES.values()), setup)
+    n_pulses, seed = 20_000, 7
+    monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 3_000)
+    runs = []
+    for flush in (1, 1_000):
+        for threads in (1, 2):
+            monkeypatch.setattr(pipeline, "_FLUSH_CLICKS", flush)
+            runs.append(tmp_path / f"flush{flush}_threads{threads}")
+            run_pipeline(config, n_pulses, seed, out_dir=str(runs[-1]), threads=threads,
+                         options=pipeline.PipelineOptions(save_clicks=True))
+    names = sorted(os.path.relpath(os.path.join(base, name), runs[0])
+                   for base, _, files in os.walk(runs[0]) for name in files)
+    for other in runs[1:]:
+        assert filecmp.cmpfiles(runs[0], other, names, shallow=False)[0] == names
+
+    header = pipeline.file_header(seed, config.config_hash)
+    period = setup.rep_period_ps
+    whole = tmp_path / "whole"
+    for index, source in enumerate(config.sources):
+        out = whole / source.label
+        out.mkdir(parents=True)
+        for train in pipeline.TRAINS:
+            t0, t1 = pipeline.train_clicks(source, setup, seed, index, n_pulses, train)
+            assert min(t0.size, t1.size) > 100
+            hist = build_histogram(t0, t1, 100.0, pipeline.HISTOGRAM_PERIODS * period, period)
+            pipeline.write_histogram(hist, out / f"{train}_histogram.csv", header)
+            pipeline.write_timestamps(out / f"{train}_clicks.csv", t0, t1, header, period)
+            if train == "hbt":
+                trace = pipeline.decay_trace_from_clicks(t0, t1, setup, source)
+                pipeline.write_table(out / "decay_trace.csv", header, ("t_ps", "counts"),
+                                     (trace.t_ps, trace.counts.astype(np.int64)),
+                                     f"irf_fwhm_ps={float(setup.jitter_fwhm_ps)!r}")
+        streamed = runs[0] / source.label
+        files = sorted(os.listdir(out))
+        assert filecmp.cmpfiles(out, streamed, files, shallow=False)[0] == files
+
+        report = json.loads((streamed / "report.json").read_text())
+        estimates = {}
+        for mode in pipeline.TRAINS:
+            assert cli_main(["analyze", "--timestamps", str(streamed / f"{mode}_clicks.csv"),
+                             "--mode", mode, "--out", str(tmp_path / "analysis")]) == 0
+            estimates[mode] = json.loads(
+                (tmp_path / "analysis" / f"{mode}_clicks_estimates.json").read_text())
+        assert estimates["hbt"]["g2"] == report["g2"]
+        assert estimates["hom"]["v_raw"] == report["v_raw"]
+    capsys.readouterr()

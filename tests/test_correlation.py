@@ -11,6 +11,7 @@ from conftest import S11_TAU_PS, poissonian_pulse_train, read_histogram
 from qdbench.correlation import (
     SIDE_PEAKS,
     CorrelationHistogram,
+    PairCounter,
     brightness_chain,
     build_histogram,
     corrected_overlap,
@@ -120,6 +121,31 @@ class TestBuildHistogram:
             assert single.counts.sum() == counted
             if counted:  # in the outermost bin on its side
                 assert single.counts[0 if delta < 0 else -1] == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n0=st.integers(0, 60), n1=st.integers(0, 60),
+       span=st.sampled_from([10**5, 10**6, 10**7]))
+def test_pair_counter_blocks_count_as_the_whole_streams(data, n0, n1, span):
+    # Time-ordered blocks, cut anywhere (ties across a cut included), count
+    # the pairs of the whole streams: a pair across blocks is counted once.
+    t0 = np.sort(np.array(data.draw(st.lists(st.integers(0, span), min_size=n0, max_size=n0)),
+                          dtype=np.int64))
+    t1 = np.sort(np.array(data.draw(st.lists(st.integers(0, span), min_size=n1, max_size=n1)),
+                          dtype=np.int64))
+    cuts = sorted(data.draw(st.lists(st.integers(0, span + 1), max_size=6)))
+    counter = PairCounter(99.9, 10.5 * 1e5, 1e5)
+    for lo, hi in zip([0, *cuts], [*cuts, span + 1]):
+        counter.add(*(t[(t >= lo) & (t < hi)] for t in (t0, t1)))
+    assert np.array_equal(counter.histogram().counts,
+                          build_histogram(t0, t1, 99.9, 10.5 * 1e5, 1e5).counts)
+
+
+def test_pair_counter_rejects_a_block_that_starts_too_early():
+    counter = PairCounter(100.0, 10.5 * PERIOD, PERIOD)
+    counter.add(np.array([5, 900]), np.array([1_000]))
+    with pytest.raises(ValueError, match="follows a click"):
+        counter.add(np.array([999]), np.array([2_000]))
 
 
 class TestIntegratePeaks:

@@ -100,6 +100,34 @@ class TestFitDecay:
                 err = np.linalg.norm(jac[:, k] - col) / np.linalg.norm(col)
                 assert err < 1e-4
 
+    @pytest.mark.parametrize("kind", [TransitionKind.EXCITON, TransitionKind.TRION])
+    def test_fit_evaluates_the_model_once_per_point(self, monkeypatch, kind):
+        # The fit takes the Jacobian at the point whose residuals it has just
+        # taken; the model keeps that evaluation, and the fit is unchanged.
+        trace = synth_trace(kind, 5, S7_TAU_PS, delta_uev=S7_DELTA_UEV)
+        calls = {"_evaluate": 0, "residuals": 0, "jacobian": 0}
+
+        def counted(name):
+            method = getattr(_DecayModel, name)
+
+            def wrapper(self, params):
+                calls[name] += 1
+                return method(self, params)
+            monkeypatch.setattr(_DecayModel, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        kept = fit_decay(trace, irf_fwhm_ps=53.0)
+        with_memo = dict(calls)
+        calls.update(dict.fromkeys(calls, 0))
+        monkeypatch.setattr(_DecayModel, "predict_components",
+                            lambda self, params: self._evaluate(params))
+        plain = fit_decay(trace, irf_fwhm_ps=53.0)
+        assert plain.to_dict() == kept.to_dict()
+        assert calls["residuals"] == with_memo["residuals"]
+        assert calls["jacobian"] == with_memo["jacobian"] > 2
+        assert with_memo["_evaluate"] <= calls["_evaluate"] - calls["jacobian"]
+
     def test_amplitude_scale_equivariance(self):
         trace = synth_trace(
             TransitionKind.EXCITON, 55, S7_TAU_PS, delta_uev=S7_DELTA_UEV,

@@ -27,12 +27,14 @@ from qdbench.photon_sim import (
     RngSpec,
     UnsamplableEmissionError,
     _bernoulli,
+    _carry_rows,
     _event_pulses,
     _exciton_inverse_cdf_table,
     _interp_sorted,
     _kept_pairs,
     _pair_overlap,
     _simulate_chunk,
+    detected_chunks,
     hbt_streams,
     hom_streams,
     sample_emission_time,
@@ -610,6 +612,62 @@ def test_kept_pairs_are_the_full_batch_pairs_both_detected(case):
     assert np.array_equal(rows[short_thin], short_ref[both])
 
 
+@st.composite
+def _chunked_batches(draw):
+    """Pulses of zero to three events over one or more chunk edges, with arms and detections."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chunk = draw(st.integers(1, 40))
+    n = draw(st.integers(chunk + 1, 400))
+    per_pulse = rng.choice(4, size=n, p=[0.3, 0.3, 0.25, 0.15])
+    pulse = np.repeat(np.arange(n, dtype=np.int64), per_pulse)
+    origin = rng.choice([Origin.QD_FIRST, Origin.QD_REEXCITE, Origin.LASER],
+                        size=pulse.size, p=[0.5, 0.3, 0.2])
+    arm = rng.random(pulse.size) < 0.5
+    detected = _bernoulli(rng, draw(st.sampled_from([0.0, 0.12, 1.0])), pulse.size)
+    return chunk, n, pulse, origin <= Origin.QD_REEXCITE, arm, detected
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_chunked_batches())
+def test_chunk_edge_carry_keeps_every_meeting_pair(case):
+    # The long-arm rows of a chunk's last pulse move into the next chunk
+    # with their arm, so the pairs found chunk by chunk are the pairs of
+    # the whole batch.  Rows are thinned as simulate_pulse_train thins.
+    chunk, n, pulse, qd, arm, detected = case
+    rows = np.flatnonzero(detected | _anchors(pulse, qd, detected))
+    columns = (pulse[rows], qd[rows], detected[rows], rows, arm[rows])
+    long_whole, short_whole = _kept_pairs(*(c[rows] for c in (pulse, qd, arm, detected)))
+    long_ref, short_ref = greedy_pairs(pulse, qd, arm)
+    both = detected[long_ref] & detected[short_ref]
+    assert np.array_equal(rows[long_whole], long_ref[both])
+
+    with mock.patch.object(photon_sim, "CHUNK_PULSES", chunk):
+        bounds = photon_sim._chunks(n)
+    assert len(bounds) > 1
+    carry, long_met, short_met = None, [], []
+    for _, lo, hi in bounds:
+        own = (columns[0] >= lo) & (columns[0] < hi)
+        (p, q, d, index, a), carry = _carry_rows(tuple(c[own] for c in columns), carry, hi,
+                                                 hi == n)
+        if carry is not None:
+            assert np.all((carry[0] == hi - 1) & carry[-1])
+        long_chunk, short_chunk = _kept_pairs(p, q, a, d)
+        long_met.append(index[long_chunk])
+        short_met.append(index[short_chunk])
+    assert carry is None
+    assert np.array_equal(np.concatenate(long_met), rows[long_whole])
+    assert np.array_equal(np.concatenate(short_met), rows[short_whole])
+
+
+def test_streaming_rejects_clicks_that_reach_back_a_period(monkeypatch):
+    # A jitter far wider than the period puts clicks of a chunk before the
+    # previous chunk's last pulse, where they would already be folded.
+    setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=1e6)
+    monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 100)
+    with pytest.raises(RuntimeError, match="jitter"):
+        list(detected_chunks(RngSpec(1, 0), RngSpec(1, 1), S11, setup, 1_000))
+
+
 def _anchors(pulse: np.ndarray, qd: np.ndarray, detected: np.ndarray) -> np.ndarray:
     """Lost QD photons followed, later in their pulse, by a detected QD photon."""
     anchor = np.zeros(pulse.size, dtype=bool)
@@ -637,23 +695,23 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
     return h.hexdigest()
 
 
-#: Pinned stream digests of stream layout 4.  A change to any random draw,
+#: Pinned stream digests of stream layout 5.  A change to any random draw,
 #: its order or the event layout changes them; such a change must bump
 #: ``STREAM_LAYOUT`` deliberately and record new digests.  Click arrays are
 #: hashed as the int64 picoseconds the stream functions return.
 _GOLDEN_DIGESTS = {
     ("exciton", "default"):
-        "bd1605510956621ac0696a8ccc999efd9bc55ea78bd3b238af9174245b7e524a",
+        "d6c9dee4ccde23603c33bb8fcf890b42fcebb472c493832463e6c88ecf27f852",
     ("exciton", "lossless"):
-        "db1c37e4d7e597597ca3ceb01b540cbd2a62d4ba7f0b4f9b65f9e22581907b7c",
+        "9646073f87c4b43144d922a0c7307f253bf0851536aa8818b6f40979f047bf6e",
     ("exciton", "leak_dark"):
-        "e322a6f95e9fd92ad7d15d3d9265d596472bbd339b2e198bf8eab218baeb2854",
+        "458ccd28434cccb5d5c2a32686539c3024fbb45114a25b2ac7e97cbbd5bf09cb",
     ("trion", "default"):
-        "e9a41dbd9b28681dd987eadbcdc5f9d03a0ea53c1f71a16910aa96d1ee9de7ad",
+        "0abbc925d84b26e82a41d6aa8107bf6cc07d926fbc6c208ff1c1b6130231eaa2",
     ("trion", "lossless"):
-        "24d33e9830f00d8c9b02c51fdad3260e105f83c90e11c85d3d876f3ce3314857",
+        "e15e91615201814666809a63707f53b39c5c2164fc10733b37864a26c2ea72fe",
     ("trion", "leak_dark"):
-        "18aeef1fef19eaae3f23c05b19d3d7dd515bbb16ccecd3ad6450499e72cc8258",
+        "fb3b4622a501d78c805126303d0c9990d12ef2dfa365bf3bec65ad71cb47c9e1",
 }
 
 

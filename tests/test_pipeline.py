@@ -215,6 +215,21 @@ class TestRunPipeline:
             tracemalloc.stop()
         assert peak / rows < 36, f"{peak / rows:.1f} bytes per HBT row"
 
+    def test_a_source_peak_is_flat_in_pulses(self):
+        # Each train is simulated, detected and folded one RNG chunk at a
+        # time, so a source of 16 chunks peaks where one of 2 chunks does.
+        fleet = draw_fleet(2026)
+        index = [s.label for s in fleet].index("T01")
+        peaks = []
+        for n_pulses in (2 * photon_sim.CHUNK_PULSES, 16 * photon_sim.CHUNK_PULSES):
+            tracemalloc.start()
+            try:
+                pipeline.analyze_source(fleet[index], SetupParams(), 1, index, n_pulses)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], [f"{peak / 2**20:.2f} MiB" for peak in peaks]
+
     def test_headers_carry_version_seed_and_hash(self, tmp_path):
         cfg = trion_config()
         run_pipeline(cfg, n_pulses=100_000, seed=21, out_dir=str(tmp_path))
@@ -259,17 +274,19 @@ def _click_streams(draw):
 
 
 #: SHA-256 of the concatenated ``pipeline --save-clicks`` click files of the
-#: golden fleet under stream layout 4.  The seed is the first one whose
+#: golden fleet under stream layout 5.  The seed is the first one whose
 #: leak_dark files hold a click before t = 0 (about one seed in 200 does).
+#: A train of one RNG chunk has the same rows under layouts 4 and 5, so
+#: these files differ from layout 4's in their header line only.
 _GOLDEN_CLICK_SEED = 10
 _GOLDEN_CLICK_PULSES = 100_000
 _GOLDEN_CLICK_DIGESTS = {
     "default":
-        "1732f18bc8d0a29facf86bf62f145a7457512bdb2d2ab5fe37dd25149c6ab95f",
+        "1f7ca888e2312ec5fa495aa0b965cd1db97cebce7ea31616d20a2dc59fcc3499",
     "lossless":
-        "199772231bad680e7ed0703d6b3755908131f0f73f1540432dba430e69cbdcbe",
+        "772946e8f648a47fc53e32d42122f8da2581f6f2a8c128a96b3667c2d9f43c86",
     "leak_dark":
-        "0062c14da5a1b5f9ac15179e1b950149b990f94949d2e5b4a98d8b776808b22a",
+        "faea6f5b7b2a812efa8b656cd820b33fbf03a52a70307bbcb56923a08cb28200",
 }
 
 
@@ -344,6 +361,23 @@ def _table_reference(header, notes, names, columns) -> bytes:
     rows = zip(*(np.asarray(column).tolist() for column in columns))
     lines += [",".join(map(repr, row)) + "\n" for row in rows]
     return "".join(lines).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(times=st.lists(st.integers(-10**9, 10**9), max_size=200),
+       n_bins=st.integers(1, 1000), period=st.sampled_from([4000.0, 12345.679012345678]),
+       block=st.sampled_from([1, 7, 1 << 16]))
+def test_decay_fold_counts_as_np_histogram(times, n_bins, period, block):
+    # Negative times, and times folding exactly onto the top edge (4 n_bins)
+    # and onto 0, which the last and the first bin hold.
+    top = 4 * n_bins
+    t = np.sort(np.array(times + [top, -4000 + top, 0, -4000, top - 1, top + 1],
+                         dtype=np.int64))
+    counts = np.zeros(n_bins, dtype=np.int64)
+    with mock.patch.object(pipeline, "_FOLD_BLOCK", block):
+        pipeline._fold_decay(counts, t, period)
+    expected = np.histogram(np.mod(t, period), bins=n_bins, range=(0.0, float(top)))[0]
+    assert np.array_equal(counts, expected)
 
 
 class TestHistogramTables:

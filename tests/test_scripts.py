@@ -19,6 +19,7 @@ SRC = pathlib.Path(qdbench.__file__).resolve().parent.parent
     ("fleet_benchmark.py", ["--pulses", "200000", "--threads", "2"],
      ["fleet.cfg", "summary.csv", "X01/report.json", "T01/report.json"]),
     ("phi_scan_identification.py", [], ["S5-like_scan.csv", "S13-like_scan.csv"]),
+    ("peak_memory.py", ["--scale", "0.01", "--repeats", "1"], ["peak_memory.json"]),
 ])
 def test_script_runs(tmp_path, script, args, outputs):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
