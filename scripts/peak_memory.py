@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Peak memory of the pipeline, per source and per run.
 
-Two measurements, on the sources of ``draw_fleet(2026)`` at run seed 1:
+Three measurements, on the sources of ``draw_fleet(2026)`` at run seed 1:
 
 - the ``tracemalloc`` peak of ``pipeline.analyze_source`` for each source,
-  one source at a time and no artifacts written, at the default setup
-  with 1e7 and 1e8 pulses and with lossless detection at 4e6 pulses;
+  one source at a time: with no artifacts written at the default setup
+  with 1e7 and 1e8 pulses and with lossless detection at 4e6 pulses, and
+  with every artifact and ``--save-clicks`` at the default setup with
+  1.6e7 pulses and lossless at 2e6 pulses;
+- the ``tracemalloc`` peak of ``qdbench simulate`` on the whole fleet, in
+  this process, at the default setup with 2e6 and 1.6e7 pulses: it writes
+  one train at a time, so this is the peak of its largest train;
 - the ``ru_maxrss`` of a fresh process that runs ``run_pipeline`` on the
   whole fleet, writing artifacts, at the sizes of the benchmark's three
   workloads: default setup at 1e7 pulses on every available CPU, lossless
@@ -22,6 +27,8 @@ writes ``peak_memory.json`` into the ``--out`` directory.
 """
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
@@ -33,7 +40,8 @@ import tracemalloc
 
 import numpy as np
 
-from qdbench.config import FleetConfig
+from qdbench.cli import main as qdbench_main
+from qdbench.config import FleetConfig, write_config
 from qdbench.fleet import draw_fleet
 from qdbench.model import SetupParams
 from qdbench.pipeline import PipelineOptions, analyze_source, run_pipeline
@@ -41,11 +49,18 @@ from qdbench.pipeline import PipelineOptions, analyze_source, run_pipeline
 FLEET_SEED = 2026
 RUN_SEED = 1
 LOSSLESS = SetupParams(eta_setup=1.0, eta_det=1.0)
-#: name -> (setup, pulses) of the per-source tracemalloc peaks.
+#: name -> (setup, pulses, save_clicks) of the per-source tracemalloc peaks.
 TRACEMALLOC_SIZES = {
-    "default_1e7": (SetupParams(), 10_000_000),
-    "default_1e8": (SetupParams(), 100_000_000),
-    "lossless_4e6": (LOSSLESS, 4_000_000),
+    "default_1e7": (SetupParams(), 10_000_000, False),
+    "default_1e8": (SetupParams(), 100_000_000, False),
+    "lossless_4e6": (LOSSLESS, 4_000_000, False),
+    "save_clicks_default_1.6e7": (SetupParams(), 16_000_000, True),
+    "save_clicks_lossless_2e6": (LOSSLESS, 2_000_000, True),
+}
+#: name -> (setup, pulses) of the tracemalloc peaks of ``qdbench simulate``.
+SIMULATE_SIZES = {
+    "simulate_default_2e6": (SetupParams(), 2_000_000),
+    "simulate_default_1.6e7": (SetupParams(), 16_000_000),
 }
 #: name -> (setup, pulses, threads, save_clicks) of the whole-run ru_maxrss.
 RUSAGE_SIZES = {
@@ -55,17 +70,40 @@ RUSAGE_SIZES = {
 }
 
 
-def source_peaks(setup: SetupParams, pulses: int) -> dict[str, float]:
-    """The tracemalloc peak (MiB) of analysing each fleet source on its own."""
+def _traced_peak_mib(run) -> float:
+    """The tracemalloc peak (MiB) of ``run()``."""
+    tracemalloc.start()
+    try:
+        run()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
+def source_peaks(setup: SetupParams, pulses: int, save_clicks: bool) -> dict[str, float]:
+    """The tracemalloc peak (MiB) of analysing each fleet source on its own.
+
+    With ``save_clicks`` every artifact and both click files are written.
+    """
+    options = PipelineOptions(save_clicks=save_clicks)
     peaks = {}
-    for index, source in enumerate(draw_fleet(FLEET_SEED)):
-        tracemalloc.start()
-        try:
-            analyze_source(source, setup, RUN_SEED, index, pulses)
-            peaks[source.label] = round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
-        finally:
-            tracemalloc.stop()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = tmp if save_clicks else None
+        for index, source in enumerate(draw_fleet(FLEET_SEED)):
+            peaks[source.label] = _traced_peak_mib(
+                lambda: analyze_source(source, setup, RUN_SEED, index, pulses, options, out))
     return peaks
+
+
+def simulate_peak(setup: SetupParams, pulses: int) -> float:
+    """The tracemalloc peak (MiB) of ``qdbench simulate`` on the whole fleet."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "fleet.cfg")
+        write_config(FleetConfig.from_parts(draw_fleet(FLEET_SEED), setup), config)
+        argv = ["simulate", "--config", config, "--pulses", str(pulses),
+                "--seed", str(RUN_SEED), "--out", os.path.join(tmp, "clicks")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            return _traced_peak_mib(lambda: qdbench_main(argv))
 
 
 def run_rusage(name: str, scale: float) -> dict[str, float]:
@@ -101,6 +139,7 @@ def main():
                 f"{platform.python_version()}, numpy {np.__version__}",
         "scale": args.scale,
         "tracemalloc_peak_mib": {},
+        "simulate_tracemalloc_peak_mib": {},
         "ru_maxrss": {},
     }
     # Before anything grows this process: a child starts out with the
@@ -114,9 +153,14 @@ def main():
             runs.append(json.loads(proc.stdout))
         result["ru_maxrss"][name] = runs
         print(name, runs, flush=True)
-    for name, (setup, pulses) in TRACEMALLOC_SIZES.items():
-        result["tracemalloc_peak_mib"][name] = source_peaks(setup, max(1, int(pulses * args.scale)))
+    for name, (setup, pulses, save_clicks) in TRACEMALLOC_SIZES.items():
+        result["tracemalloc_peak_mib"][name] = source_peaks(
+            setup, max(1, int(pulses * args.scale)), save_clicks)
         print(name, result["tracemalloc_peak_mib"][name], flush=True)
+    for name, (setup, pulses) in SIMULATE_SIZES.items():
+        result["simulate_tracemalloc_peak_mib"][name] = simulate_peak(
+            setup, max(1, int(pulses * args.scale)))
+        print(name, result["simulate_tracemalloc_peak_mib"][name], flush=True)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "peak_memory.json"), "w") as f:
         json.dump(result, f, indent=1, sort_keys=True)

@@ -41,10 +41,9 @@ from .pipeline import (
     read_notes,
     read_timestamps,
     run_pipeline,
-    train_clicks,
     write_histogram,
     write_json,
-    write_timestamps,
+    write_train_clicks,
 )
 from .report import aggregate_benchmark, emit_report, parse_reports_json
 
@@ -77,17 +76,12 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     header = file_header(args.seed, config.config_hash)
-    period = config.setup.rep_period_ps
     for index, source in enumerate(config.sources):
-        counts = []
-        # Each train's file is written, and its clicks dropped, before the
-        # next train is simulated.
-        for train in TRAINS:
-            t0, t1 = train_clicks(source, config.setup, args.seed, index, args.pulses, train)
-            path = os.path.join(args.out, f"{source.label}_{train}.csv")
-            write_timestamps(path, t0, t1, header, period)
-            counts.append(t0.size + t1.size)
-            del t0, t1
+        counts = [
+            write_train_clicks(os.path.join(args.out, f"{source.label}_{train}.csv"), source,
+                               config.setup, args.seed, index, args.pulses, train, header)
+            for train in TRAINS
+        ]
         print(f"{source.label}: wrote HBT ({counts[0]} clicks) and "
               f"HOM ({counts[1]} clicks) streams")
     return 0

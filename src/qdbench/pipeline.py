@@ -15,6 +15,7 @@ written.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -42,7 +43,6 @@ from .model import SetupParams, SourceParams
 from .photon_sim import (
     STREAM_LAYOUT,
     RngSpec,
-    _join,
     detected_chunks,
     hbt_streams,
     hom_streams,
@@ -53,7 +53,7 @@ from .report import SourceReport, aggregate_benchmark, emit_report
 _STREAMS_PER_SOURCE = 8
 #: Clicks folded at a time by :func:`_fold_decay`.
 _FOLD_BLOCK = 1 << 16
-#: Clicks of a train that wait before they are folded (see :class:`_TrainFold`).
+#: Clicks of a train that wait to be cut into a block (see :func:`_settled_blocks`).
 #: Any value gives the same bytes.  A default-setup chunk holds about 2e4
 #: clicks, so a few chunks fold together; at 2**17 the waiting clicks alone
 #: would double a source's peak memory.
@@ -180,29 +180,56 @@ def write_json(path, payload: dict, header: str | None):
         json.dump(payload, f, indent=2, sort_keys=True)
 
 
-def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str | None,
-                     rep_period_ps: float):
-    """Write two sorted integer-picosecond click streams as merged rows.
+class _ClickWriter:
+    """A click file, written one time-ordered block of its train at a time.
 
-    The column names and a ``rep_period_ps=`` note come first, then rows
-    sorted by time, then channel; clicks from pulse 0 can have negative
-    times.  Each block of ``_WRITE_BLOCK_ROWS`` rows is formatted
-    as one byte array, which bounds the memory the text takes whatever the
-    stream length.
+    Opening it writes the header, the ``# channel,time_ps`` line and a
+    ``rep_period_ps=`` note.  :meth:`write` then appends a block of two
+    sorted integer-picosecond click streams as rows sorted by time, then
+    channel; clicks from pulse 0 can have negative times.  Blocks must
+    follow each other in time with no time shared between two of them, as
+    :func:`_settled_blocks` cuts them: then the rows of a train written block
+    by block are the rows of its whole streams written as one block.  Used
+    as a context manager, the file is removed if the block raises, so no
+    partial click file is left behind.
     """
-    # Float times do not cast safely to int64 and raise a TypeError.
-    times = np.concatenate([t0, t1], dtype=np.int64, casting="safe")
-    # Each channel is sorted, so the stable sort is a linear merge that
-    # puts channel 0 first on equal times.
-    order = np.argsort(times, kind="stable")
-    channel = (order >= t0.size).astype(np.uint8)
-    times = times[order]
-    with open(path, "wb") as f:
-        f.write(f"{_comment(header)}# channel,time_ps\n"
-                f"# rep_period_ps={float(rep_period_ps)!r}\n".encode())
+
+    def __init__(self, path, header: str | None, rep_period_ps: float):
+        self.path = path
+        self.rows = 0
+        self._file = open(path, "wb")
+        self._file.write(f"{_comment(header)}# channel,time_ps\n"
+                         f"# rep_period_ps={float(rep_period_ps)!r}\n".encode())
+
+    def write(self, t0: np.ndarray, t1: np.ndarray):
+        """Append one block's rows, ``_WRITE_BLOCK_ROWS`` formatted as one byte array at a time."""
+        # Float times do not cast safely to int64 and raise a TypeError.
+        times = np.concatenate([t0, t1], dtype=np.int64, casting="safe")
+        # Each channel is sorted, so the stable sort is a linear merge that
+        # puts channel 0 first on equal times.
+        order = np.argsort(times, kind="stable")
+        channel = (order >= t0.size).astype(np.uint8)
+        times = times[order]
+        del order
         for lo in range(0, times.size, _WRITE_BLOCK_ROWS):
             hi = lo + _WRITE_BLOCK_ROWS
-            f.write(_format_rows(channel[lo:hi], times[lo:hi]).tobytes())
+            self._file.write(_format_rows(channel[lo:hi], times[lo:hi]))
+        self.rows += times.size
+
+    def __enter__(self) -> "_ClickWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._file.close()
+        if exc_type is not None:
+            os.remove(self.path)
+
+
+def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str | None,
+                     rep_period_ps: float):
+    """Write two sorted integer-picosecond click streams as one :class:`_ClickWriter` block."""
+    with _ClickWriter(path, header, rep_period_ps) as writer:
+        writer.write(t0, t1)
 
 
 def _format_rows(channel: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -227,24 +254,29 @@ def _format_rows(channel: np.ndarray, times: np.ndarray) -> np.ndarray:
             rows[:, 2] = ord("-")
         rows[:, -1] = ord("\n")
         magnitude = -times[lo:hi] if negative else times[lo:hi]
-        _put_digits(rows, width - 1, magnitude.astype(_digit_dtype(digits)), digits)
+        _put_digits(rows, width - 1, magnitude.astype(_digit_dtype(digits), copy=False), digits)
     return text
 
 
 def _put_digits(rows: np.ndarray, end: int, values: np.ndarray, n: int):
     """Write ``values`` as ``n`` zero-padded decimal digits to ``rows[:, end - n:end]``.
 
-    The digits are split in halves, and each half is held in the narrowest
-    unsigned type that fits: narrow integer division is much cheaper.
+    The digits are split in halves, and each half is narrowed to the
+    narrowest unsigned type that fits before it is split again: narrow
+    integer division is much cheaper, and narrow halves take less memory.
     """
     if n == 1:
         rows[:, end - 1] = values + ord("0")
         return
     k = n // 2
     high = values // 10**k
-    low = values - high * 10**k
-    _put_digits(rows, end, low.astype(_digit_dtype(k)), k)
-    _put_digits(rows, end - k, high.astype(_digit_dtype(n - k)), n - k)
+    low = high * 10**k
+    np.subtract(values, low, out=low)
+    low = low.astype(_digit_dtype(k), copy=False)
+    high = high.astype(_digit_dtype(n - k), copy=False)
+    _put_digits(rows, end, low, k)
+    del low
+    _put_digits(rows, end - k, high, n - k)
 
 
 def _digit_dtype(n: int):
@@ -329,8 +361,9 @@ def train_clicks(source: SourceParams, setup: SetupParams, seed: int, source_ind
     """Simulate and detect one whole train of one source: its two click streams.
 
     ``train`` is ``"hbt"`` or ``"hom"``.  The train's events are freed on
-    return.  :func:`analyze_source` streams the same clicks a chunk at a
-    time instead.
+    return.  :func:`analyze_source` and :func:`write_train_clicks` stream
+    the same clicks a chunk at a time instead; the tests compare them with
+    this whole train.
     """
     streams = source_streams(seed, source_index)
     if train == "hbt":
@@ -342,61 +375,114 @@ def train_clicks(source: SourceParams, setup: SetupParams, seed: int, source_ind
     raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
 
 
-class _TrainFold:
-    """A train's accumulators, fed the train one RNG chunk at a time.
+def _train_chunks(streams: SourceStreams, source: SourceParams, setup: SetupParams,
+                  n_pulses: int, train: str):
+    """:func:`detected_chunks` of one train of a source, ``"hbt"`` or ``"hom"``."""
+    if train == "hbt":
+        return detected_chunks(streams.hbt_events, streams.hbt_clicks, source, setup, n_pulses)
+    if train == "hom":
+        return detected_chunks(streams.hom_events, streams.hom_clicks, source, setup, n_pulses,
+                               source.overlap)
+    raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
+
+
+def _settled_blocks(chunks):
+    """Cut a train's (t0, t1, settled) chunks into time-ordered (t0, t1) blocks.
 
     Chunks' clicks wait until at least ``_FLUSH_CLICKS`` of them do, or the
     train ends.  Then the waiting clicks before the last chunk's settled
     time, which no later click precedes, are merged per channel into a
-    block and folded: into the pair counts, the decay-trace counts (with
-    ``trace_bins``) and the click count, and, with ``keep``, into the
-    train's kept clicks.  The blocks follow each other in time, so their
-    concatenation per channel is the train's whole stream.
+    block.  So every click of a block precedes every click of the next,
+    and the blocks' concatenation per channel is the train's whole stream.
+    """
+    waiting, n_waiting = [], 0
+    for t0, t1, settled in chunks:
+        waiting.append((t0, t1))
+        n_waiting += t0.size + t1.size
+        del t0, t1  # the chunk's clicks live on only while they wait
+        if n_waiting >= _FLUSH_CLICKS:
+            yield _cut(waiting, settled)
+            n_waiting = sum(t.size for t in waiting[0])
+    yield _cut(waiting, None)
+
+
+def _cut(waiting: list, settled: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The block of the ``waiting`` clicks before ``settled`` (all with None); the rest wait on."""
+    block, rest = [], []
+    for parts in zip(*waiting):
+        t = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts), kind="stable")
+        cut = t.size if settled is None else int(np.searchsorted(t, settled))
+        block.append(t[:cut])
+        rest.append(t[cut:].copy())
+    waiting[:] = [tuple(rest)]
+    return tuple(block)
+
+
+class _TrainFold:
+    """A train's accumulators, fed the train's settled blocks in time order.
+
+    Each block is folded into the pair counts, the decay-trace counts (with
+    ``trace_bins``) and the click count.
     """
 
-    def __init__(self, options: PipelineOptions, period: float, trace_bins: int = 0,
-                 keep: bool = False):
+    def __init__(self, options: PipelineOptions, period: float, trace_bins: int = 0):
         self.period = period
         self.pairs = PairCounter(options.bin_width_ps, HISTOGRAM_PERIODS * period, period)
         self.decay = np.zeros(trace_bins, dtype=np.int64)
         self.n_clicks = 0
-        self._kept = ([], []) if keep else None
-        self._waiting = []
 
-    def fold(self, chunks) -> "_TrainFold":
-        """Fold every (t0, t1, settled) chunk of a train, in order."""
-        waiting = 0
-        for t0, t1, settled in chunks:
-            self._waiting.append((t0, t1))
-            waiting += t0.size + t1.size
-            del t0, t1  # the chunk's clicks live on only while they wait
-            if waiting >= _FLUSH_CLICKS:
-                waiting = self._flush(settled)
-        self._flush(None)
+    def fold(self, blocks, writer: _ClickWriter | None = None) -> "_TrainFold":
+        """Fold every (t0, t1) block of a train, in order, and write it to ``writer`` if given."""
+        for t0, t1 in blocks:
+            self.pairs.add(t0, t1)
+            if self.decay.size:
+                _fold_decay(self.decay, t0, self.period)
+                _fold_decay(self.decay, t1, self.period)
+            self.n_clicks += t0.size + t1.size
+            if writer is not None:
+                writer.write(t0, t1)
+            del t0, t1  # free the block before the next one is simulated
         return self
 
-    def _flush(self, settled: int | None) -> int:
-        """Fold the waiting clicks before ``settled`` (all with None); returns how many still wait."""
-        block, rest = [], []
-        for parts in zip(*self._waiting):
-            t = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts), kind="stable")
-            cut = t.size if settled is None else int(np.searchsorted(t, settled))
-            block.append(t[:cut])
-            rest.append(t[cut:].copy())
-        self._waiting = [tuple(rest)]
-        self.pairs.add(*block)
-        if self.decay.size:
-            for t in block:
-                _fold_decay(self.decay, t, self.period)
-        self.n_clicks += block[0].size + block[1].size
-        if self._kept is not None:
-            for kept, t in zip(self._kept, block):
-                kept.append(t)
-        return rest[0].size + rest[1].size
 
-    def clicks(self) -> tuple[np.ndarray, np.ndarray]:
-        """The train's kept click streams."""
-        return tuple(_join(kept) for kept in self._kept)
+@contextlib.contextmanager
+def _click_writers(src_dir: str | None, header: str | None, period: float):
+    """A source's click-file writer per train in ``src_dir``, or None each if ``src_dir`` is None.
+
+    The files are written while the source runs.  If it raises, every
+    writer removes its file, and ``src_dir`` goes too if this made it and
+    it is empty, so a failed source leaves no click file behind.
+    """
+    if src_dir is None:
+        yield dict.fromkeys(TRAINS)
+        return
+    made = not os.path.isdir(src_dir)
+    os.makedirs(src_dir, exist_ok=True)
+    try:
+        with contextlib.ExitStack() as stack:
+            yield {train: stack.enter_context(_ClickWriter(
+                os.path.join(src_dir, f"{train}_clicks.csv"), header, period)) for train in TRAINS}
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):
+                os.rmdir(src_dir)
+        raise
+
+
+def write_train_clicks(path, source: SourceParams, setup: SetupParams, seed: int,
+                       source_index: int, n_pulses: int, train: str,
+                       header: str | None) -> int:
+    """Simulate and detect one train of one source into the click file ``path``.
+
+    The train is written one settled block at a time, so it holds one
+    chunk's events and clicks whatever its length.  Returns its click count.
+    """
+    chunks = _train_chunks(source_streams(seed, source_index), source, setup, n_pulses, train)
+    with _ClickWriter(path, header, setup.rep_period_ps) as writer:
+        for t0, t1 in _settled_blocks(chunks):
+            writer.write(t0, t1)
+            del t0, t1  # free the block before the next one is simulated
+    return writer.rows
 
 
 def analyze_source(
@@ -412,68 +498,72 @@ def analyze_source(
     """Simulate one source and recover all of its figures of merit.
 
     Each train is simulated, detected and folded one RNG chunk at a time,
-    so a source holds one chunk's events and clicks, plus, with
-    ``--save-clicks``, its trains' clicks.  With ``out_dir`` set, the
-    source's artifacts are written to ``out_dir/<label>/``, each file
-    starting with ``header``.
+    so a source holds one chunk's events and clicks whatever the pulse
+    count.  With ``out_dir`` set, the source's artifacts are written to
+    ``out_dir/<label>/``, each file starting with ``header``; with
+    ``--save-clicks``, each train's click file is written block by block
+    as the train is folded, and removed if the source fails.
     """
     period = setup.rep_period_ps
     streams = source_streams(seed, source_index)
-    keep = out_dir is not None and options.save_clicks
+    save_dir = (os.path.join(out_dir, source.label)
+                if out_dir is not None and options.save_clicks else None)
 
-    # HBT is analysed before the HOM train is simulated.
-    hbt = _TrainFold(options, period, _trace_bins(setup, source), keep).fold(detected_chunks(
-        streams.hbt_events, streams.hbt_clicks, source, setup, n_pulses))
-    hbt_hist = hbt.pairs.histogram()
-    g2 = g2_zero(hbt_hist, options.window_ps)
-    trace = _decay_trace(hbt.decay, source)
-    fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
+    with _click_writers(save_dir, header, period) as writers:
+        # HBT is analysed before the HOM train is simulated.
+        hbt = _TrainFold(options, period, _trace_bins(setup, source)).fold(
+            _settled_blocks(_train_chunks(streams, source, setup, n_pulses, "hbt")),
+            writers["hbt"])
+        hbt_hist = hbt.pairs.histogram()
+        g2 = g2_zero(hbt_hist, options.window_ps)
+        trace = _decay_trace(hbt.decay, source)
+        fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
 
-    hom = _TrainFold(options, period, keep=keep).fold(detected_chunks(
-        streams.hom_events, streams.hom_clicks, source, setup, n_pulses, source.overlap))
-    hom_hist = hom.pairs.histogram()
-    vis = hom_visibility(hom_hist, options.window_ps)
-    overlap = corrected_overlap(vis.value, g2.value)
-    overlap_err = math.hypot(
-        vis.std_err / (1.0 - g2.value),
-        (1.0 + vis.value) * g2.std_err / (1.0 - g2.value) ** 2,
-    )
+        hom = _TrainFold(options, period).fold(
+            _settled_blocks(_train_chunks(streams, source, setup, n_pulses, "hom")),
+            writers["hom"])
+        hom_hist = hom.pairs.histogram()
+        vis = hom_visibility(hom_hist, options.window_ps)
+        overlap = corrected_overlap(vis.value, g2.value)
+        overlap_err = math.hypot(
+            vis.std_err / (1.0 - g2.value),
+            (1.0 + vis.value) * g2.std_err / (1.0 - g2.value) ** 2,
+        )
 
-    phi_rng = streams.phi_scan.generator()
-    phi_points = synthesize_phi_scan(source, phi_rng)
-    classification = classify_transition(phi_points)
+        phi_rng = streams.phi_scan.generator()
+        phi_points = synthesize_phi_scan(source, phi_rng)
+        classification = classify_transition(phi_points)
 
-    duration_s = n_pulses * period * 1e-12
-    detected_rate = hbt.n_clicks / duration_s
-    chain = brightness_chain(detected_rate, setup)
+        duration_s = n_pulses * period * 1e-12
+        detected_rate = hbt.n_clicks / duration_s
+        chain = brightness_chain(detected_rate, setup)
 
-    report = SourceReport(
-        label=source.label,
-        kind=source.kind,
-        g2=g2.value,
-        g2_err=g2.std_err,
-        v_raw=vis.value,
-        v_raw_err=vis.std_err,
-        overlap_corrected=overlap.value,
-        overlap_err=overlap_err,
-        first_lens_brightness=chain.first_lens_brightness,
-        fibered_rate_cps=chain.fibered_rate_cps,
-        tau_fit_ps=fit.params["tau"],
-        tau_fit_err_ps=fit.std_errs["tau"],
-        wavelength_nm=source.wavelength_nm,
-        delta_fss_fit_uev=fit.params.get("delta_fss"),
-        delta_fss_fit_err_uev=fit.std_errs.get("delta_fss"),
-    )
-    if out_dir is not None:
-        clicks = (*hbt.clicks(), *hom.clicks()) if keep else None
-        _write_source_artifacts(out_dir, header, options, setup, report, fit, classification,
-                                hbt_hist, hom_hist, trace, phi_points, clicks)
+        report = SourceReport(
+            label=source.label,
+            kind=source.kind,
+            g2=g2.value,
+            g2_err=g2.std_err,
+            v_raw=vis.value,
+            v_raw_err=vis.std_err,
+            overlap_corrected=overlap.value,
+            overlap_err=overlap_err,
+            first_lens_brightness=chain.first_lens_brightness,
+            fibered_rate_cps=chain.fibered_rate_cps,
+            tau_fit_ps=fit.params["tau"],
+            tau_fit_err_ps=fit.std_errs["tau"],
+            wavelength_nm=source.wavelength_nm,
+            delta_fss_fit_uev=fit.params.get("delta_fss"),
+            delta_fss_fit_err_uev=fit.std_errs.get("delta_fss"),
+        )
+        if out_dir is not None:
+            _write_source_artifacts(out_dir, header, setup, report, fit, classification,
+                                    hbt_hist, hom_hist, trace, phi_points)
     return report
 
 
-def _write_source_artifacts(out_dir, header, options, setup, report, fit, classification,
-                            hbt_hist, hom_hist, trace, phi_points, clicks):
-    """Write a source's artifacts; ``clicks`` is (hbt0, hbt1, hom0, hom1) or None."""
+def _write_source_artifacts(out_dir, header, setup, report, fit, classification,
+                            hbt_hist, hom_hist, trace, phi_points):
+    """Write a source's artifacts other than its click files."""
     src_dir = os.path.join(out_dir, report.label)
     os.makedirs(src_dir, exist_ok=True)
     write_histogram(hbt_hist, os.path.join(src_dir, "hbt_histogram.csv"), header)
@@ -486,12 +576,6 @@ def _write_source_artifacts(out_dir, header, options, setup, report, fit, classi
     write_table(os.path.join(src_dir, "phi_scan.csv"), header,
                 ("phi_rad", "cavity_light", "qd_light"),
                 zip(*((p.phi_rad, p.cavity_light, p.qd_light) for p in phi_points)))
-
-    if options.save_clicks:
-        hbt0, hbt1, hom0, hom1 = clicks
-        period = setup.rep_period_ps
-        write_timestamps(os.path.join(src_dir, "hbt_clicks.csv"), hbt0, hbt1, header, period)
-        write_timestamps(os.path.join(src_dir, "hom_clicks.csv"), hom0, hom1, header, period)
 
 
 def run_pipeline(

@@ -218,17 +218,74 @@ class TestRunPipeline:
     def test_a_source_peak_is_flat_in_pulses(self):
         # Each train is simulated, detected and folded one RNG chunk at a
         # time, so a source of 16 chunks peaks where one of 2 chunks does.
-        fleet = draw_fleet(2026)
-        index = [s.label for s in fleet].index("T01")
-        peaks = []
-        for n_pulses in (2 * photon_sim.CHUNK_PULSES, 16 * photon_sim.CHUNK_PULSES):
-            tracemalloc.start()
-            try:
-                pipeline.analyze_source(fleet[index], SetupParams(), 1, index, n_pulses)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = _t01_peaks(lambda source, index, n_pulses: pipeline.analyze_source(
+            source, SetupParams(), 1, index, n_pulses))
         assert peaks[1] < 1.25 * peaks[0], [f"{peak / 2**20:.2f} MiB" for peak in peaks]
+
+    def test_saving_clicks_keeps_a_source_flat_in_pulses(self, tmp_path):
+        # With --save-clicks each block is written to the click file as it
+        # is folded, so no train's clicks are held.
+        options = PipelineOptions(save_clicks=True)
+        peaks = _t01_peaks(lambda source, index, n_pulses: pipeline.analyze_source(
+            source, SetupParams(), 1, index, n_pulses, options, str(tmp_path / str(n_pulses)),
+            "qdbench test"))
+        assert (tmp_path / str(16 * photon_sim.CHUNK_PULSES) / "T01" / "hom_clicks.csv").exists()
+        assert peaks[1] < 1.25 * peaks[0], [f"{peak / 2**20:.2f} MiB" for peak in peaks]
+
+    def test_simulate_keeps_a_train_flat_in_pulses(self, tmp_path):
+        # `qdbench simulate` writes each train block by block, as it comes
+        # out of the detector stage.
+        def simulate(source, index, n_pulses):
+            for train in pipeline.TRAINS:
+                path = tmp_path / f"{n_pulses}_{train}.csv"
+                rows = pipeline.write_train_clicks(path, source, SetupParams(), 1, index,
+                                                   n_pulses, train, "qdbench test")
+                assert rows > 10_000
+
+        peaks = _t01_peaks(simulate)
+        assert peaks[1] < 1.25 * peaks[0], [f"{peak / 2**20:.2f} MiB" for peak in peaks]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("failing_train", pipeline.TRAINS)
+    def test_a_failed_source_leaves_no_click_file(self, tmp_path, monkeypatch, failing_train,
+                                                  threads):
+        # Click files are written while a source runs.  A source that raises
+        # mid-train, with its click files open (and, in HOM, its HBT file
+        # complete), leaves none of them, and every other source's files
+        # are those of a clean run.
+        monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 3_000)
+        monkeypatch.setattr(pipeline, "_FLUSH_CLICKS", 1)
+        cfg = trion_config(n=3)
+        options = PipelineOptions(save_clicks=True)
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        run_pipeline(cfg, 20_000, 5, out_dir=str(clean), threads=threads, options=options)
+
+        detected_chunks = pipeline.detected_chunks
+        open_files = []
+
+        def failing(events, clicks, source, setup, n_pulses, overlap=None):
+            chunks = detected_chunks(events, clicks, source, setup, n_pulses, overlap)
+            if source.label != "S12" or (overlap is None) != (failing_train == "hbt"):
+                yield from chunks
+                return
+            for i, chunk in enumerate(chunks):
+                if i == 3:
+                    open_files.append(sorted(os.listdir(out / "S12")))
+                    raise RuntimeError("injected")
+                yield chunk
+
+        monkeypatch.setattr(pipeline, "detected_chunks", failing)
+        result = run_pipeline(cfg, 20_000, 5, out_dir=str(out), threads=threads, options=options)
+        assert list(result.failures) == ["S12"]
+        assert open_files == [["hbt_clicks.csv", "hom_clicks.csv"]]
+        failures = json.loads((out / "failures.json").read_text())
+        assert failures["S12"] == "RuntimeError: injected"
+        assert not (out / "S12").exists()
+        for label in ("S11", "S13"):
+            names = sorted(os.listdir(clean / label))
+            assert "hom_clicks.csv" in names
+            assert sorted(os.listdir(out / label)) == names
+            assert filecmp.cmpfiles(clean / label, out / label, names, shallow=False)[0] == names
 
     def test_headers_carry_version_seed_and_hash(self, tmp_path):
         cfg = trion_config()
@@ -240,6 +297,21 @@ class TestRunPipeline:
         assert text.endswith(f" stream_layout={photon_sim.STREAM_LAYOUT}")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "seed=21" in summary["_header"]
+
+
+def _t01_peaks(run) -> list[int]:
+    """The tracemalloc peaks of ``run(source, index, n_pulses)`` for T01 of 2 and 16 RNG chunks."""
+    fleet = draw_fleet(2026)
+    index = [s.label for s in fleet].index("T01")
+    peaks = []
+    for n_pulses in (2 * photon_sim.CHUNK_PULSES, 16 * photon_sim.CHUNK_PULSES):
+        tracemalloc.start()
+        try:
+            run(fleet[index], index, n_pulses)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
 
 
 def _row_loop_reference(t0, t1, header, rep_period_ps) -> bytes:
@@ -304,8 +376,16 @@ class TestTimestampFiles:
         assert np.array_equal(back1, t1)
 
     def test_writer_rejects_float_times(self, tmp_path):
+        # Neither a rejected whole stream nor a rejected later block leaves a file.
+        path = tmp_path / "clicks.csv"
         with pytest.raises(TypeError):
-            write_timestamps(tmp_path / "clicks.csv", np.array([1.5]), np.array([2]), "x", 1e4)
+            write_timestamps(path, np.array([1.5]), np.array([2]), "x", 1e4)
+        assert not path.exists()
+        with pytest.raises(TypeError):
+            with pipeline._ClickWriter(path, "x", 1e4) as writer:
+                writer.write(np.array([-3, 5]), np.array([7]))
+                writer.write(np.array([8]), np.array([9.0]))
+        assert not path.exists()
 
     def test_block_writer_matches_row_loop(self, tmp_path):
         # More rows than one write block, with ties across the two channels.
@@ -326,6 +406,33 @@ class TestTimestampFiles:
         with mock.patch.object(pipeline, "_WRITE_BLOCK_ROWS", block_rows):
             write_timestamps(path, t0, t1, header, 1e4)
         assert path.read_bytes() == _row_loop_reference(t0, t1, header, 1e4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(streams=_click_streams(), data=st.data(),
+           block_rows=st.sampled_from([1, 3, 1 << 16]))
+    def test_block_by_block_writing_equals_the_whole_streams(self, tmp_path_factory, streams,
+                                                             data, block_rows):
+        # Blocks cut at settled times, as _settled_blocks cuts a train:
+        # the clicks before a time go to one block and the rest to later
+        # ones, so no time is shared across blocks; equal cuts give empty
+        # blocks.
+        t0, t1 = streams
+        both = np.concatenate([t0, t1]).tolist()
+        cut_times = st.one_of(_CLICK_TIMES, st.sampled_from(both)) if both else _CLICK_TIMES
+        cuts = sorted(data.draw(st.lists(cut_times, max_size=8)))
+        bounds = [[0, *np.searchsorted(t, np.array(cuts, dtype=np.int64)).tolist(), t.size]
+                  for t in (t0, t1)]
+        header = "qdbench test seed=0 config=x"
+        path = tmp_path_factory.mktemp("clicks")
+        with mock.patch.object(pipeline, "_WRITE_BLOCK_ROWS", block_rows):
+            with pipeline._ClickWriter(path / "blocks.csv", header, 1e4) as writer:
+                for i in range(len(cuts) + 1):
+                    writer.write(*(t[b[i]:b[i + 1]] for t, b in zip((t0, t1), bounds)))
+            write_timestamps(path / "whole.csv", t0, t1, header, 1e4)
+        assert writer.rows == t0.size + t1.size
+        written = (path / "blocks.csv").read_bytes()
+        assert written == (path / "whole.csv").read_bytes()
+        assert written == _row_loop_reference(t0, t1, header, 1e4)
 
     @pytest.mark.parametrize("row", ["0,12,5", "0;12", "0,abc", "zero,12", "0,-3.5", "1,12.25"])
     def test_malformed_row_is_a_validation_error(self, tmp_path, row, capsys):

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end at a small size."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,15 @@ import qdbench
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 SRC = pathlib.Path(qdbench.__file__).resolve().parent.parent
+#: script -> (JSON output, {key: rows that key must hold}).
+ROWS = {
+    "peak_memory.py": ("peak_memory.json", {
+        "tracemalloc_peak_mib": {"default_1e7", "default_1e8", "lossless_4e6",
+                                 "save_clicks_default_1.6e7", "save_clicks_lossless_2e6"},
+        "simulate_tracemalloc_peak_mib": {"simulate_default_2e6", "simulate_default_1.6e7"},
+        "ru_maxrss": {"fleet_default", "fleet_lossless", "clicks_save"},
+    }),
+}
 
 
 @pytest.mark.parametrize("script, args, outputs", [
@@ -29,3 +39,8 @@ def test_script_runs(tmp_path, script, args, outputs):
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
         assert (tmp_path / name).exists(), name
+    if script in ROWS:
+        name, rows = ROWS[script]
+        result = json.loads((tmp_path / name).read_text())
+        for key, names in rows.items():
+            assert set(result[key]) == names, key
