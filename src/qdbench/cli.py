@@ -33,7 +33,6 @@ from .dynamics import PhiScanPoint
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
 from .pipeline import (
-    HISTOGRAM_PERIODS,
     TRAINS,
     PipelineOptions,
     file_header,
@@ -110,7 +109,7 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--rep-rate-mhz must be > 0, got {rate}")
     period = _setting(args.timestamps, "rep_period_ps", "--rep-rate-mhz",
                       None if rate is None else 1e6 / rate)
-    hist = build_histogram(t0, t1, args.bin_width, HISTOGRAM_PERIODS * period, period)
+    hist = build_histogram(t0, t1, args.bin_width, period)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.timestamps))[0]
     write_histogram(hist, os.path.join(args.out, f"{stem}_histogram.csv"), header)

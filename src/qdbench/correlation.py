@@ -22,6 +22,9 @@ from .model import SetupParams
 SIDE_PEAKS = (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6)
 #: Default peak integration half-window (ps).
 WINDOW_PS = 2000.0
+#: Coincidence histograms span +/- this many repetition periods, so that
+#: the outermost side peaks lie inside with their whole window.
+HISTOGRAM_PERIODS = 10.5
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,21 +121,21 @@ def build_histogram(
     clicks0: np.ndarray,
     clicks1: np.ndarray,
     bin_width_ps: float,
-    max_delay_ps: float,
     rep_period_ps: float,
 ) -> CorrelationHistogram:
-    """Histogram all pairs (t1 - t0) with |t1 - t0| <= E.
+    """Histogram all pairs (t1 - t0) with |t1 - t0| <= E, E about ``HISTOGRAM_PERIODS`` periods.
 
     The clicks are sorted integer picoseconds, as a time tagger emits
-    them; float arrays are rejected.  With ``half = round(max_delay_ps /
-    bin_width_ps)`` the outermost bin edge is ``(half + 0.5) *
-    bin_width_ps`` and E is its floor, so the pairs counted are exactly
-    those inside the edge, and the window search compares integers only.
+    them; float arrays are rejected.  With ``half = round(HISTOGRAM_PERIODS
+    * rep_period_ps / bin_width_ps)`` the outermost bin edge is ``(half +
+    0.5) * bin_width_ps`` and E is its floor, so the pairs counted are
+    exactly those inside the edge, and the window search compares integers
+    only.
     A two-pointer sweep (binary-searched window bounds per click) keeps the
     cost linear in clicks plus emitted pairs rather than all-pairs
     quadratic.
     """
-    counter = PairCounter(bin_width_ps, max_delay_ps, rep_period_ps)
+    counter = PairCounter(bin_width_ps, rep_period_ps)
     counter.add(clicks0, clicks1)
     return counter.histogram()
 
@@ -146,12 +149,12 @@ class PairCounter:
     between blocks, and the counts equal those of the whole streams.
     """
 
-    def __init__(self, bin_width_ps: float, max_delay_ps: float, rep_period_ps: float):
+    def __init__(self, bin_width_ps: float, rep_period_ps: float):
         if bin_width_ps <= 0:
             raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
         self.bin_width_ps = bin_width_ps
         self.rep_period_ps = rep_period_ps
-        self._half = int(round(max_delay_ps / bin_width_ps))
+        self._half = int(round(HISTOGRAM_PERIODS * rep_period_ps / bin_width_ps))
         self._e = math.floor((self._half + 0.5) * bin_width_ps)
         self.counts = np.zeros(2 * self._half + 1, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)

@@ -113,12 +113,6 @@ class EventBatch:
     def __len__(self) -> int:
         return int(self.pulse_index.size)
 
-    def qd_mask(self) -> np.ndarray:
-        return self.origin <= Origin.ANCHOR
-
-    def detected_mask(self) -> np.ndarray:
-        return self.origin != Origin.ANCHOR
-
 
 @dataclass(frozen=True)
 class RngSpec:
@@ -341,9 +335,14 @@ def _chunk_generator(rng: RngSpec, index: int) -> np.random.Generator:
     return rng.generator() if index == 0 else rng.generator(index)
 
 
-def _check_train(source: SourceParams, setup: SetupParams, n_pulses: int):
+def check_pulses(n_pulses: int):
+    """Raise ``ValueError`` unless a train can have ``n_pulses`` pulses."""
     if n_pulses <= 0:
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
+
+
+def _check_train(source: SourceParams, setup: SetupParams, n_pulses: int):
+    check_pulses(n_pulses)
     validate_source(source)
     validate_setup(setup)
     if source.kind is TransitionKind.EXCITON and source.brightness_first_lens > 0:

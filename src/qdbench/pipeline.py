@@ -32,22 +32,15 @@ from .correlation import (
     WINDOW_PS,
     PairCounter,
     brightness_chain,
-    build_histogram,  # noqa: F401  (perfbench traces pipeline.build_histogram)
     corrected_overlap,
     g2_zero,
     hom_visibility,
+    integrate_peaks,
 )
 from .dynamics import phi_scan_model
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import SetupParams, SourceParams
-from .photon_sim import (
-    STREAM_LAYOUT,
-    RngSpec,
-    detected_chunks,
-    hbt_streams,
-    hom_streams,
-    simulate_pulse_train,
-)
+from .photon_sim import STREAM_LAYOUT, RngSpec, check_pulses, detected_chunks
 from .report import SourceReport, aggregate_benchmark, emit_report
 
 _STREAMS_PER_SOURCE = 8
@@ -66,8 +59,6 @@ _RUN_LAYOUTS = [(True, 19 - i) for i in range(19)] + [(False, d) for d in range(
 _RUN_WIDTHS = np.array([3 + negative + digits for negative, digits in _RUN_LAYOUTS])
 _PHI_SCAN_ANGLES = 13
 _PHI_SCAN_NOISE = 0.02
-#: Coincidence histograms span +/- this many repetition periods.
-HISTOGRAM_PERIODS = 10.5
 #: Bin width (ps) of the decay trace.
 _TRACE_BIN_PS = 4.0
 
@@ -343,36 +334,8 @@ def _decay_trace(counts: np.ndarray, source: SourceParams) -> DecayTrace:
     return DecayTrace(t_ps=centers, counts=counts.astype(float), kind=source.kind)
 
 
-def decay_trace_from_clicks(t0: np.ndarray, t1: np.ndarray, setup: SetupParams,
-                            source: SourceParams) -> DecayTrace:
-    """Fold detector clicks onto the pulse window and bin them."""
-    counts = np.zeros(_trace_bins(setup, source), dtype=np.int64)
-    for t in (t0, t1):
-        _fold_decay(counts, t, setup.rep_period_ps)
-    return _decay_trace(counts, source)
-
-
 #: The two trains of a source, in the order a source simulates them.
 TRAINS = ("hbt", "hom")
-
-
-def train_clicks(source: SourceParams, setup: SetupParams, seed: int, source_index: int,
-                 n_pulses: int, train: str) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate and detect one whole train of one source: its two click streams.
-
-    ``train`` is ``"hbt"`` or ``"hom"``.  The train's events are freed on
-    return.  :func:`analyze_source` and :func:`write_train_clicks` stream
-    the same clicks a chunk at a time instead; the tests compare them with
-    this whole train.
-    """
-    streams = source_streams(seed, source_index)
-    if train == "hbt":
-        events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
-        return hbt_streams(streams.hbt_clicks, events, setup)
-    if train == "hom":
-        events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
-        return hom_streams(streams.hom_clicks, events, setup, source.overlap)
-    raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
 
 
 def _train_chunks(streams: SourceStreams, source: SourceParams, setup: SetupParams,
@@ -427,7 +390,7 @@ class _TrainFold:
 
     def __init__(self, options: PipelineOptions, period: float, trace_bins: int = 0):
         self.period = period
-        self.pairs = PairCounter(options.bin_width_ps, HISTOGRAM_PERIODS * period, period)
+        self.pairs = PairCounter(options.bin_width_ps, period)
         self.decay = np.zeros(trace_bins, dtype=np.int64)
         self.n_clicks = 0
 
@@ -593,10 +556,17 @@ def run_pipeline(
     whose analysis or artifact writing raises is recorded as a failure, left
     out of the summary, and does not abort the rest of the fleet.
     Rerunning with identical (config, seed, n_pulses) reproduces identical
-    analysis outputs regardless of ``threads``.
+    analysis outputs regardless of ``threads``.  Settings that every source
+    shares (``threads``, ``n_pulses``, the bin width and the window) raise
+    ``ValueError`` once, before any source runs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    check_pulses(n_pulses)
+    # An empty histogram of the run: PairCounter checks the bin width, and
+    # integrate_peaks the window against the period.
+    integrate_peaks(PairCounter(options.bin_width_ps, config.setup.rep_period_ps).histogram(),
+                    options.window_ps, ())
     header = file_header(seed, config.config_hash)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {

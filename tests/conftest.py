@@ -20,7 +20,8 @@ from qdbench.model import (
     exciton_source,
     trion_source,
 )
-from qdbench.pipeline import read_notes
+from qdbench.photon_sim import hbt_streams, hom_streams, simulate_pulse_train
+from qdbench.pipeline import read_notes, source_streams
 
 #: (criterion number, description, passed, detail) tuples collected by the
 #: acceptance suite; printed one per line at the end of the pytest run.
@@ -101,6 +102,32 @@ def read_histogram(path) -> CorrelationHistogram:
                       dtype=[("delay", float), ("count", np.int64)])
     return CorrelationHistogram(notes["bin_width_ps"], rows["delay"], rows["count"],
                                 notes["rep_period_ps"])
+
+
+def whole_train_clicks(source, setup, seed: int, index: int, n_pulses: int, train: str):
+    """The two click streams of one whole train, ``"hbt"`` or ``"hom"``, from the public API.
+
+    The train is simulated and detected in one call each, with the source's
+    streams; the pipeline streams the same clicks one RNG chunk at a time.
+    """
+    streams = source_streams(seed, index)
+    if train == "hbt":
+        events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
+        return hbt_streams(streams.hbt_clicks, events, setup)
+    events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
+    return hom_streams(streams.hom_clicks, events, setup, source.overlap)
+
+
+def folded_decay_trace(t0, t1, setup, source) -> DecayTrace:
+    """The pipeline's decay trace of a train's clicks, binned by ``np.histogram``.
+
+    Clicks are folded onto the pulse period into 4 ps bins from the pulse
+    on, over 12 lifetimes plus 400 ps, at most one period.
+    """
+    n = int(min(setup.rep_period_ps, 12.0 * source.tau_ps + 400.0) / 4.0)
+    folded = np.mod(np.concatenate([t0, t1]), setup.rep_period_ps)
+    counts, edges = np.histogram(folded, bins=n, range=(0.0, 4.0 * n))
+    return DecayTrace(0.5 * (edges[:-1] + edges[1:]), counts.astype(float), source.kind)
 
 
 def poissonian_pulse_train(seed: int, n_pulses: int, mu: float, tau_ps: float):

@@ -21,8 +21,10 @@ from conftest import (
     S7_DELTA_UEV,
     S7_TAU_PS,
     S11_TAU_PS,
+    folded_decay_trace,
     poissonian_pulse_train,
     synth_trace,
+    whole_train_clicks,
 )
 
 from qdbench import photon_sim, pipeline
@@ -183,16 +185,16 @@ def test_criterion_06_g2_estimator():
     assert analytic_g2(noisy) == pytest.approx(0.0237, rel=1e-9)
     events = simulate_pulse_train(RngSpec(41, 0), noisy, CLEAN, n)
     a, b = hbt_streams(RngSpec(41, 1), events, CLEAN)
-    calibrated = g2_zero(build_histogram(a, b, 100.0, 10.5 * PERIOD, PERIOD))
+    calibrated = g2_zero(build_histogram(a, b, 100.0, PERIOD))
 
     ideal = trion_source(S11_TAU_PS, brightness_first_lens=0.13)
     events = simulate_pulse_train(RngSpec(41, 2), ideal, CLEAN, n)
     a, b = hbt_streams(RngSpec(41, 3), events, CLEAN)
-    clean_g2 = g2_zero(build_histogram(a, b, 100.0, 10.5 * PERIOD, PERIOD))
+    clean_g2 = g2_zero(build_histogram(a, b, 100.0, PERIOD))
 
     batch = poissonian_pulse_train(44, n, mu=0.25, tau_ps=S11_TAU_PS)
     a, b = hbt_streams(RngSpec(44, 9), batch, CLEAN)
-    poisson_g2 = g2_zero(build_histogram(a, b, 100.0, 10.5 * PERIOD, PERIOD))
+    poisson_g2 = g2_zero(build_histogram(a, b, 100.0, PERIOD))
 
     elapsed = time.time() - start
     ok = (
@@ -219,11 +221,11 @@ def test_criterion_07_hom_chain_consistency():
 
     events = simulate_pulse_train(RngSpec(73, 0), src, CLEAN, n)
     a, b = hbt_streams(RngSpec(73, 1), events, CLEAN)
-    g2 = g2_zero(build_histogram(a, b, 100.0, 10.5 * PERIOD, PERIOD))
+    g2 = g2_zero(build_histogram(a, b, 100.0, PERIOD))
 
     events = simulate_pulse_train(RngSpec(73, 2), src, CLEAN, n)
     c, d = hom_streams(RngSpec(73, 3), events, CLEAN, overlap=0.941)
-    vis = hom_visibility(build_histogram(c, d, 100.0, 10.5 * PERIOD, PERIOD))
+    vis = hom_visibility(build_histogram(c, d, 100.0, PERIOD))
     m = corrected_overlap(vis.value, g2.value)
 
     elapsed = time.time() - start
@@ -447,13 +449,13 @@ def test_streamed_sources_equal_their_whole_trains(tmp_path, monkeypatch, capsys
         out = whole / source.label
         out.mkdir(parents=True)
         for train in pipeline.TRAINS:
-            t0, t1 = pipeline.train_clicks(source, setup, seed, index, n_pulses, train)
+            t0, t1 = whole_train_clicks(source, setup, seed, index, n_pulses, train)
             assert min(t0.size, t1.size) > 100
-            hist = build_histogram(t0, t1, 100.0, pipeline.HISTOGRAM_PERIODS * period, period)
+            hist = build_histogram(t0, t1, 100.0, period)
             pipeline.write_histogram(hist, out / f"{train}_histogram.csv", header)
             pipeline.write_timestamps(out / f"{train}_clicks.csv", t0, t1, header, period)
             if train == "hbt":
-                trace = pipeline.decay_trace_from_clicks(t0, t1, setup, source)
+                trace = folded_decay_trace(t0, t1, setup, source)
                 pipeline.write_table(out / "decay_trace.csv", header, ("t_ps", "counts"),
                                      (trace.t_ps, trace.counts.astype(np.int64)),
                                      f"irf_fwhm_ps={float(setup.jitter_fwhm_ps)!r}")

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import S7_DELTA_UEV, S7_TAU_PS, S11_TAU_PS, synth_trace
+from conftest import (
+    S7_DELTA_UEV,
+    S7_TAU_PS,
+    S11_TAU_PS,
+    folded_decay_trace,
+    synth_trace,
+    whole_train_clicks,
+)
 
 from qdbench.dynamics import PhiScanPoint, phi_scan_model
 from qdbench.fleet import draw_fleet
@@ -18,7 +25,6 @@ from qdbench.inference import (
 )
 from qdbench.leastsq import DegenerateFitError
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
-from qdbench.pipeline import decay_trace_from_clicks, train_clicks
 
 
 class TestFitDecay:
@@ -173,8 +179,8 @@ class TestFitDecay:
             for index, source in enumerate(draw_fleet(2026)):
                 if source.kind is not TransitionKind.EXCITON:
                     continue
-                hbt0, hbt1 = train_clicks(source, setup, seed, index, 300_000, "hbt")
-                fit = fit_decay(decay_trace_from_clicks(hbt0, hbt1, setup, source),
+                hbt0, hbt1 = whole_train_clicks(source, setup, seed, index, 300_000, "hbt")
+                fit = fit_decay(folded_decay_trace(hbt0, hbt1, setup, source),
                                 setup.jitter_fwhm_ps)
                 z_tau = (fit.params["tau"] - source.tau_ps) / fit.std_errs["tau"]
                 z_delta = ((fit.params["delta_fss"] - source.exciton.delta_fss_uev)

@@ -47,7 +47,7 @@ LOSSLESS = SetupParams(eta_setup=1.0, eta_det=1.0)
 
 
 def qd_photons_per_pulse(batch: EventBatch) -> np.ndarray:
-    return np.bincount(batch.pulse_index[batch.qd_mask()], minlength=batch.n_pulses)
+    return np.bincount(batch.pulse_index[batch.origin <= Origin.ANCHOR], minlength=batch.n_pulses)
 
 
 def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
@@ -307,11 +307,10 @@ class TestSimulatePulseTrain:
         lossy = SetupParams(laser_leak_per_pulse=leak)
         full = simulate_pulse_train(RngSpec(27, 0), src, lossless, n)
         assert not np.any(full.origin == Origin.ANCHOR)
-        assert np.all(full.detected_mask())
 
         thin = simulate_pulse_train(RngSpec(27, 0), src, lossy, n)
         eta, r = lossy.eta_total, p2 / b
-        detected_qd = thin.qd_mask() & thin.detected_mask()
+        detected_qd = (thin.origin <= Origin.ANCHOR) & (thin.origin != Origin.ANCHOR)
         per_pulse = np.bincount(thin.pulse_index[detected_qd], minlength=n)
         p_first, p_re, p_both = b * eta, b * r * eta, b * eta * r * eta
         var_qd = p_first * (1 - p_first) + p_re * (1 - p_re) + 2 * (p_both - p_first * p_re)
@@ -433,7 +432,7 @@ class TestHomStreams:
         batch = single_photon_batch(n)
         t0, t1 = hom_streams(RngSpec(42, 0), batch, clean_setup, overlap=0.0)
         period = clean_setup.rep_period_ps
-        hist = build_histogram(t0, t1, 100.0, 10.5 * period, period)
+        hist = build_histogram(t0, t1, 100.0, period)
         vis = hom_visibility(hist)
         a0 = vis.zero_area / vis.side_mean
         assert a0 == pytest.approx(0.5, abs=0.01)
@@ -449,7 +448,7 @@ class TestHomStreams:
         batch = simulate_pulse_train(RngSpec(43, 0), src, setup, n)
         t0, t1 = hom_streams(RngSpec(43, 1), batch, setup, overlap=1.0)
         period = setup.rep_period_ps
-        hist = build_histogram(t0, t1, 100.0, 10.5 * period, period)
+        hist = build_histogram(t0, t1, 100.0, period)
         zero = integrate_peaks(hist, 2000.0, [0])[0].area
         # Perfect overlap removes QD-QD zero-delay pairs, so everything
         # left comes from the classical leak light.
@@ -481,10 +480,10 @@ class TestHomStreams:
         period = clean_setup.rep_period_ps
         ev = simulate_pulse_train(RngSpec(45, 0), src, clean_setup, n)
         a, b = hbt_streams(RngSpec(45, 1), ev, clean_setup)
-        g2 = g2_zero(build_histogram(a, b, 100.0, 10.5 * period, period))
+        g2 = g2_zero(build_histogram(a, b, 100.0, period))
         ev2 = simulate_pulse_train(RngSpec(45, 2), src, clean_setup, n)
         c, d = hom_streams(RngSpec(45, 3), ev2, clean_setup, 0.85)
-        vis = hom_visibility(build_histogram(c, d, 100.0, 10.5 * period, period))
+        vis = hom_visibility(build_histogram(c, d, 100.0, period))
         m = corrected_overlap(vis.value, g2.value)
         sigma = math.hypot(vis.std_err, 2 * g2.std_err)
         assert abs(m.value - 0.85) < 3 * sigma
@@ -507,7 +506,7 @@ class TestHomStreams:
                             size=pulse.size, p=[0.6, 0.3, 0.1]).astype(np.int8)
         batch = EventBatch(pulse, np.zeros(pulse.size), origin, n)
         arm = rng.integers(0, 2, size=pulse.size)
-        qd = batch.qd_mask()
+        qd = batch.origin <= Origin.ANCHOR
 
         slot = pulse + arm
         long_idx = np.where(qd & (arm == 1))[0]
@@ -549,7 +548,7 @@ class TestHomStreams:
         batch = single_photon_batch(n)
         t0, t1 = hom_streams(RngSpec(46, 0), batch, clean_setup, overlap=0.5)
         period = clean_setup.rep_period_ps
-        hist = build_histogram(t0, t1, 100.0, 10.5 * period, period)
+        hist = build_histogram(t0, t1, 100.0, period)
         areas = {
             p.peak_index: p.area
             for p in integrate_peaks(hist, 2000.0, [-3, -2, -1, 1, 2, 3])
@@ -571,7 +570,7 @@ class TestHomStreams:
             batch = simulate_pulse_train(RngSpec(48, 0), src, setup, n)
             t0, t1 = hom_streams(RngSpec(48, 1), batch, setup, overlap)
             period = setup.rep_period_ps
-            vis.append(hom_visibility(build_histogram(t0, t1, 100.0, 10.5 * period, period)))
+            vis.append(hom_visibility(build_histogram(t0, t1, 100.0, period)))
         lossy, lossless = vis
         assert lossy.side_mean > 1000
         assert abs(lossy.value - lossless.value) <= 4 * math.hypot(lossy.std_err,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES, read_histogram
+from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES, read_histogram, whole_train_clicks
 
 from qdbench import correlation, photon_sim, pipeline
 from qdbench.cli import main as cli_main
@@ -190,7 +190,7 @@ class TestRunPipeline:
             tracemalloc.start()
             try:
                 for train in pipeline.TRAINS:
-                    pipeline.train_clicks(src, setup, 1, 0, 1_000_000, train)
+                    whole_train_clicks(src, setup, 1, 0, 1_000_000, train)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -496,7 +496,7 @@ class TestHistogramTables:
         period = 12345.0
         for i, (width, center) in enumerate([(33.3, 0.0), (33.3, 0.0), (100.0, 0.0),
                                               (12.5, 0.0), (33.3, -0.0), (33.3, 0.0)]):
-            half = round(pipeline.HISTOGRAM_PERIODS * period / width)
+            half = round(correlation.HISTOGRAM_PERIODS * period / width)
             delays = (np.arange(2 * half + 1) - half) * width
             delays[half] = center
             hist = CorrelationHistogram(width, delays, rng.poisson(50.0, delays.size), period)
@@ -646,6 +646,24 @@ class TestCli:
         ])
         assert code == 1
         assert "threads must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pulses", "0", "n_pulses must be > 0, got 0"),
+        ("--bin-width", "0", "bin_width_ps must be > 0, got 0.0"),
+        ("--window", "7000", "window 7000.0 ps exceeds half a repetition period"),
+    ])
+    def test_run_wide_settings_fail_the_run_once(self, tmp_path, capsys, flag, value, message):
+        # A setting shared by every source fails the run before any source
+        # runs, not each source on its own.
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(trion_config(n=3), cfg_path)
+        argv = ["pipeline", "--config", str(cfg_path), "--pulses", "1000",
+                "--out", str(tmp_path / "o"), flag, value]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "o").exists()
 
     def test_fit_subcommand(self, tmp_path, capsys):
         from conftest import synth_trace

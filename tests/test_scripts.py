@@ -1,5 +1,6 @@
 """The experiment scripts run end to end at a small size."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ import qdbench
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 SRC = pathlib.Path(qdbench.__file__).resolve().parent.parent
+PERFBENCH = SCRIPTS.parent / "perfbench"
 #: script -> (JSON output, {key: rows that key must hold}).
 ROWS = {
     "peak_memory.py": ("peak_memory.json", {
@@ -44,3 +46,30 @@ def test_script_runs(tmp_path, script, args, outputs):
         result = json.loads((tmp_path / name).read_text())
         for key, names in rows.items():
             assert set(result[key]) == names, key
+
+
+def _load_perfbench_run():
+    """perfbench's ``run`` module, loaded by path; sys.path is restored after its imports."""
+    path = list(sys.path)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:] = path
+    return module
+
+
+PERFBENCH_RUN = _load_perfbench_run()
+
+
+@pytest.mark.parametrize("workload", sorted(PERFBENCH_RUN.WORKLOADS))
+def test_benchmark_job_passes_its_checks(tmp_path, workload):
+    # One job of each benchmark workload, run and checked as the benchmark
+    # does.  At 5e4 pulses fleet_default's X01 has no decay signal, so the
+    # jobs run 2e5.  clicks_roundtrip is traced, and it passes
+    # `qdbench analyze --seed`.
+    _, check = PERFBENCH_RUN.run_job(workload, 1, PERFBENCH_RUN.FLEET_SEED, 200_000,
+                                     str(tmp_path / "job"), trace=workload == "clicks_roundtrip")
+    assert check.attempted > 0
+    assert check.failed == 0, check.problems
