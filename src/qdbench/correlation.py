@@ -150,7 +150,7 @@ class PairCounter:
     """
 
     def __init__(self, bin_width_ps: float, rep_period_ps: float):
-        if bin_width_ps <= 0:
+        if not bin_width_ps > 0:
             raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
         self.bin_width_ps = bin_width_ps
         self.rep_period_ps = rep_period_ps
@@ -218,10 +218,10 @@ def integrate_peaks(
     peak_indices,
 ) -> list[PeakIntegral]:
     """Sum counts within +/- window of each k * rep_period delay."""
-    if window_ps > hist.rep_period_ps / 2.0:
+    if not 0.0 < window_ps <= hist.rep_period_ps / 2.0:
         raise ValueError(
-            f"window {window_ps} ps exceeds half a repetition period "
-            f"({hist.rep_period_ps / 2.0:.1f} ps); peaks would overlap"
+            f"window {window_ps} ps must be > 0 and at most half a repetition period "
+            f"({hist.rep_period_ps / 2.0:.1f} ps), so that peaks do not overlap"
         )
     span = hist.delays_ps[-1] + 0.5 * hist.bin_width_ps
     out = []

@@ -16,10 +16,13 @@ chunk seeded independently from (seed, stream_id, chunk_index), so a
 chunk's events depend only on that key and its pulse range.  The detector
 stages draw per chunk as well, chunk 0 from the click stream's own
 generator and chunk c >= 1 from the one keyed by c, so a train can be
-simulated, detected and analysed one chunk at a time
-(:func:`detected_chunks`).  The long photon of a chunk's last pulse meets
-a short photon of the next chunk's first pulse, so the interferometer
-carries the long-arm rows of that pulse into the next chunk.  The order
+simulated and detected one chunk at a time.  The long photon of a chunk's
+last pulse meets a short photon of the next chunk's first pulse, so the
+interferometer carries the long-arm rows of that pulse into the next
+chunk.  Neighbouring chunks' clicks overlap in time at their edge, and
+:func:`_time_ordered` cuts them into time-ordered blocks: these are what
+:func:`detected_chunks` yields, and what :func:`hbt_streams` and
+:func:`hom_streams` join into whole streams.  The order
 and kind of every draw is the stream layout, versioned by
 :data:`STREAM_LAYOUT`; a change to either changes the streams.  Layout 5
 keyed the detector draws by chunk; a train of one chunk kept its layout-4
@@ -75,6 +78,11 @@ _SORT_BLOCK = 1 << 14
 #: the int64 cast).  Any value gives the same bits; 16384 rows keep their
 #: temporaries near 1 MiB whatever the train length, at no cost in time.
 _ROW_BLOCK = 1 << 14
+#: Clicks of a train that wait to be cut into a block (see :func:`_time_ordered`).
+#: Any value gives the same bits.  A default-setup chunk holds about 2e4
+#: clicks, so a few chunks are cut together; at 2**17 the waiting clicks
+#: alone would double a source's peak memory.
+_FLUSH_CLICKS = 1 << 15
 
 
 class UnsamplableEmissionError(ValueError):
@@ -570,20 +578,51 @@ def _batch_chunks(batch: EventBatch):
         yield index, lo, hi, (batch.pulse_index[a:b], batch.emit_time_ps[a:b], batch.origin[a:b])
 
 
-def _merge(streams) -> tuple[np.ndarray, np.ndarray]:
-    """Each channel's clicks over all the (hi, t0, t1) of ``streams``, sorted.
+def _time_ordered(streams, period: float):
+    """Cut a train's (hi, t0, t1) chunk streams into time-ordered (t0, t1) blocks.
 
-    The streams of neighbouring chunks overlap in time at their edge.
+    A chunk's settled time is the start of its last pulse, hi - 1: a later
+    click comes from a later pulse, or from a long-arm photon of that last
+    pulse, or is a dark count of a later chunk, so it precedes the settled
+    time only if a jitter or laser-pulse draw reaches back more than a
+    period.  That is checked, and raises ``RuntimeError``.
+
+    Chunks' clicks wait until at least ``_FLUSH_CLICKS`` of them do, or the
+    train ends.  Then the waiting clicks before the last chunk's settled
+    time are merged per channel into a block.  So every click of a block
+    precedes every click of the next, and the blocks' concatenation per
+    channel is the train's whole stream, sorted.
     """
-    columns = [list(parts) for parts in zip(*((t0, t1) for _, t0, t1 in streams))]
-    merged = []
-    for parts in columns:
-        several = len(parts) > 1
-        t = _join(parts)
-        if several:
-            t.sort(kind="stable")
-        merged.append(t)
-    return tuple(merged)
+    waiting, n_waiting, settled = [], 0, None
+    for hi, t0, t1 in streams:
+        if settled is not None and any(t.size and t[0] < settled for t in (t0, t1)):
+            raise RuntimeError(f"a click of the chunk ending at pulse {hi} precedes the previous "
+                               f"chunk's last pulse; the jitter is too wide for streaming")
+        settled = math.floor((hi - 1) * period)
+        waiting.append((t0, t1))
+        n_waiting += t0.size + t1.size
+        del t0, t1  # the chunk's clicks live on only while they wait
+        if n_waiting >= _FLUSH_CLICKS:
+            yield _cut(waiting, settled)
+            n_waiting = sum(t.size for t in waiting[0])
+    yield _cut(waiting, None)
+
+
+def _cut(waiting: list, settled: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The block of the ``waiting`` clicks before ``settled`` (all with None); the rest wait on."""
+    block, rest = [], []
+    for parts in zip(*waiting):
+        t = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts), kind="stable")
+        cut = t.size if settled is None else int(np.searchsorted(t, settled))
+        block.append(t[:cut])
+        rest.append(t[cut:].copy())
+    waiting[:] = [tuple(rest)]
+    return tuple(block)
+
+
+def _joined(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Each channel's clicks over all the time-ordered (t0, t1) ``blocks``."""
+    return tuple(_join(list(parts)) for parts in zip(*blocks))
 
 
 def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
@@ -597,9 +636,11 @@ def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
     Draws, per RNG chunk of the batch's pulses: channel and jitter for the
     detected photons, then the dark counts over the chunk.
 
-    Returns (times_channel0, times_channel1) as int64 ps, each sorted.
+    Returns (times_channel0, times_channel1) as int64 ps, each sorted: the
+    chunks' time-ordered blocks (:func:`_time_ordered`), joined.
     """
-    return _merge(_hbt_chunks(rng, setup, _batch_chunks(batch)))
+    return _joined(_time_ordered(_hbt_chunks(rng, setup, _batch_chunks(batch)),
+                                 setup.rep_period_ps))
 
 
 def _pair_overlap(brightness: float, p_two_photon: float, overlap: float) -> float:
@@ -705,26 +746,22 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     m_pair = _pair_overlap(batch.brightness, batch.p_two_photon, overlap)
     if np.any(batch.pulse_index[1:] < batch.pulse_index[:-1]):
         raise ValueError("events must be sorted by pulse index")
-    return _merge(_hom_chunks(rng, setup, _batch_chunks(batch), batch.n_pulses, m_pair))
+    streams = _hom_chunks(rng, setup, _batch_chunks(batch), batch.n_pulses, m_pair)
+    return _joined(_time_ordered(streams, setup.rep_period_ps))
 
 
 def detected_chunks(events: RngSpec, clicks: RngSpec, source: SourceParams,
                     setup: SetupParams, n_pulses: int, overlap: float | None = None):
-    """Simulate and detect a train one RNG chunk at a time.
+    """Simulate and detect a train one RNG chunk at a time, as time-ordered click blocks.
 
     With ``overlap`` None the chunks go through the HBT stage, else through
-    the interferometer at that overlap.  Yields (t0, t1, settled) per
-    chunk: its two click streams, int64 ps and each sorted, and a time
-    before which no later chunk has a click.  The streams of all chunks,
-    merged, are :func:`hbt_streams` or :func:`hom_streams` of
-    ``simulate_pulse_train(events, source, setup, n_pulses)``, so a caller
-    holds one chunk's events and clicks at a time.
-
-    ``settled`` is the start of the chunk's last pulse: a later click comes
-    from a later pulse, or from a long-arm photon of that last pulse, or is
-    a dark count of a later chunk, so it precedes the chunk's last pulse
-    only if a jitter or laser-pulse draw reaches back more than a period.
-    That is checked, and raises ``RuntimeError``.
+    the interferometer at that overlap.  Yields (t0, t1) blocks, the two
+    channels' clicks as sorted int64 ps, cut by :func:`_time_ordered`: every
+    click of a block precedes every click of the next, and the blocks
+    joined per channel are :func:`hbt_streams` or :func:`hom_streams` of
+    ``simulate_pulse_train(events, source, setup, n_pulses)``.  So a caller
+    holds one chunk's events and the clicks waiting to be cut, whatever the
+    train length, and can fold each block as it comes.
     """
     _check_train(source, setup, n_pulses)
     chunks = ((i, lo, hi, _simulate_chunk(events, source, setup, lo, hi, i))
@@ -734,10 +771,4 @@ def detected_chunks(events: RngSpec, clicks: RngSpec, source: SourceParams,
     else:
         m_pair = _pair_overlap(source.brightness_first_lens, source.p_two_photon, overlap)
         streams = _hom_chunks(clicks, setup, chunks, n_pulses, m_pair)
-    settled = None
-    for hi, t0, t1 in streams:
-        if settled is not None and any(t.size and t[0] < settled for t in (t0, t1)):
-            raise RuntimeError(f"a click of the chunk ending at pulse {hi} precedes the previous "
-                               f"chunk's last pulse; the jitter is too wide for streaming")
-        settled = math.floor((hi - 1) * setup.rep_period_ps)
-        yield t0, t1, settled
+    yield from _time_ordered(streams, setup.rep_period_ps)

@@ -46,11 +46,6 @@ from .report import SourceReport, aggregate_benchmark, emit_report
 _STREAMS_PER_SOURCE = 8
 #: Clicks folded at a time by :func:`_fold_decay`.
 _FOLD_BLOCK = 1 << 16
-#: Clicks of a train that wait to be cut into a block (see :func:`_settled_blocks`).
-#: Any value gives the same bytes.  A default-setup chunk holds about 2e4
-#: clicks, so a few chunks fold together; at 2**17 the waiting clicks alone
-#: would double a source's peak memory.
-_FLUSH_CLICKS = 1 << 15
 _WRITE_BLOCK_ROWS = 1 << 16
 #: Sorted int64 times in [_EDGES[i - 1], _EDGES[i]) share one sign and one
 #: digit count, _RUN_LAYOUTS[i]; _RUN_WIDTHS[i] is the byte width of their rows.
@@ -179,10 +174,10 @@ class _ClickWriter:
     sorted integer-picosecond click streams as rows sorted by time, then
     channel; clicks from pulse 0 can have negative times.  Blocks must
     follow each other in time with no time shared between two of them, as
-    :func:`_settled_blocks` cuts them: then the rows of a train written block
-    by block are the rows of its whole streams written as one block.  Used
-    as a context manager, the file is removed if the block raises, so no
-    partial click file is left behind.
+    :func:`detected_chunks` yields them: then the rows of a train written
+    block by block are the rows of its whole streams written as one block.
+    Used as a context manager, the file is removed if the block raises, so
+    no partial click file is left behind.
     """
 
     def __init__(self, path, header: str | None, rep_period_ps: float):
@@ -349,40 +344,8 @@ def _train_chunks(streams: SourceStreams, source: SourceParams, setup: SetupPara
     raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
 
 
-def _settled_blocks(chunks):
-    """Cut a train's (t0, t1, settled) chunks into time-ordered (t0, t1) blocks.
-
-    Chunks' clicks wait until at least ``_FLUSH_CLICKS`` of them do, or the
-    train ends.  Then the waiting clicks before the last chunk's settled
-    time, which no later click precedes, are merged per channel into a
-    block.  So every click of a block precedes every click of the next,
-    and the blocks' concatenation per channel is the train's whole stream.
-    """
-    waiting, n_waiting = [], 0
-    for t0, t1, settled in chunks:
-        waiting.append((t0, t1))
-        n_waiting += t0.size + t1.size
-        del t0, t1  # the chunk's clicks live on only while they wait
-        if n_waiting >= _FLUSH_CLICKS:
-            yield _cut(waiting, settled)
-            n_waiting = sum(t.size for t in waiting[0])
-    yield _cut(waiting, None)
-
-
-def _cut(waiting: list, settled: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The block of the ``waiting`` clicks before ``settled`` (all with None); the rest wait on."""
-    block, rest = [], []
-    for parts in zip(*waiting):
-        t = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts), kind="stable")
-        cut = t.size if settled is None else int(np.searchsorted(t, settled))
-        block.append(t[:cut])
-        rest.append(t[cut:].copy())
-    waiting[:] = [tuple(rest)]
-    return tuple(block)
-
-
 class _TrainFold:
-    """A train's accumulators, fed the train's settled blocks in time order.
+    """A train's accumulators, fed the train's time-ordered blocks (:func:`detected_chunks`).
 
     Each block is folded into the pair counts, the decay-trace counts (with
     ``trace_bins``) and the click count.
@@ -437,12 +400,12 @@ def write_train_clicks(path, source: SourceParams, setup: SetupParams, seed: int
                        header: str | None) -> int:
     """Simulate and detect one train of one source into the click file ``path``.
 
-    The train is written one settled block at a time, so it holds one
+    The train is written one time-ordered block at a time, so it holds one
     chunk's events and clicks whatever its length.  Returns its click count.
     """
-    chunks = _train_chunks(source_streams(seed, source_index), source, setup, n_pulses, train)
+    blocks = _train_chunks(source_streams(seed, source_index), source, setup, n_pulses, train)
     with _ClickWriter(path, header, setup.rep_period_ps) as writer:
-        for t0, t1 in _settled_blocks(chunks):
+        for t0, t1 in blocks:
             writer.write(t0, t1)
             del t0, t1  # free the block before the next one is simulated
     return writer.rows
@@ -475,16 +438,14 @@ def analyze_source(
     with _click_writers(save_dir, header, period) as writers:
         # HBT is analysed before the HOM train is simulated.
         hbt = _TrainFold(options, period, _trace_bins(setup, source)).fold(
-            _settled_blocks(_train_chunks(streams, source, setup, n_pulses, "hbt")),
-            writers["hbt"])
+            _train_chunks(streams, source, setup, n_pulses, "hbt"), writers["hbt"])
         hbt_hist = hbt.pairs.histogram()
         g2 = g2_zero(hbt_hist, options.window_ps)
         trace = _decay_trace(hbt.decay, source)
         fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
 
         hom = _TrainFold(options, period).fold(
-            _settled_blocks(_train_chunks(streams, source, setup, n_pulses, "hom")),
-            writers["hom"])
+            _train_chunks(streams, source, setup, n_pulses, "hom"), writers["hom"])
         hom_hist = hom.pairs.histogram()
         vis = hom_visibility(hom_hist, options.window_ps)
         overlap = corrected_overlap(vis.value, g2.value)

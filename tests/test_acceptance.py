@@ -433,7 +433,7 @@ def test_streamed_sources_equal_their_whole_trains(tmp_path, monkeypatch, capsys
     runs = []
     for flush in (1, 1_000):
         for threads in (1, 2):
-            monkeypatch.setattr(pipeline, "_FLUSH_CLICKS", flush)
+            monkeypatch.setattr(photon_sim, "_FLUSH_CLICKS", flush)
             runs.append(tmp_path / f"flush{flush}_threads{threads}")
             run_pipeline(config, n_pulses, seed, out_dir=str(runs[-1]), threads=threads,
                          options=pipeline.PipelineOptions(save_clicks=True))

@@ -661,10 +661,64 @@ def test_chunk_edge_carry_keeps_every_meeting_pair(case):
 def test_streaming_rejects_clicks_that_reach_back_a_period(monkeypatch):
     # A jitter far wider than the period puts clicks of a chunk before the
     # previous chunk's last pulse, where they would already be folded.
+    # Whole trains are cut the same way, so the stream functions raise too.
     setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=1e6)
     monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 100)
     with pytest.raises(RuntimeError, match="jitter"):
         list(detected_chunks(RngSpec(1, 0), RngSpec(1, 1), S11, setup, 1_000))
+    batch = simulate_pulse_train(RngSpec(1, 0), S11, setup, 1_000)
+    with pytest.raises(RuntimeError, match="jitter"):
+        hbt_streams(RngSpec(1, 1), batch, setup)
+    with pytest.raises(RuntimeError, match="jitter"):
+        hom_streams(RngSpec(1, 1), batch, setup, S11.overlap)
+
+
+@st.composite
+def _chunk_streams(draw):
+    """(period, [(hi, t0, t1), ...]): sorted int64 chunk streams that overlap at their edges.
+
+    Chunk k ends at pulse hi_k.  From chunk 1 on, a chunk's clicks start no
+    earlier than floor((hi_{k-1} - 1) * period), the start of the previous
+    chunk's last pulse, and any chunk's clicks may run two periods past
+    its own end, into the next chunks.
+    """
+    period = draw(st.sampled_from([1.0, 2.5, 10.0]))
+    chunks, hi, low = [], 0, -20
+    for _ in range(draw(st.integers(1, 6))):
+        hi += draw(st.integers(1, 4))
+        high = math.floor((hi + 2) * period)
+        times = st.lists(st.integers(low, high), max_size=12)
+        chunks.append((hi, *(np.array(sorted(draw(times)), dtype=np.int64) for _ in range(2))))
+        low = math.floor((hi - 1) * period)
+    return period, chunks
+
+
+@settings(max_examples=300, deadline=None)
+@given(streams=_chunk_streams(), flush=st.sampled_from([1, 5, 1 << 40]), data=st.data())
+def test_time_ordered_blocks_are_the_sorted_streams(streams, flush, data):
+    period, chunks = streams
+    with mock.patch.object(photon_sim, "_FLUSH_CLICKS", flush):
+        blocks = list(photon_sim._time_ordered(iter(chunks), period))
+    for channel in range(2):
+        joined = np.concatenate([block[channel] for block in blocks])
+        assert joined.dtype == np.int64
+        assert np.array_equal(joined, np.sort(np.concatenate([c[1 + channel] for c in chunks])))
+    spans = [(min(t[0] for t in b if t.size), max(t[-1] for t in b if t.size))
+             for b in blocks if any(t.size for t in b)]
+    assert all(last < first for (_, last), (first, _) in zip(spans, spans[1:]))
+
+    if len(chunks) > 1:
+        # A click before the previous chunk's last pulse reaches back.
+        k = data.draw(st.integers(1, len(chunks) - 1))
+        channel = data.draw(st.integers(0, 1))
+        settled = math.floor((chunks[k - 1][0] - 1) * period)
+        early = data.draw(st.integers(settled - 30, settled - 1))
+        hi, *times = chunks[k]
+        times[channel] = np.sort(np.append(times[channel], early))
+        chunks[k] = (hi, *times)
+        with mock.patch.object(photon_sim, "_FLUSH_CLICKS", flush):
+            with pytest.raises(RuntimeError, match="precedes"):
+                list(photon_sim._time_ordered(iter(chunks), period))
 
 
 def _anchors(pulse: np.ndarray, qd: np.ndarray, detected: np.ndarray) -> np.ndarray:

@@ -254,7 +254,7 @@ class TestRunPipeline:
         # complete), leaves none of them, and every other source's files
         # are those of a clean run.
         monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 3_000)
-        monkeypatch.setattr(pipeline, "_FLUSH_CLICKS", 1)
+        monkeypatch.setattr(photon_sim, "_FLUSH_CLICKS", 1)
         cfg = trion_config(n=3)
         options = PipelineOptions(save_clicks=True)
         clean, out = tmp_path / "clean", tmp_path / "out"
@@ -264,15 +264,15 @@ class TestRunPipeline:
         open_files = []
 
         def failing(events, clicks, source, setup, n_pulses, overlap=None):
-            chunks = detected_chunks(events, clicks, source, setup, n_pulses, overlap)
+            blocks = detected_chunks(events, clicks, source, setup, n_pulses, overlap)
             if source.label != "S12" or (overlap is None) != (failing_train == "hbt"):
-                yield from chunks
+                yield from blocks
                 return
-            for i, chunk in enumerate(chunks):
+            for i, block in enumerate(blocks):
                 if i == 3:
                     open_files.append(sorted(os.listdir(out / "S12")))
                     raise RuntimeError("injected")
-                yield chunk
+                yield block
 
         monkeypatch.setattr(pipeline, "detected_chunks", failing)
         result = run_pipeline(cfg, 20_000, 5, out_dir=str(out), threads=threads, options=options)
@@ -412,7 +412,7 @@ class TestTimestampFiles:
            block_rows=st.sampled_from([1, 3, 1 << 16]))
     def test_block_by_block_writing_equals_the_whole_streams(self, tmp_path_factory, streams,
                                                              data, block_rows):
-        # Blocks cut at settled times, as _settled_blocks cuts a train:
+        # Blocks cut at given times, as detected_chunks cuts a train:
         # the clicks before a time go to one block and the rest to later
         # ones, so no time is shared across blocks; equal cuts give empty
         # blocks.
@@ -650,7 +650,11 @@ class TestCli:
     @pytest.mark.parametrize("flag, value, message", [
         ("--pulses", "0", "n_pulses must be > 0, got 0"),
         ("--bin-width", "0", "bin_width_ps must be > 0, got 0.0"),
-        ("--window", "7000", "window 7000.0 ps exceeds half a repetition period"),
+        ("--bin-width", "nan", "bin_width_ps must be > 0, got nan"),
+        ("--window", "7000", "window 7000.0 ps must be > 0 and at most half a repetition period"),
+        ("--window", "0", "window 0.0 ps must be > 0 and at most half a repetition period"),
+        ("--window", "-5", "window -5.0 ps must be > 0 and at most half a repetition period"),
+        ("--window", "nan", "window nan ps must be > 0 and at most half a repetition period"),
     ])
     def test_run_wide_settings_fail_the_run_once(self, tmp_path, capsys, flag, value, message):
         # A setting shared by every source fails the run before any source
