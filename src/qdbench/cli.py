@@ -32,8 +32,8 @@ from .correlation import (
 from .dynamics import PhiScanPoint
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
+from .photon_sim import TRAINS
 from .pipeline import (
-    TRAINS,
     PipelineOptions,
     file_header,
     read_header,

@@ -287,6 +287,14 @@ def corrected_overlap(v_raw: float, g2: float) -> CorrectedOverlap:
     return CorrectedOverlap(value=m, clamped=False)
 
 
+def corrected_overlap_err(vis: HomResult, g2: G2Result) -> float:
+    """Standard error of M = (V_raw + g2) / (1 - g2), the two errors propagated as independent."""
+    return math.hypot(
+        vis.std_err / (1.0 - g2.value),
+        (1.0 + vis.value) * g2.std_err / (1.0 - g2.value) ** 2,
+    )
+
+
 def brightness_chain(detected_rate_cps: float, setup: SetupParams) -> BrightnessChain:
     """Propagate a detected count rate back through the efficiency chain.
 

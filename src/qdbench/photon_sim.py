@@ -11,8 +11,12 @@ to integer picoseconds there, as a time tagger stamps them; this is the
 one place where the package rounds time.
 
 Reproducibility: every random decision derives from an :class:`RngSpec`
-(seed, stream_id).  Pulse ranges are processed in fixed-size chunks, each
-chunk seeded independently from (seed, stream_id, chunk_index), so a
+(seed, stream_id).  :func:`source_streams` gives source i the ids
+8 i + 0 ... 4 (HBT events, HBT clicks, HOM events, HOM clicks,
+polarization scan) and reserves 8 i + 5 ... 7, and :func:`detected_chunks`
+pairs each of the source's :data:`TRAINS` with its events and clicks
+streams.  Pulse ranges are processed in fixed-size chunks, each chunk
+seeded independently from (seed, stream_id, chunk_index), so a
 chunk's events depend only on that key and its pulse range.  The detector
 stages draw per chunk as well, chunk 0 from the click stream's own
 generator and chunk c >= 1 from the one keyed by c, so a train can be
@@ -52,6 +56,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,6 +88,10 @@ _ROW_BLOCK = 1 << 14
 #: clicks, so a few chunks are cut together; at 2**17 the waiting clicks
 #: alone would double a source's peak memory.
 _FLUSH_CLICKS = 1 << 15
+#: Stream ids of one source (see :func:`source_streams`).
+_STREAMS_PER_SOURCE = 8
+#: The two trains of a source, in the order a source simulates them.
+TRAINS = ("hbt", "hom")
 
 
 class UnsamplableEmissionError(ValueError):
@@ -136,6 +145,27 @@ class RngSpec:
     def generator(self, *key: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id, *key))
         return np.random.Generator(np.random.PCG64(ss))
+
+
+class SourceStreams(NamedTuple):
+    """The RNG streams of one source, as laid out by :func:`source_streams`."""
+
+    hbt_events: RngSpec
+    hbt_clicks: RngSpec
+    hom_events: RngSpec
+    hom_clicks: RngSpec
+    phi_scan: RngSpec
+
+
+def source_streams(seed: int, source_index: int) -> SourceStreams:
+    """RNG streams of the source at ``source_index`` in the config.
+
+    Source i owns stream ids [8 i, 8 i + 8); the ids after the last field
+    are reserved, so a new stream never moves another source's streams.
+    Every command that simulates a source takes its streams from here.
+    """
+    base = source_index * _STREAMS_PER_SOURCE
+    return SourceStreams(*(RngSpec(seed, base + k) for k in range(len(SourceStreams._fields))))
 
 
 @functools.lru_cache(maxsize=64)
@@ -288,44 +318,39 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
     anchor = (_bernoulli(g, p_anchor / p_row, k) if p_anchor > 0
               else np.zeros(k, dtype=bool))
     re_detected = _bernoulli(g, r * eta, k) | anchor
-    leak_pulses = (_event_pulses(g, leak * eta, n) + lo if leak > 0
-                   else np.empty(0, dtype=np.int64))
+    leak_pulses = _event_pulses(g, leak * eta, n) + lo
 
     first_times = sample_emission_time(g, source, size=k)
     # re_row[i]: the row of the first photon that re-excitation photon i follows.
     re_row = np.flatnonzero(re_detected)
     re_times = first_times[re_row] + sample_emission_time(g, source, size=re_row.size)
+    leak_times = g.normal(0.0, setup.pulse_fwhm_ps * FWHM_TO_SIGMA, size=leak_pulses.size)
     first_origin = np.full(k, Origin.QD_FIRST, dtype=np.int8)
     first_origin[anchor] = Origin.ANCHOR
 
-    if leak == 0:
-        # Each first photon's row is followed by its re-excitation photon's
-        # row, if any; this is the stable sort below, without the sort.
-        re_pos = re_row + np.arange(1, re_row.size + 1)
-        is_first = np.ones(k + re_row.size, dtype=bool)
-        is_first[re_pos] = False
-        pulse = np.empty(is_first.size, dtype=np.int64)
-        pulse[is_first] = row_pulses
-        pulse[re_pos] = row_pulses[re_row]
-        del row_pulses  # the chunk holds at most two of its long columns at once
-        emit = np.empty(is_first.size)
-        emit[is_first] = first_times
-        emit[re_pos] = re_times
-        origin = np.full(is_first.size, Origin.QD_REEXCITE, dtype=np.int8)
-        origin[is_first] = first_origin
-        return pulse, emit, origin
-
-    leak_times = g.normal(0.0, setup.pulse_fwhm_ps * FWHM_TO_SIGMA, size=leak_pulses.size)
-    pulse = np.concatenate([row_pulses, row_pulses[re_row], leak_pulses])
-    emit = np.concatenate([first_times, re_times, leak_times])
-    origin = np.concatenate([
-        first_origin,
-        np.full(re_row.size, Origin.QD_REEXCITE, dtype=np.int8),
-        np.full(leak_pulses.size, Origin.LASER, dtype=np.int8),
-    ])
-    # Within a pulse: the first photon, its re-excitation photon, the leak photon.
-    order = np.argsort(pulse, kind="stable")
-    return pulse[order], emit[order], origin[order]
+    # Within a pulse: the first photon, its re-excitation photon, the leak
+    # photon.  Each column is sorted by pulse, so a row's place is its index
+    # in its column plus the rows of the other columns that come before it.
+    re_pulses = row_pulses[re_row]
+    re_pos = re_row + np.arange(1, re_row.size + 1) + np.searchsorted(leak_pulses, re_pulses)
+    leak_pos = (np.arange(leak_pulses.size) + np.searchsorted(row_pulses, leak_pulses, "right")
+                + np.searchsorted(re_pulses, leak_pulses, "right"))
+    is_first = np.ones(k + re_row.size + leak_pulses.size, dtype=bool)
+    is_first[re_pos] = False
+    is_first[leak_pos] = False
+    pulse = np.empty(is_first.size, dtype=np.int64)
+    pulse[is_first] = row_pulses
+    del row_pulses  # the chunk holds at most two of its long columns at once
+    pulse[re_pos] = re_pulses
+    pulse[leak_pos] = leak_pulses
+    emit = np.empty(is_first.size)
+    emit[is_first] = first_times
+    emit[re_pos] = re_times
+    emit[leak_pos] = leak_times
+    origin = np.full(is_first.size, Origin.QD_REEXCITE, dtype=np.int8)
+    origin[is_first] = first_origin
+    origin[leak_pos] = Origin.LASER
+    return pulse, emit, origin
 
 
 def _chunks(n_pulses: int) -> list[tuple[int, int, int]]:
@@ -750,25 +775,34 @@ def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: fl
     return _joined(_time_ordered(streams, setup.rep_period_ps))
 
 
-def detected_chunks(events: RngSpec, clicks: RngSpec, source: SourceParams,
-                    setup: SetupParams, n_pulses: int, overlap: float | None = None):
-    """Simulate and detect a train one RNG chunk at a time, as time-ordered click blocks.
+def detected_chunks(seed: int, source_index: int, source: SourceParams, setup: SetupParams,
+                    n_pulses: int, train: str):
+    """One train of a source, simulated and detected one RNG chunk at a time, as click blocks.
 
-    With ``overlap`` None the chunks go through the HBT stage, else through
-    the interferometer at that overlap.  Yields (t0, t1) blocks, the two
-    channels' clicks as sorted int64 ps, cut by :func:`_time_ordered`: every
-    click of a block precedes every click of the next, and the blocks
-    joined per channel are :func:`hbt_streams` or :func:`hom_streams` of
-    ``simulate_pulse_train(events, source, setup, n_pulses)``.  So a caller
-    holds one chunk's events and the clicks waiting to be cut, whatever the
-    train length, and can fold each block as it comes.
+    ``train`` is ``"hbt"`` or ``"hom"`` (see :data:`TRAINS`); any other
+    value raises ``ValueError``.  The train draws its events and its clicks
+    from the source's streams of that train (:func:`source_streams`), and
+    the HOM train interferes at the source's overlap.  Returns an iterator
+    of (t0, t1) blocks, the two channels' clicks as sorted int64 ps, cut by
+    :func:`_time_ordered`: every click of a block precedes every click of
+    the next, and the blocks joined per channel are :func:`hbt_streams` or
+    :func:`hom_streams` of the train's :func:`simulate_pulse_train`.  So a
+    caller holds one chunk's events and the clicks waiting to be cut,
+    whatever the train length, and can fold each block as it comes.
     """
+    streams = source_streams(seed, source_index)
+    if train == "hbt":
+        events, clicks = streams.hbt_events, streams.hbt_clicks
+    elif train == "hom":
+        events, clicks = streams.hom_events, streams.hom_clicks
+    else:
+        raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
     _check_train(source, setup, n_pulses)
     chunks = ((i, lo, hi, _simulate_chunk(events, source, setup, lo, hi, i))
               for i, lo, hi in _chunks(n_pulses))
-    if overlap is None:
-        streams = _hbt_chunks(clicks, setup, chunks)
+    if train == "hbt":
+        stages = _hbt_chunks(clicks, setup, chunks)
     else:
-        m_pair = _pair_overlap(source.brightness_first_lens, source.p_two_photon, overlap)
-        streams = _hom_chunks(clicks, setup, chunks, n_pulses, m_pair)
-    yield from _time_ordered(streams, setup.rep_period_ps)
+        m_pair = _pair_overlap(source.brightness_first_lens, source.p_two_photon, source.overlap)
+        stages = _hom_chunks(clicks, setup, chunks, n_pulses, m_pair)
+    return _time_ordered(stages, setup.rep_period_ps)

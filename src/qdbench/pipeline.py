@@ -22,7 +22,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .correlation import (
     PairCounter,
     brightness_chain,
     corrected_overlap,
+    corrected_overlap_err,
     g2_zero,
     hom_visibility,
     integrate_peaks,
@@ -40,10 +40,9 @@ from .correlation import (
 from .dynamics import phi_scan_model
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import SetupParams, SourceParams
-from .photon_sim import STREAM_LAYOUT, RngSpec, check_pulses, detected_chunks
+from .photon_sim import STREAM_LAYOUT, TRAINS, check_pulses, detected_chunks, source_streams
 from .report import SourceReport, aggregate_benchmark, emit_report
 
-_STREAMS_PER_SOURCE = 8
 #: Clicks folded at a time by :func:`_fold_decay`.
 _FOLD_BLOCK = 1 << 16
 _WRITE_BLOCK_ROWS = 1 << 16
@@ -56,27 +55,6 @@ _PHI_SCAN_ANGLES = 13
 _PHI_SCAN_NOISE = 0.02
 #: Bin width (ps) of the decay trace.
 _TRACE_BIN_PS = 4.0
-
-
-class SourceStreams(NamedTuple):
-    """The RNG streams of one source, as laid out by :func:`source_streams`."""
-
-    hbt_events: RngSpec
-    hbt_clicks: RngSpec
-    hom_events: RngSpec
-    hom_clicks: RngSpec
-    phi_scan: RngSpec
-
-
-def source_streams(seed: int, source_index: int) -> SourceStreams:
-    """RNG streams of the source at ``source_index`` in the config.
-
-    Source i owns stream ids [8 i, 8 i + 8); the ids after the last field
-    are reserved, so a new stream never moves another source's streams.
-    Every command that simulates a source takes its streams from here.
-    """
-    base = source_index * _STREAMS_PER_SOURCE
-    return SourceStreams(*(RngSpec(seed, base + k) for k in range(len(SourceStreams._fields))))
 
 
 @dataclass(frozen=True)
@@ -274,11 +252,15 @@ def read_timestamps(path):
     """Read a timestamp file back into per-channel sorted int64 ps arrays.
 
     A row that is not ``channel,time_ps`` with an integer channel and an
-    integer time raises ``ValueError``; a decimal time is such a row.
+    integer time raises ``ValueError``; a decimal time is such a row, and
+    so is a channel other than 0 and 1.
     """
     rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=1,
                       dtype=[("channel", np.int64), ("time_ps", np.int64)])
     chans, times = rows["channel"], rows["time_ps"]
+    stray = chans[(chans != 0) & (chans != 1)]
+    if stray.size:
+        raise ValueError(f"{path}: channel must be 0 or 1, got {stray[0]}")
     return np.sort(times[chans == 0]), np.sort(times[chans == 1])
 
 
@@ -327,21 +309,6 @@ def _decay_trace(counts: np.ndarray, source: SourceParams) -> DecayTrace:
     edges = np.linspace(0.0, counts.size * _TRACE_BIN_PS, counts.size + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     return DecayTrace(t_ps=centers, counts=counts.astype(float), kind=source.kind)
-
-
-#: The two trains of a source, in the order a source simulates them.
-TRAINS = ("hbt", "hom")
-
-
-def _train_chunks(streams: SourceStreams, source: SourceParams, setup: SetupParams,
-                  n_pulses: int, train: str):
-    """:func:`detected_chunks` of one train of a source, ``"hbt"`` or ``"hom"``."""
-    if train == "hbt":
-        return detected_chunks(streams.hbt_events, streams.hbt_clicks, source, setup, n_pulses)
-    if train == "hom":
-        return detected_chunks(streams.hom_events, streams.hom_clicks, source, setup, n_pulses,
-                               source.overlap)
-    raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
 
 
 class _TrainFold:
@@ -403,7 +370,7 @@ def write_train_clicks(path, source: SourceParams, setup: SetupParams, seed: int
     The train is written one time-ordered block at a time, so it holds one
     chunk's events and clicks whatever its length.  Returns its click count.
     """
-    blocks = _train_chunks(source_streams(seed, source_index), source, setup, n_pulses, train)
+    blocks = detected_chunks(seed, source_index, source, setup, n_pulses, train)
     with _ClickWriter(path, header, setup.rep_period_ps) as writer:
         for t0, t1 in blocks:
             writer.write(t0, t1)
@@ -431,30 +398,25 @@ def analyze_source(
     as the train is folded, and removed if the source fails.
     """
     period = setup.rep_period_ps
-    streams = source_streams(seed, source_index)
     save_dir = (os.path.join(out_dir, source.label)
                 if out_dir is not None and options.save_clicks else None)
 
     with _click_writers(save_dir, header, period) as writers:
         # HBT is analysed before the HOM train is simulated.
         hbt = _TrainFold(options, period, _trace_bins(setup, source)).fold(
-            _train_chunks(streams, source, setup, n_pulses, "hbt"), writers["hbt"])
+            detected_chunks(seed, source_index, source, setup, n_pulses, "hbt"), writers["hbt"])
         hbt_hist = hbt.pairs.histogram()
         g2 = g2_zero(hbt_hist, options.window_ps)
         trace = _decay_trace(hbt.decay, source)
         fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
 
         hom = _TrainFold(options, period).fold(
-            _train_chunks(streams, source, setup, n_pulses, "hom"), writers["hom"])
+            detected_chunks(seed, source_index, source, setup, n_pulses, "hom"), writers["hom"])
         hom_hist = hom.pairs.histogram()
         vis = hom_visibility(hom_hist, options.window_ps)
         overlap = corrected_overlap(vis.value, g2.value)
-        overlap_err = math.hypot(
-            vis.std_err / (1.0 - g2.value),
-            (1.0 + vis.value) * g2.std_err / (1.0 - g2.value) ** 2,
-        )
 
-        phi_rng = streams.phi_scan.generator()
+        phi_rng = source_streams(seed, source_index).phi_scan.generator()
         phi_points = synthesize_phi_scan(source, phi_rng)
         classification = classify_transition(phi_points)
 
@@ -470,7 +432,7 @@ def analyze_source(
             v_raw=vis.value,
             v_raw_err=vis.std_err,
             overlap_corrected=overlap.value,
-            overlap_err=overlap_err,
+            overlap_err=corrected_overlap_err(vis, g2),
             first_lens_brightness=chain.first_lens_brightness,
             fibered_rate_cps=chain.fibered_rate_cps,
             tau_fit_ps=fit.params["tau"],

@@ -20,8 +20,8 @@ from qdbench.model import (
     exciton_source,
     trion_source,
 )
-from qdbench.photon_sim import hbt_streams, hom_streams, simulate_pulse_train
-from qdbench.pipeline import read_notes, source_streams
+from qdbench.photon_sim import hbt_streams, hom_streams, simulate_pulse_train, source_streams
+from qdbench.pipeline import read_notes
 
 #: (criterion number, description, passed, detail) tuples collected by the
 #: acceptance suite; printed one per line at the end of the pytest run.

@@ -18,7 +18,7 @@ from conftest import (
 )
 
 from qdbench import photon_sim
-from qdbench.dynamics import exciton_cross_intensity, peak_emission_delay
+from qdbench.dynamics import FWHM_TO_SIGMA, exciton_cross_intensity, peak_emission_delay
 from qdbench.model import SetupParams, SourceValidationError, exciton_source, trion_source
 from qdbench.photon_sim import (
     CHUNK_PULSES,
@@ -39,6 +39,7 @@ from qdbench.photon_sim import (
     hom_streams,
     sample_emission_time,
     simulate_pulse_train,
+    source_streams,
 )
 
 S7 = exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.pi / 4, brightness_first_lens=0.136, label="S7")
@@ -289,6 +290,44 @@ class TestSimulatePulseTrain:
         assert np.array_equal(origin, a.origin)
         c = simulate_pulse_train(RngSpec(77, 4), S11, SetupParams(), n)
         assert not np.array_equal(a.emit_time_ps, c.emit_time_ps)
+
+    @pytest.mark.parametrize("lossless", [False, True])
+    @pytest.mark.parametrize("leak", [0.0, 1e-9, 0.05, 1.0])
+    def test_chunk_rows_are_the_stable_sort_of_their_columns(self, lossless, leak):
+        # _simulate_chunk places each row by rank.  Its rows are those of a
+        # stable sort by pulse of [first and anchor rows, re-excitation
+        # rows, leak rows], made from the same draws in the same order.
+        src = trion_source(150.0, brightness_first_lens=0.5, p_two_photon=0.4)
+        setup = SetupParams(laser_leak_per_pulse=leak)
+        if lossless:
+            setup = SetupParams(eta_setup=1.0, eta_det=1.0, laser_leak_per_pulse=leak)
+        rng, lo, hi = RngSpec(28, 0), 3 * CHUNK_PULSES, 3 * CHUNK_PULSES + 40_000
+        got = _simulate_chunk(rng, src, setup, lo, hi, 3)
+
+        g = rng.generator(3)
+        b, r, eta = 0.5, 0.4 / 0.5, setup.eta_total
+        p_anchor = b * (1 - eta) * r * eta
+        rows = _event_pulses(g, b * eta + p_anchor, hi - lo) + lo
+        anchor = (_bernoulli(g, p_anchor / (b * eta + p_anchor), rows.size) if p_anchor > 0
+                  else np.zeros(rows.size, dtype=bool))
+        re_row = np.flatnonzero(_bernoulli(g, r * eta, rows.size) | anchor)
+        leak_pulses = _event_pulses(g, leak * eta, hi - lo) + lo
+        first = sample_emission_time(g, src, size=rows.size)
+        re_times = first[re_row] + sample_emission_time(g, src, size=re_row.size)
+        leak_times = g.normal(0.0, setup.pulse_fwhm_ps * FWHM_TO_SIGMA, size=leak_pulses.size)
+        pulse = np.concatenate([rows, rows[re_row], leak_pulses])
+        emit = np.concatenate([first, re_times, leak_times])
+        origin = np.concatenate([np.where(anchor, Origin.ANCHOR, Origin.QD_FIRST),
+                                 np.full(re_row.size, Origin.QD_REEXCITE),
+                                 np.full(leak_pulses.size, Origin.LASER)]).astype(np.int8)
+        order = np.argsort(pulse, kind="stable")
+        for column, want in zip(got, (pulse[order], emit[order], origin[order])):
+            assert column.dtype == want.dtype
+            assert np.array_equal(column, want)
+        assert re_row.size > 1_000
+        assert np.any(anchor) != lossless
+        # At 1e-9 the chunk draws its leak pulses and finds none.
+        assert (leak_pulses.size > 100) == (leak > 0.01)
 
     def test_events_sorted_by_pulse(self):
         batch = simulate_pulse_train(RngSpec(26, 0), S7, SetupParams(), 100_000)
@@ -665,7 +704,7 @@ def test_streaming_rejects_clicks_that_reach_back_a_period(monkeypatch):
     setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=1e6)
     monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 100)
     with pytest.raises(RuntimeError, match="jitter"):
-        list(detected_chunks(RngSpec(1, 0), RngSpec(1, 1), S11, setup, 1_000))
+        list(detected_chunks(1, 0, S11, setup, 1_000, "hbt"))
     batch = simulate_pulse_train(RngSpec(1, 0), S11, setup, 1_000)
     with pytest.raises(RuntimeError, match="jitter"):
         hbt_streams(RngSpec(1, 1), batch, setup)
@@ -731,7 +770,7 @@ def _anchors(pulse: np.ndarray, qd: np.ndarray, detected: np.ndarray) -> np.ndar
 
 
 def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
-    """SHA-256 over every array one HBT and one HOM train produce."""
+    """SHA-256 over every array one HBT and one HOM train of source 0 produce."""
     h = hashlib.sha256()
 
     def add(*arrays):
@@ -739,12 +778,13 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
             h.update(f"{a.dtype.str}{a.shape}".encode())
             h.update(np.ascontiguousarray(a).tobytes())
 
-    hbt_ev = simulate_pulse_train(RngSpec(seed, 0), source, setup, n_pulses)
+    streams = source_streams(seed, 0)
+    hbt_ev = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
     add(hbt_ev.pulse_index, hbt_ev.emit_time_ps, hbt_ev.origin)
-    add(*hbt_streams(RngSpec(seed, 1), hbt_ev, setup))
-    hom_ev = simulate_pulse_train(RngSpec(seed, 2), source, setup, n_pulses)
+    add(*hbt_streams(streams.hbt_clicks, hbt_ev, setup))
+    hom_ev = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
     add(hom_ev.pulse_index, hom_ev.emit_time_ps, hom_ev.origin)
-    add(*hom_streams(RngSpec(seed, 3), hom_ev, setup, source.overlap))
+    add(*hom_streams(streams.hom_clicks, hom_ev, setup, source.overlap))
     return h.hexdigest()
 
 
@@ -773,3 +813,17 @@ def test_golden_stream_digest(source_name, setup_name):
     n = 2 * CHUNK_PULSES + 18_929
     digest = _train_digest(GOLDEN_SOURCES[source_name], GOLDEN_SETUPS[setup_name], 2026, n)
     assert digest == _GOLDEN_DIGESTS[(source_name, setup_name)]
+
+
+def test_source_streams_lay_out_eight_ids_per_source():
+    # Source i owns ids 8 i ... 8 i + 7: five streams, then three reserved.
+    for index in (0, 1, 14):
+        streams = source_streams(2026, index)
+        assert streams == tuple(RngSpec(2026, 8 * index + k) for k in range(5))
+    assert source_streams(2026, 3)._fields == (
+        "hbt_events", "hbt_clicks", "hom_events", "hom_clicks", "phi_scan")
+
+
+def test_detected_chunks_rejects_an_unknown_train():
+    with pytest.raises(ValueError, match="train must be one of"):
+        detected_chunks(1, 0, S11, SetupParams(), 1_000, "g2")
