@@ -19,8 +19,6 @@ import ctypes
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import load_config
 from .correlation import (
@@ -38,6 +36,7 @@ from .pipeline import (
     file_header,
     read_header,
     read_notes,
+    read_rows,
     read_timestamps,
     run_pipeline,
     write_histogram,
@@ -133,11 +132,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_fit(args) -> int:
     # The column-name line is skipped like a comment.
-    t, counts = np.loadtxt(args.trace, delimiter=",", comments=("#", "t_ps"), ndmin=2,
-                           unpack=True)
-    trace = DecayTrace(t, counts, TransitionKind(args.kind))
+    t, counts = read_rows(args.trace, comments=("#", "t_ps"), ndmin=2, unpack=True)
     irf_fwhm = _setting(args.trace, "irf_fwhm_ps", "--irf-fwhm", args.irf_fwhm)
-    payload = fit_decay(trace, irf_fwhm_ps=irf_fwhm).to_dict()
+    payload = fit_decay(DecayTrace(t, counts), TransitionKind(args.kind), irf_fwhm).to_dict()
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "fit.json")
     write_json(path, payload, read_header(args.trace))
@@ -146,8 +143,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    phi, cavity, qd = np.loadtxt(args.phiscan, delimiter=",", comments=("#", "phi"), ndmin=2,
-                                 unpack=True)
+    phi, cavity, qd = read_rows(args.phiscan, comments=("#", "phi"), ndmin=2, unpack=True)
     points = list(map(PhiScanPoint, phi.tolist(), cavity.tolist(), qd.tolist()))
     payload = classify_transition(points).to_dict()
     os.makedirs(args.out, exist_ok=True)

@@ -1,8 +1,8 @@
 """Parameter recovery: decay-trace fitting and transition classification.
 
-``fit_decay`` fits a counted decay trace with the appropriate emission
-model convolved with a fixed-width Gaussian instrument response.  The
-model is
+``fit_decay`` fits a counted decay trace, which holds counts only, with
+the emission model of the kind it is given, convolved with a fixed-width
+Gaussian instrument response.  The model is
 
     counts(t) = amplitude * (model (*) irf)(t - t0) + background
 
@@ -43,7 +43,6 @@ class DecayTrace:
 
     t_ps: np.ndarray
     counts: np.ndarray
-    kind: TransitionKind
 
     def __post_init__(self):
         t = np.asarray(self.t_ps, dtype=float)
@@ -131,13 +130,13 @@ def _raw_model_and_derivs(
 class _DecayModel:
     """Model/Jacobian evaluator on a padded copy of the trace grid."""
 
-    def __init__(self, trace: DecayTrace, irf_fwhm_ps: float):
+    def __init__(self, trace: DecayTrace, kind: TransitionKind, irf_fwhm_ps: float):
         t = trace.t_ps
         steps = np.diff(t)
         self.step = float(steps[0])
         if np.any(np.abs(steps - self.step) > 1e-6 * self.step):
             raise ValueError("decay fitting requires a uniform time grid")
-        self.kind = trace.kind
+        self.kind = kind
         self.counts = trace.counts
         self.sqrt_w = 1.0 / np.sqrt(np.maximum(trace.counts, 1.0))
         if irf_fwhm_ps > 0:
@@ -269,16 +268,16 @@ def _start(model: _DecayModel, t: np.ndarray, irf_fwhm_ps: float) -> np.ndarray:
     return np.array([tau, amp, bg, t0])
 
 
-def fit_decay(trace: DecayTrace, irf_fwhm_ps: float) -> FitResult:
-    """Fit a decay trace with the kind-appropriate model plus IRF.
+def fit_decay(trace: DecayTrace, kind: TransitionKind, irf_fwhm_ps: float) -> FitResult:
+    """Fit a decay trace with ``kind``'s model plus IRF.
 
     The instrument-response width is held fixed.  The fit starts from the
     best point of :func:`_start`'s grid.
     """
     if trace.t_ps.size < 50:
         raise ValueError(f"need >= 50 bins to fit a decay, got {trace.t_ps.size}")
-    model = _DecayModel(trace, irf_fwhm_ps)
-    names = EXCITON_PARAM_NAMES if trace.kind is TransitionKind.EXCITON else TRION_PARAM_NAMES
+    model = _DecayModel(trace, kind, irf_fwhm_ps)
+    names = EXCITON_PARAM_NAMES if kind is TransitionKind.EXCITON else TRION_PARAM_NAMES
     p0 = _start(model, trace.t_ps, irf_fwhm_ps)
     result = levenberg_marquardt(model.residuals, model.jacobian, p0)
     # One reweighting pass: replace the observed-count variance estimate by
@@ -290,15 +289,10 @@ def fit_decay(trace: DecayTrace, irf_fwhm_ps: float) -> FitResult:
     model.sqrt_w = 1.0 / np.sqrt(np.maximum(pred, 1.0))
     result = levenberg_marquardt(model.residuals, model.jacobian, result.params)
     dof = max(trace.t_ps.size - len(names), 1)
-    params = {name: float(v) for name, v in zip(names, result.params)}
-    errs = {name: float(e) for name, e in zip(names, result.std_errs)}
-    return FitResult(
-        params=params,
-        std_errs=errs,
-        reduced_chi2=result.rss / dof,
-        converged=result.converged,
-        n_iter=result.n_iter,
-    )
+    return FitResult(params=dict(zip(names, map(float, result.params))),
+                     std_errs=dict(zip(names, map(float, result.std_errs))),
+                     reduced_chi2=result.rss / dof, converged=result.converged,
+                     n_iter=result.n_iter)
 
 
 def _sinusoid_fit(phi: np.ndarray, qd: np.ndarray):

@@ -13,21 +13,21 @@ one place where the package rounds time.
 Reproducibility: every random decision derives from an :class:`RngSpec`
 (seed, stream_id).  :func:`source_streams` gives source i the ids
 8 i + 0 ... 4 (HBT events, HBT clicks, HOM events, HOM clicks,
-polarization scan) and reserves 8 i + 5 ... 7, and :func:`detected_chunks`
+polarization scan) and reserves 8 i + 5 ... 7; :func:`detected_chunks`
 pairs each of the source's :data:`TRAINS` with its events and clicks
-streams.  Pulse ranges are processed in fixed-size chunks, each chunk
-seeded independently from (seed, stream_id, chunk_index), so a
-chunk's events depend only on that key and its pulse range.  The detector
-stages draw per chunk as well, chunk 0 from the click stream's own
-generator and chunk c >= 1 from the one keyed by c, so a train can be
-simulated and detected one chunk at a time.  The long photon of a chunk's
-last pulse meets a short photon of the next chunk's first pulse, so the
-interferometer carries the long-arm rows of that pulse into the next
-chunk.  Neighbouring chunks' clicks overlap in time at their edge, and
-:func:`_time_ordered` cuts them into time-ordered blocks: these are what
-:func:`detected_chunks` yields, and what :func:`hbt_streams` and
-:func:`hom_streams` join into whole streams.  The order
-and kind of every draw is the stream layout, versioned by
+streams, and :func:`synthesize_phi_scan` draws the scan.  Pulse ranges are
+processed in fixed-size chunks, each chunk seeded independently from
+(seed, stream_id, chunk_index), so a chunk's events depend only on that
+key and its pulse range.  The detector stages draw per chunk as well,
+chunk 0 from the click stream's own generator and chunk c >= 1 from the
+one keyed by c, so a train can be simulated and detected one chunk at a
+time.  The long photon of a chunk's last pulse meets a short photon of the
+next chunk's first pulse, so the interferometer carries the long-arm rows
+of that pulse into the next chunk.  Neighbouring chunks' clicks overlap in
+time at their edge, and :func:`_time_ordered` cuts them into time-ordered
+blocks: these are what :func:`detected_chunks` yields, and what
+:func:`hbt_streams` and :func:`hom_streams` join into whole streams.  The
+order and kind of every draw is the stream layout, versioned by
 :data:`STREAM_LAYOUT`; a change to either changes the streams.  Layout 5
 keyed the detector draws by chunk; a train of one chunk kept its layout-4
 streams.
@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import FWHM_TO_SIGMA, exciton_cross_intensity
+from .dynamics import FWHM_TO_SIGMA, PhiScanPoint, exciton_cross_intensity, phi_scan_model
 from .model import (
     ExcitonParams,
     SetupParams,
@@ -92,6 +92,10 @@ _FLUSH_CLICKS = 1 << 15
 _STREAMS_PER_SOURCE = 8
 #: The two trains of a source, in the order a source simulates them.
 TRAINS = ("hbt", "hom")
+#: Angles of a source's polarization scan, over [0, pi], and the relative
+#: noise of each of its intensities.
+_PHI_SCAN_ANGLES = 13
+_PHI_SCAN_NOISE = 0.02
 
 
 class UnsamplableEmissionError(ValueError):
@@ -806,3 +810,18 @@ def detected_chunks(seed: int, source_index: int, source: SourceParams, setup: S
         m_pair = _pair_overlap(source.brightness_first_lens, source.p_two_photon, source.overlap)
         stages = _hom_chunks(clicks, setup, chunks, n_pulses, m_pair)
     return _time_ordered(stages, setup.rep_period_ps)
+
+
+def synthesize_phi_scan(seed: int, source_index: int, source: SourceParams) -> list[PhiScanPoint]:
+    """The source's polarization scan: noisy cavity-rotated and QD line intensities.
+
+    At each angle, :func:`~qdbench.dynamics.phi_scan_model`'s two intensities
+    are scaled by max(0, 1 + 0.02 N(0, 1)), cavity first, drawn from the
+    source's ``phi_scan`` stream (:func:`source_streams`).
+    """
+    g = source_streams(seed, source_index).phi_scan.generator()
+    factors = np.maximum(0.0, 1.0 + _PHI_SCAN_NOISE * g.standard_normal((_PHI_SCAN_ANGLES, 2)))
+    clean = (phi_scan_model(phi, source.kind, source, amp_cavity=1.0, amp_qd=1.0)
+             for phi in np.linspace(0.0, math.pi, _PHI_SCAN_ANGLES).tolist())
+    return [PhiScanPoint(p.phi_rad, p.cavity_light * fc, p.qd_light * fq)
+            for p, (fc, fq) in zip(clean, factors.tolist())]

@@ -1,9 +1,11 @@
 """End-to-end pipelines: simulate, analyze, fit, classify, report.
 
-Each source gets an independent family of RNG streams derived from the
-global seed and its position in the config, so per-source work can run on
-any number of threads with byte-identical results.  Every command writes
-its artifacts through this module's writers.  A header is the bare line of
+``photon_sim`` simulates each source from its own RNG streams, derived
+from the global seed and its position in the config, so per-source work
+can run on any number of threads with byte-identical results.  Of the
+config, the analysis uses only the kind to fit and tau for the decay
+trace's span.  Every command writes through this module's writers, and
+reads through its readers.  A header is the bare line of
 :func:`file_header` (version, seed, config hash, stream layout): text files
 start with it behind ``# ``, JSON files hold it as ``_header``, and
 ``None`` writes neither.  A text file that must be read with a run setting
@@ -18,8 +20,8 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -37,10 +39,10 @@ from .correlation import (
     hom_visibility,
     integrate_peaks,
 )
-from .dynamics import phi_scan_model
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import SetupParams, SourceParams
-from .photon_sim import STREAM_LAYOUT, TRAINS, check_pulses, detected_chunks, source_streams
+from .photon_sim import (STREAM_LAYOUT, TRAINS, check_pulses, detected_chunks,
+                         synthesize_phi_scan)
 from .report import SourceReport, aggregate_benchmark, emit_report
 
 #: Clicks folded at a time by :func:`_fold_decay`.
@@ -51,8 +53,6 @@ _WRITE_BLOCK_ROWS = 1 << 16
 _EDGES = np.concatenate([1 - 10 ** np.arange(18, 0, -1), [0], 10 ** np.arange(1, 19)])
 _RUN_LAYOUTS = [(True, 19 - i) for i in range(19)] + [(False, d) for d in range(1, 20)]
 _RUN_WIDTHS = np.array([3 + negative + digits for negative, digits in _RUN_LAYOUTS])
-_PHI_SCAN_ANGLES = 13
-_PHI_SCAN_NOISE = 0.02
 #: Bin width (ps) of the decay trace.
 _TRACE_BIN_PS = 4.0
 
@@ -248,15 +248,25 @@ def _digit_dtype(n: int):
     return np.uint8 if n <= 2 else np.uint16 if n <= 4 else np.uint32 if n <= 9 else np.int64
 
 
+def read_rows(path, **loadtxt_args) -> np.ndarray:
+    """``np.loadtxt`` of a comma-separated file; a file with no rows raises ``ValueError``."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        rows = np.loadtxt(path, delimiter=",", **loadtxt_args)
+    if not rows.size:
+        raise ValueError(f"{path} holds no rows")
+    return rows
+
+
 def read_timestamps(path):
     """Read a timestamp file back into per-channel sorted int64 ps arrays.
 
     A row that is not ``channel,time_ps`` with an integer channel and an
     integer time raises ``ValueError``; a decimal time is such a row, and
-    so is a channel other than 0 and 1.
+    so is a channel other than 0 and 1.  So does a file with no rows.
     """
-    rows = np.loadtxt(path, delimiter=",", comments="#", ndmin=1,
-                      dtype=[("channel", np.int64), ("time_ps", np.int64)])
+    rows = read_rows(path, comments="#", ndmin=1,
+                     dtype=[("channel", np.int64), ("time_ps", np.int64)])
     chans, times = rows["channel"], rows["time_ps"]
     stray = chans[(chans != 0) & (chans != 1)]
     if stray.size:
@@ -264,27 +274,9 @@ def read_timestamps(path):
     return np.sort(times[chans == 0]), np.sort(times[chans == 1])
 
 
-def synthesize_phi_scan(source: SourceParams, rng: np.random.Generator):
-    """Noisy polarization scan of the cavity-rotated and QD line intensities."""
-    phis = np.linspace(0.0, math.pi, _PHI_SCAN_ANGLES)
-    points = []
-    for phi in phis:
-        clean = phi_scan_model(float(phi), source.kind, source, amp_cavity=1.0, amp_qd=1.0)
-        factor_c = max(0.0, 1.0 + _PHI_SCAN_NOISE * rng.standard_normal())
-        factor_q = max(0.0, 1.0 + _PHI_SCAN_NOISE * rng.standard_normal())
-        points.append(
-            type(clean)(
-                phi_rad=clean.phi_rad,
-                cavity_light=clean.cavity_light * factor_c,
-                qd_light=clean.qd_light * factor_q,
-            )
-        )
-    return points
-
-
-def _trace_bins(setup: SetupParams, source: SourceParams) -> int:
-    """Bins of a source's decay trace: 4 ps each from the pulse on, over at most one period."""
-    return int(min(setup.rep_period_ps, 12.0 * source.tau_ps + 400.0) / _TRACE_BIN_PS)
+def _trace_bins(period: float, tau_ps: float) -> int:
+    """Bins of a decay trace: 4 ps each from the pulse on, over 12 tau + 400 ps or a period."""
+    return int(min(period, 12.0 * tau_ps + 400.0) / _TRACE_BIN_PS)
 
 
 def _fold_decay(counts: np.ndarray, t: np.ndarray, period: float):
@@ -305,10 +297,9 @@ def _fold_decay(counts: np.ndarray, t: np.ndarray, period: float):
         counts += np.bincount(idx, minlength=counts.size)
 
 
-def _decay_trace(counts: np.ndarray, source: SourceParams) -> DecayTrace:
+def _decay_trace(counts: np.ndarray) -> DecayTrace:
     edges = np.linspace(0.0, counts.size * _TRACE_BIN_PS, counts.size + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return DecayTrace(t_ps=centers, counts=counts.astype(float), kind=source.kind)
+    return DecayTrace(t_ps=0.5 * (edges[:-1] + edges[1:]), counts=counts.astype(float))
 
 
 class _TrainFold:
@@ -403,12 +394,12 @@ def analyze_source(
 
     with _click_writers(save_dir, header, period) as writers:
         # HBT is analysed before the HOM train is simulated.
-        hbt = _TrainFold(options, period, _trace_bins(setup, source)).fold(
+        hbt = _TrainFold(options, period, _trace_bins(period, source.tau_ps)).fold(
             detected_chunks(seed, source_index, source, setup, n_pulses, "hbt"), writers["hbt"])
         hbt_hist = hbt.pairs.histogram()
         g2 = g2_zero(hbt_hist, options.window_ps)
-        trace = _decay_trace(hbt.decay, source)
-        fit = fit_decay(trace, irf_fwhm_ps=setup.jitter_fwhm_ps)
+        trace = _decay_trace(hbt.decay)
+        fit = fit_decay(trace, source.kind, setup.jitter_fwhm_ps)
 
         hom = _TrainFold(options, period).fold(
             detected_chunks(seed, source_index, source, setup, n_pulses, "hom"), writers["hom"])
@@ -416,8 +407,7 @@ def analyze_source(
         vis = hom_visibility(hom_hist, options.window_ps)
         overlap = corrected_overlap(vis.value, g2.value)
 
-        phi_rng = source_streams(seed, source_index).phi_scan.generator()
-        phi_points = synthesize_phi_scan(source, phi_rng)
+        phi_points = synthesize_phi_scan(seed, source_index, source)
         classification = classify_transition(phi_points)
 
         duration_s = n_pulses * period * 1e-12

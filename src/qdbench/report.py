@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 
 from .model import TransitionKind
 
@@ -54,6 +54,15 @@ class SourceReport:
 
     @staticmethod
     def from_dict(d: dict) -> "SourceReport":
+        """The inverse of :meth:`to_dict`; a missing or unknown field raises ``ValueError``."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a source report must be a JSON object, got {d!r}")
+        missing = [f.name for f in fields(SourceReport)
+                   if f.default is MISSING and f.name not in d]
+        unknown = sorted(d.keys() - {f.name for f in fields(SourceReport)})
+        if missing or unknown:
+            raise ValueError(f"source report {d.get('label')!r}: missing fields {missing}, "
+                             f"unknown fields {unknown}")
         d = dict(d)
         d["kind"] = TransitionKind(d["kind"])
         return SourceReport(**d)
@@ -200,4 +209,6 @@ def emit_report(
 def parse_reports_json(text: str) -> tuple[list[SourceReport], str | None]:
     """The source reports of a structured-json report, and its header (None without one)."""
     payload = json.loads(text)
+    if not isinstance(payload, dict) or not isinstance(payload.get("sources"), list):
+        raise ValueError('a report file must be a JSON object with a "sources" list')
     return [SourceReport.from_dict(d) for d in payload["sources"]], payload.get("_header")

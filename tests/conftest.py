@@ -89,7 +89,7 @@ def synth_trace(
         counts = lam
     else:
         counts = np.random.default_rng(seed).poisson(lam).astype(float)
-    return DecayTrace(t_ps=t, counts=counts, kind=kind)
+    return DecayTrace(t_ps=t, counts=counts)
 
 
 def read_histogram(path) -> CorrelationHistogram:
@@ -127,7 +127,7 @@ def folded_decay_trace(t0, t1, setup, source) -> DecayTrace:
     n = int(min(setup.rep_period_ps, 12.0 * source.tau_ps + 400.0) / 4.0)
     folded = np.mod(np.concatenate([t0, t1]), setup.rep_period_ps)
     counts, edges = np.histogram(folded, bins=n, range=(0.0, 4.0 * n))
-    return DecayTrace(0.5 * (edges[:-1] + edges[1:]), counts.astype(float), source.kind)
+    return DecayTrace(0.5 * (edges[:-1] + edges[1:]), counts.astype(float))
 
 
 def poissonian_pulse_train(seed: int, n_pulses: int, mu: float, tau_ps: float):

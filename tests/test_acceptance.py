@@ -144,7 +144,7 @@ def test_criterion_04_exciton_fit_round_trip_100_seeds():
             TransitionKind.EXCITON, seed, S7_TAU_PS, delta_uev=S7_DELTA_UEV,
             total_counts=1e6,
         )
-        fit = fit_decay(trace, irf_fwhm_ps=IRF_FWHM_PS)
+        fit = fit_decay(trace, TransitionKind.EXCITON, irf_fwhm_ps=IRF_FWHM_PS)
         if (
             abs(fit.params["tau"] - S7_TAU_PS) <= 3.0
             and abs(fit.params["delta_fss"] - S7_DELTA_UEV) <= 0.05
@@ -164,7 +164,7 @@ def test_criterion_05_trion_fit_round_trip_100_seeds():
     hits = 0
     for seed in range(100):
         trace = synth_trace(TransitionKind.TRION, seed, S11_TAU_PS, total_counts=1e6)
-        fit = fit_decay(trace, irf_fwhm_ps=IRF_FWHM_PS)
+        fit = fit_decay(trace, TransitionKind.TRION, irf_fwhm_ps=IRF_FWHM_PS)
         if abs(fit.params["tau"] - S11_TAU_PS) <= 0.9:
             hits += 1
     elapsed = time.time() - start

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import (
 from qdbench.dynamics import PhiScanPoint, phi_scan_model
 from qdbench.fleet import draw_fleet
 from qdbench.inference import (
+    TRION_PARAM_NAMES,
     DecayTrace,
     UnclassifiableError,
     _DecayModel,
@@ -32,7 +34,8 @@ class TestFitDecay:
         # The start search begins from the trace alone, at half and at 1.5
         # times S11's lifetime.
         for tau in (0.5 * S11_TAU_PS, 1.5 * S11_TAU_PS):
-            fit = fit_decay(synth_trace(TransitionKind.TRION, None, tau), irf_fwhm_ps=53.0)
+            trace = synth_trace(TransitionKind.TRION, None, tau)
+            fit = fit_decay(trace, TransitionKind.TRION, irf_fwhm_ps=53.0)
             assert fit.converged
             assert fit.params["tau"] == pytest.approx(tau, rel=1e-3)
 
@@ -40,7 +43,7 @@ class TestFitDecay:
         trace = synth_trace(
             TransitionKind.EXCITON, None, S7_TAU_PS, delta_uev=S7_DELTA_UEV, t0_ps=150.0
         )
-        fit = fit_decay(trace, irf_fwhm_ps=53.0)
+        fit = fit_decay(trace, TransitionKind.EXCITON, irf_fwhm_ps=53.0)
         assert fit.converged
         assert fit.params["tau"] == pytest.approx(S7_TAU_PS, rel=1e-3)
         assert fit.params["delta_fss"] == pytest.approx(S7_DELTA_UEV, rel=1e-3)
@@ -51,42 +54,51 @@ class TestFitDecay:
             TransitionKind.EXCITON, 424242, S7_TAU_PS, delta_uev=S7_DELTA_UEV,
             total_counts=1e6,
         )
-        fit = fit_decay(trace, irf_fwhm_ps=53.0)
+        fit = fit_decay(trace, TransitionKind.EXCITON, irf_fwhm_ps=53.0)
         assert abs(fit.params["tau"] - S7_TAU_PS) < 3.0
         assert abs(fit.params["delta_fss"] - S7_DELTA_UEV) < 0.05
         assert fit.std_errs["tau"] < 1.0
         assert fit.std_errs["delta_fss"] < 0.02
+
+    def test_the_kind_is_an_argument_of_the_fit(self):
+        # A trace holds counts only; an exciton trace fitted as a trion gets
+        # the trion model's parameters.
+        assert [f.name for f in dataclasses.fields(DecayTrace)] == ["t_ps", "counts"]
+        trace = synth_trace(TransitionKind.EXCITON, None, S7_TAU_PS, delta_uev=S7_DELTA_UEV)
+        fit = fit_decay(trace, TransitionKind.TRION, irf_fwhm_ps=53.0)
+        assert tuple(fit.params) == tuple(fit.std_errs) == TRION_PARAM_NAMES
 
     def test_background_only_trace_degenerate(self):
         rng = np.random.default_rng(9)
         t = np.arange(0.0, 2000.0, 4.0)
         counts = rng.poisson(50.0, size=t.size).astype(float)
         with pytest.raises(DegenerateFitError):
-            fit_decay(DecayTrace(t, counts, TransitionKind.TRION), irf_fwhm_ps=53.0)
+            fit_decay(DecayTrace(t, counts), TransitionKind.TRION, irf_fwhm_ps=53.0)
 
     def test_too_few_bins_rejected(self):
         t = np.arange(0.0, 40 * 4.0, 4.0)
         with pytest.raises(ValueError):
-            fit_decay(DecayTrace(t, np.ones(t.size), TransitionKind.TRION), 53.0)
+            fit_decay(DecayTrace(t, np.ones(t.size)), TransitionKind.TRION, 53.0)
 
     def test_undersampled_irf_rejected(self):
         # A grid step above fwhm/4 (13.25 ps for 53 ps) loses the kernel shape.
         trace = synth_trace(TransitionKind.TRION, None, S11_TAU_PS, bin_ps=20.0)
         with pytest.raises(ValueError, match="undersamples"):
-            fit_decay(trace, irf_fwhm_ps=53.0)
+            fit_decay(trace, TransitionKind.TRION, irf_fwhm_ps=53.0)
         # A step of exactly fwhm/4 is still accepted.
-        _DecayModel(synth_trace(TransitionKind.TRION, None, S11_TAU_PS, bin_ps=13.25), 53.0)
+        _DecayModel(synth_trace(TransitionKind.TRION, None, S11_TAU_PS, bin_ps=13.25),
+                    TransitionKind.TRION, 53.0)
 
     def test_short_span_rejected(self):
         trace = synth_trace(TransitionKind.TRION, 4, 800.0, span_ps=900.0, t0_ps=50.0)
         with pytest.raises(ValueError):
-            fit_decay(trace, irf_fwhm_ps=53.0)
+            fit_decay(trace, TransitionKind.TRION, irf_fwhm_ps=53.0)
 
     def test_jacobian_matches_central_differences(self):
         trace = synth_trace(
             TransitionKind.EXCITON, 77, S7_TAU_PS, delta_uev=S7_DELTA_UEV, t0_ps=133.0
         )
-        model = _DecayModel(trace, 53.0)
+        model = _DecayModel(trace, TransitionKind.EXCITON, 53.0)
         rng = np.random.default_rng(3)
         for _ in range(5):
             p = np.array([
@@ -123,12 +135,12 @@ class TestFitDecay:
 
         for name in calls:
             counted(name)
-        kept = fit_decay(trace, irf_fwhm_ps=53.0)
+        kept = fit_decay(trace, kind, irf_fwhm_ps=53.0)
         with_memo = dict(calls)
         calls.update(dict.fromkeys(calls, 0))
         monkeypatch.setattr(_DecayModel, "predict_components",
                             lambda self, params: self._evaluate(params))
-        plain = fit_decay(trace, irf_fwhm_ps=53.0)
+        plain = fit_decay(trace, kind, irf_fwhm_ps=53.0)
         assert plain.to_dict() == kept.to_dict()
         assert calls["residuals"] == with_memo["residuals"]
         assert calls["jacobian"] == with_memo["jacobian"] > 2
@@ -139,9 +151,9 @@ class TestFitDecay:
             TransitionKind.EXCITON, 55, S7_TAU_PS, delta_uev=S7_DELTA_UEV,
             background=5.0,
         )
-        scaled = DecayTrace(trace.t_ps, trace.counts * 2.5, trace.kind)
-        f1 = fit_decay(trace, irf_fwhm_ps=53.0)
-        f2 = fit_decay(scaled, irf_fwhm_ps=53.0)
+        scaled = DecayTrace(trace.t_ps, trace.counts * 2.5)
+        f1 = fit_decay(trace, TransitionKind.EXCITON, irf_fwhm_ps=53.0)
+        f2 = fit_decay(scaled, TransitionKind.EXCITON, irf_fwhm_ps=53.0)
         for name in ("tau", "delta_fss", "t0"):
             assert f2.params[name] == pytest.approx(f1.params[name], rel=1e-9)
         assert f2.params["amplitude"] == pytest.approx(2.5 * f1.params["amplitude"], rel=1e-9)
@@ -150,9 +162,9 @@ class TestFitDecay:
     def test_time_shift_equivariance(self):
         trace = synth_trace(TransitionKind.TRION, 56, S11_TAU_PS)
         shift = 256.0
-        shifted = DecayTrace(trace.t_ps + shift, trace.counts, trace.kind)
-        f1 = fit_decay(trace, irf_fwhm_ps=53.0)
-        f2 = fit_decay(shifted, irf_fwhm_ps=53.0)
+        shifted = DecayTrace(trace.t_ps + shift, trace.counts)
+        f1 = fit_decay(trace, TransitionKind.TRION, irf_fwhm_ps=53.0)
+        f2 = fit_decay(shifted, TransitionKind.TRION, irf_fwhm_ps=53.0)
         assert f2.params["t0"] - f1.params["t0"] == pytest.approx(shift, abs=1e-6)
         for name in ("tau", "amplitude", "background"):
             assert f2.params[name] == pytest.approx(f1.params[name], rel=1e-9)
@@ -163,7 +175,7 @@ class TestFitDecay:
         # (``gaussian_kernel`` is undefined at zero width; 1e-3 ps is a step.)
         for seed in range(8):
             trace = synth_trace(TransitionKind.TRION, seed, S11_TAU_PS, irf_fwhm_ps=1e-3)
-            fit = fit_decay(trace, irf_fwhm_ps=0.0)
+            fit = fit_decay(trace, TransitionKind.TRION, irf_fwhm_ps=0.0)
             assert fit.converged
             assert abs(fit.params["tau"] - S11_TAU_PS) < 3.0 * fit.std_errs["tau"]
             assert fit.params["t0"] == pytest.approx(120.0, abs=0.5)
@@ -180,7 +192,7 @@ class TestFitDecay:
                 if source.kind is not TransitionKind.EXCITON:
                     continue
                 hbt0, hbt1 = whole_train_clicks(source, setup, seed, index, 300_000, "hbt")
-                fit = fit_decay(folded_decay_trace(hbt0, hbt1, setup, source),
+                fit = fit_decay(folded_decay_trace(hbt0, hbt1, setup, source), source.kind,
                                 setup.jitter_fwhm_ps)
                 z_tau = (fit.params["tau"] - source.tau_ps) / fit.std_errs["tau"]
                 z_delta = ((fit.params["delta_fss"] - source.exciton.delta_fss_uev)

@@ -31,22 +31,22 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
 
 
 #: Names of the stream layout, which only ``photon_sim`` may use.
-LAYOUT_NAMES = {"RngSpec", "SourceStreams"}
+LAYOUT_NAMES = {"RngSpec", "SourceStreams", "source_streams"}
 
 
-def _layout_names(tree: ast.AST):
-    """Every use of a ``LAYOUT_NAMES`` name in ``tree``: imported, named or read as an attribute."""
+def _names(tree: ast.AST):
+    """Every name used in ``tree``: imported, named or read as an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.alias):
-            name = node.name
+            yield node.name
         elif isinstance(node, ast.Name):
-            name = node.id
+            yield node.id
         elif isinstance(node, ast.Attribute):
-            name = node.attr
-        else:
-            continue
-        if name in LAYOUT_NAMES:
-            yield name
+            yield node.attr
+
+
+def _parsed(name: str) -> ast.AST:
+    return ast.parse((PACKAGE / name).read_text())
 
 
 def test_only_photon_sim_handles_the_stream_layout():
@@ -54,8 +54,29 @@ def test_only_photon_sim_handles_the_stream_layout():
     # defined in photon_sim alone, so no other module builds or picks an
     # RngSpec.  The package's __init__ re-exports RngSpec as public API.
     modules = sorted(PACKAGE.rglob("*.py"))
-    users = {path.relative_to(PACKAGE).as_posix(): sorted(set(_layout_names(ast.parse(
-        path.read_text())))) for path in modules}
+    users = {path.relative_to(PACKAGE).as_posix(): sorted(set(_names(ast.parse(
+        path.read_text()))) & LAYOUT_NAMES) for path in modules}
     assert users.pop("photon_sim.py") == sorted(LAYOUT_NAMES)
     assert users.pop("__init__.py") == ["RngSpec"]
     assert users == {name: [] for name in users}
+
+
+def _source_takers(tree: ast.AST):
+    """The functions in ``tree`` with a ``SourceParams`` parameter or one named ``source``."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            if any(arg is not None and (arg.arg == "source" or (
+                    arg.annotation is not None and "SourceParams" in _names(arg.annotation)))
+                   for arg in params):
+                yield node.name
+
+
+def test_the_analysis_takes_no_source():
+    # Only the functions that simulate take a whole source; the analysis is
+    # given its clicks, its scan, and of its config the kind and tau.
+    assert sorted(_source_takers(_parsed("pipeline.py"))) == ["analyze_source",
+                                                                "write_train_clicks"]
+    for name in ("correlation.py", "inference.py"):
+        assert "SourceParams" not in set(_names(_parsed(name)))

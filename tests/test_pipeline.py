@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -116,6 +117,37 @@ class TestRunPipeline:
                 dirs[0], other, files, shallow=False
             )
             assert not mismatch and not errors
+
+    def test_golden_phi_scan_digest(self, tmp_path):
+        # The golden sources' scans at seed 2026 as sources 0 and 1: their
+        # draws, the order of the draws and the table text.
+        config = FleetConfig.from_parts(list(GOLDEN_SOURCES.values()), SetupParams())
+        run_pipeline(config, 100_000, 2026, out_dir=str(tmp_path))
+        digests = {name: hashlib.sha256((tmp_path / s.label / "phi_scan.csv").read_bytes())
+                   .hexdigest() for name, s in GOLDEN_SOURCES.items()}
+        assert digests == _GOLDEN_PHI_SCAN_DIGESTS
+
+    def test_the_analysis_reads_the_kind_and_tau_of_its_source(self, tmp_path, monkeypatch):
+        # With its clicks and its scan fixed, a source gives the same
+        # artifacts under every parameter that only the simulation reads.
+        setup, n_pulses = SetupParams(), 300_000
+        truth = GOLDEN_SOURCES["exciton"]
+        other = exciton_source(truth.tau_ps, 2.0 * truth.exciton.delta_fss_uev, 0.3,
+                               brightness_first_lens=0.2, p_two_photon=0.03, dephasing=0.2,
+                               label=truth.label, wavelength_nm=truth.wavelength_nm)
+        blocks = {train: list(photon_sim.detected_chunks(3, 0, truth, setup, n_pulses, train))
+                  for train in photon_sim.TRAINS}
+        scan = photon_sim.synthesize_phi_scan(3, 0, truth)
+        monkeypatch.setattr(pipeline, "detected_chunks",
+                            lambda seed, index, source, setup, n, train: iter(blocks[train]))
+        monkeypatch.setattr(pipeline, "synthesize_phi_scan", lambda seed, index, source: scan)
+        for name, source in (("truth", truth), ("other", other)):
+            pipeline.analyze_source(source, setup, 3, 0, n_pulses, PipelineOptions(),
+                                    str(tmp_path / name), "qdbench test")
+        a, b = (tmp_path / name / truth.label for name in ("truth", "other"))
+        files = sorted(os.listdir(a))
+        assert len(files) == 7
+        assert filecmp.cmpfiles(a, b, files, shallow=False)[0] == files
 
     @pytest.mark.parametrize("setup_name", sorted(GOLDEN_SETUPS))
     def test_block_sizes_change_no_byte(self, tmp_path, monkeypatch, setup_name):
@@ -359,6 +391,14 @@ _GOLDEN_CLICK_DIGESTS = {
         "772946e8f648a47fc53e32d42122f8da2581f6f2a8c128a96b3667c2d9f43c86",
     "leak_dark":
         "faea6f5b7b2a812efa8b656cd820b33fbf03a52a70307bbcb56923a08cb28200",
+}
+
+
+#: SHA-256 of each golden source's ``phi_scan.csv`` from ``run_pipeline`` at
+#: seed 2026, with the exciton as source 0 and the trion as source 1.
+_GOLDEN_PHI_SCAN_DIGESTS = {
+    "exciton": "82a6005babbb13e6c9c81ebcd815c509f1988f3960d14317520f60dbff24b5c1",
+    "trion": "596bef132be63440915c0674d79332c5071410c4971d876c3daeea94e1b0c809",
 }
 
 
@@ -715,6 +755,30 @@ class TestCli:
         assert first_line.startswith("# qdbench ")
         assert first_line.endswith(f" stream_layout={photon_sim.STREAM_LAYOUT}")
         assert first_line == (out / "summary.csv").read_text().splitlines()[0]
+
+    @pytest.mark.parametrize("text", ["{}", '{"sources": [{"label": "X"}]}', "[1, 2]"],
+                             ids=["no-sources", "missing-fields", "not-an-object"])
+    def test_malformed_report_file_is_one_error_line(self, tmp_path, capsys, text):
+        path = tmp_path / "reports.json"
+        path.write_text(text)
+        assert cli_main(["report", "--reports", str(path), "--out", str(tmp_path / "o")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:")
+
+    @pytest.mark.parametrize("argv,lines", [
+        (["analyze", "--mode", "hbt", "--timestamps"],
+         "# channel,time_ps\n# rep_period_ps=12345.0\n"),
+        (["fit", "--kind", "trion", "--trace"], "# irf_fwhm_ps=53.0\nt_ps,counts\n"),
+        (["classify", "--phiscan"], "phi_rad,cavity_light,qd_light\n"),
+    ], ids=["analyze", "fit", "classify"])
+    def test_file_without_rows_is_one_error_line(self, tmp_path, capsys, argv, lines):
+        path = tmp_path / "empty.csv"
+        path.write_text(f"# qdbench 0.1.0 seed=1 config=x stream_layout=5\n{lines}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main([*argv, str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path} holds no rows"]
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
