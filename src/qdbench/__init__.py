@@ -29,15 +29,7 @@ from .dynamics import (
     peak_emission_delay,
     phi_scan_model,
 )
-from .photon_sim import (
-    EventBatch,
-    Origin,
-    RngSpec,
-    hbt_streams,
-    hom_streams,
-    sample_emission_time,
-    simulate_pulse_train,
-)
+from .photon_sim import RngSpec, sample_emission_time
 from .correlation import (
     CorrelationHistogram,
     G2Result,

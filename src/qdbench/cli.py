@@ -130,9 +130,18 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _columns(path, names: tuple[str, ...], column_line: str):
+    """The columns of a table file; a file with another column count raises ``ValueError``."""
+    # The column-name line, which starts with ``column_line``, is skipped like a comment.
+    rows = read_rows(path, comments=("#", column_line), ndmin=2)
+    if rows.shape[1] != len(names):
+        raise ValueError(f"{path}: expected {len(names)} columns ({','.join(names)}), "
+                         f"found {rows.shape[1]}")
+    return rows.T
+
+
 def _cmd_fit(args) -> int:
-    # The column-name line is skipped like a comment.
-    t, counts = read_rows(args.trace, comments=("#", "t_ps"), ndmin=2, unpack=True)
+    t, counts = _columns(args.trace, ("t_ps", "counts"), "t_ps")
     irf_fwhm = _setting(args.trace, "irf_fwhm_ps", "--irf-fwhm", args.irf_fwhm)
     payload = fit_decay(DecayTrace(t, counts), TransitionKind(args.kind), irf_fwhm).to_dict()
     os.makedirs(args.out, exist_ok=True)
@@ -143,7 +152,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    phi, cavity, qd = read_rows(args.phiscan, comments=("#", "phi"), ndmin=2, unpack=True)
+    phi, cavity, qd = _columns(args.phiscan, ("phi_rad", "cavity_light", "qd_light"), "phi")
     points = list(map(PhiScanPoint, phi.tolist(), cavity.tolist(), qd.tolist()))
     payload = classify_transition(points).to_dict()
     os.makedirs(args.out, exist_ok=True)

@@ -1,14 +1,17 @@
-"""Monte Carlo generation of emission events and detector click streams.
+"""Monte Carlo generation of detector click streams, one RNG chunk at a time.
 
-Simulation is organized as two stages.  ``simulate_pulse_train`` draws the
-per-pulse emission physics (first photon, re-excitation, laser leakage)
-and the efficiency thinning (eta_setup * eta_det) into an
-:class:`EventBatch` that holds only the photons that reach the detectors.
-The detector-geometry functions ``hbt_streams`` and ``hom_streams`` then
-turn those photons into two time-sorted click streams, applying 50/50
-routing, Gaussian timing jitter and dark counts.  Click times are rounded
-to integer picoseconds there, as a time tagger stamps them; this is the
-one place where the package rounds time.
+A train is simulated along one path, :func:`detected_chunks`, in three
+steps per chunk of pulses.  :func:`_simulate_chunk` draws the emission
+physics (first photon, re-excitation, laser leakage) and the efficiency
+thinning (eta_setup * eta_det) into rows that hold only the photons that
+reach the detectors, plus the anchors (:attr:`Origin.ANCHOR`), so no later
+stage thins again.  The detector stage, :func:`_hbt_chunks` or
+:func:`_hom_chunks`, turns those rows into two click streams, applying
+50/50 routing or the interferometer, Gaussian timing jitter and dark
+counts.  Click times are rounded to integer picoseconds there, as a time
+tagger stamps them; this is the one place where the package rounds time.
+:func:`_time_ordered` then cuts the chunks' clicks into time-ordered
+blocks.
 
 Reproducibility: every random decision derives from an :class:`RngSpec`
 (seed, stream_id).  :func:`source_streams` gives source i the ids
@@ -24,10 +27,8 @@ one keyed by c, so a train can be simulated and detected one chunk at a
 time.  The long photon of a chunk's last pulse meets a short photon of the
 next chunk's first pulse, so the interferometer carries the long-arm rows
 of that pulse into the next chunk.  Neighbouring chunks' clicks overlap in
-time at their edge, and :func:`_time_ordered` cuts them into time-ordered
-blocks: these are what :func:`detected_chunks` yields, and what
-:func:`hbt_streams` and :func:`hom_streams` join into whole streams.  The
-order and kind of every draw is the stream layout, versioned by
+time at their edge, so the blocks are cut across chunks.  The order and
+kind of every draw is the stream layout, versioned by
 :data:`STREAM_LAYOUT`; a change to either changes the streams.  Layout 5
 keyed the detector draws by chunk; a train of one chunk kept its layout-4
 streams.
@@ -38,9 +39,9 @@ draw per row: whether a row is an anchor (:attr:`Origin.ANCHOR`, a lost
 first photon kept for its detected re-excitation photon), whether its
 re-excitation photon is detected, and the emission times.  Detected leak
 photons are drawn the same way, as gaps.  At the default efficiency of
-0.12 about 1.4% of a typical source's pulses give a row, and a batch holds
-about an eighth of the photons emitted.  Every cost scales with the rows
-of the batch, not with the pulses.  Every generator call that can change
+0.12 about 1.4% of a typical source's pulses give a row, and the rows
+hold about an eighth of the photons emitted.  Every cost scales with the
+rows, not with the pulses.  Every generator call that can change
 a result is made, in a fixed order, so the streams depend only on the
 RngSpec; with ``laser_leak_per_pulse == 0`` a chunk makes no laser-leak
 draws, and without anchors (lossless detection, or no re-excitation) no
@@ -110,29 +111,6 @@ class Origin(enum.IntEnum):
     #: offset from it, and in HOM its arm can still shadow that photon.
     ANCHOR = 2
     LASER = 3
-
-
-@dataclass(frozen=True, eq=False)
-class EventBatch:
-    """Column-oriented list of the photons that reach the detectors, sorted by pulse index.
-
-    Every row is detected except the :attr:`Origin.ANCHOR` rows, so the
-    detector stages do not thin a batch again.  ``brightness`` and
-    ``p_two_photon`` are the source's per-pulse probabilities of a first
-    photon and of a second one, which set the HOM coalescence probability;
-    a hand-built batch that leaves ``p_two_photon`` at 0 is a stream of
-    single photons.
-    """
-
-    pulse_index: np.ndarray
-    emit_time_ps: np.ndarray
-    origin: np.ndarray
-    n_pulses: int
-    brightness: float = 0.0
-    p_two_photon: float = 0.0
-
-    def __len__(self) -> int:
-        return int(self.pulse_index.size)
 
 
 @dataclass(frozen=True)
@@ -389,49 +367,6 @@ def _check_train(source: SourceParams, setup: SetupParams, n_pulses: int):
         )
 
 
-def simulate_pulse_train(
-    rng: RngSpec,
-    source: SourceParams,
-    setup: SetupParams,
-    n_pulses: int,
-) -> EventBatch:
-    """Simulate the photons of a train of excitation pulses that reach the detectors.
-
-    Per pulse, independently: a first photon with probability equal to the
-    first-lens brightness; given a first photon, a re-excitation photon
-    whose emission restarts after the first one; a laser-leak photon with
-    the configured per-pulse probability, Gaussian-timed around the pulse.
-    Each photon is then detected with probability eta_setup * eta_det, and
-    the batch holds the detected ones, plus an :attr:`Origin.ANCHOR` row
-    for each lost first photon whose re-excitation photon is detected.
-
-    Each chunk of ``CHUNK_PULSES`` pulses draws from its own generator,
-    keyed by (seed, stream_id, chunk index).
-
-    Draws, per chunk: the pulses that give a row, then the per-row anchor
-    and re-excitation decisions, the pulses of the detected leak photons,
-    then the emission times (see :func:`_simulate_chunk`).
-    """
-    _check_train(source, setup, n_pulses)
-    chunks = [_simulate_chunk(rng, source, setup, lo, hi, i) for i, lo, hi in _chunks(n_pulses)]
-    # Joined one column at a time, each column's chunks freed as soon as it
-    # is joined, so the batch is never held twice.
-    columns = [list(parts) for parts in zip(*chunks)]
-    del chunks
-    pulse, emit, origin = map(_join, columns)
-    return EventBatch(pulse, emit, origin, n_pulses,
-                      source.brightness_first_lens, source.p_two_photon)
-
-
-def _join(parts: list) -> np.ndarray:
-    """The concatenation of ``parts``, emptying the list, so each part is freed once joined."""
-    if len(parts) == 1:
-        return parts.pop()
-    joined = np.concatenate(parts)
-    parts.clear()
-    return joined
-
-
 def _dark_clicks(g: np.random.Generator, setup: SetupParams, lo_ps: float, hi_ps: float):
     """Each channel's dark counts in [lo_ps, hi_ps), sorted."""
     lam = setup.dark_rate_cps * (hi_ps - lo_ps) * 1e-12
@@ -522,9 +457,10 @@ def _stamp_clicks(g: np.random.Generator, rows, setup: SetupParams, lo: int, hi:
 def _hbt_chunks(rng: RngSpec, setup: SetupParams, chunks):
     """The HBT stage of a train: yields (hi, t0, t1) for each (index, lo, hi, rows) of ``chunks``.
 
-    Draws, per chunk from its own generator: the channel of each detected
-    row, then the jitter and the dark counts.  A chunk's rows are dropped
-    before its clicks are yielded.
+    Each detected row (every row but the anchors) is routed 50/50 to one of
+    two detectors.  Draws, per chunk from its own generator: the channel of
+    each detected row, then the jitter and the dark counts.  A chunk's rows
+    are dropped before its clicks are yielded.
     """
     for index, lo, hi, rows in chunks:
         g = _chunk_generator(rng, index)
@@ -560,6 +496,15 @@ def _carry_rows(columns: tuple, carry: tuple | None, hi: int, last: bool):
 
 def _hom_chunks(rng: RngSpec, setup: SetupParams, chunks, n_pulses: int, m_pair: float):
     """The HOM stage of a train: yields (hi, t0, t1) for each (index, lo, hi, rows) of ``chunks``.
+
+    Each row takes the short or the long arm with probability 1/2.  The long
+    arm adds one repetition period, so a long photon of pulse k meets a
+    short photon of pulse k + 1 in the same output slot (:func:`_kept_pairs`).
+    Meeting QD photons coalesce, both leaving by the same random port, with
+    probability ``m_pair`` (:func:`_pair_overlap`); every other photon,
+    laser leak included, routes independently.  A coalesced pair that loses
+    a photon leaves one click on a uniformly random port, which is
+    independent routing, so the pairs with a lost photon need no draw.
 
     Draws, per chunk from its own generator: the arm of each of its rows,
     anchors included; then, over the rows carried in and its own less those
@@ -597,14 +542,6 @@ def _interfere(g: np.random.Generator, rows, setup: SetupParams, lo: int, hi: in
     channels[pair_a - np.searchsorted(lost, pair_a)] = joint_port
     channels[pair_b - np.searchsorted(lost, pair_b)] = joint_port
     return _stamp_clicks(g, (pulse, emit, origin), setup, lo, hi, channels, arm)
-
-
-def _batch_chunks(batch: EventBatch):
-    """(index, lo, hi, rows) of each RNG chunk of a batch, rows as column views."""
-    bounds = _chunks(batch.n_pulses)
-    cuts = np.searchsorted(batch.pulse_index, [lo for _, lo, _ in bounds[1:]]).tolist()
-    for (index, lo, hi), a, b in zip(bounds, [0, *cuts], [*cuts, len(batch)]):
-        yield index, lo, hi, (batch.pulse_index[a:b], batch.emit_time_ps[a:b], batch.origin[a:b])
 
 
 def _time_ordered(streams, period: float):
@@ -649,29 +586,6 @@ def _cut(waiting: list, settled: int | None) -> tuple[np.ndarray, np.ndarray]:
     return tuple(block)
 
 
-def _joined(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Each channel's clicks over all the time-ordered (t0, t1) ``blocks``."""
-    return tuple(_join(list(parts)) for parts in zip(*blocks))
-
-
-def hbt_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams):
-    """Detector click streams for an intensity-autocorrelation measurement.
-
-    Each detected photon of the batch (every row but the anchors; the
-    batch is not thinned again) is routed 50/50 to one of two detectors
-    and stamped at pulse_index * rep_period + emit_time + Gaussian jitter.
-    Dark counts are an independent Poisson process per channel.
-
-    Draws, per RNG chunk of the batch's pulses: channel and jitter for the
-    detected photons, then the dark counts over the chunk.
-
-    Returns (times_channel0, times_channel1) as int64 ps, each sorted: the
-    chunks' time-ordered blocks (:func:`_time_ordered`), joined.
-    """
-    return _joined(_time_ordered(_hbt_chunks(rng, setup, _batch_chunks(batch)),
-                                 setup.rep_period_ps))
-
-
 def _pair_overlap(brightness: float, p_two_photon: float, overlap: float) -> float:
     """Pairwise coalescence probability that realizes the requested overlap.
 
@@ -706,15 +620,17 @@ def _kept_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray,
                 detected: np.ndarray):
     """Event indices of the detected QD photon pairs that meet in the interferometer.
 
-    ``arm`` is True for the long arm.  On the full batch, the first
-    long-arm QD photon of pulse k meets the first short-arm QD photon of
-    pulse k + 1.  This returns only the pairs in which both photons are
+    ``arm`` is True for the long arm.  Over all the photons emitted, the
+    first long-arm QD photon of pulse k meets the first short-arm QD photon
+    of pulse k + 1.  This returns only the pairs in which both photons are
     ``detected``, as (long_photon, short_photon) index arrays ordered by
     pulse.  A detected photon that is not the first of its arm in its pulse
     stays unpaired even when the first one was not detected.  A lost
     photon matters only when it can shadow a later detected QD photon of
     its pulse, so the rows of the other lost photons may be left out, as
-    :func:`simulate_pulse_train` does.  ``pulse_index`` must be sorted.
+    :func:`_simulate_chunk` leaves them out: its rows, with the rows that
+    :func:`_carry_rows` carries into the chunk, are what the HOM stage
+    pairs.  ``pulse_index`` must be sorted.
     """
     first = qd & detected
     # Only events that share their pulse with the event before them can be
@@ -749,50 +665,27 @@ def _kept_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray,
     return np.concatenate(long_met), np.concatenate(short_met)
 
 
-def hom_streams(rng: RngSpec, batch: EventBatch, setup: SetupParams, overlap: float):
-    """Click streams behind a path-unbalanced two-photon interferometer.
-
-    Each photon takes the short or long arm with probability 1/2; the long
-    arm adds one repetition period, so a long photon from pulse k meets a
-    short photon from pulse k+1 in the same output slot.  Meeting QD
-    photons coalesce (both exit the same, random, port) with the pairwise
-    probability derived from ``overlap`` and the batch's brightness and
-    two-photon probability; everything else routes independently.
-    Laser-leak photons never coalesce.  Jitter and dark counts are applied
-    as in :func:`hbt_streams`, and the batch is not thinned again.
-
-    Draws, per RNG chunk of the batch's pulses (see :func:`_hom_chunks`):
-    the arm of every row, anchors included, then coalescence and the joint
-    port for the meeting pairs whose photons are both detected, then
-    channel and jitter for the detected photons, then the dark counts.  A
-    coalesced pair that loses a photon leaves one click on a uniformly
-    random port, which is independent routing, so the pairs with a lost
-    photon need no draw of their own.
-
-    The events must be sorted by pulse index, as
-    :func:`simulate_pulse_train` returns them.
-    """
-    m_pair = _pair_overlap(batch.brightness, batch.p_two_photon, overlap)
-    if np.any(batch.pulse_index[1:] < batch.pulse_index[:-1]):
-        raise ValueError("events must be sorted by pulse index")
-    streams = _hom_chunks(rng, setup, _batch_chunks(batch), batch.n_pulses, m_pair)
-    return _joined(_time_ordered(streams, setup.rep_period_ps))
-
-
 def detected_chunks(seed: int, source_index: int, source: SourceParams, setup: SetupParams,
                     n_pulses: int, train: str):
     """One train of a source, simulated and detected one RNG chunk at a time, as click blocks.
 
-    ``train`` is ``"hbt"`` or ``"hom"`` (see :data:`TRAINS`); any other
-    value raises ``ValueError``.  The train draws its events and its clicks
-    from the source's streams of that train (:func:`source_streams`), and
-    the HOM train interferes at the source's overlap.  Returns an iterator
-    of (t0, t1) blocks, the two channels' clicks as sorted int64 ps, cut by
-    :func:`_time_ordered`: every click of a block precedes every click of
-    the next, and the blocks joined per channel are :func:`hbt_streams` or
-    :func:`hom_streams` of the train's :func:`simulate_pulse_train`.  So a
-    caller holds one chunk's events and the clicks waiting to be cut,
-    whatever the train length, and can fold each block as it comes.
+    Per pulse, independently: a first photon with the first-lens
+    brightness as probability; given one, a re-excitation photon whose
+    emission restarts after it; a laser-leak photon, Gaussian-timed around
+    the pulse.  Each photon is detected with probability eta_setup *
+    eta_det.  ``train`` is ``"hbt"``, 50/50 routing to two detectors, or
+    ``"hom"``, a path-unbalanced interferometer at the source's overlap
+    (see :data:`TRAINS`); any other value raises ``ValueError``.
+
+    The train draws from the source's streams of that train
+    (:func:`source_streams`): per chunk its rows (:func:`_simulate_chunk`),
+    then the detector stage (:func:`_hbt_chunks` or :func:`_hom_chunks`).
+    The source and setup are checked before this returns.  Returns an
+    iterator of (t0, t1) blocks, the two channels' clicks as sorted int64
+    ps, cut by :func:`_time_ordered`: every click of a block precedes every
+    click of the next, so the blocks joined per channel are the train's
+    whole streams.  A caller holds one chunk's rows and the clicks waiting
+    to be cut, whatever the train length.
     """
     streams = source_streams(seed, source_index)
     if train == "hbt":

@@ -54,7 +54,10 @@ class SourceReport:
 
     @staticmethod
     def from_dict(d: dict) -> "SourceReport":
-        """The inverse of :meth:`to_dict`; a missing or unknown field raises ``ValueError``."""
+        """The inverse of :meth:`to_dict`.
+
+        A missing or unknown field, or one of the wrong type, raises ``ValueError``.
+        """
         if not isinstance(d, dict):
             raise ValueError(f"a source report must be a JSON object, got {d!r}")
         missing = [f.name for f in fields(SourceReport)
@@ -63,6 +66,16 @@ class SourceReport:
         if missing or unknown:
             raise ValueError(f"source report {d.get('label')!r}: missing fields {missing}, "
                              f"unknown fields {unknown}")
+        label = d["label"]
+        if not isinstance(label, str):
+            raise ValueError(f"a source report's label must be a string, got {label!r}")
+        for f in fields(SourceReport):
+            value = d.get(f.name)
+            if f.name in ("label", "kind") or (value is None and f.default is None):
+                continue  # TransitionKind checks the kind
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"source report {label!r}: {f.name} must be a number, "
+                                 f"got {value!r}")
         d = dict(d)
         d["kind"] = TransitionKind(d["kind"])
         return SourceReport(**d)

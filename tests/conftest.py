@@ -20,7 +20,18 @@ from qdbench.model import (
     exciton_source,
     trion_source,
 )
-from qdbench.photon_sim import hbt_streams, hom_streams, simulate_pulse_train, source_streams
+from qdbench.photon_sim import (
+    CHUNK_PULSES,
+    Origin,
+    _check_train,
+    _chunks,
+    _hbt_chunks,
+    _hom_chunks,
+    _pair_overlap,
+    _simulate_chunk,
+    _time_ordered,
+    source_streams,
+)
 from qdbench.pipeline import read_notes
 
 #: (criterion number, description, passed, detail) tuples collected by the
@@ -104,18 +115,62 @@ def read_histogram(path) -> CorrelationHistogram:
                                 notes["rep_period_ps"])
 
 
-def whole_train_clicks(source, setup, seed: int, index: int, n_pulses: int, train: str):
-    """The two click streams of one whole train, ``"hbt"`` or ``"hom"``, from the public API.
+def train_chunks(rng, source, setup, n_pulses: int) -> list:
+    """(index, lo, hi, rows) of each RNG chunk of a simulated train, rows (pulse, emit, origin)."""
+    _check_train(source, setup, n_pulses)
+    return [(i, lo, hi, _simulate_chunk(rng, source, setup, lo, hi, i))
+            for i, lo, hi in _chunks(n_pulses)]
 
-    The train is simulated and detected in one call each, with the source's
-    streams; the pipeline streams the same clicks one RNG chunk at a time.
+
+def train_rows(rng, source, setup, n_pulses: int):
+    """A simulated train's rows, (pulse, emit, origin), its chunks' columns joined."""
+    return _joined(rows for *_, rows in train_chunks(rng, source, setup, n_pulses))
+
+
+def detector_clicks(rng, setup, train, n_pulses: int, overlap=None, source=None):
+    """Both channels' clicks of a train, as sorted int64 ps: HBT, or HOM at ``overlap``.
+
+    ``train`` is the :func:`train_chunks` of a simulated ``source``, or,
+    without a source, the hand-built (pulse, emit, origin) rows of a train
+    of at most one RNG chunk, which go in as that chunk and interfere as
+    single photons.  The chunks go through the detector stage, and the
+    time-ordered blocks are joined per channel.
+    """
+    if source is None:
+        assert n_pulses <= CHUNK_PULSES
+        train, brightness, p_two_photon = [(0, 0, n_pulses, train)], 0.0, 0.0
+    else:
+        brightness, p_two_photon = source.brightness_first_lens, source.p_two_photon
+    if overlap is None:
+        stages = _hbt_chunks(rng, setup, train)
+    else:
+        m_pair = _pair_overlap(brightness, p_two_photon, overlap)
+        stages = _hom_chunks(rng, setup, train, n_pulses, m_pair)
+    return _joined(_time_ordered(stages, setup.rep_period_ps))
+
+
+def _joined(parts):
+    """Each column of a sequence of equal-length tuples of arrays, joined."""
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def train_clicks(events, rng, source, setup, n_pulses: int, overlap=None):
+    """:func:`detector_clicks` of a train simulated whole from the ``events`` stream."""
+    chunks = train_chunks(events, source, setup, n_pulses)
+    return detector_clicks(rng, setup, chunks, n_pulses, overlap, source)
+
+
+def whole_train_clicks(source, setup, seed: int, index: int, n_pulses: int, train: str):
+    """The two click streams of one whole train, ``"hbt"`` or ``"hom"``.
+
+    The train is simulated whole from the source's streams, then detected;
+    the pipeline streams the same clicks one RNG chunk at a time.
     """
     streams = source_streams(seed, index)
     if train == "hbt":
-        events = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
-        return hbt_streams(streams.hbt_clicks, events, setup)
-    events = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
-    return hom_streams(streams.hom_clicks, events, setup, source.overlap)
+        return train_clicks(streams.hbt_events, streams.hbt_clicks, source, setup, n_pulses)
+    return train_clicks(streams.hom_events, streams.hom_clicks, source, setup, n_pulses,
+                        source.overlap)
 
 
 def folded_decay_trace(t0, t1, setup, source) -> DecayTrace:
@@ -131,28 +186,21 @@ def folded_decay_trace(t0, t1, setup, source) -> DecayTrace:
 
 
 def poissonian_pulse_train(seed: int, n_pulses: int, mu: float, tau_ps: float):
-    """Coherent-like pulsed stream: Poisson photon number per pulse.
-
-    Returns an EventBatch-compatible triple wrapped via photon_sim arrays.
-    """
-    from qdbench.photon_sim import EventBatch, Origin
-
+    """Coherent-like pulsed stream, Poisson photons per pulse, as (pulse, emit, origin) rows."""
     rng = np.random.default_rng(seed)
     nph = rng.poisson(mu, size=n_pulses)
     pulse = np.repeat(np.arange(n_pulses, dtype=np.int64), nph)
     emit = tau_ps * rng.standard_exponential(pulse.size)
     origin = np.full(pulse.size, Origin.QD_FIRST, dtype=np.int8)
-    return EventBatch(pulse, emit, origin, n_pulses)
+    return pulse, emit, origin
 
 
 def single_photon_batch(n_pulses: int, emit_ps: float = 0.0):
-    """Exactly one photon per pulse; bypasses the brightness cap for tests."""
-    from qdbench.photon_sim import EventBatch, Origin
-
+    """Exactly one photon per pulse, as (pulse, emit, origin) rows; bypasses the brightness cap."""
     pulse = np.arange(n_pulses, dtype=np.int64)
     emit = np.full(n_pulses, emit_ps, dtype=float)
     origin = np.full(n_pulses, Origin.QD_FIRST, dtype=np.int8)
-    return EventBatch(pulse, emit, origin, n_pulses)
+    return pulse, emit, origin
 
 
 @pytest.fixture

@@ -21,9 +21,11 @@ from conftest import (
     S7_DELTA_UEV,
     S7_TAU_PS,
     S11_TAU_PS,
+    detector_clicks,
     folded_decay_trace,
     poissonian_pulse_train,
     synth_trace,
+    train_clicks,
     whole_train_clicks,
 )
 
@@ -52,7 +54,7 @@ from qdbench.model import (
     TransitionKind,
     trion_source,
 )
-from qdbench.photon_sim import RngSpec, hbt_streams, hom_streams, simulate_pulse_train
+from qdbench.photon_sim import RngSpec
 from qdbench.pipeline import run_pipeline
 
 S7 = ExcitonParams(tau_ps=S7_TAU_PS, delta_fss_uev=S7_DELTA_UEV, theta_rad=math.pi / 4)
@@ -183,17 +185,15 @@ def test_criterion_06_g2_estimator():
     p2 = p_two_photon_for_g2(0.0237, 0.13)
     noisy = trion_source(S11_TAU_PS, brightness_first_lens=0.13, p_two_photon=p2)
     assert analytic_g2(noisy) == pytest.approx(0.0237, rel=1e-9)
-    events = simulate_pulse_train(RngSpec(41, 0), noisy, CLEAN, n)
-    a, b = hbt_streams(RngSpec(41, 1), events, CLEAN)
+    a, b = train_clicks(RngSpec(41, 0), RngSpec(41, 1), noisy, CLEAN, n)
     calibrated = g2_zero(build_histogram(a, b, 100.0, PERIOD))
 
     ideal = trion_source(S11_TAU_PS, brightness_first_lens=0.13)
-    events = simulate_pulse_train(RngSpec(41, 2), ideal, CLEAN, n)
-    a, b = hbt_streams(RngSpec(41, 3), events, CLEAN)
+    a, b = train_clicks(RngSpec(41, 2), RngSpec(41, 3), ideal, CLEAN, n)
     clean_g2 = g2_zero(build_histogram(a, b, 100.0, PERIOD))
 
     batch = poissonian_pulse_train(44, n, mu=0.25, tau_ps=S11_TAU_PS)
-    a, b = hbt_streams(RngSpec(44, 9), batch, CLEAN)
+    a, b = detector_clicks(RngSpec(44, 9), CLEAN, batch, n)
     poisson_g2 = g2_zero(build_histogram(a, b, 100.0, PERIOD))
 
     elapsed = time.time() - start
@@ -219,12 +219,10 @@ def test_criterion_07_hom_chain_consistency():
     p2 = p_two_photon_for_g2(0.0237, 0.136)
     src = trion_source(S11_TAU_PS, brightness_first_lens=0.136, p_two_photon=p2)
 
-    events = simulate_pulse_train(RngSpec(73, 0), src, CLEAN, n)
-    a, b = hbt_streams(RngSpec(73, 1), events, CLEAN)
+    a, b = train_clicks(RngSpec(73, 0), RngSpec(73, 1), src, CLEAN, n)
     g2 = g2_zero(build_histogram(a, b, 100.0, PERIOD))
 
-    events = simulate_pulse_train(RngSpec(73, 2), src, CLEAN, n)
-    c, d = hom_streams(RngSpec(73, 3), events, CLEAN, overlap=0.941)
+    c, d = train_clicks(RngSpec(73, 2), RngSpec(73, 3), src, CLEAN, n, overlap=0.941)
     vis = hom_visibility(build_histogram(c, d, 100.0, PERIOD))
     m = corrected_overlap(vis.value, g2.value)
 

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import MISSING, fields
 
@@ -296,6 +297,18 @@ class TestEmitReport:
         by_label = {r.label: r for r in back}
         for r in self.reports:
             assert by_label[r.label] == r
+
+    @pytest.mark.parametrize("field,value", [("g2_err", "x"), ("g2", None)],
+                             ids=["string", "null"])
+    def test_field_of_the_wrong_type_is_one_error_line(self, tmp_path, capsys, field, value):
+        path = tmp_path / "summary.json"
+        emit_report(aggregate_benchmark(self.reports), self.reports, "structured-json", path)
+        payload = json.loads(path.read_text())
+        payload["sources"][0][field] = value
+        path.write_text(json.dumps(payload))
+        assert cli_main(["report", "--reports", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: source report 'S11': {field} must be a number, got {value!r}"]
 
     def test_deterministic_label_ordering(self):
         summary = aggregate_benchmark(self.reports)

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import S11_TAU_PS, poissonian_pulse_train, read_histogram
+from conftest import (
+    S11_TAU_PS,
+    detector_clicks,
+    poissonian_pulse_train,
+    read_histogram,
+    train_clicks,
+)
 
 from qdbench.correlation import (
     SIDE_PEAKS,
@@ -20,7 +26,7 @@ from qdbench.correlation import (
     integrate_peaks,
 )
 from qdbench.model import SetupParams, trion_source
-from qdbench.photon_sim import RngSpec, hbt_streams, simulate_pulse_train
+from qdbench.photon_sim import RngSpec
 from qdbench.pipeline import write_histogram
 
 PERIOD = SetupParams().rep_period_ps
@@ -64,8 +70,7 @@ class TestBuildHistogram:
     def test_pulsed_single_photons_have_empty_zero_peak(self):
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3)
-        batch = simulate_pulse_train(RngSpec(61, 0), src, setup, 300_000)
-        t0, t1 = hbt_streams(RngSpec(61, 1), batch, setup)
+        t0, t1 = train_clicks(RngSpec(61, 0), RngSpec(61, 1), src, setup, 300_000)
         hist = build_histogram(t0, t1, 100.0, PERIOD)
         peaks = integrate_peaks(hist, 2000.0, range(-6, 7))
         areas = {p.peak_index: p.area for p in peaks}
@@ -152,8 +157,7 @@ class TestIntegratePeaks:
     def test_contiguous_windows_partition_total(self):
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3, p_two_photon=0.002)
-        batch = simulate_pulse_train(RngSpec(63, 0), src, setup, 100_000)
-        t0, t1 = hbt_streams(RngSpec(63, 1), batch, setup)
+        t0, t1 = train_clicks(RngSpec(63, 0), RngSpec(63, 1), src, setup, 100_000)
         hist = build_histogram(t0, t1, 100.0, PERIOD)
         peaks = integrate_peaks(hist, PERIOD / 2, range(-10, 11))
         assert sum(p.area for p in peaks) == hist.counts.sum()
@@ -175,8 +179,7 @@ class TestIntegratePeaks:
     def test_side_peak_uniformity(self):
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3)
-        batch = simulate_pulse_train(RngSpec(64, 0), src, setup, 1_000_000)
-        t0, t1 = hbt_streams(RngSpec(64, 1), batch, setup)
+        t0, t1 = train_clicks(RngSpec(64, 0), RngSpec(64, 1), src, setup, 1_000_000)
         hist = build_histogram(t0, t1, 100.0, PERIOD)
         peaks = integrate_peaks(hist, 2000.0, [k for k in range(-6, 7) if k != 0])
         areas = np.array([p.area for p in peaks], dtype=float)
@@ -189,8 +192,7 @@ class TestG2Zero:
     def test_ideal_single_photon_source(self):
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3)
-        batch = simulate_pulse_train(RngSpec(65, 0), src, setup, 1_000_000)
-        t0, t1 = hbt_streams(RngSpec(65, 1), batch, setup)
+        t0, t1 = train_clicks(RngSpec(65, 0), RngSpec(65, 1), src, setup, 1_000_000)
         hist = build_histogram(t0, t1, 100.0, PERIOD)
         res = g2_zero(hist)
         assert res.zero_area == 0
@@ -199,7 +201,7 @@ class TestG2Zero:
     def test_poissonian_stream_gives_unity(self):
         setup = SetupParams(eta_setup=1.0, eta_det=1.0)
         batch = poissonian_pulse_train(66, 1_000_000, mu=0.25, tau_ps=S11_TAU_PS)
-        t0, t1 = hbt_streams(RngSpec(66, 1), batch, setup)
+        t0, t1 = detector_clicks(RngSpec(66, 1), setup, batch, 1_000_000)
         hist = build_histogram(t0, t1, 100.0, PERIOD)
         res = g2_zero(hist)
         assert res.value == pytest.approx(1.0, abs=0.02)
@@ -338,8 +340,7 @@ class TestEstimatorScaling:
         sizes = [10_000, 100_000]
         vals = {n: [] for n in sizes}
         for s in range(8):
-            batch = simulate_pulse_train(RngSpec(1000 + s, 0), src, setup, train)
-            t0, t1 = hbt_streams(RngSpec(1000 + s, 1), batch, setup)
+            t0, t1 = train_clicks(RngSpec(1000 + s, 0), RngSpec(1000 + s, 1), src, setup, train)
             for n in sizes:
                 edges = np.arange(0, train + 1, n) * PERIOD
                 cut0, cut1 = np.searchsorted(t0, edges), np.searchsorted(t1, edges)

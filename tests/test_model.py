@@ -134,14 +134,15 @@ class TestSetupParams:
         # The HOM long arm is not a setting: it delays a photon by exactly
         # one repetition period, so a pulse-0 photon emitted at 0 ps clicks
         # at 0 ps (short arm) or at one period (long arm), and nowhere else.
-        from conftest import single_photon_batch
+        from conftest import detector_clicks, single_photon_batch
 
-        from qdbench.photon_sim import RngSpec, hom_streams
+        from qdbench.photon_sim import RngSpec
 
         setup = SetupParams(jitter_fwhm_ps=0.0)
         assert setup.rep_period_ps == pytest.approx(12345.679, abs=1e-3)
         clicks = np.concatenate([
-            np.concatenate(hom_streams(RngSpec(seed, 0), single_photon_batch(1), setup, 1.0))
+            np.concatenate(detector_clicks(RngSpec(seed, 0), setup, single_photon_batch(1), 1,
+                                           overlap=1.0))
             for seed in range(32)
         ])
         assert clicks.size == 32

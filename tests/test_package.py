@@ -80,3 +80,38 @@ def test_the_analysis_takes_no_source():
                                                                 "write_train_clicks"]
     for name in ("correlation.py", "inference.py"):
         assert "SourceParams" not in set(_names(_parsed(name)))
+
+
+#: What the other modules take from ``photon_sim``: its one way into the
+#: simulator, the polarization scan, the layout version, the train names
+#: and the pulse-count check.
+SIMULATOR_API = {"STREAM_LAYOUT", "TRAINS", "check_pulses", "detected_chunks",
+                 "synthesize_phi_scan"}
+
+
+def _photon_sim_imports(tree: ast.AST):
+    """The names ``tree`` imports from ``photon_sim``, or ``photon_sim`` if it imports it whole."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("photon_sim", "qdbench.photon_sim"):
+                yield from (alias.name for alias in node.names)
+            elif node.module in (None, "qdbench"):
+                yield from (alias.name for alias in node.names if alias.name == "photon_sim")
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names if alias.name == "qdbench.photon_sim")
+
+
+def test_the_simulator_has_one_way_in():
+    # Every train is simulated through detected_chunks; the whole-train
+    # functions and their batch type are gone.  The package's __init__
+    # re-exports RngSpec and sample_emission_time as public API.
+    from qdbench import photon_sim
+
+    used = set()
+    for path in PACKAGE.rglob("*.py"):
+        if path.name not in ("photon_sim.py", "__init__.py"):
+            used |= set(_photon_sim_imports(ast.parse(path.read_text())))
+    assert used == SIMULATOR_API
+    whole_train = {"EventBatch", "simulate_pulse_train", "hbt_streams", "hom_streams"}
+    assert not whole_train & set(dir(photon_sim))
+    assert not (whole_train | {"Origin"}) & set(dir(qdbench))

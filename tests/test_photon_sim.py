@@ -14,7 +14,11 @@ from conftest import (
     S7_DELTA_UEV,
     S7_TAU_PS,
     S11_TAU_PS,
+    detector_clicks,
     single_photon_batch,
+    train_chunks,
+    train_clicks,
+    train_rows,
 )
 
 from qdbench import photon_sim
@@ -22,7 +26,6 @@ from qdbench.dynamics import FWHM_TO_SIGMA, exciton_cross_intensity, peak_emissi
 from qdbench.model import SetupParams, SourceValidationError, exciton_source, trion_source
 from qdbench.photon_sim import (
     CHUNK_PULSES,
-    EventBatch,
     Origin,
     RngSpec,
     UnsamplableEmissionError,
@@ -35,10 +38,7 @@ from qdbench.photon_sim import (
     _pair_overlap,
     _simulate_chunk,
     detected_chunks,
-    hbt_streams,
-    hom_streams,
     sample_emission_time,
-    simulate_pulse_train,
     source_streams,
 )
 
@@ -47,8 +47,8 @@ S11 = trion_source(S11_TAU_PS, brightness_first_lens=0.147, label="S11")
 LOSSLESS = SetupParams(eta_setup=1.0, eta_det=1.0)
 
 
-def qd_photons_per_pulse(batch: EventBatch) -> np.ndarray:
-    return np.bincount(batch.pulse_index[batch.origin <= Origin.ANCHOR], minlength=batch.n_pulses)
+def qd_photons_per_pulse(pulse: np.ndarray, origin: np.ndarray, n_pulses: int) -> np.ndarray:
+    return np.bincount(pulse[origin <= Origin.ANCHOR], minlength=n_pulses)
 
 
 def _first_of_runs(sorted_values: np.ndarray) -> np.ndarray:
@@ -222,61 +222,62 @@ class TestEventPulses:
         assert g.bit_generator.random_raw() == ref.bit_generator.random_raw()
 
 
-class TestSimulatePulseTrain:
+class TestTrainRows:
     def test_no_reexcitation_when_p_two_photon_zero(self):
-        batch = simulate_pulse_train(RngSpec(21, 0), S11, SetupParams(), 200_000)
-        assert np.max(qd_photons_per_pulse(batch)) == 1
-        assert not np.any(batch.origin == Origin.QD_REEXCITE)
+        pulse, _, origin = train_rows(RngSpec(21, 0), S11, SetupParams(), 200_000)
+        assert np.max(qd_photons_per_pulse(pulse, origin, 200_000)) == 1
+        assert not np.any(origin == Origin.QD_REEXCITE)
 
     def test_first_photon_count_binomial(self):
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.136)
-        batch = simulate_pulse_train(RngSpec(22, 0), src, LOSSLESS, 1_000_000)
-        n_first = int(np.count_nonzero(batch.origin == Origin.QD_FIRST))
+        _, _, origin = train_rows(RngSpec(22, 0), src, LOSSLESS, 1_000_000)
+        n_first = int(np.count_nonzero(origin == Origin.QD_FIRST))
         assert n_first == pytest.approx(136_000, abs=1_000)
 
     def test_all_probabilities_zero_gives_empty_stream(self):
         src = trion_source(100.0, brightness_first_lens=0.0)
-        batch = simulate_pulse_train(RngSpec(23, 0), src, SetupParams(), 10_000)
-        assert len(batch) == 0
+        pulse, _, _ = train_rows(RngSpec(23, 0), src, SetupParams(), 10_000)
+        assert len(pulse) == 0
 
     def test_invalid_two_photon_probability_rejected(self):
+        # detected_chunks validates before it returns, not at the first block.
         src = trion_source(100.0, brightness_first_lens=0.1)
         object.__setattr__(src, "p_two_photon", 0.2)
         with pytest.raises(SourceValidationError):
-            simulate_pulse_train(RngSpec(1, 0), src, SetupParams(), 100)
+            detected_chunks(1, 0, src, SetupParams(), 100, "hbt")
 
     def test_reexcitation_rate_and_delay(self):
+        n = 500_000
         src = trion_source(150.0, brightness_first_lens=0.4, p_two_photon=0.02)
-        batch = simulate_pulse_train(RngSpec(24, 0), src, LOSSLESS, 500_000)
-        counts = qd_photons_per_pulse(batch)
-        p2_hat = np.count_nonzero(counts >= 2) / batch.n_pulses
+        pulse_index, emit_time, origins = train_rows(RngSpec(24, 0), src, LOSSLESS, n)
+        counts = qd_photons_per_pulse(pulse_index, origins, n)
+        p2_hat = np.count_nonzero(counts >= 2) / n
         assert p2_hat == pytest.approx(0.02, abs=0.001)
         # The second photon is always emitted after the first one.
-        re_mask = batch.origin == Origin.QD_REEXCITE
-        re_pulses = batch.pulse_index[re_mask]
+        re_mask = origins == Origin.QD_REEXCITE
+        re_pulses = pulse_index[re_mask]
         first_by_pulse = {}
-        for pulse, t, origin in zip(batch.pulse_index, batch.emit_time_ps, batch.origin):
+        for pulse, t, origin in zip(pulse_index, emit_time, origins):
             if origin == Origin.QD_FIRST:
                 first_by_pulse[pulse] = t
-        for pulse, t in zip(re_pulses[:500], batch.emit_time_ps[re_mask][:500]):
+        for pulse, t in zip(re_pulses[:500], emit_time[re_mask][:500]):
             assert t > first_by_pulse[pulse]
 
     def test_laser_leak_events(self):
         src = trion_source(100.0, brightness_first_lens=0.0)
         setup = SetupParams(eta_setup=1.0, eta_det=1.0, laser_leak_per_pulse=0.05)
-        batch = simulate_pulse_train(RngSpec(25, 0), src, setup, 200_000)
-        n_leak = int(np.count_nonzero(batch.origin == Origin.LASER))
+        _, emit, origin = train_rows(RngSpec(25, 0), src, setup, 200_000)
+        n_leak = int(np.count_nonzero(origin == Origin.LASER))
         assert n_leak == pytest.approx(10_000, abs=400)
-        leak_times = batch.emit_time_ps[batch.origin == Origin.LASER]
+        leak_times = emit[origin == Origin.LASER]
         assert np.std(leak_times) == pytest.approx(15.0 / 2.35482, rel=0.05)
 
     def test_deterministic_and_thread_invariant(self):
         n = 3 * CHUNK_PULSES + 1234
-        a = simulate_pulse_train(RngSpec(77, 3), S11, SetupParams(), n)
-        b = simulate_pulse_train(RngSpec(77, 3), S11, SetupParams(), n)
-        assert np.array_equal(a.pulse_index, b.pulse_index)
-        assert np.array_equal(a.emit_time_ps, b.emit_time_ps)
-        assert np.array_equal(a.origin, b.origin)
+        a = train_rows(RngSpec(77, 3), S11, SetupParams(), n)
+        b = train_rows(RngSpec(77, 3), S11, SetupParams(), n)
+        for column_a, column_b in zip(a, b):
+            assert np.array_equal(column_a, column_b)
         # Each chunk depends only on its own key, so chunks simulated in any
         # order, on any thread, concatenate to the same train.
         starts = range(0, n, CHUNK_PULSES)
@@ -284,12 +285,10 @@ class TestSimulatePulseTrain:
         for i in reversed(range(len(starts))):
             hi = min(starts[i] + CHUNK_PULSES, n)
             chunks[i] = _simulate_chunk(RngSpec(77, 3), S11, SetupParams(), starts[i], hi, i)
-        pulse, emit, origin = (np.concatenate(column) for column in zip(*chunks))
-        assert np.array_equal(pulse, a.pulse_index)
-        assert np.array_equal(emit, a.emit_time_ps)
-        assert np.array_equal(origin, a.origin)
-        c = simulate_pulse_train(RngSpec(77, 4), S11, SetupParams(), n)
-        assert not np.array_equal(a.emit_time_ps, c.emit_time_ps)
+        for column, want in zip(zip(*chunks), a):
+            assert np.array_equal(np.concatenate(column), want)
+        c = train_rows(RngSpec(77, 4), S11, SetupParams(), n)
+        assert not np.array_equal(a[1], c[1])
 
     @pytest.mark.parametrize("lossless", [False, True])
     @pytest.mark.parametrize("leak", [0.0, 1e-9, 0.05, 1.0])
@@ -330,13 +329,13 @@ class TestSimulatePulseTrain:
         assert (leak_pulses.size > 100) == (leak > 0.01)
 
     def test_events_sorted_by_pulse(self):
-        batch = simulate_pulse_train(RngSpec(26, 0), S7, SetupParams(), 100_000)
-        assert np.all(np.diff(batch.pulse_index) >= 0)
+        pulse, _, _ = train_rows(RngSpec(26, 0), S7, SetupParams(), 100_000)
+        assert np.all(np.diff(pulse) >= 0)
 
     @pytest.mark.parametrize("leak", [0.0, 0.05])
     def test_thinning_at_emission_keeps_the_detected_photons(self, leak):
         # Per pulse: a first photon with probability b, then a re-excitation
-        # photon with r = p2 / b, each detected with eta.  The batch holds the
+        # photon with r = p2 / b, each detected with eta.  The rows hold the
         # detected photons plus an anchor for each lost first photon whose
         # re-excitation photon is detected.
         n = 2 * CHUNK_PULSES + 5_000
@@ -344,49 +343,47 @@ class TestSimulatePulseTrain:
         src = trion_source(150.0, brightness_first_lens=b, p_two_photon=p2)
         lossless = SetupParams(eta_setup=1.0, eta_det=1.0, laser_leak_per_pulse=leak)
         lossy = SetupParams(laser_leak_per_pulse=leak)
-        full = simulate_pulse_train(RngSpec(27, 0), src, lossless, n)
-        assert not np.any(full.origin == Origin.ANCHOR)
+        _, _, full_origin = train_rows(RngSpec(27, 0), src, lossless, n)
+        assert not np.any(full_origin == Origin.ANCHOR)
 
-        thin = simulate_pulse_train(RngSpec(27, 0), src, lossy, n)
+        pulse, emit, origin = train_rows(RngSpec(27, 0), src, lossy, n)
         eta, r = lossy.eta_total, p2 / b
-        detected_qd = (thin.origin <= Origin.ANCHOR) & (thin.origin != Origin.ANCHOR)
-        per_pulse = np.bincount(thin.pulse_index[detected_qd], minlength=n)
+        detected_qd = (origin <= Origin.ANCHOR) & (origin != Origin.ANCHOR)
+        per_pulse = np.bincount(pulse[detected_qd], minlength=n)
         p_first, p_re, p_both = b * eta, b * r * eta, b * eta * r * eta
         var_qd = p_first * (1 - p_first) + p_re * (1 - p_re) + 2 * (p_both - p_first * p_re)
         p_anchor = b * (1 - eta) * r * eta
         laws = [
             # Detected QD photons: b eta (1 + r eta) + b (1 - eta) r eta per pulse.
             (per_pulse.sum(), p_first + p_re, var_qd),
-            (np.count_nonzero(thin.origin == Origin.ANCHOR), p_anchor, p_anchor * (1 - p_anchor)),
+            (np.count_nonzero(origin == Origin.ANCHOR), p_anchor, p_anchor * (1 - p_anchor)),
             (np.count_nonzero(per_pulse == 2), p_both, p_both * (1 - p_both)),
-            (np.count_nonzero(thin.origin == Origin.LASER), leak * eta,
+            (np.count_nonzero(origin == Origin.LASER), leak * eta,
              leak * eta * (1 - leak * eta)),
         ]
         for count, mean, var in laws:
             assert abs(count - n * mean) <= 4 * math.sqrt(n * var)
         # An anchor is the lost first photon of a pulse whose re-excitation
         # photon is kept, and it comes right before that photon.
-        anchors = np.flatnonzero(thin.origin == Origin.ANCHOR)
+        anchors = np.flatnonzero(origin == Origin.ANCHOR)
         assert anchors.size > 0
-        assert np.all(thin.origin[anchors + 1] == Origin.QD_REEXCITE)
-        assert np.array_equal(thin.pulse_index[anchors + 1], thin.pulse_index[anchors])
-        assert np.all(thin.emit_time_ps[anchors + 1] > thin.emit_time_ps[anchors])
-        assert (thin.brightness, thin.p_two_photon) == (0.4, 0.05)
+        assert np.all(origin[anchors + 1] == Origin.QD_REEXCITE)
+        assert np.array_equal(pulse[anchors + 1], pulse[anchors])
+        assert np.all(emit[anchors + 1] > emit[anchors])
 
 
-class TestHbtStreams:
+class TestHbtStage:
     def test_one_click_per_pulse_balanced_channels(self, ideal_setup):
         n = 1_000_000
-        batch = single_photon_batch(n)
-        t0, t1 = hbt_streams(RngSpec(31, 0), batch, ideal_setup)
+        t0, t1 = detector_clicks(RngSpec(31, 0), ideal_setup, single_photon_batch(n), n)
         assert t0.size + t1.size == n
         assert t0.size / n == pytest.approx(0.5, abs=0.002)
 
     def test_two_photons_split_half_the_time(self, ideal_setup):
         n = 200_000
         pulse = np.repeat(np.arange(n, dtype=np.int64), 2)
-        batch = EventBatch(pulse, np.zeros(2 * n), np.zeros(2 * n, dtype=np.int8), n)
-        t0, t1 = hbt_streams(RngSpec(32, 0), batch, ideal_setup)
+        rows = (pulse, np.zeros(2 * n), np.zeros(2 * n, dtype=np.int8))
+        t0, t1 = detector_clicks(RngSpec(32, 0), ideal_setup, rows, n)
         period = ideal_setup.rep_period_ps
         c0 = np.bincount(np.rint(t0 / period).astype(int), minlength=n)
         c1 = np.bincount(np.rint(t1 / period).astype(int), minlength=n)
@@ -396,36 +393,33 @@ class TestHbtStreams:
     def test_jitter_width(self):
         setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=53.0)
         n = 200_000
-        batch = single_photon_batch(n)
-        t0, t1 = hbt_streams(RngSpec(33, 0), batch, setup)
+        t0, t1 = detector_clicks(RngSpec(33, 0), setup, single_photon_batch(n), n)
         period = setup.rep_period_ps
         residual = np.concatenate([t0, t1]).astype(float)
         residual -= np.rint(residual / period) * period
         assert np.std(residual) == pytest.approx(22.507, rel=0.02)
 
     def test_streams_globally_sorted(self):
-        batch = simulate_pulse_train(RngSpec(34, 0), S11, SetupParams(), 100_000)
-        t0, t1 = hbt_streams(RngSpec(34, 1), batch, SetupParams())
+        t0, t1 = train_clicks(RngSpec(34, 0), RngSpec(34, 1), S11, SetupParams(), 100_000)
         assert t0.dtype == t1.dtype == np.int64
         assert np.all(np.diff(t0) >= 0)
         assert np.all(np.diff(t1) >= 0)
 
     def test_thinning_composition_matches_single_stage(self):
-        # Thinning inside simulate_pulse_train at eta_setup*eta_det versus
+        # Thinning inside the simulation at eta_setup*eta_det versus
         # a lossless train thinned by hand at eta_setup, then at eta_det,
         # must give the same per-pulse click distribution.
         n = 1_000_000
         setup_single = SetupParams(eta_setup=0.40, eta_det=0.30, jitter_fwhm_ps=0.0)
         setup_lossless = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=0.0)
         src = trion_source(150.0, brightness_first_lens=0.3, p_two_photon=0.01)
-        batch = simulate_pulse_train(RngSpec(35, 0), src, setup_single, n)
-        a0, a1 = hbt_streams(RngSpec(35, 1), batch, setup_single)
+        a0, a1 = train_clicks(RngSpec(35, 0), RngSpec(35, 1), src, setup_single, n)
 
-        pre = simulate_pulse_train(RngSpec(35, 2), src, setup_lossless, n)
+        pre = train_rows(RngSpec(35, 2), src, setup_lossless, n)
         for stage, eta in enumerate((0.40, 0.30)):
-            keep = RngSpec(35, 3 + stage).generator().random(len(pre)) < eta
-            pre = EventBatch(pre.pulse_index[keep], pre.emit_time_ps[keep], pre.origin[keep], n)
-        b0, b1 = hbt_streams(RngSpec(35, 5), pre, setup_lossless)
+            keep = RngSpec(35, 3 + stage).generator().random(len(pre[0])) < eta
+            pre = tuple(column[keep] for column in pre)
+        b0, b1 = detector_clicks(RngSpec(35, 5), setup_lossless, pre, n)
 
         period = setup_single.rep_period_ps
         table = []
@@ -446,19 +440,18 @@ class TestHbtStreams:
         setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=0.0,
                             dark_rate_cps=100_000.0)
         src = trion_source(100.0, brightness_first_lens=0.0)
-        batch = simulate_pulse_train(RngSpec(36, 0), src, setup, 1_000_000)
-        t0, t1 = hbt_streams(RngSpec(36, 1), batch, setup)
+        t0, t1 = train_clicks(RngSpec(36, 0), RngSpec(36, 1), src, setup, 1_000_000)
         duration_s = 1_000_000 * setup.rep_period_ps * 1e-12
         expect = 100_000.0 * duration_s
         assert t0.size == pytest.approx(expect, abs=4 * math.sqrt(expect))
         assert t1.size == pytest.approx(expect, abs=4 * math.sqrt(expect))
 
 
-class TestHomStreams:
+class TestHomStage:
     def test_perfect_overlap_empties_zero_delay_peak(self, clean_setup):
         n = 500_000
         batch = single_photon_batch(n)
-        t0, t1 = hom_streams(RngSpec(41, 0), batch, clean_setup, overlap=1.0)
+        t0, t1 = detector_clicks(RngSpec(41, 0), clean_setup, batch, n, overlap=1.0)
         # Zero-delay coincidences: cross-channel pairs within +-2 ns.
         lo = np.searchsorted(t1, t0 - 2000.0)
         hi = np.searchsorted(t1, t0 + 2000.0)
@@ -469,7 +462,7 @@ class TestHomStreams:
 
         n = 1_000_000
         batch = single_photon_batch(n)
-        t0, t1 = hom_streams(RngSpec(42, 0), batch, clean_setup, overlap=0.0)
+        t0, t1 = detector_clicks(RngSpec(42, 0), clean_setup, batch, n, overlap=0.0)
         period = clean_setup.rep_period_ps
         hist = build_histogram(t0, t1, 100.0, period)
         vis = hom_visibility(hist)
@@ -484,8 +477,7 @@ class TestHomStreams:
         setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=53.0,
                             laser_leak_per_pulse=0.2)
         src = trion_source(150.0, brightness_first_lens=0.3)
-        batch = simulate_pulse_train(RngSpec(43, 0), src, setup, n)
-        t0, t1 = hom_streams(RngSpec(43, 1), batch, setup, overlap=1.0)
+        t0, t1 = train_clicks(RngSpec(43, 0), RngSpec(43, 1), src, setup, n, overlap=1.0)
         period = setup.rep_period_ps
         hist = build_histogram(t0, t1, 100.0, period)
         zero = integrate_peaks(hist, 2000.0, [0])[0].area
@@ -493,15 +485,16 @@ class TestHomStreams:
         # left comes from the classical leak light.
         assert zero > 0
 
-    def test_invalid_overlap_rejected(self, clean_setup):
-        with pytest.raises(ValueError):
-            hom_streams(RngSpec(1, 0), single_photon_batch(10), clean_setup, overlap=1.5)
+    def test_invalid_overlap_rejected(self):
+        # Single photons, b = p2 = 0, as a hand-built train interferes.
+        with pytest.raises(ValueError, match="overlap must lie in"):
+            _pair_overlap(0.0, 0.0, 1.5)
 
     def test_deterministic(self, clean_setup):
         n = 200_000
-        batch = simulate_pulse_train(RngSpec(44, 0), S11, clean_setup, n)
-        a = hom_streams(RngSpec(44, 1), batch, clean_setup, 0.9)
-        b = hom_streams(RngSpec(44, 1), batch, clean_setup, 0.9)
+        chunks = train_chunks(RngSpec(44, 0), S11, clean_setup, n)
+        a = detector_clicks(RngSpec(44, 1), clean_setup, chunks, n, 0.9, S11)
+        b = detector_clicks(RngSpec(44, 1), clean_setup, chunks, n, 0.9, S11)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_ideal_photon_overlap_round_trip(self, clean_setup):
@@ -517,22 +510,13 @@ class TestHomStreams:
         n = 1_000_000
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.25)
         period = clean_setup.rep_period_ps
-        ev = simulate_pulse_train(RngSpec(45, 0), src, clean_setup, n)
-        a, b = hbt_streams(RngSpec(45, 1), ev, clean_setup)
+        a, b = train_clicks(RngSpec(45, 0), RngSpec(45, 1), src, clean_setup, n)
         g2 = g2_zero(build_histogram(a, b, 100.0, period))
-        ev2 = simulate_pulse_train(RngSpec(45, 2), src, clean_setup, n)
-        c, d = hom_streams(RngSpec(45, 3), ev2, clean_setup, 0.85)
+        c, d = train_clicks(RngSpec(45, 2), RngSpec(45, 3), src, clean_setup, n, 0.85)
         vis = hom_visibility(build_histogram(c, d, 100.0, period))
         m = corrected_overlap(vis.value, g2.value)
         sigma = math.hypot(vis.std_err, 2 * g2.std_err)
         assert abs(m.value - 0.85) < 3 * sigma
-
-    def test_unsorted_events_rejected(self, clean_setup):
-        batch = single_photon_batch(10)
-        shuffled = EventBatch(batch.pulse_index[::-1].copy(), batch.emit_time_ps,
-                              batch.origin, batch.n_pulses)
-        with pytest.raises(ValueError, match="sorted"):
-            hom_streams(RngSpec(1, 0), shuffled, clean_setup, overlap=0.5)
 
     def test_pairing_and_overlap_match_dense_reference(self):
         # Pulses with zero to three QD photons, plus laser photons that never
@@ -543,9 +527,8 @@ class TestHomStreams:
         pulse = np.repeat(np.arange(n, dtype=np.int64), per_pulse)
         origin = rng.choice([Origin.QD_FIRST, Origin.QD_REEXCITE, Origin.LASER],
                             size=pulse.size, p=[0.6, 0.3, 0.1]).astype(np.int8)
-        batch = EventBatch(pulse, np.zeros(pulse.size), origin, n)
         arm = rng.integers(0, 2, size=pulse.size)
-        qd = batch.origin <= Origin.ANCHOR
+        qd = origin <= Origin.ANCHOR
 
         slot = pulse + arm
         long_idx = np.where(qd & (arm == 1))[0]
@@ -585,7 +568,7 @@ class TestHomStreams:
 
         n = 1_000_000
         batch = single_photon_batch(n)
-        t0, t1 = hom_streams(RngSpec(46, 0), batch, clean_setup, overlap=0.5)
+        t0, t1 = detector_clicks(RngSpec(46, 0), clean_setup, batch, n, overlap=0.5)
         period = clean_setup.rep_period_ps
         hist = build_histogram(t0, t1, 100.0, period)
         areas = {
@@ -606,8 +589,7 @@ class TestHomStreams:
         vis = []
         for setup, n in ((SetupParams(), 4_000_000),
                          (SetupParams(eta_setup=1.0, eta_det=1.0), 500_000)):
-            batch = simulate_pulse_train(RngSpec(48, 0), src, setup, n)
-            t0, t1 = hom_streams(RngSpec(48, 1), batch, setup, overlap)
+            t0, t1 = train_clicks(RngSpec(48, 0), RngSpec(48, 1), src, setup, n, overlap)
             period = setup.rep_period_ps
             vis.append(hom_visibility(build_histogram(t0, t1, 100.0, period)))
         lossy, lossless = vis
@@ -641,7 +623,7 @@ def test_kept_pairs_are_the_full_batch_pairs_both_detected(case):
     assert np.array_equal(long_kept, long_ref[both])
     assert np.array_equal(short_kept, short_ref[both])
 
-    # Thinned as simulate_pulse_train thins: the detected rows, plus the
+    # Thinned as _simulate_chunk thins: the detected rows, plus the
     # anchors, the lost QD photons that precede a detected QD photon of
     # their pulse.  The pairs, mapped back to the full batch, are the same.
     rows = np.flatnonzero(detected | _anchors(pulse, qd, detected))
@@ -670,7 +652,7 @@ def _chunked_batches(draw):
 def test_chunk_edge_carry_keeps_every_meeting_pair(case):
     # The long-arm rows of a chunk's last pulse move into the next chunk
     # with their arm, so the pairs found chunk by chunk are the pairs of
-    # the whole batch.  Rows are thinned as simulate_pulse_train thins.
+    # the whole batch.  Rows are thinned as _simulate_chunk thins.
     chunk, n, pulse, qd, arm, detected = case
     rows = np.flatnonzero(detected | _anchors(pulse, qd, detected))
     columns = (pulse[rows], qd[rows], detected[rows], rows, arm[rows])
@@ -700,16 +682,12 @@ def test_chunk_edge_carry_keeps_every_meeting_pair(case):
 def test_streaming_rejects_clicks_that_reach_back_a_period(monkeypatch):
     # A jitter far wider than the period puts clicks of a chunk before the
     # previous chunk's last pulse, where they would already be folded.
-    # Whole trains are cut the same way, so the stream functions raise too.
+    # Both trains are cut the same way, so both raise.
     setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=1e6)
     monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 100)
-    with pytest.raises(RuntimeError, match="jitter"):
-        list(detected_chunks(1, 0, S11, setup, 1_000, "hbt"))
-    batch = simulate_pulse_train(RngSpec(1, 0), S11, setup, 1_000)
-    with pytest.raises(RuntimeError, match="jitter"):
-        hbt_streams(RngSpec(1, 1), batch, setup)
-    with pytest.raises(RuntimeError, match="jitter"):
-        hom_streams(RngSpec(1, 1), batch, setup, S11.overlap)
+    for train in ("hbt", "hom"):
+        with pytest.raises(RuntimeError, match="jitter"):
+            list(detected_chunks(1, 0, S11, setup, 1_000, train))
 
 
 @st.composite
@@ -779,19 +757,17 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
             h.update(np.ascontiguousarray(a).tobytes())
 
     streams = source_streams(seed, 0)
-    hbt_ev = simulate_pulse_train(streams.hbt_events, source, setup, n_pulses)
-    add(hbt_ev.pulse_index, hbt_ev.emit_time_ps, hbt_ev.origin)
-    add(*hbt_streams(streams.hbt_clicks, hbt_ev, setup))
-    hom_ev = simulate_pulse_train(streams.hom_events, source, setup, n_pulses)
-    add(hom_ev.pulse_index, hom_ev.emit_time_ps, hom_ev.origin)
-    add(*hom_streams(streams.hom_clicks, hom_ev, setup, source.overlap))
+    for events, clicks, overlap in ((streams.hbt_events, streams.hbt_clicks, None),
+                                    (streams.hom_events, streams.hom_clicks, source.overlap)):
+        add(*train_rows(events, source, setup, n_pulses))
+        add(*train_clicks(events, clicks, source, setup, n_pulses, overlap))
     return h.hexdigest()
 
 
 #: Pinned stream digests of stream layout 5.  A change to any random draw,
 #: its order or the event layout changes them; such a change must bump
 #: ``STREAM_LAYOUT`` deliberately and record new digests.  Click arrays are
-#: hashed as the int64 picoseconds the stream functions return.
+#: hashed as the int64 picoseconds the detector stages return.
 _GOLDEN_DIGESTS = {
     ("exciton", "default"):
         "d6c9dee4ccde23603c33bb8fcf890b42fcebb472c493832463e6c88ecf27f852",

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN_SETUPS, GOLDEN_SOURCES, read_histogram, whole_train_clicks
+from conftest import (
+    GOLDEN_SETUPS,
+    GOLDEN_SOURCES,
+    read_histogram,
+    train_rows,
+    whole_train_clicks,
+)
 
 from qdbench import correlation, photon_sim, pipeline
 from qdbench.cli import main as cli_main
@@ -238,7 +244,7 @@ class TestRunPipeline:
         fleet = draw_fleet(2026)
         index = [s.label for s in fleet].index("T01")
         events = photon_sim.source_streams(1, index).hbt_events
-        rows = len(photon_sim.simulate_pulse_train(events, fleet[index], CLEAN_SETUP, 1_000_000))
+        rows = len(train_rows(events, fleet[index], CLEAN_SETUP, 1_000_000)[0])
         tracemalloc.start()
         try:
             pipeline.analyze_source(fleet[index], CLEAN_SETUP, 1, index, 1_000_000)
@@ -779,6 +785,19 @@ class TestCli:
             code = cli_main([*argv, str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {path} holds no rows"]
+
+    @pytest.mark.parametrize("argv,lines,columns", [
+        (["fit", "--kind", "trion", "--trace"], "# irf_fwhm_ps=53.0\nt_ps,counts,extra\n1,2,3\n",
+         "expected 2 columns (t_ps,counts), found 3"),
+        (["classify", "--phiscan"], "phi_rad,cavity_light\n0.0,1.0\n",
+         "expected 3 columns (phi_rad,cavity_light,qd_light), found 2"),
+    ], ids=["fit", "classify"])
+    def test_table_of_the_wrong_width_is_one_error_line(self, tmp_path, capsys, argv, lines,
+                                                        columns):
+        path = tmp_path / "table.csv"
+        path.write_text(lines)
+        assert cli_main([*argv, str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {columns}"]
 
     def test_validation_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.cfg"
