@@ -5,9 +5,9 @@ Three measurements, on the sources of ``draw_fleet(2026)`` at run seed 1:
 
 - the ``tracemalloc`` peak of ``pipeline.analyze_source`` for each source,
   one source at a time: with no artifacts written at the default setup
-  with 1e7 and 1e8 pulses and with lossless detection at 4e6 pulses, and
-  with every artifact and ``--save-clicks`` at the default setup with
-  1.6e7 pulses and lossless at 2e6 pulses;
+  with 1e7 and 1e8 pulses and with lossless detection at 4e6 and 1e8
+  pulses, and with every artifact and ``--save-clicks`` at the default
+  setup with 1.6e7 pulses and lossless at 2e6 pulses;
 - the ``tracemalloc`` peak of ``qdbench simulate`` on the whole fleet, in
   this process, at the default setup with 2e6 and 1.6e7 pulses: it writes
   one train at a time, so this is the peak of its largest train;
@@ -54,6 +54,7 @@ TRACEMALLOC_SIZES = {
     "default_1e7": (SetupParams(), 10_000_000, False),
     "default_1e8": (SetupParams(), 100_000_000, False),
     "lossless_4e6": (LOSSLESS, 4_000_000, False),
+    "lossless_1e8": (LOSSLESS, 100_000_000, False),
     "save_clicks_default_1.6e7": (SetupParams(), 16_000_000, True),
     "save_clicks_lossless_2e6": (LOSSLESS, 2_000_000, True),
 }

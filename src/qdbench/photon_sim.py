@@ -19,7 +19,9 @@ Reproducibility: every random decision derives from an :class:`RngSpec`
 polarization scan) and reserves 8 i + 5 ... 7; :func:`detected_chunks`
 pairs each of the source's :data:`TRAINS` with its events and clicks
 streams, and :func:`synthesize_phi_scan` draws the scan.  Pulse ranges are
-processed in fixed-size chunks, each chunk seeded independently from
+processed in chunks of :func:`_chunk_pulses` pulses, a power of two chosen
+per train from the source and setup alone so that a chunk expects about
+:data:`CHUNK_ROWS` rows, each chunk seeded independently from
 (seed, stream_id, chunk_index), so a chunk's events depend only on that
 key and its pulse range.  The detector stages draw per chunk as well,
 chunk 0 from the click stream's own generator and chunk c >= 1 from the
@@ -31,7 +33,9 @@ time at their edge, so the blocks are cut across chunks.  The order and
 kind of every draw is the stream layout, versioned by
 :data:`STREAM_LAYOUT`; a change to either changes the streams.  Layout 5
 keyed the detector draws by chunk; a train of one chunk kept its layout-4
-streams.
+streams.  Layout 6 sized the chunks by their expected rows; a train of at
+most :data:`CHUNK_PULSES` pulses, or whose chunks stay at that floor, kept
+its layout-5 streams.
 
 Cost: no draw is made per pulse.  Each chunk draws the pulses that give a
 row directly, as geometric gaps between them, and then makes every other
@@ -72,11 +76,17 @@ from .model import (
     validate_source,
 )
 
-#: Pulses per RNG chunk.  Fixed: changing it changes every simulated stream.
+#: The fewest pulses of an RNG chunk; a train's chunks hold this many times
+#: a power of two, at most 64 (see :func:`_chunk_pulses`).  Changing it, or
+#: :data:`CHUNK_ROWS`, changes the streams of every train longer than it.
 CHUNK_PULSES = 1 << 20
+#: The rows an RNG chunk is sized to expect.  Fewer rows leave each chunk a
+#: few ms of numpy work between the Python steps that hold the GIL, so a
+#: second thread waits; more rows raise a source's peak memory.
+CHUNK_ROWS = 1 << 16
 #: Version of the order and kind of random draws.  Artifact headers carry
 #: it, so files written under another layout are told apart by their header.
-STREAM_LAYOUT = 5
+STREAM_LAYOUT = 6
 #: Queries sorted at a time by :func:`_interp_sorted`.  Any value gives the
 #: same bits; 16384 float64 queries (128 KiB) sort and scatter in cache.
 _SORT_BLOCK = 1 << 14
@@ -85,9 +95,11 @@ _SORT_BLOCK = 1 << 14
 #: temporaries near 1 MiB whatever the train length, at no cost in time.
 _ROW_BLOCK = 1 << 14
 #: Clicks of a train that wait to be cut into a block (see :func:`_time_ordered`).
-#: Any value gives the same bits.  A default-setup chunk holds about 2e4
-#: clicks, so a few chunks are cut together; at 2**17 the waiting clicks
-#: alone would double a source's peak memory.
+#: Any value gives the same bits.  A chunk expects at least
+#: :data:`CHUNK_ROWS` rows unless it is 64 :data:`CHUNK_PULSES` long, so most
+#: chunks are cut as they come and only the chunks of a very dim source are
+#: cut together; at 2**17 the waiting clicks alone would double a source's
+#: peak memory.
 _FLUSH_CLICKS = 1 << 15
 #: Stream ids of one source (see :func:`source_streams`).
 _STREAMS_PER_SOURCE = 8
@@ -220,18 +232,6 @@ def _bernoulli(g: np.random.Generator, p: float, n: int) -> np.ndarray:
     return halves <= np.uint32(threshold - 1)
 
 
-def _reexcite_conditional_prob(source: SourceParams) -> float:
-    """Conditional re-excitation probability given a first photon.
-
-    Chosen so the unconditional two-photon probability per pulse equals
-    source.p_two_photon.
-    """
-    b = source.brightness_first_lens
-    if source.p_two_photon == 0.0:
-        return 0.0
-    return source.p_two_photon / b
-
-
 def _gap_block(n: int, p: float) -> int:
     """Gaps drawn per block: the expected events in n pulses plus six standard deviations."""
     return int(n * p + 6.0 * math.sqrt(n * p) + 16)
@@ -269,6 +269,39 @@ def _event_pulses(g: np.random.Generator, p: float, n: int) -> np.ndarray:
     return pulses[:np.searchsorted(pulses, n)]
 
 
+def _row_odds(source: SourceParams, setup: SetupParams) -> tuple[float, float, float, float]:
+    """The probabilities of :func:`_simulate_chunk`'s draws: (p_row, p_anchor, p_re, p_leak).
+
+    Per pulse, p_row of a row and p_anchor of an anchor; per row, p_re of a
+    detected re-excitation photon; per pulse, p_leak of a detected leak
+    photon.
+    """
+    b = source.brightness_first_lens
+    # The re-excitation probability given a first photon, so that a pulse
+    # gives two photons with probability b r = p2.
+    r = source.p_two_photon / b if source.p_two_photon != 0.0 else 0.0
+    eta = setup.eta_total
+    p_anchor = b * (1.0 - eta) * r * eta
+    return b * eta + p_anchor, p_anchor, r * eta, setup.laser_leak_per_pulse * eta
+
+
+def _chunk_pulses(source: SourceParams, setup: SetupParams) -> int:
+    """Pulses per RNG chunk of the source's trains under ``setup``.
+
+    The smallest power of two in [CHUNK_PULSES, 64 CHUNK_PULSES] whose
+    expected rows reach :data:`CHUNK_ROWS`, or 64 CHUNK_PULSES if none does.
+    A pulse expects p_row rows of first photons and anchors, b eta r eta
+    of re-excitation photons that follow a detected first photon, p_anchor
+    that follow an anchor, and p_leak of leak photons.
+    """
+    p_row, p_anchor, p_re, p_leak = _row_odds(source, setup)
+    per_pulse = p_row + (p_row - p_anchor) * p_re + p_anchor + p_leak
+    size = CHUNK_PULSES
+    while size < 64 * CHUNK_PULSES and size * per_pulse < CHUNK_ROWS:
+        size *= 2
+    return size
+
+
 def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: int):
     """The rows of pulses [lo, hi) as (pulse, emit, origin): detected photons and anchors.
 
@@ -288,19 +321,14 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
     """
     g = rng.generator(chunk_key)
     n = hi - lo
-    b = source.brightness_first_lens
-    r = _reexcite_conditional_prob(source)
-    eta = setup.eta_total
-    leak = setup.laser_leak_per_pulse
-    p_anchor = b * (1.0 - eta) * r * eta
-    p_row = b * eta + p_anchor
+    p_row, p_anchor, p_re, p_leak = _row_odds(source, setup)
 
     row_pulses = _event_pulses(g, p_row, n) + lo
     k = row_pulses.size
     anchor = (_bernoulli(g, p_anchor / p_row, k) if p_anchor > 0
               else np.zeros(k, dtype=bool))
-    re_detected = _bernoulli(g, r * eta, k) | anchor
-    leak_pulses = _event_pulses(g, leak * eta, n) + lo
+    re_detected = _bernoulli(g, p_re, k) | anchor
+    leak_pulses = _event_pulses(g, p_leak, n) + lo
 
     first_times = sample_emission_time(g, source, size=k)
     # re_row[i]: the row of the first photon that re-excitation photon i follows.
@@ -335,10 +363,10 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
     return pulse, emit, origin
 
 
-def _chunks(n_pulses: int) -> list[tuple[int, int, int]]:
-    """(index, lo, hi) of each RNG chunk, pulses [lo, hi), of a train of ``n_pulses`` pulses."""
-    return [(i, lo, min(lo + CHUNK_PULSES, n_pulses))
-            for i, lo in enumerate(range(0, max(n_pulses, 1), CHUNK_PULSES))]
+def _chunks(n_pulses: int, size: int) -> list[tuple[int, int, int]]:
+    """(index, lo, hi) of each RNG chunk of ``size`` pulses, pulses [lo, hi), of a train."""
+    return [(i, lo, min(lo + size, n_pulses))
+            for i, lo in enumerate(range(0, max(n_pulses, 1), size))]
 
 
 def _chunk_generator(rng: RngSpec, index: int) -> np.random.Generator:
@@ -470,28 +498,39 @@ def _hbt_chunks(rng: RngSpec, setup: SetupParams, chunks):
         yield hi, *streams
 
 
-def _carry_rows(columns: tuple, carry: tuple | None, hi: int, last: bool):
+def _carry_rows(columns: list, carry: tuple | None, hi: int, last: bool):
     """A chunk's interferometer rows: the rows carried into it, then its own, less those it carries on.
 
-    ``columns`` hold the chunk's own rows, pulse index first and arm last,
+    ``columns`` holds the chunk's own rows, pulse index first and arm last,
     and ``carry`` the rows carried in, as the same columns, or None.  The
     long photon of pulse hi - 1 meets a short photon of pulse hi, the next
     chunk's first pulse, so unless the chunk is the train's ``last`` its
     long-arm rows of that pulse are carried on, in order.  Returns (the
     rows the chunk pairs, routes and stamps; the rows carried on, or None).
+
+    ``columns`` is a list that this empties: each own column is dropped as
+    its joined column is made, so a chunk that carries rows holds one
+    column more than its own, not a second copy of them all.
     """
-    if carry is not None:
-        columns = tuple(np.concatenate(pair) for pair in zip(carry, columns))
-    if last:
-        return columns, None
     pulse, arm = columns[0], columns[-1]
-    tail = int(np.searchsorted(pulse, hi - 1))
-    out = tail + np.flatnonzero(arm[tail:])
-    if out.size == 0:
-        return columns, None
-    keep = np.ones(pulse.size, dtype=bool)
-    keep[out] = False
-    return tuple(c[keep] for c in columns), tuple(c[out] for c in columns)
+    tail = pulse.size if last else int(np.searchsorted(pulse, hi - 1))
+    # Over the rows of pulse hi - 1, columns[k][tail:], those that go on.
+    out = arm[tail:] if arm[tail:].any() else None
+    del pulse, arm
+    if carry is None and out is None:
+        joined = tuple(columns)
+        columns.clear()
+        return joined, None
+    carried_on = None if out is None else tuple(c[tail:][out] for c in columns)
+    joined = []
+    for k, own in enumerate(columns):
+        columns[k] = None
+        parts = [own] if out is None else [own[:tail], own[tail:][~out]]
+        if carry is not None:
+            parts.insert(0, carry[k])
+        joined.append(np.concatenate(parts))
+    columns.clear()
+    return tuple(joined), carried_on
 
 
 def _hom_chunks(rng: RngSpec, setup: SetupParams, chunks, n_pulses: int, m_pair: float):
@@ -517,10 +556,11 @@ def _hom_chunks(rng: RngSpec, setup: SetupParams, chunks, n_pulses: int, m_pair:
     carry = None
     for index, lo, hi, rows in chunks:
         g = _chunk_generator(rng, index)
-        arm = _bernoulli(g, 0.5, rows[0].size)
-        rows, carry = _carry_rows((*rows, arm), carry, hi, hi == n_pulses)
+        columns = [*rows, _bernoulli(g, 0.5, rows[0].size)]
+        del rows
+        rows, carry = _carry_rows(columns, carry, hi, hi == n_pulses)
         streams = _interfere(g, rows, setup, lo, hi, m_pair)
-        del rows, arm
+        del rows
         yield hi, *streams
 
 
@@ -678,14 +718,17 @@ def detected_chunks(seed: int, source_index: int, source: SourceParams, setup: S
     (see :data:`TRAINS`); any other value raises ``ValueError``.
 
     The train draws from the source's streams of that train
-    (:func:`source_streams`): per chunk its rows (:func:`_simulate_chunk`),
-    then the detector stage (:func:`_hbt_chunks` or :func:`_hom_chunks`).
-    The source and setup are checked before this returns.  Returns an
-    iterator of (t0, t1) blocks, the two channels' clicks as sorted int64
-    ps, cut by :func:`_time_ordered`: every click of a block precedes every
-    click of the next, so the blocks joined per channel are the train's
-    whole streams.  A caller holds one chunk's rows and the clicks waiting
-    to be cut, whatever the train length.
+    (:func:`source_streams`) in chunks of :func:`_chunk_pulses` pulses, the
+    same for both trains of a source: per chunk its rows
+    (:func:`_simulate_chunk`), then the detector stage (:func:`_hbt_chunks`
+    or :func:`_hom_chunks`).  The source and setup are checked before this
+    returns.  Returns an iterator of (t0, t1) blocks, the two channels'
+    clicks as sorted int64 ps, cut by :func:`_time_ordered`: every click of
+    a block precedes every click of the next, so the blocks joined per
+    channel are the train's whole streams.  A caller holds one chunk's
+    rows, :data:`CHUNK_ROWS` to twice that unless the chunk is at the
+    floor or the cap of its size, and the clicks waiting to be cut,
+    whatever the train length.
     """
     streams = source_streams(seed, source_index)
     if train == "hbt":
@@ -696,7 +739,7 @@ def detected_chunks(seed: int, source_index: int, source: SourceParams, setup: S
         raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
     _check_train(source, setup, n_pulses)
     chunks = ((i, lo, hi, _simulate_chunk(events, source, setup, lo, hi, i))
-              for i, lo, hi in _chunks(n_pulses))
+              for i, lo, hi in _chunks(n_pulses, _chunk_pulses(source, setup)))
     if train == "hbt":
         stages = _hbt_chunks(clicks, setup, chunks)
     else:

@@ -24,6 +24,7 @@ from qdbench.photon_sim import (
     CHUNK_PULSES,
     Origin,
     _check_train,
+    _chunk_pulses,
     _chunks,
     _hbt_chunks,
     _hom_chunks,
@@ -116,10 +117,14 @@ def read_histogram(path) -> CorrelationHistogram:
 
 
 def train_chunks(rng, source, setup, n_pulses: int) -> list:
-    """(index, lo, hi, rows) of each RNG chunk of a simulated train, rows (pulse, emit, origin)."""
+    """(index, lo, hi, rows) of each RNG chunk of a simulated train, rows (pulse, emit, origin).
+
+    The chunks are those of ``photon_sim.detected_chunks``: of
+    ``_chunk_pulses(source, setup)`` pulses each.
+    """
     _check_train(source, setup, n_pulses)
     return [(i, lo, hi, _simulate_chunk(rng, source, setup, lo, hi, i))
-            for i, lo, hi in _chunks(n_pulses)]
+            for i, lo, hi in _chunks(n_pulses, _chunk_pulses(source, setup))]
 
 
 def train_rows(rng, source, setup, n_pulses: int):

@@ -426,8 +426,32 @@ def test_streamed_sources_equal_their_whole_trains(tmp_path, monkeypatch, capsys
     # and V.
     setup = conftest.GOLDEN_SETUPS[setup_name]
     config = FleetConfig.from_parts(list(conftest.GOLDEN_SOURCES.values()), setup)
-    n_pulses, seed = 20_000, 7
     monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 3_000)
+    monkeypatch.setattr(photon_sim, "CHUNK_ROWS", 0)
+    _assert_streamed_equal_whole(tmp_path, monkeypatch, config, 20_000, 7, chunks=[7, 7])
+    capsys.readouterr()
+
+
+def test_row_sized_chunks_stream_as_their_whole_trains(tmp_path, monkeypatch, capsys):
+    # The same at the chunk sizes of the default setup: a trion over two
+    # chunks of 2**22 pulses, with the golden exciton over three of 2**21.
+    trion = trion_source(S11_TAU_PS, brightness_first_lens=0.147, p_two_photon=3e-4,
+                         dephasing=0.06, label="T1")
+    setup = SetupParams()
+    config = FleetConfig.from_parts([conftest.GOLDEN_SOURCES["exciton"], trion], setup)
+    assert [photon_sim._chunk_pulses(s, setup) for s in config.sources] == [2**21, 2**22]
+    _assert_streamed_equal_whole(tmp_path, monkeypatch, config, 5_000_000, 7, chunks=[3, 2])
+    capsys.readouterr()
+
+
+def _assert_streamed_equal_whole(tmp_path, monkeypatch, config, n_pulses, seed, chunks):
+    """Streamed runs of ``config`` equal each other and the artifacts of its whole trains.
+
+    ``chunks`` holds the RNG chunks of each source's trains.
+    """
+    setup = config.setup
+    assert [len(photon_sim._chunks(n_pulses, photon_sim._chunk_pulses(s, setup)))
+            for s in config.sources] == chunks
     runs = []
     for flush in (1, 1_000):
         for threads in (1, 2):
@@ -470,4 +494,3 @@ def test_streamed_sources_equal_their_whole_trains(tmp_path, monkeypatch, capsys
                 (tmp_path / "analysis" / f"{mode}_clicks_estimates.json").read_text())
         assert estimates["hbt"]["g2"] == report["g2"]
         assert estimates["hom"]["v_raw"] == report["v_raw"]
-    capsys.readouterr()

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -23,14 +25,18 @@ from conftest import (
 
 from qdbench import photon_sim
 from qdbench.dynamics import FWHM_TO_SIGMA, exciton_cross_intensity, peak_emission_delay
+from qdbench.fleet import draw_fleet
 from qdbench.model import SetupParams, SourceValidationError, exciton_source, trion_source
 from qdbench.photon_sim import (
     CHUNK_PULSES,
+    CHUNK_ROWS,
     Origin,
     RngSpec,
     UnsamplableEmissionError,
     _bernoulli,
     _carry_rows,
+    _chunk_pulses,
+    _chunks,
     _event_pulses,
     _exciton_inverse_cdf_table,
     _interp_sorted,
@@ -273,17 +279,19 @@ class TestTrainRows:
         assert np.std(leak_times) == pytest.approx(15.0 / 2.35482, rel=0.05)
 
     def test_deterministic_and_thread_invariant(self):
-        n = 3 * CHUNK_PULSES + 1234
+        size = _chunk_pulses(S11, SetupParams())
+        n = 3 * size + 1234
         a = train_rows(RngSpec(77, 3), S11, SetupParams(), n)
         b = train_rows(RngSpec(77, 3), S11, SetupParams(), n)
         for column_a, column_b in zip(a, b):
             assert np.array_equal(column_a, column_b)
         # Each chunk depends only on its own key, so chunks simulated in any
         # order, on any thread, concatenate to the same train.
-        starts = range(0, n, CHUNK_PULSES)
+        starts = range(0, n, size)
+        assert len(starts) == 4
         chunks = [None] * len(starts)
         for i in reversed(range(len(starts))):
-            hi = min(starts[i] + CHUNK_PULSES, n)
+            hi = min(starts[i] + size, n)
             chunks[i] = _simulate_chunk(RngSpec(77, 3), S11, SetupParams(), starts[i], hi, i)
         for column, want in zip(zip(*chunks), a):
             assert np.array_equal(np.concatenate(column), want)
@@ -661,14 +669,12 @@ def test_chunk_edge_carry_keeps_every_meeting_pair(case):
     both = detected[long_ref] & detected[short_ref]
     assert np.array_equal(rows[long_whole], long_ref[both])
 
-    with mock.patch.object(photon_sim, "CHUNK_PULSES", chunk):
-        bounds = photon_sim._chunks(n)
+    bounds = _chunks(n, chunk)
     assert len(bounds) > 1
     carry, long_met, short_met = None, [], []
     for _, lo, hi in bounds:
         own = (columns[0] >= lo) & (columns[0] < hi)
-        (p, q, d, index, a), carry = _carry_rows(tuple(c[own] for c in columns), carry, hi,
-                                                 hi == n)
+        (p, q, d, index, a), carry = _carry_rows([c[own] for c in columns], carry, hi, hi == n)
         if carry is not None:
             assert np.all((carry[0] == hi - 1) & carry[-1])
         long_chunk, short_chunk = _kept_pairs(p, q, a, d)
@@ -679,15 +685,125 @@ def test_chunk_edge_carry_keeps_every_meeting_pair(case):
     assert np.array_equal(np.concatenate(short_met), rows[short_whole])
 
 
+@pytest.mark.parametrize("carry_in", [False, True])
+def test_carrying_rows_holds_one_column_more_than_the_chunk(carry_in):
+    # A chunk that carries rows in or on is joined one column at a time, so
+    # it never holds a second copy of all its rows.
+    n, hi = 400_000, 1_000_000
+    tracemalloc.start()
+    try:
+        # Two rows per pulse, every one on the long arm, so the chunk's last
+        # pulse carries two rows on.
+        columns = [np.repeat(np.arange(hi - n // 2, hi, dtype=np.int64), 2), np.ones(n),
+                   np.zeros(n, dtype=np.int8), np.ones(n, dtype=bool)]
+        carry = None
+        if carry_in:
+            carry = (np.full(3, hi - n // 2 - 1), np.ones(3), np.zeros(3, dtype=np.int8),
+                     np.ones(3, dtype=bool))
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        rows, carried_on = _carry_rows(columns, carry, hi, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert columns == []
+    assert rows[0].size == n - 2 + (3 if carry_in else 0)
+    assert carried_on[0].tolist() == [hi - 1] * 2
+    # The chunk's rows take 18 bytes each; its widest column, 8.
+    assert peak - before < 10 * n, f"{(peak - before) / n:.1f} bytes per row"
+
+
 def test_streaming_rejects_clicks_that_reach_back_a_period(monkeypatch):
     # A jitter far wider than the period puts clicks of a chunk before the
     # previous chunk's last pulse, where they would already be folded.
     # Both trains are cut the same way, so both raise.
     setup = SetupParams(eta_setup=1.0, eta_det=1.0, jitter_fwhm_ps=1e6)
     monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 100)
+    monkeypatch.setattr(photon_sim, "CHUNK_ROWS", 0)
+    assert len(_chunks(1_000, _chunk_pulses(S11, setup))) == 10
     for train in ("hbt", "hom"):
         with pytest.raises(RuntimeError, match="jitter"):
             list(detected_chunks(1, 0, S11, setup, 1_000, train))
+
+
+def _expected_rows_per_pulse(source, setup) -> float:
+    """Rows per pulse of _simulate_chunk: first photons, anchors, re-excitation and leak photons."""
+    b, p2 = source.brightness_first_lens, source.p_two_photon
+    r = p2 / b if p2 else 0.0
+    eta = setup.eta_total
+    first = b * eta
+    anchor = b * (1 - eta) * r * eta
+    # A detected first photon's re-excitation photon is detected with
+    # probability r eta; an anchor's always is.
+    return first + anchor + first * r * eta + anchor + setup.laser_leak_per_pulse * eta
+
+
+@st.composite
+def _sources_and_setups(draw):
+    """A trion source and a setup, over the whole range of b, p2, eta and the leak."""
+    b = draw(st.floats(0.0, 0.5))
+    source = trion_source(150.0, brightness_first_lens=b,
+                          p_two_photon=draw(st.floats(0.0, 1.0)) * b)
+    setup = SetupParams(eta_setup=draw(st.floats(0.0, 1.0)), eta_det=draw(st.floats(0.0, 1.0)),
+                        laser_leak_per_pulse=draw(st.sampled_from([0.0, 1e-4, 0.02, 1.0])))
+    return source, setup
+
+
+#: The sizes of draw_fleet(2026)'s chunks, as powers of two.  At the default
+#: efficiency a chunk of 2**20 pulses expects 6k to 24k rows, so every
+#: source's chunks grow; without losses, only X01's expect fewer than 2**16.
+_FLEET_CHUNK_LOG2 = {
+    "default": {"X01": 24, "X02": 23, "X03": 23, "X04": 23, "X05": 23, "X06": 23, "X07": 22,
+                "T01": 22, "T02": 22, "T03": 23, "T04": 23, "T05": 23, "T06": 22, "T07": 23,
+                "T08": 23},
+    "lossless": {"X01": 21, **{label: 20 for label in (
+        "X02", "X03", "X04", "X05", "X06", "X07",
+        "T01", "T02", "T03", "T04", "T05", "T06", "T07", "T08")}},
+}
+
+
+class TestChunkPulses:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sources_and_setups())
+    def test_a_chunk_is_the_smallest_power_of_two_that_expects_its_rows(self, case):
+        source, setup = case
+        size = _chunk_pulses(source, setup)
+        assert size in [CHUNK_PULSES << k for k in range(7)]
+        rows = size * _expected_rows_per_pulse(source, setup)
+        if size < 64 * CHUNK_PULSES:
+            assert rows >= CHUNK_ROWS * (1 - 1e-12)
+        if size > CHUNK_PULSES:
+            assert rows < 2 * CHUNK_ROWS * (1 + 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_sources_and_setups(), low=st.floats(0.0, 1.0), high=st.floats(0.0, 1.0))
+    def test_brighter_sources_and_higher_efficiencies_never_get_longer_chunks(self, case, low,
+                                                                              high):
+        source, setup = case
+        low, high = sorted((low, high))
+        p2 = source.p_two_photon
+        dim, bright = (dataclasses.replace(source, brightness_first_lens=p2 + x * (0.5 - p2))
+                       for x in (low, high))
+        assert _chunk_pulses(bright, setup) <= _chunk_pulses(dim, setup)
+        lossy, efficient = (dataclasses.replace(setup, eta_setup=x) for x in (low, high))
+        assert _chunk_pulses(source, efficient) <= _chunk_pulses(source, lossy)
+
+    @pytest.mark.parametrize("setup_name", sorted(_FLEET_CHUNK_LOG2))
+    def test_fleet_chunks(self, setup_name):
+        setup = LOSSLESS if setup_name == "lossless" else SetupParams()
+        sizes = {s.label: _chunk_pulses(s, setup) for s in draw_fleet(2026)}
+        assert sizes == {label: 1 << k for label, k in _FLEET_CHUNK_LOG2[setup_name].items()}
+
+    def test_a_chunk_holds_its_expected_rows(self):
+        # With anchors, re-excitation and leak photons, one chunk's rows
+        # are within five standard deviations of the expected count.
+        src = trion_source(150.0, brightness_first_lens=0.4, p_two_photon=0.05)
+        setup = SetupParams(laser_leak_per_pulse=0.02)
+        rows = _simulate_chunk(RngSpec(29, 0), src, setup, 0, CHUNK_PULSES, 0)[0].size
+        expect = CHUNK_PULSES * _expected_rows_per_pulse(src, setup)
+        # A pulse gives at most three rows, so the count's variance is below
+        # three times its mean.
+        assert abs(rows - expect) < 5 * math.sqrt(3 * expect)
 
 
 @st.composite
@@ -764,30 +880,35 @@ def _train_digest(source, setup, seed: int, n_pulses: int) -> str:
     return h.hexdigest()
 
 
-#: Pinned stream digests of stream layout 5.  A change to any random draw,
-#: its order or the event layout changes them; such a change must bump
-#: ``STREAM_LAYOUT`` deliberately and record new digests.  Click arrays are
-#: hashed as the int64 picoseconds the detector stages return.
+#: Pinned stream digests of stream layout 6.  A change to any random draw,
+#: its order, the chunk bounds or the event layout changes them; such a
+#: change must bump ``STREAM_LAYOUT`` deliberately and record new digests.
+#: Click arrays are hashed as the int64 picoseconds the detector stages
+#: return.  The lossless trains' chunks stay at ``CHUNK_PULSES``, so their
+#: digests are layout 5's; the others' trains are 2 * 2**21 + 18929 pulses
+#: long, and equal layout 5's streams at ``CHUNK_PULSES = 2**21``.
 _GOLDEN_DIGESTS = {
     ("exciton", "default"):
-        "d6c9dee4ccde23603c33bb8fcf890b42fcebb472c493832463e6c88ecf27f852",
+        "42428b1ec158ae0ad1b52f0a3d0b1680719b14878aad2494561222d0eee94b9f",
     ("exciton", "lossless"):
         "9646073f87c4b43144d922a0c7307f253bf0851536aa8818b6f40979f047bf6e",
     ("exciton", "leak_dark"):
-        "458ccd28434cccb5d5c2a32686539c3024fbb45114a25b2ac7e97cbbd5bf09cb",
+        "c195fde7472fbaac9edb2559af0d50a8b8c6d1348b84fd04dcc51fcdb7a930b1",
     ("trion", "default"):
-        "0abbc925d84b26e82a41d6aa8107bf6cc07d926fbc6c208ff1c1b6130231eaa2",
+        "01a4fcd11442162c0a3ef9ac61f17c632ab3770a84cc5829b86803489cb237b1",
     ("trion", "lossless"):
         "e15e91615201814666809a63707f53b39c5c2164fc10733b37864a26c2ea72fe",
     ("trion", "leak_dark"):
-        "fb3b4622a501d78c805126303d0c9990d12ef2dfa365bf3bec65ad71cb47c9e1",
+        "72af86f5e22033bee5ed9a898b8ad376cd1ace5bfb4160d5871ed3f9de5c694c",
 }
 
 
 @pytest.mark.parametrize("source_name,setup_name", sorted(_GOLDEN_DIGESTS))
 def test_golden_stream_digest(source_name, setup_name):
-    n = 2 * CHUNK_PULSES + 18_929
-    digest = _train_digest(GOLDEN_SOURCES[source_name], GOLDEN_SETUPS[setup_name], 2026, n)
+    # Three chunks of the train's own size, the last one short.
+    source, setup = GOLDEN_SOURCES[source_name], GOLDEN_SETUPS[setup_name]
+    n = 2 * _chunk_pulses(source, setup) + 18_929
+    digest = _train_digest(source, setup, 2026, n)
     assert digest == _GOLDEN_DIGESTS[(source_name, setup_name)]
 
 

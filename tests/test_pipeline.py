@@ -267,7 +267,7 @@ class TestRunPipeline:
         peaks = _t01_peaks(lambda source, index, n_pulses: pipeline.analyze_source(
             source, SetupParams(), 1, index, n_pulses, options, str(tmp_path / str(n_pulses)),
             "qdbench test"))
-        assert (tmp_path / str(16 * photon_sim.CHUNK_PULSES) / "T01" / "hom_clicks.csv").exists()
+        assert (tmp_path / str(16 * 2**22) / "T01" / "hom_clicks.csv").exists()
         assert peaks[1] < 1.25 * peaks[0], [f"{peak / 2**20:.2f} MiB" for peak in peaks]
 
     def test_simulate_keeps_a_train_flat_in_pulses(self, tmp_path):
@@ -292,8 +292,11 @@ class TestRunPipeline:
         # complete), leaves none of them, and every other source's files
         # are those of a clean run.
         monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 3_000)
+        monkeypatch.setattr(photon_sim, "CHUNK_ROWS", 0)
         monkeypatch.setattr(photon_sim, "_FLUSH_CLICKS", 1)
         cfg = trion_config(n=3)
+        assert all(len(photon_sim._chunks(20_000, photon_sim._chunk_pulses(s, cfg.setup))) == 7
+                   for s in cfg.sources)
         options = PipelineOptions(save_clicks=True)
         clean, out = tmp_path / "clean", tmp_path / "out"
         run_pipeline(cfg, 20_000, 5, out_dir=str(clean), threads=threads, options=options)
@@ -338,11 +341,16 @@ class TestRunPipeline:
 
 
 def _t01_peaks(run) -> list[int]:
-    """The tracemalloc peaks of ``run(source, index, n_pulses)`` for T01 of 2 and 16 RNG chunks."""
+    """The tracemalloc peaks of ``run(source, index, n_pulses)`` for T01 of 2 and 16 RNG chunks.
+
+    The chunks are T01's own at the default setup, of 2**22 pulses.
+    """
     fleet = draw_fleet(2026)
     index = [s.label for s in fleet].index("T01")
+    size = photon_sim._chunk_pulses(fleet[index], SetupParams())
+    assert size == 2**22
     peaks = []
-    for n_pulses in (2 * photon_sim.CHUNK_PULSES, 16 * photon_sim.CHUNK_PULSES):
+    for n_pulses in (2 * size, 16 * size):
         tracemalloc.start()
         try:
             run(fleet[index], index, n_pulses)
@@ -384,27 +392,36 @@ def _click_streams(draw):
 
 
 #: SHA-256 of the concatenated ``pipeline --save-clicks`` click files of the
-#: golden fleet under stream layout 5.  The seed is the first one whose
+#: golden fleet under stream layout 6.  The seed is the first one whose
 #: leak_dark files hold a click before t = 0 (about one seed in 200 does).
-#: A train of one RNG chunk has the same rows under layouts 4 and 5, so
-#: these files differ from layout 4's in their header line only.
+#: A train of at most ``CHUNK_PULSES`` pulses is one RNG chunk under layouts
+#: 4, 5 and 6, so these files differ from layout 4's in their header line
+#: only.
 _GOLDEN_CLICK_SEED = 10
 _GOLDEN_CLICK_PULSES = 100_000
 _GOLDEN_CLICK_DIGESTS = {
     "default":
-        "1f7ca888e2312ec5fa495aa0b965cd1db97cebce7ea31616d20a2dc59fcc3499",
+        "b63fd791c7f9dacc296c669aaa12790f4298294a310575ca9ae1a4bfb3dc4543",
     "lossless":
-        "772946e8f648a47fc53e32d42122f8da2581f6f2a8c128a96b3667c2d9f43c86",
+        "eecac2e281b2c756e5decb5d0253a34bad1a7b3c2dafd55d67b5935a85fbc00c",
     "leak_dark":
-        "faea6f5b7b2a812efa8b656cd820b33fbf03a52a70307bbcb56923a08cb28200",
+        "eb55c6d5c36981ee64e048e58a3fa0fd4d4b5df6b11d2146c3afd83aba141c02",
 }
 
 
+#: SHA-256 of the HBT and HOM click files of a default-setup trion of
+#: 5e6 pulses, two chunks of 2**22, at the golden click seed.  Past their
+#: header line they are layout 5's files at ``CHUNK_PULSES = 2**22``.
+_GOLDEN_ROW_SIZED_PULSES = 5_000_000
+_GOLDEN_ROW_SIZED_CLICK_DIGEST = "f85ddf44b31a0294186e98c8f59fede735289e0c3d7300119589223ff2cff511"
+
+
 #: SHA-256 of each golden source's ``phi_scan.csv`` from ``run_pipeline`` at
-#: seed 2026, with the exciton as source 0 and the trion as source 1.
+#: seed 2026, with the exciton as source 0 and the trion as source 1.  The
+#: scan is drawn whole, so a new stream layout changes its header line only.
 _GOLDEN_PHI_SCAN_DIGESTS = {
-    "exciton": "82a6005babbb13e6c9c81ebcd815c509f1988f3960d14317520f60dbff24b5c1",
-    "trion": "596bef132be63440915c0674d79332c5071410c4971d876c3daeea94e1b0c809",
+    "exciton": "7dec0a16ccca9b92e67212ca14f22640ddb5788e8e8e853a7831ed2175b686f7",
+    "trion": "338b7fa0520b53b903e3ab516f6a5f4bcb883b18c7b431f060ef845641e8f937",
 }
 
 
@@ -507,6 +524,23 @@ class TestTimestampFiles:
             assert any(b",-" in data for data in files)
         digest = hashlib.sha256(b"".join(files)).hexdigest()
         assert digest == _GOLDEN_CLICK_DIGESTS[setup_name]
+
+    def test_golden_click_file_digest_of_row_sized_chunks(self, tmp_path):
+        # A default-setup trion's train over two chunks of 2**22 pulses, the
+        # size its expected rows give, as `qdbench simulate` writes it.
+        source = trion_config().sources[0]
+        setup = SetupParams()
+        assert photon_sim._chunk_pulses(source, setup) == 2**22
+        config = FleetConfig.from_parts([source], setup)
+        header = pipeline.file_header(_GOLDEN_CLICK_SEED, config.config_hash)
+        files = []
+        for train in pipeline.TRAINS:
+            path = tmp_path / f"{train}_clicks.csv"
+            pipeline.write_train_clicks(path, source, setup, _GOLDEN_CLICK_SEED, 0,
+                                        _GOLDEN_ROW_SIZED_PULSES, train, header)
+            files.append(path.read_bytes())
+        digest = hashlib.sha256(b"".join(files)).hexdigest()
+        assert digest == _GOLDEN_ROW_SIZED_CLICK_DIGEST
 
 
 def _table_reference(header, notes, names, columns) -> bytes:

@@ -5,7 +5,7 @@ import re
 
 from qdbench.config import _SETUP_KEYS, _SOURCE_KEYS, parse_config
 from qdbench.model import SetupParams
-from qdbench.photon_sim import STREAM_LAYOUT
+from qdbench.photon_sim import CHUNK_PULSES, CHUNK_ROWS, STREAM_LAYOUT
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,8 +24,13 @@ def test_library_use_example_runs(capsys):
 
 
 def test_stream_layout_is_the_current_one():
-    layouts = re.findall(r"`photon_sim\.STREAM_LAYOUT`, now (\d+)", README.read_text())
+    text = README.read_text()
+    layouts = re.findall(r"`photon_sim\.STREAM_LAYOUT`, now (\d+)", text)
     assert layouts == [str(STREAM_LAYOUT)]
+    assert f"Stream layout {STREAM_LAYOUT} fixes the draws" in text
+    # The chunk sizes that the layout fixes.
+    assert re.findall(r"(\d+)\s+\(`photon_sim\.CHUNK_PULSES`\)", text) == [str(CHUNK_PULSES)]
+    assert re.findall(r"(\d+)\s+\(`photon_sim\.CHUNK_ROWS`\)", text) == [str(CHUNK_ROWS)]
 
 
 def test_config_example_parses_and_names_every_key():

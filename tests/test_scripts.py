@@ -17,11 +17,12 @@ PERFBENCH = SCRIPTS.parent / "perfbench"
 #: script -> (JSON output, {key: rows that key must hold}).
 ROWS = {
     "peak_memory.py": ("peak_memory.json", {
-        "tracemalloc_peak_mib": {"default_1e7", "default_1e8", "lossless_4e6",
+        "tracemalloc_peak_mib": {"default_1e7", "default_1e8", "lossless_4e6", "lossless_1e8",
                                  "save_clicks_default_1.6e7", "save_clicks_lossless_2e6"},
         "simulate_tracemalloc_peak_mib": {"simulate_default_2e6", "simulate_default_1.6e7"},
         "ru_maxrss": {"fleet_default", "fleet_lossless", "clicks_save"},
     }),
+    "thread_scaling.py": ("thread_scaling.json", {"runs": {"1", "2"}, "median": {"1", "2"}}),
 }
 
 
@@ -32,6 +33,7 @@ ROWS = {
      ["fleet.cfg", "summary.csv", "X01/report.json", "T01/report.json"]),
     ("phi_scan_identification.py", [], ["S5-like_scan.csv", "S13-like_scan.csv"]),
     ("peak_memory.py", ["--scale", "0.01", "--repeats", "1"], ["peak_memory.json"]),
+    ("thread_scaling.py", ["--pulses", "200000", "--repeats", "1"], ["thread_scaling.json"]),
 ])
 def test_script_runs(tmp_path, script, args, outputs):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
