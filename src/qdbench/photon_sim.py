@@ -94,13 +94,6 @@ _SORT_BLOCK = 1 << 14
 #: the int64 cast).  Any value gives the same bits; 16384 rows keep their
 #: temporaries near 1 MiB whatever the train length, at no cost in time.
 _ROW_BLOCK = 1 << 14
-#: Clicks of a train that wait to be cut into a block (see :func:`_time_ordered`).
-#: Any value gives the same bits.  A chunk expects at least
-#: :data:`CHUNK_ROWS` rows unless it is 64 :data:`CHUNK_PULSES` long, so most
-#: chunks are cut as they come and only the chunks of a very dim source are
-#: cut together; at 2**17 the waiting clicks alone would double a source's
-#: peak memory.
-_FLUSH_CLICKS = 1 << 15
 #: Stream ids of one source (see :func:`source_streams`).
 _STREAMS_PER_SOURCE = 8
 #: The two trains of a source, in the order a source simulates them.
@@ -593,33 +586,30 @@ def _time_ordered(streams, period: float):
     time only if a jitter or laser-pulse draw reaches back more than a
     period.  That is checked, and raises ``RuntimeError``.
 
-    Chunks' clicks wait until at least ``_FLUSH_CLICKS`` of them do, or the
-    train ends.  Then the waiting clicks before the last chunk's settled
-    time are merged per channel into a block.  So every click of a block
-    precedes every click of the next, and the blocks' concatenation per
-    channel is the train's whole stream, sorted.
+    Each chunk is cut as it arrives: its clicks and those carried from the
+    chunk before merge per channel, the ones before its settled time form a
+    block, and the rest carry on, into the last block after the last chunk.
+    So every click of a block precedes every click of the next, and the
+    blocks' concatenation per channel is the train's whole stream, sorted.
     """
-    waiting, n_waiting, settled = [], 0, None
+    waiting, settled = [], None
     for hi, t0, t1 in streams:
         if settled is not None and any(t.size and t[0] < settled for t in (t0, t1)):
             raise RuntimeError(f"a click of the chunk ending at pulse {hi} precedes the previous "
                                f"chunk's last pulse; the jitter is too wide for streaming")
         settled = math.floor((hi - 1) * period)
         waiting.append((t0, t1))
-        n_waiting += t0.size + t1.size
-        del t0, t1  # the chunk's clicks live on only while they wait
-        if n_waiting >= _FLUSH_CLICKS:
-            yield _cut(waiting, settled)
-            n_waiting = sum(t.size for t in waiting[0])
-    yield _cut(waiting, None)
+        del t0, t1  # the chunk's clicks live on only until they are cut
+        yield _cut(waiting, settled)
+    yield waiting.pop()
 
 
-def _cut(waiting: list, settled: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The block of the ``waiting`` clicks before ``settled`` (all with None); the rest wait on."""
+def _cut(waiting: list, settled: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block of the ``waiting`` clicks before ``settled``; the rest wait on."""
     block, rest = [], []
     for parts in zip(*waiting):
         t = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts), kind="stable")
-        cut = t.size if settled is None else int(np.searchsorted(t, settled))
+        cut = int(np.searchsorted(t, settled))
         block.append(t[:cut])
         rest.append(t[cut:].copy())
     waiting[:] = [tuple(rest)]
@@ -725,10 +715,10 @@ def detected_chunks(seed: int, source_index: int, source: SourceParams, setup: S
     returns.  Returns an iterator of (t0, t1) blocks, the two channels'
     clicks as sorted int64 ps, cut by :func:`_time_ordered`: every click of
     a block precedes every click of the next, so the blocks joined per
-    channel are the train's whole streams.  A caller holds one chunk's
-    rows, :data:`CHUNK_ROWS` to twice that unless the chunk is at the
-    floor or the cap of its size, and the clicks waiting to be cut,
-    whatever the train length.
+    channel are the train's whole streams, one block per chunk and one of
+    the clicks carried past the last.  A caller holds one chunk's rows,
+    :data:`CHUNK_ROWS` to twice that unless the chunk is at the floor or
+    the cap of its size, and one chunk's clicks, whatever the train length.
     """
     streams = source_streams(seed, source_index)
     if train == "hbt":

@@ -421,14 +421,13 @@ def test_criterion_11_pipeline_determinism(tmp_path):
 def test_streamed_sources_equal_their_whole_trains(tmp_path, monkeypatch, capsys, setup_name):
     # Criterion 11 across chunk sizes: with chunks of a few thousand pulses
     # every train is streamed over several chunks and folded in blocks, and
-    # the artifacts equal those built from each whole train, at two flush
-    # sizes and two thread counts.  Saved clicks re-analyse to the same g2
-    # and V.
+    # the artifacts equal those built from each whole train, at two thread
+    # counts.  Saved clicks re-analyse to the same g2 and V.
     setup = conftest.GOLDEN_SETUPS[setup_name]
     config = FleetConfig.from_parts(list(conftest.GOLDEN_SOURCES.values()), setup)
     monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 3_000)
     monkeypatch.setattr(photon_sim, "CHUNK_ROWS", 0)
-    _assert_streamed_equal_whole(tmp_path, monkeypatch, config, 20_000, 7, chunks=[7, 7])
+    _assert_streamed_equal_whole(tmp_path, config, 20_000, 7, chunks=[7, 7])
     capsys.readouterr()
 
 
@@ -440,11 +439,11 @@ def test_row_sized_chunks_stream_as_their_whole_trains(tmp_path, monkeypatch, ca
     setup = SetupParams()
     config = FleetConfig.from_parts([conftest.GOLDEN_SOURCES["exciton"], trion], setup)
     assert [photon_sim._chunk_pulses(s, setup) for s in config.sources] == [2**21, 2**22]
-    _assert_streamed_equal_whole(tmp_path, monkeypatch, config, 5_000_000, 7, chunks=[3, 2])
+    _assert_streamed_equal_whole(tmp_path, config, 5_000_000, 7, chunks=[3, 2])
     capsys.readouterr()
 
 
-def _assert_streamed_equal_whole(tmp_path, monkeypatch, config, n_pulses, seed, chunks):
+def _assert_streamed_equal_whole(tmp_path, config, n_pulses, seed, chunks):
     """Streamed runs of ``config`` equal each other and the artifacts of its whole trains.
 
     ``chunks`` holds the RNG chunks of each source's trains.
@@ -453,12 +452,10 @@ def _assert_streamed_equal_whole(tmp_path, monkeypatch, config, n_pulses, seed, 
     assert [len(photon_sim._chunks(n_pulses, photon_sim._chunk_pulses(s, setup)))
             for s in config.sources] == chunks
     runs = []
-    for flush in (1, 1_000):
-        for threads in (1, 2):
-            monkeypatch.setattr(photon_sim, "_FLUSH_CLICKS", flush)
-            runs.append(tmp_path / f"flush{flush}_threads{threads}")
-            run_pipeline(config, n_pulses, seed, out_dir=str(runs[-1]), threads=threads,
-                         options=pipeline.PipelineOptions(save_clicks=True))
+    for threads in (1, 2):
+        runs.append(tmp_path / f"threads{threads}")
+        run_pipeline(config, n_pulses, seed, out_dir=str(runs[-1]), threads=threads,
+                     options=pipeline.PipelineOptions(save_clicks=True))
     names = sorted(os.path.relpath(os.path.join(base, name), runs[0])
                    for base, _, files in os.walk(runs[0]) for name in files)
     for other in runs[1:]:

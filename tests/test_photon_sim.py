@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -827,11 +829,12 @@ def _chunk_streams(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(streams=_chunk_streams(), flush=st.sampled_from([1, 5, 1 << 40]), data=st.data())
-def test_time_ordered_blocks_are_the_sorted_streams(streams, flush, data):
+@given(streams=_chunk_streams(), data=st.data())
+def test_time_ordered_blocks_are_the_sorted_streams(streams, data):
     period, chunks = streams
-    with mock.patch.object(photon_sim, "_FLUSH_CLICKS", flush):
-        blocks = list(photon_sim._time_ordered(iter(chunks), period))
+    blocks = list(photon_sim._time_ordered(iter(chunks), period))
+    # One block per chunk, and one of the clicks carried past the last.
+    assert len(blocks) == len(chunks) + 1
     for channel in range(2):
         joined = np.concatenate([block[channel] for block in blocks])
         assert joined.dtype == np.int64
@@ -849,9 +852,22 @@ def test_time_ordered_blocks_are_the_sorted_streams(streams, flush, data):
         hi, *times = chunks[k]
         times[channel] = np.sort(np.append(times[channel], early))
         chunks[k] = (hi, *times)
-        with mock.patch.object(photon_sim, "_FLUSH_CLICKS", flush):
-            with pytest.raises(RuntimeError, match="precedes"):
-                list(photon_sim._time_ordered(iter(chunks), period))
+        with pytest.raises(RuntimeError, match="precedes"):
+            list(photon_sim._time_ordered(iter(chunks), period))
+
+
+def test_time_ordered_keeps_no_block_it_yielded():
+    # A block's clicks are freed as soon as its consumer drops it, before
+    # the next chunk is simulated: the cutter holds no reference to it.
+    period = 10.0
+    chunks = ((hi, *(np.arange(10 * hi - 30, 10 * hi + 15, step, dtype=np.int64)
+                     for step in (5, 7)))
+              for hi in (3, 6, 9))
+    for block in photon_sim._time_ordered(chunks, period):
+        refs = [weakref.ref(a) for t in block for a in (t, t.base) if a is not None]
+        del block
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 def _anchors(pulse: np.ndarray, qd: np.ndarray, detected: np.ndarray) -> np.ndarray:

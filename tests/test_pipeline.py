@@ -293,7 +293,6 @@ class TestRunPipeline:
         # are those of a clean run.
         monkeypatch.setattr(photon_sim, "CHUNK_PULSES", 3_000)
         monkeypatch.setattr(photon_sim, "CHUNK_ROWS", 0)
-        monkeypatch.setattr(photon_sim, "_FLUSH_CLICKS", 1)
         cfg = trion_config(n=3)
         assert all(len(photon_sim._chunks(20_000, photon_sim._chunk_pulses(s, cfg.setup))) == 7
                    for s in cfg.sources)

@@ -22,7 +22,8 @@ ROWS = {
         "simulate_tracemalloc_peak_mib": {"simulate_default_2e6", "simulate_default_1.6e7"},
         "ru_maxrss": {"fleet_default", "fleet_lossless", "clicks_save"},
     }),
-    "thread_scaling.py": ("thread_scaling.json", {"runs": {"1", "2"}, "median": {"1", "2"}}),
+    "thread_scaling.py": ("thread_scaling.json", {"runs": {"1", "2"}, "median": {"1", "2"},
+                                                  "process_median": {"wall_s", "cpu_s"}}),
 }
 
 
@@ -48,6 +49,8 @@ def test_script_runs(tmp_path, script, args, outputs):
         result = json.loads((tmp_path / name).read_text())
         for key, names in rows.items():
             assert set(result[key]) == names, key
+        if script == "thread_scaling.py":
+            assert result["speedup"] > 0 and result["process_speedup"] > 0
 
 
 def _load_perfbench_run():
