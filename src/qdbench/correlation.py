@@ -31,44 +31,36 @@ HISTOGRAM_PERIODS = 10.5
 class CorrelationHistogram:
     """Coincidence counts versus inter-channel delay.
 
-    Bins are uniform and symmetric about zero delay; the span must cover
-    at least +/- 10 repetition periods so that side-peak normalization
-    always has material to work with.
+    The counts fill an odd number of bins of ``bin_width_ps``, the middle
+    one centered at zero delay, so the delay grid is not stored but
+    derived (:attr:`delays_ps`).  The span must cover at least +/- 10
+    repetition periods so that side-peak normalization always has
+    material to work with.
     """
 
     bin_width_ps: float
-    delays_ps: np.ndarray
     counts: np.ndarray
     rep_period_ps: float
 
     def __post_init__(self):
-        d = np.asarray(self.delays_ps, dtype=float)
         c = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "delays_ps", d)
         object.__setattr__(self, "counts", c)
-        if d.size != c.size or d.size < 3:
-            raise ValueError("delays and counts must match and hold >= 3 bins")
-        if d.size % 2 != 1 or abs(d[d.size // 2]) > 1e-9 * self.bin_width_ps:
-            raise ValueError("delay grid must contain a bin centered at zero")
-        steps = np.diff(d)
-        if np.any(np.abs(steps - self.bin_width_ps) > 1e-9 * self.bin_width_ps):
-            raise ValueError("delay grid must be uniform at the stated bin width")
+        if c.ndim != 1 or c.size < 3 or c.size % 2 != 1:
+            raise ValueError("counts must be 1-d and hold an odd number >= 3 of bins")
         if np.any(c < 0):
             raise ValueError("counts must be non-negative")
-        span = d[-1] + 0.5 * self.bin_width_ps
+        span = self.delays_ps[-1] + 0.5 * self.bin_width_ps
         if span < 10.0 * self.rep_period_ps * (1.0 - 1e-12):
             raise ValueError(
                 f"histogram span +/-{span:.0f} ps must cover at least 10 repetition "
                 f"periods ({10 * self.rep_period_ps:.0f} ps)"
             )
 
-
-@dataclass(frozen=True)
-class PeakIntegral:
-    """Integrated coincidences around one multiple of the repetition period."""
-
-    peak_index: int
-    area: int
+    @property
+    def delays_ps(self) -> np.ndarray:
+        """The bin centers, ``bin_width_ps`` apart with the middle one at zero."""
+        n = self.counts.size
+        return (np.arange(n) - n // 2) * float(self.bin_width_ps)
 
 
 @dataclass(frozen=True)
@@ -111,7 +103,7 @@ def _integer_clicks(clicks, name: str) -> np.ndarray:
     return t
 
 
-#: Reference clicks per gather in :func:`build_histogram`; bounds its memory.
+#: Reference clicks per gather in :meth:`PairCounter._count`; bounds its memory.
 #: Any value gives the same counts.  On 1.5M lossless clicks, 32768 was as
 #: fast as 4096 and faster than 200000 (54 against 67 ms).
 _HISTOGRAM_BLOCK = 1 << 15
@@ -199,9 +191,7 @@ class PairCounter:
             np.add.at(counts, np.clip(idx, 0, counts.size - 1), 1)
 
     def histogram(self) -> CorrelationHistogram:
-        delays = (np.arange(2 * self._half + 1) - self._half) * self.bin_width_ps
-        return CorrelationHistogram(self.bin_width_ps, delays, self.counts.copy(),
-                                    self.rep_period_ps)
+        return CorrelationHistogram(self.bin_width_ps, self.counts.copy(), self.rep_period_ps)
 
 
 def _since(tail: np.ndarray, t: np.ndarray, start: int) -> np.ndarray:
@@ -216,28 +206,27 @@ def integrate_peaks(
     hist: CorrelationHistogram,
     window_ps: float,
     peak_indices,
-) -> list[PeakIntegral]:
-    """Sum counts within +/- window of each k * rep_period delay."""
+) -> dict[int, int]:
+    """The area of each peak k: the counts within +/- window of the k * rep_period delay."""
     if not 0.0 < window_ps <= hist.rep_period_ps / 2.0:
         raise ValueError(
             f"window {window_ps} ps must be > 0 and at most half a repetition period "
             f"({hist.rep_period_ps / 2.0:.1f} ps), so that peaks do not overlap"
         )
-    span = hist.delays_ps[-1] + 0.5 * hist.bin_width_ps
-    out = []
+    delays = hist.delays_ps
+    span = delays[-1] + 0.5 * hist.bin_width_ps
+    areas = {}
     tol = 1e-9 * hist.bin_width_ps
     for k in sorted(peak_indices):
         center = k * hist.rep_period_ps
         if abs(center) + window_ps > span + tol:
             raise ValueError(f"peak {k} at {center:.0f} ps lies outside the histogram span")
-        mask = np.abs(hist.delays_ps - center) <= window_ps + tol
-        out.append(PeakIntegral(peak_index=k, area=int(hist.counts[mask].sum())))
-    return out
+        areas[k] = int(hist.counts[np.abs(delays - center) <= window_ps + tol].sum())
+    return areas
 
 
 def _peak_ratio(hist, window_ps):
-    integrals = integrate_peaks(hist, window_ps, (0, *SIDE_PEAKS))
-    areas = {p.peak_index: p.area for p in integrals}
+    areas = integrate_peaks(hist, window_ps, (0, *SIDE_PEAKS))
     a0 = areas[0]
     side_areas = np.array([areas[k] for k in SIDE_PEAKS], dtype=float)
     s_mean = float(side_areas.mean())

@@ -153,7 +153,7 @@ def fss_period(delta_fss_uev: float) -> float:
 
 
 def source_violations(params: SourceParams) -> list[str]:
-    """Return the complete list of invariant violations (empty if valid)."""
+    """Return the complete list of invariant violations (empty if valid), NaN and inf included."""
     errs: list[str] = []
     who = params.label or "source"
 
@@ -162,17 +162,18 @@ def source_violations(params: SourceParams) -> list[str]:
             errs.append(f"{who}: kind is exciton but 'exciton' block is missing")
         else:
             x = params.exciton
-            if not x.tau_ps > 0:
-                errs.append(f"{who}: exciton.tau_ps must be > 0, got {x.tau_ps}")
-            if x.delta_fss_uev < 0:
-                errs.append(f"{who}: exciton.delta_fss_uev must be >= 0, got {x.delta_fss_uev}")
+            if not 0 < x.tau_ps < math.inf:
+                errs.append(f"{who}: exciton.tau_ps must be finite and > 0, got {x.tau_ps}")
+            if not 0 <= x.delta_fss_uev < math.inf:
+                errs.append(f"{who}: exciton.delta_fss_uev must be finite and >= 0, "
+                            f"got {x.delta_fss_uev}")
             if not (0.0 <= x.theta_rad < math.pi):
                 errs.append(f"{who}: exciton.theta_rad must lie in [0, pi), got {x.theta_rad}")
     elif params.kind is TransitionKind.TRION:
         if params.trion is None:
             errs.append(f"{who}: kind is trion but 'trion' block is missing")
-        elif not params.trion.tau_ps > 0:
-            errs.append(f"{who}: trion.tau_ps must be > 0, got {params.trion.tau_ps}")
+        elif not 0 < params.trion.tau_ps < math.inf:
+            errs.append(f"{who}: trion.tau_ps must be finite and > 0, got {params.trion.tau_ps}")
     else:
         errs.append(f"{who}: unknown transition kind {params.kind!r}")
 
@@ -182,15 +183,15 @@ def source_violations(params: SourceParams) -> list[str]:
             f"{who}: brightness_first_lens must lie in [0, 0.5] "
             f"(cross-polarization cap), got {b}"
         )
-    if params.p_two_photon < 0:
+    if not params.p_two_photon >= 0:
         errs.append(f"{who}: p_two_photon must be >= 0, got {params.p_two_photon}")
     elif params.p_two_photon > b:
         errs.append(
             f"{who}: p_two_photon ({params.p_two_photon}) cannot exceed "
             f"brightness_first_lens ({b})"
         )
-    if not params.wavelength_nm > 0:
-        errs.append(f"{who}: wavelength_nm must be > 0, got {params.wavelength_nm}")
+    if not 0 < params.wavelength_nm < math.inf:
+        errs.append(f"{who}: wavelength_nm must be finite and > 0, got {params.wavelength_nm}")
     if not (0.0 <= params.dephasing <= 1.0):
         errs.append(f"{who}: dephasing must lie in [0, 1], got {params.dephasing}")
     return errs
@@ -205,19 +206,20 @@ def validate_source(params: SourceParams) -> SourceParams:
 
 
 def setup_violations(setup: SetupParams) -> list[str]:
+    """Return the complete list of invariant violations (empty if valid), NaN and inf included."""
     errs: list[str] = []
-    if not setup.rep_rate_mhz > 0:
-        errs.append(f"setup: rep_rate_mhz must be > 0, got {setup.rep_rate_mhz}")
-    if not setup.pulse_fwhm_ps > 0:
-        errs.append(f"setup: pulse_fwhm_ps must be > 0, got {setup.pulse_fwhm_ps}")
-    if setup.jitter_fwhm_ps < 0:
-        errs.append(f"setup: jitter_fwhm_ps must be >= 0, got {setup.jitter_fwhm_ps}")
+    if not 0 < setup.rep_rate_mhz < math.inf:
+        errs.append(f"setup: rep_rate_mhz must be finite and > 0, got {setup.rep_rate_mhz}")
+    if not 0 < setup.pulse_fwhm_ps < math.inf:
+        errs.append(f"setup: pulse_fwhm_ps must be finite and > 0, got {setup.pulse_fwhm_ps}")
+    if not 0 <= setup.jitter_fwhm_ps < math.inf:
+        errs.append(f"setup: jitter_fwhm_ps must be finite and >= 0, got {setup.jitter_fwhm_ps}")
     for name in ("eta_setup", "eta_det", "laser_leak_per_pulse"):
         v = getattr(setup, name)
         if not (0.0 <= v <= 1.0):
             errs.append(f"setup: {name} must lie in [0, 1], got {v}")
-    if setup.dark_rate_cps < 0:
-        errs.append(f"setup: dark_rate_cps must be >= 0, got {setup.dark_rate_cps}")
+    if not 0 <= setup.dark_rate_cps < math.inf:
+        errs.append(f"setup: dark_rate_cps must be finite and >= 0, got {setup.dark_rate_cps}")
     return errs
 
 

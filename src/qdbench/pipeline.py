@@ -120,19 +120,18 @@ def _write_rows(path, header: str | None, names, cells, notes: str | None):
 
 
 @functools.lru_cache(maxsize=1)
-def _delay_cells(delays: bytes) -> tuple[str, ...]:
-    """The text of a delay column, given as its float64 bytes.
+def _delay_cells(bin_width_ps: float, bins: int) -> tuple[str, ...]:
+    """The text of the delay column of a histogram of ``bins`` bins of ``bin_width_ps``.
 
-    Every histogram of a run has the same delays, so they are formatted
-    once.  Keyed by bytes, 0.0 and -0.0, whose text differs, stay apart.
+    Every histogram of a run has the same delays, so they are formatted once.
     """
-    return tuple(_cells(np.frombuffer(delays)))
+    return tuple(_cells((np.arange(bins) - bins // 2) * float(bin_width_ps)))
 
 
 def write_histogram(hist, path, header: str | None):
     """Write a histogram's ``bin_center_ps,counts`` rows under its bin width and period."""
     _write_rows(path, header, ("bin_center_ps", "counts"),
-                (_delay_cells(hist.delays_ps.tobytes()), _cells(hist.counts)),
+                (_delay_cells(hist.bin_width_ps, hist.counts.size), _cells(hist.counts)),
                 f"bin_width_ps={hist.bin_width_ps!r} rep_period_ps={hist.rep_period_ps!r}")
 
 
@@ -187,13 +186,6 @@ class _ClickWriter:
         self._file.close()
         if exc_type is not None:
             os.remove(self.path)
-
-
-def write_timestamps(path, t0: np.ndarray, t1: np.ndarray, header: str | None,
-                     rep_period_ps: float):
-    """Write two sorted integer-picosecond click streams as one :class:`_ClickWriter` block."""
-    with _ClickWriter(path, header, rep_period_ps) as writer:
-        writer.write(t0, t1)
 
 
 def _format_rows(channel: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -105,15 +105,21 @@ def synth_trace(
 
 
 def read_histogram(path) -> CorrelationHistogram:
-    """Read a histogram file back; the inverse of ``pipeline.write_histogram``."""
+    """Read a histogram file back; the inverse of ``pipeline.write_histogram``.
+
+    The delay column must be the grid the bin width and the bin count give,
+    exactly: a file on any other grid raises ``ValueError``.
+    """
     notes = read_notes(path)
     if "bin_width_ps" not in notes or "rep_period_ps" not in notes:
         raise ValueError(f"{path}: missing bin_width_ps/rep_period_ps note")
     # The column-name line is skipped like a comment.
     rows = np.loadtxt(path, delimiter=",", comments=("#", "bin_center_ps"), ndmin=1,
                       dtype=[("delay", float), ("count", np.int64)])
-    return CorrelationHistogram(notes["bin_width_ps"], rows["delay"], rows["count"],
-                                notes["rep_period_ps"])
+    hist = CorrelationHistogram(notes["bin_width_ps"], rows["count"], notes["rep_period_ps"])
+    if not np.array_equal(rows["delay"], hist.delays_ps):
+        raise ValueError(f"{path}: delays are not the grid of its bin width and bin count")
+    return hist
 
 
 def train_chunks(rng, source, setup, n_pulses: int) -> list:

@@ -472,7 +472,8 @@ def _assert_streamed_equal_whole(tmp_path, config, n_pulses, seed, chunks):
             assert min(t0.size, t1.size) > 100
             hist = build_histogram(t0, t1, 100.0, period)
             pipeline.write_histogram(hist, out / f"{train}_histogram.csv", header)
-            pipeline.write_timestamps(out / f"{train}_clicks.csv", t0, t1, header, period)
+            with pipeline._ClickWriter(out / f"{train}_clicks.csv", header, period) as writer:
+                writer.write(t0, t1)
             if train == "hbt":
                 trace = folded_decay_trace(t0, t1, setup, source)
                 pipeline.write_table(out / "decay_trace.csv", header, ("t_ps", "counts"),

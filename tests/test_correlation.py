@@ -40,12 +40,11 @@ def ps(times) -> np.ndarray:
 def make_hist(zero_area: int, side_area: int, bin_width=100.0, periods=10):
     """Hand-built histogram with given zero and side peak contents."""
     half = int(round(periods * PERIOD / bin_width)) + 10
-    delays = (np.arange(2 * half + 1) - half) * bin_width
-    counts = np.zeros(delays.size, dtype=np.int64)
+    counts = np.zeros(2 * half + 1, dtype=np.int64)
     for k in range(-periods, periods + 1):
         idx = int(round(k * PERIOD / bin_width)) + half
         counts[idx] = zero_area if k == 0 else side_area
-    return CorrelationHistogram(bin_width, delays, counts, PERIOD)
+    return CorrelationHistogram(bin_width, counts, PERIOD)
 
 
 class TestBuildHistogram:
@@ -72,8 +71,7 @@ class TestBuildHistogram:
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3)
         t0, t1 = train_clicks(RngSpec(61, 0), RngSpec(61, 1), src, setup, 300_000)
         hist = build_histogram(t0, t1, 100.0, PERIOD)
-        peaks = integrate_peaks(hist, 2000.0, range(-6, 7))
-        areas = {p.peak_index: p.area for p in peaks}
+        areas = integrate_peaks(hist, 2000.0, range(-6, 7))
         assert areas[0] == 0
         for k in (1, 2, 6, -3):
             assert areas[k] > 0
@@ -159,12 +157,12 @@ class TestIntegratePeaks:
         src = trion_source(S11_TAU_PS, brightness_first_lens=0.3, p_two_photon=0.002)
         t0, t1 = train_clicks(RngSpec(63, 0), RngSpec(63, 1), src, setup, 100_000)
         hist = build_histogram(t0, t1, 100.0, PERIOD)
-        peaks = integrate_peaks(hist, PERIOD / 2, range(-10, 11))
-        assert sum(p.area for p in peaks) == hist.counts.sum()
+        areas = integrate_peaks(hist, PERIOD / 2, range(-10, 11))
+        assert sum(areas.values()) == hist.counts.sum()
 
     def test_empty_histogram_zero_areas(self):
         hist = make_hist(0, 0)
-        assert all(p.area == 0 for p in integrate_peaks(hist, 2000.0, range(-6, 7)))
+        assert integrate_peaks(hist, 2000.0, range(-6, 7)) == dict.fromkeys(range(-6, 7), 0)
 
     def test_peak_outside_span_rejected(self):
         hist = make_hist(10, 100)
@@ -182,7 +180,7 @@ class TestIntegratePeaks:
         t0, t1 = train_clicks(RngSpec(64, 0), RngSpec(64, 1), src, setup, 1_000_000)
         hist = build_histogram(t0, t1, 100.0, PERIOD)
         peaks = integrate_peaks(hist, 2000.0, [k for k in range(-6, 7) if k != 0])
-        areas = np.array([p.area for p in peaks], dtype=float)
+        areas = np.array(list(peaks.values()), dtype=float)
         # Pairwise ratios consistent with unity within Poisson scatter.
         sigma = np.sqrt(areas.mean())
         assert np.all(np.abs(areas - areas.mean()) < 5 * sigma)
@@ -362,4 +360,13 @@ class TestHistogramIO:
         assert back.bin_width_ps == hist.bin_width_ps
         assert back.rep_period_ps == hist.rep_period_ps
         assert np.array_equal(back.counts, hist.counts)
-        assert np.allclose(back.delays_ps, hist.delays_ps)
+
+    def test_a_file_on_another_grid_is_rejected(self, tmp_path):
+        # The grid is derived from the bin width and the bin count, so a
+        # file whose delays differ from it fails instead of being re-gridded.
+        path = tmp_path / "hist.csv"
+        write_histogram(make_hist(42, 137), path, "qdbench test seed=1 config=x")
+        text = path.read_text()
+        path.write_text(text.replace("\n0.0,", "\n1.0,"))
+        with pytest.raises(ValueError, match="grid of its bin width"):
+            read_histogram(path)

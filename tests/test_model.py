@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qdbench.model import (
     TrionParams,
     exciton_source,
     fss_period,
+    setup_violations,
+    source_violations,
     trion_source,
     validate_setup,
     validate_source,
@@ -115,6 +118,26 @@ class TestValidation:
         src = exciton_source(tau, delta, theta, brightness_first_lens=b, p_two_photon=0.0)
         assert validate_source(src) is src
         assert 0.0 <= src.exciton.theta_rad < math.pi
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_every_non_finite_field_is_one_error(self, value):
+        # Every float field, of the setup, of a source and of its kind's
+        # block, gives exactly one error that names it.
+        setup = SetupParams()
+        for f in fields(setup):
+            errs = setup_violations(replace(setup, **{f.name: value}))
+            assert len(errs) == 1 and f.name in errs[0], errs
+        common = dict(brightness_first_lens=0.2, p_two_photon=0.001, label="S1")
+        for source in (exciton_source(252.0, 8.58, 0.3, **common),
+                       trion_source(164.9, **common)):
+            block = source.exciton or source.trion
+            changed = [(f.name, replace(source, **{f.name: value})) for f in fields(source)
+                       if isinstance(f.default, float)]
+            changed += [(f.name, replace(source, **{source.kind.value: replace(
+                block, **{f.name: value})})) for f in fields(block)]
+            for name, bad in changed:
+                errs = source_violations(bad)
+                assert len(errs) == 1 and name in errs[0], errs
 
 
 class TestExcitonParams:

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import sys
 
 import qdbench
@@ -115,3 +116,46 @@ def test_the_simulator_has_one_way_in():
     whole_train = {"EventBatch", "simulate_pulse_train", "hbt_streams", "hom_streams"}
     assert not whole_train & set(dir(photon_sim))
     assert not (whole_train | {"Origin"}) & set(dir(qdbench))
+
+
+#: Public functions that only tests call: the oracles of acceptance
+#: criteria 1, 2 and 3, kept as the independent reference the criteria
+#: check the simulation against.
+TEST_ORACLES = {"exciton_amplitudes", "peak_emission_delay", "cross_intensity_integral"}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _top_level_names(tree: ast.Module):
+    """The names a module defines at its top level: functions, classes and assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+def _reads(tree: ast.AST):
+    """Every name ``tree`` reads, bare or as an attribute; definitions and imports are not reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_no_public_name_is_used_only_by_tests():
+    # A public name of src/qdbench is read by the package itself, by a
+    # script or by the README; the package's __init__ re-exporting it is
+    # not a use.
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    public, reads = set(), set()
+    for path in modules:
+        tree = ast.parse(path.read_text())
+        public |= {name for name in _top_level_names(tree) if not name.startswith("_")}
+        reads |= set(_reads(tree))
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        reads |= set(_reads(ast.parse(path.read_text())))
+    readme = (ROOT / "README.md").read_text()
+    unread = {name for name in public - reads if not re.search(rf"\b{name}\b", readme)}
+    assert unread == TEST_ORACLES

@@ -490,7 +490,7 @@ class TestHomStage:
         t0, t1 = train_clicks(RngSpec(43, 0), RngSpec(43, 1), src, setup, n, overlap=1.0)
         period = setup.rep_period_ps
         hist = build_histogram(t0, t1, 100.0, period)
-        zero = integrate_peaks(hist, 2000.0, [0])[0].area
+        zero = integrate_peaks(hist, 2000.0, [0])[0]
         # Perfect overlap removes QD-QD zero-delay pairs, so everything
         # left comes from the classical leak light.
         assert zero > 0
@@ -581,10 +581,7 @@ class TestHomStage:
         t0, t1 = detector_clicks(RngSpec(46, 0), clean_setup, batch, n, overlap=0.5)
         period = clean_setup.rep_period_ps
         hist = build_histogram(t0, t1, 100.0, period)
-        areas = {
-            p.peak_index: p.area
-            for p in integrate_peaks(hist, 2000.0, [-3, -2, -1, 1, 2, 3])
-        }
+        areas = integrate_peaks(hist, 2000.0, [-3, -2, -1, 1, 2, 3])
         near = 0.5 * (areas[1] + areas[-1])
         far = 0.25 * (areas[2] + areas[-2] + areas[3] + areas[-3])
         assert near / far == pytest.approx(0.75, abs=0.02)

@@ -30,7 +30,6 @@ from qdbench.pipeline import (
     PipelineOptions,
     read_timestamps,
     run_pipeline,
-    write_timestamps,
 )
 
 CLEAN_SETUP = SetupParams(eta_setup=1.0, eta_det=1.0)
@@ -429,7 +428,8 @@ class TestTimestampFiles:
         t0 = np.array([-7, 3, 101, 5000])
         t1 = np.array([43, 77])
         path = tmp_path / "clicks.csv"
-        write_timestamps(path, t0, t1, "qdbench test seed=0 config=x", 12345.0)
+        with pipeline._ClickWriter(path, "qdbench test seed=0 config=x", 12345.0) as writer:
+            writer.write(t0, t1)
         lines = path.read_text().splitlines()
         assert lines[1:3] == ["# channel,time_ps", "# rep_period_ps=12345.0"]
         back0, back1 = read_timestamps(path)
@@ -441,7 +441,8 @@ class TestTimestampFiles:
         # Neither a rejected whole stream nor a rejected later block leaves a file.
         path = tmp_path / "clicks.csv"
         with pytest.raises(TypeError):
-            write_timestamps(path, np.array([1.5]), np.array([2]), "x", 1e4)
+            with pipeline._ClickWriter(path, "x", 1e4) as writer:
+                writer.write(np.array([1.5]), np.array([2]))
         assert not path.exists()
         with pytest.raises(TypeError):
             with pipeline._ClickWriter(path, "x", 1e4) as writer:
@@ -456,7 +457,8 @@ class TestTimestampFiles:
         t1 = np.sort(np.concatenate([rng.integers(0, 5 * 10**7, size=60_000), t0[::7]]))
         header = "qdbench test seed=0 config=x"
         path = tmp_path / "clicks.csv"
-        write_timestamps(path, t0, t1, header, 12345.679012345678)
+        with pipeline._ClickWriter(path, header, 12345.679012345678) as writer:
+            writer.write(t0, t1)
         assert path.read_bytes() == _row_loop_reference(t0, t1, header, 12345.679012345678)
 
     @settings(max_examples=300, deadline=None)
@@ -466,7 +468,8 @@ class TestTimestampFiles:
         header = "qdbench test seed=0 config=x"
         path = tmp_path_factory.mktemp("clicks") / "clicks.csv"
         with mock.patch.object(pipeline, "_WRITE_BLOCK_ROWS", block_rows):
-            write_timestamps(path, t0, t1, header, 1e4)
+            with pipeline._ClickWriter(path, header, 1e4) as writer:
+                writer.write(t0, t1)
         assert path.read_bytes() == _row_loop_reference(t0, t1, header, 1e4)
 
     @settings(max_examples=300, deadline=None)
@@ -490,7 +493,8 @@ class TestTimestampFiles:
             with pipeline._ClickWriter(path / "blocks.csv", header, 1e4) as writer:
                 for i in range(len(cuts) + 1):
                     writer.write(*(t[b[i]:b[i + 1]] for t, b in zip((t0, t1), bounds)))
-            write_timestamps(path / "whole.csv", t0, t1, header, 1e4)
+            with pipeline._ClickWriter(path / "whole.csv", header, 1e4) as whole:
+                whole.write(t0, t1)
         assert writer.rows == t0.size + t1.size
         written = (path / "blocks.csv").read_bytes()
         assert written == (path / "whole.csv").read_bytes()
@@ -570,22 +574,20 @@ def test_decay_fold_counts_as_np_histogram(times, n_bins, period, block):
 class TestHistogramTables:
     def test_tables_match_a_row_by_row_writer(self, tmp_path):
         # The tables of a run share one delay column, which is formatted
-        # once.  A new bin width, or a center bin of -0.0 instead of 0.0,
-        # must still be written as its own text.
+        # once.  A new bin width, or a new bin count at the same width
+        # (the last two), must still be written as its own text.
         rng = np.random.default_rng(5)
         period = 12345.0
-        for i, (width, center) in enumerate([(33.3, 0.0), (33.3, 0.0), (100.0, 0.0),
-                                              (12.5, 0.0), (33.3, -0.0), (33.3, 0.0)]):
-            half = round(correlation.HISTOGRAM_PERIODS * period / width)
+        for i, (width, extra) in enumerate([(33.3, 0), (33.3, 0), (100.0, 0), (12.5, 0),
+                                            (33.3, 0), (33.3, 1)]):
+            half = round(correlation.HISTOGRAM_PERIODS * period / width) + extra
             delays = (np.arange(2 * half + 1) - half) * width
-            delays[half] = center
-            hist = CorrelationHistogram(width, delays, rng.poisson(50.0, delays.size), period)
+            hist = CorrelationHistogram(width, rng.poisson(50.0, delays.size), period)
             path = tmp_path / f"hist{i}.csv"
             pipeline.write_histogram(hist, path, "qdbench test")
             notes = f"bin_width_ps={width!r} rep_period_ps={period!r}"
             assert path.read_bytes() == _table_reference(
                 "qdbench test", notes, ("bin_center_ps", "counts"), (delays, hist.counts))
-            assert path.read_text().count("\n-0.0,") == (math.copysign(1.0, center) < 0)
 
 
 class TestCli:
