@@ -11,12 +11,10 @@ __version__ = "0.1.0"
 
 from .model import (
     HBAR_UEV_PS,
-    ExcitonParams,
     SetupParams,
     SourceParams,
     SourceValidationError,
     TransitionKind,
-    TrionParams,
     exciton_source,
     fss_period,
     trion_source,

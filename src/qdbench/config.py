@@ -29,21 +29,13 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .model import (
-    ExcitonParams,
-    SetupParams,
-    SourceParams,
-    TransitionKind,
-    TrionParams,
-    setup_violations,
-    source_violations,
-)
+from .model import SetupParams, SourceParams, TransitionKind, setup_violations, source_violations
 
 _SETUP_KEYS = tuple(f.name for f in fields(SetupParams))
 _EXCITON_KEYS = ("delta_fss_uev", "theta_deg")
 #: Source keys shared by both kinds, each a SourceParams field with its default.
 _COMMON_KEYS = tuple(f.name for f in fields(SourceParams)
-                     if f.name not in ("kind", "exciton", "trion", "label"))
+                     if f.name not in ("kind", "tau_ps", "delta_fss_uev", "theta_rad", "label"))
 _SOURCE_KEYS = ("kind", "tau_ps", *_EXCITON_KEYS, *_COMMON_KEYS)
 
 
@@ -82,8 +74,8 @@ def dump_config(sources, setup: SetupParams) -> str:
         lines.append(f"kind = {s.kind.value}")
         lines.append(f"tau_ps = {s.tau_ps!r}")
         if s.kind is TransitionKind.EXCITON:
-            lines.append(f"delta_fss_uev = {s.exciton.delta_fss_uev!r}")
-            lines.append(f"theta_deg = {math.degrees(s.exciton.theta_rad)!r}")
+            lines.append(f"delta_fss_uev = {s.delta_fss_uev!r}")
+            lines.append(f"theta_deg = {math.degrees(s.theta_rad)!r}")
         for key in _COMMON_KEYS:
             lines.append(f"{key} = {getattr(s, key)!r}")
     return "\n".join(lines) + "\n"
@@ -161,17 +153,19 @@ def _build_source(label, header_line, entries, errors) -> SourceParams | None:
                       f"got {values['kind']!r}")
         return None
     kind = TransitionKind(kind_text)
-    common = {key: values[key] for key in _COMMON_KEYS if key in values}
+    kwargs = {key: values[key] for key in _COMMON_KEYS if key in values}
     if kind is TransitionKind.EXCITON:
-        exciton = ExcitonParams(values["tau_ps"], values["delta_fss_uev"],
-                                math.radians(values["theta_deg"]))
-        source = SourceParams(kind=kind, exciton=exciton, label=label, **common)
+        theta_deg = values["theta_deg"]
+        if not math.isfinite(theta_deg):
+            errors.append(f"line {entries['theta_deg'][1]}: theta_deg must be finite, "
+                          f"got {theta_deg}")
+            theta_deg = 0.0  # reported above; the other keys are still checked
+        kwargs.update(delta_fss_uev=values["delta_fss_uev"], theta_rad=math.radians(theta_deg))
     else:
         for key in _EXCITON_KEYS:
             if key in entries:
                 errors.append(f"line {entries[key][1]}: {key} is not valid for a trion source")
-        source = SourceParams(kind=kind, trion=TrionParams(values["tau_ps"]), label=label,
-                              **common)
+    source = SourceParams(kind, values["tau_ps"], label=label, **kwargs)
     errors.extend(source_violations(source))
     return source
 

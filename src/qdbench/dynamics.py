@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HBAR_UEV_PS, ExcitonParams, SourceParams, TransitionKind
+from .model import HBAR_UEV_PS, SourceParams, TransitionKind
 
 FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
@@ -46,8 +46,8 @@ def _check_nonnegative_time(t) -> np.ndarray:
     return arr
 
 
-def exciton_amplitudes(t, p: ExcitonParams):
-    """Eigenstate amplitudes (a_V', a_H') of the decaying exciton at time t.
+def exciton_amplitudes(t, source: SourceParams):
+    """Eigenstate amplitudes (a_V', a_H') of the decaying exciton source at time t.
 
     Starting from the cavity-aligned superposition cos(theta)|V'> +
     sin(theta)|H'>, each component evolves with the phase of its energy,
@@ -55,42 +55,42 @@ def exciton_amplitudes(t, p: ExcitonParams):
     exp(-t/2tau), so the total population is exp(-t/tau).
     """
     tt = _check_nonnegative_time(t)
-    decay = np.exp(-tt / (2.0 * p.tau_ps))
-    half = 0.5 * p.delta_fss_uev
-    a_v = np.cos(p.theta_rad) * np.exp(-1j * half * tt / HBAR_UEV_PS) * decay
-    a_h = np.sin(p.theta_rad) * np.exp(1j * half * tt / HBAR_UEV_PS) * decay
+    decay = np.exp(-tt / (2.0 * source.tau_ps))
+    half = 0.5 * source.delta_fss_uev
+    a_v = np.cos(source.theta_rad) * np.exp(-1j * half * tt / HBAR_UEV_PS) * decay
+    a_h = np.sin(source.theta_rad) * np.exp(1j * half * tt / HBAR_UEV_PS) * decay
     return a_v, a_h
 
 
-def exciton_cross_intensity(t, p: ExcitonParams):
-    """Cross-polarized exciton emission intensity at time t (closed form)."""
+def exciton_cross_intensity(t, source: SourceParams):
+    """Cross-polarized emission intensity of an exciton source at time t (closed form)."""
     tt = _check_nonnegative_time(t)
-    beat = np.sin(tt * p.delta_fss_uev / (2.0 * HBAR_UEV_PS)) ** 2
-    return np.exp(-tt / p.tau_ps) * beat * math.sin(2.0 * p.theta_rad) ** 2
+    beat = np.sin(tt * source.delta_fss_uev / (2.0 * HBAR_UEV_PS)) ** 2
+    return np.exp(-tt / source.tau_ps) * beat * math.sin(2.0 * source.theta_rad) ** 2
 
 
-def cross_intensity_integral(p: ExcitonParams) -> float:
+def cross_intensity_integral(source: SourceParams) -> float:
     """Closed-form integral of the cross-polarized intensity over [0, inf).
 
     Equals sin^2(2 theta) * (tau/2) * r^2 / (1 + r^2) with r = delta*tau/hbar.
     """
-    r = p.delta_fss_uev * p.tau_ps / HBAR_UEV_PS
-    return math.sin(2.0 * p.theta_rad) ** 2 * 0.5 * p.tau_ps * r * r / (1.0 + r * r)
+    r = source.delta_fss_uev * source.tau_ps / HBAR_UEV_PS
+    return math.sin(2.0 * source.theta_rad) ** 2 * 0.5 * source.tau_ps * r * r / (1.0 + r * r)
 
 
-def peak_emission_delay(p: ExcitonParams) -> float:
+def peak_emission_delay(source: SourceParams) -> float:
     """First time t* > 0 at which the cross-polarized intensity peaks.
 
     Setting the derivative of exp(-t/tau) sin^2(t delta / 2 hbar) to zero
     gives tan(t delta / 2 hbar) = tau * delta / hbar on the first branch,
     solved here in closed form through the arctangent.
     """
-    if p.delta_fss_uev <= 0:
+    if source.delta_fss_uev <= 0:
         raise ValueError("no emission maximum exists for delta_fss = 0 (intensity is zero)")
-    if p.tau_ps <= 0:
-        raise ValueError(f"tau_ps must be > 0, got {p.tau_ps}")
-    r = p.tau_ps * p.delta_fss_uev / HBAR_UEV_PS
-    return 2.0 * HBAR_UEV_PS / p.delta_fss_uev * math.atan(r)
+    if source.tau_ps <= 0:
+        raise ValueError(f"tau_ps must be > 0, got {source.tau_ps}")
+    r = source.tau_ps * source.delta_fss_uev / HBAR_UEV_PS
+    return 2.0 * HBAR_UEV_PS / source.delta_fss_uev * math.atan(r)
 
 
 def gaussian_kernel(grid_step_ps: float, fwhm_ps: float):
@@ -109,7 +109,6 @@ def gaussian_kernel(grid_step_ps: float, fwhm_ps: float):
 
 def phi_scan_model(
     phi_rad: float,
-    kind: TransitionKind,
     params: SourceParams,
     amp_cavity: float,
     amp_qd: float,
@@ -124,8 +123,8 @@ def phi_scan_model(
     if amp_cavity < 0 or amp_qd < 0:
         raise ValueError("amplitudes must be non-negative")
     cavity = amp_cavity * math.sin(2.0 * phi_rad) ** 2
-    if kind is TransitionKind.EXCITON:
-        qd = amp_qd * math.sin(2.0 * (params.exciton.theta_rad - phi_rad)) ** 2
+    if params.kind is TransitionKind.EXCITON:
+        qd = amp_qd * math.sin(2.0 * (params.theta_rad - phi_rad)) ** 2
     else:
         qd = amp_qd
     return PhiScanPoint(phi_rad=phi_rad, cavity_light=cavity, qd_light=qd)

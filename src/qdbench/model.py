@@ -43,39 +43,16 @@ class SourceValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ExcitonParams:
-    """Neutral-exciton source parameters.
-
-    ``theta_rad`` is the angle between the cavity polarization axis and
-    the exciton dipole axis.  The emission depends on it only through
-    sin^2(2*theta), so it is canonicalized into [0, pi).  The two
-    eigenstates sit at +/- half the fine-structure splitting
-    ``delta_fss_uev``; their mean energy is a global phase with no
-    observable effect, so it is not a parameter.
-    """
-
-    tau_ps: float
-    delta_fss_uev: float
-    theta_rad: float
-
-    def __post_init__(self):
-        theta = float(self.theta_rad) % math.pi
-        if theta >= math.pi:
-            # float modulo of a tiny negative angle rounds up to pi itself
-            theta = 0.0
-        object.__setattr__(self, "theta_rad", theta)
-
-
-@dataclass(frozen=True)
-class TrionParams:
-    """Charged-exciton (trion) source parameters: a plain lifetime."""
-
-    tau_ps: float
-
-
-@dataclass(frozen=True)
 class SourceParams:
     """Complete description of one single-photon source.
+
+    ``tau_ps`` is the radiative lifetime of either kind.  An exciton also
+    has a fine-structure splitting ``delta_fss_uev``: its two eigenstates
+    sit at +/- half of it, and their mean energy is a global phase with no
+    observable effect, so it is not a parameter.  ``theta_rad`` is the
+    angle between the cavity polarization axis and the exciton dipole
+    axis; the emission depends on it only through sin^2(2*theta), so it is
+    canonicalized into [0, pi).  A trion has neither, and leaves both None.
 
     ``brightness_first_lens`` is the probability of collecting a photon
     per excitation pulse at the first lens; it is capped at 0.5 because a
@@ -87,23 +64,22 @@ class SourceParams:
     """
 
     kind: TransitionKind
-    exciton: ExcitonParams | None = None
-    trion: TrionParams | None = None
+    tau_ps: float
+    delta_fss_uev: float | None = None
+    theta_rad: float | None = None
     brightness_first_lens: float = 0.0
     p_two_photon: float = 0.0
     wavelength_nm: float = 924.7
     dephasing: float = 0.0
     label: str = ""
 
-    @property
-    def tau_ps(self) -> float:
-        if self.kind is TransitionKind.EXCITON and self.exciton is not None:
-            return self.exciton.tau_ps
-        if self.kind is TransitionKind.TRION and self.trion is not None:
-            return self.trion.tau_ps
-        raise SourceValidationError(
-            [f"{self.label or 'source'}: missing parameter block for kind={self.kind.value}"]
-        )
+    def __post_init__(self):
+        if self.theta_rad is not None:
+            theta = float(self.theta_rad) % math.pi
+            if theta >= math.pi:
+                # float modulo of a tiny negative angle rounds up to pi itself
+                theta = 0.0
+            object.__setattr__(self, "theta_rad", theta)
 
     @property
     def overlap(self) -> float:
@@ -157,35 +133,33 @@ def source_violations(params: SourceParams) -> list[str]:
     errs: list[str] = []
     who = params.label or "source"
 
+    if not 0 < params.tau_ps < math.inf:
+        errs.append(f"{who}: tau_ps must be finite and > 0, got {params.tau_ps}")
     if params.kind is TransitionKind.EXCITON:
-        if params.exciton is None:
-            errs.append(f"{who}: kind is exciton but 'exciton' block is missing")
+        if params.delta_fss_uev is None or params.theta_rad is None:
+            errs.append(f"{who}: an exciton needs delta_fss_uev and theta_rad")
         else:
-            x = params.exciton
-            if not 0 < x.tau_ps < math.inf:
-                errs.append(f"{who}: exciton.tau_ps must be finite and > 0, got {x.tau_ps}")
-            if not 0 <= x.delta_fss_uev < math.inf:
-                errs.append(f"{who}: exciton.delta_fss_uev must be finite and >= 0, "
-                            f"got {x.delta_fss_uev}")
-            if not (0.0 <= x.theta_rad < math.pi):
-                errs.append(f"{who}: exciton.theta_rad must lie in [0, pi), got {x.theta_rad}")
+            if not 0 <= params.delta_fss_uev < math.inf:
+                errs.append(f"{who}: delta_fss_uev must be finite and >= 0, "
+                            f"got {params.delta_fss_uev}")
+            if not (0.0 <= params.theta_rad < math.pi):
+                errs.append(f"{who}: theta_rad must lie in [0, pi), got {params.theta_rad}")
     elif params.kind is TransitionKind.TRION:
-        if params.trion is None:
-            errs.append(f"{who}: kind is trion but 'trion' block is missing")
-        elif not 0 < params.trion.tau_ps < math.inf:
-            errs.append(f"{who}: trion.tau_ps must be finite and > 0, got {params.trion.tau_ps}")
+        if params.delta_fss_uev is not None or params.theta_rad is not None:
+            errs.append(f"{who}: a trion has no delta_fss_uev or theta_rad")
     else:
         errs.append(f"{who}: unknown transition kind {params.kind!r}")
 
     b = params.brightness_first_lens
-    if not (0.0 <= b <= 0.5):
+    b_valid = 0.0 <= b <= 0.5
+    if not b_valid:
         errs.append(
             f"{who}: brightness_first_lens must lie in [0, 0.5] "
             f"(cross-polarization cap), got {b}"
         )
     if not params.p_two_photon >= 0:
         errs.append(f"{who}: p_two_photon must be >= 0, got {params.p_two_photon}")
-    elif params.p_two_photon > b:
+    elif b_valid and params.p_two_photon > b:
         errs.append(
             f"{who}: p_two_photon ({params.p_two_photon}) cannot exceed "
             f"brightness_first_lens ({b})"
@@ -233,15 +207,11 @@ def validate_setup(setup: SetupParams) -> SetupParams:
 def exciton_source(tau_ps: float, delta_fss_uev: float, theta_rad: float,
                    **common) -> SourceParams:
     """Validated exciton source; ``common`` takes the other ``SourceParams`` fields."""
-    return validate_source(SourceParams(
-        kind=TransitionKind.EXCITON,
-        exciton=ExcitonParams(tau_ps, delta_fss_uev, theta_rad),
-        **common,
-    ))
+    return validate_source(
+        SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_rad, **common)
+    )
 
 
 def trion_source(tau_ps: float, **common) -> SourceParams:
     """Validated trion source; ``common`` takes the other ``SourceParams`` fields."""
-    return validate_source(
-        SourceParams(kind=TransitionKind.TRION, trion=TrionParams(tau_ps), **common)
-    )
+    return validate_source(SourceParams(TransitionKind.TRION, tau_ps, **common))

@@ -67,7 +67,6 @@ import numpy as np
 
 from .dynamics import FWHM_TO_SIGMA, PhiScanPoint, exciton_cross_intensity, phi_scan_model
 from .model import (
-    ExcitonParams,
     SetupParams,
     SourceParams,
     TransitionKind,
@@ -162,7 +161,6 @@ def _exciton_inverse_cdf_table(tau_ps: float, delta_fss_uev: float, theta_rad: f
     The table spans 14 lifetimes (truncated mass ~ 1e-6) with a step fine
     enough to resolve both the decay and the beat oscillation.
     """
-    p = ExcitonParams(tau_ps, delta_fss_uev, theta_rad)
     if delta_fss_uev <= 0 or math.sin(2.0 * theta_rad) == 0.0:
         raise UnsamplableEmissionError(
             "exciton emits no cross-polarized light for delta_fss = 0 or "
@@ -170,7 +168,8 @@ def _exciton_inverse_cdf_table(tau_ps: float, delta_fss_uev: float, theta_rad: f
         )
     step = min(tau_ps, fss_period(delta_fss_uev)) / 256.0
     t = np.arange(0.0, 14.0 * tau_ps + step, step)
-    pdf = exciton_cross_intensity(t, p)
+    pdf = exciton_cross_intensity(
+        t, SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_rad))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * step)])
     total = cdf[-1]
     if total <= 0.0:
@@ -185,9 +184,8 @@ def sample_emission_time(rng: np.random.Generator, source: SourceParams, size: i
     from inverse-CDF interpolation on a tabulated grid.
     """
     if source.kind is TransitionKind.TRION:
-        return source.trion.tau_ps * rng.standard_exponential(size=size)
-    x = source.exciton
-    cdf, t = _exciton_inverse_cdf_table(x.tau_ps, x.delta_fss_uev, x.theta_rad)
+        return source.tau_ps * rng.standard_exponential(size=size)
+    cdf, t = _exciton_inverse_cdf_table(source.tau_ps, source.delta_fss_uev, source.theta_rad)
     return _interp_sorted(rng.random(size), cdf, t)
 
 
@@ -383,9 +381,7 @@ def _check_train(source: SourceParams, setup: SetupParams, n_pulses: int):
     validate_setup(setup)
     if source.kind is TransitionKind.EXCITON and source.brightness_first_lens > 0:
         # Fail fast on unsamplable emission before simulating any chunk.
-        _exciton_inverse_cdf_table(
-            source.exciton.tau_ps, source.exciton.delta_fss_uev, source.exciton.theta_rad
-        )
+        _exciton_inverse_cdf_table(source.tau_ps, source.delta_fss_uev, source.theta_rad)
 
 
 def _dark_clicks(g: np.random.Generator, setup: SetupParams, lo_ps: float, hi_ps: float):
@@ -747,7 +743,7 @@ def synthesize_phi_scan(seed: int, source_index: int, source: SourceParams) -> l
     """
     g = source_streams(seed, source_index).phi_scan.generator()
     factors = np.maximum(0.0, 1.0 + _PHI_SCAN_NOISE * g.standard_normal((_PHI_SCAN_ANGLES, 2)))
-    clean = (phi_scan_model(phi, source.kind, source, amp_cavity=1.0, amp_qd=1.0)
+    clean = (phi_scan_model(phi, source, amp_cavity=1.0, amp_qd=1.0)
              for phi in np.linspace(0.0, math.pi, _PHI_SCAN_ANGLES).tolist())
     return [PhiScanPoint(p.phi_rad, p.cavity_light * fc, p.qd_light * fq)
             for p, (fc, fq) in zip(clean, factors.tolist())]

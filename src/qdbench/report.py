@@ -15,7 +15,9 @@ from .model import TransitionKind
 
 STD_CONVENTION = "population (divide by n)"
 
-_METRICS = ("g2", "overlap_corrected", "first_lens_brightness", "wavelength_nm", "tau_fit_ps")
+#: Summarized per kind and overall; a trion's None splitting is left out of its statistics.
+_METRICS = ("g2", "overlap_corrected", "first_lens_brightness", "wavelength_nm", "tau_fit_ps",
+            "delta_fss_fit_uev")
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,10 @@ class SourceReport:
     delta_fss_fit_err_uev: float | None = None
 
     def __post_init__(self):
-        for name in ("g2_err", "v_raw_err", "overlap_err", "tau_fit_err_ps"):
-            if getattr(self, name) < 0:
+        for name in ("g2_err", "v_raw_err", "overlap_err", "tau_fit_err_ps",
+                     "delta_fss_fit_err_uev"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.kind is TransitionKind.EXCITON and self.delta_fss_fit_uev is None:
             raise ValueError("exciton reports must carry delta_fss_fit_uev")
@@ -118,15 +122,9 @@ def aggregate_benchmark(reports: list[SourceReport]) -> BenchmarkSummary:
         "trion": [r for r in reports if r.kind is TransitionKind.TRION],
         "all": list(reports),
     }
-    stats: dict = {}
-    for group_name, members in groups.items():
-        per_metric = {}
-        for metric in _METRICS:
-            per_metric[metric] = _population_stats(getattr(r, metric) for r in members)
-        per_metric["delta_fss_fit_uev"] = _population_stats(
-            r.delta_fss_fit_uev for r in members
-        )
-        stats[group_name] = per_metric
+    stats = {name: {metric: _population_stats(getattr(r, metric) for r in members)
+                    for metric in _METRICS}
+             for name, members in groups.items()}
     counts = {name: len(members) for name, members in groups.items()}
     return BenchmarkSummary(stats=stats, counts=counts)
 

@@ -49,15 +49,15 @@ from qdbench.fleet import analytic_g2, draw_fleet, p_two_photon_for_g2
 from qdbench.inference import classify_transition, fit_decay
 from qdbench.model import (
     HBAR_UEV_PS,
-    ExcitonParams,
     SetupParams,
     TransitionKind,
+    exciton_source,
     trion_source,
 )
 from qdbench.photon_sim import RngSpec
 from qdbench.pipeline import run_pipeline
 
-S7 = ExcitonParams(tau_ps=S7_TAU_PS, delta_fss_uev=S7_DELTA_UEV, theta_rad=math.pi / 4)
+S7 = exciton_source(tau_ps=S7_TAU_PS, delta_fss_uev=S7_DELTA_UEV, theta_rad=math.pi / 4)
 
 # First intensity maximum for the S7 parameters, frozen from the defining
 # stationarity condition tan(t*delta/2hbar) = tau*delta/hbar solved on the
@@ -78,7 +78,7 @@ def test_criterion_01_closed_form_matches_amplitude_oracle():
     rng = np.random.default_rng(20260808)
     worst = 0.0
     for _ in range(1000):
-        p = ExcitonParams(
+        p = exciton_source(
             tau_ps=rng.uniform(20.0, 2000.0),
             delta_fss_uev=rng.uniform(0.1, 50.0),
             theta_rad=rng.uniform(0.05, math.pi - 0.05),

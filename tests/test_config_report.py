@@ -4,10 +4,11 @@ from dataclasses import MISSING, fields
 
 import pytest
 
+from qdbench import config
 from qdbench.cli import main as cli_main
 from qdbench.config import ConfigError, FleetConfig, dump_config, load_config, parse_config
 from qdbench.fleet import analytic_g2, draw_fleet, p_two_photon_for_g2
-from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
+from qdbench.model import SetupParams, SourceParams, TransitionKind, exciton_source, trion_source
 from qdbench.report import (
     SourceReport,
     aggregate_benchmark,
@@ -121,7 +122,7 @@ class TestConfig:
         sources = (exciton_source(240.0, 7.5, math.radians(30.0), label="X1", **common),
                    trion_source(170.0, label="T1", **common))
         # Every value with a default is set away from it; the None-default
-        # fields are the parameter blocks, one per kind.
+        # fields are the exciton's splitting and angle, which a trion leaves None.
         for record in (setup, *sources):
             for f in fields(record):
                 if f.default not in (MISSING, None):
@@ -180,6 +181,29 @@ class TestConfig:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and f"{key} must be" in err and value in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["tau_ps", "delta_fss_uev", "theta_deg",
+                                     *config._COMMON_KEYS])
+    def test_non_finite_source_key_is_one_error_that_names_it(self, key, value):
+        source = {"kind": "exciton", "tau_ps": "252.0", "delta_fss_uev": "8.58",
+                  "theta_deg": "45.0", "brightness_first_lens": "0.147", key: value}
+        text = "[source:S1]\n" + "".join(f"{k} = {v}\n" for k, v in source.items())
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert len(err.value.errors) == 1 and key in err.value.errors[0], err.value.errors
+
+    def test_out_of_range_brightness_is_one_error(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config(MINIMAL_TRION.replace("0.147", "-0.1"))
+        assert err.value.errors == ["S11: brightness_first_lens must lie in [0, 0.5] "
+                                    "(cross-polarization cap), got -0.1"]
+
+    def test_source_keys_are_the_source_fields(self):
+        # A SourceParams field added without a config key fails here.
+        names = ["theta_deg" if f.name == "theta_rad" else f.name
+                 for f in fields(SourceParams) if f.name != "label"]
+        assert list(config._SOURCE_KEYS) == names
 
     @pytest.mark.xfail(strict=True, reason="ROADMAP F: theta_deg does not round-trip (FOUND 30)")
     def test_fleet_round_trips_through_its_text(self):
@@ -342,6 +366,17 @@ class TestEmitReport:
         assert cli_main(["report", "--reports", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: source report 'S11': {field} must be a number, got {value!r}"]
+
+    def test_negative_splitting_error_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "summary.json"
+        emit_report(aggregate_benchmark(self.reports), self.reports, "structured-json", path)
+        payload = json.loads(path.read_text())
+        exciton = next(d for d in payload["sources"] if d["kind"] == "exciton")
+        exciton["delta_fss_fit_err_uev"] = -1.0
+        path.write_text(json.dumps(payload))
+        assert cli_main(["report", "--reports", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: delta_fss_fit_err_uev must be >= 0"]
 
     def test_deterministic_label_ordering(self):
         summary = aggregate_benchmark(self.reports)

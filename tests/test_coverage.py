@@ -49,7 +49,7 @@ def z_scores(kind: TransitionKind) -> dict[str, np.ndarray]:
     }
     if kind is EXCITON:
         fields["delta_fss"] = ("delta_fss_fit_uev", "delta_fss_fit_err_uev",
-                               source.exciton.delta_fss_uev)
+                               source.delta_fss_uev)
     z = {name: [] for name in fields}
     for seed in range(1, N_SEEDS + 1):
         report = analyze_source(source, setup, seed, index, N_PULSES)

@@ -17,16 +17,14 @@ from qdbench.dynamics import (
 )
 from qdbench.model import (
     HBAR_UEV_PS,
-    ExcitonParams,
-    TransitionKind,
     exciton_source,
     trion_source,
 )
 
-S7 = ExcitonParams(tau_ps=252.0, delta_fss_uev=8.58, theta_rad=math.pi / 4)
+S7 = exciton_source(tau_ps=252.0, delta_fss_uev=8.58, theta_rad=math.pi / 4)
 
 
-def projection_oracle(t, p: ExcitonParams):
+def projection_oracle(t, p):
     """|<H|psi(t)>|^2 built from the amplitudes and the basis rotation."""
     a_v, a_h = exciton_amplitudes(t, p)
     return np.abs(-math.sin(p.theta_rad) * a_v + math.cos(p.theta_rad) * a_h) ** 2
@@ -34,7 +32,7 @@ def projection_oracle(t, p: ExcitonParams):
 
 class TestExcitonAmplitudes:
     def test_initial_condition(self):
-        p = ExcitonParams(100.0, 5.0, 0.7)
+        p = exciton_source(100.0, 5.0, 0.7)
         a_v, a_h = exciton_amplitudes(0.0, p)
         assert complex(a_v) == pytest.approx(math.cos(0.7))
         assert complex(a_h) == pytest.approx(math.sin(0.7))
@@ -42,7 +40,7 @@ class TestExcitonAmplitudes:
 
     @pytest.mark.parametrize("theta", [0.1, math.pi / 4, 1.3])
     def test_population_decays_with_tau(self, theta):
-        p = ExcitonParams(252.0, 8.58, theta)
+        p = exciton_source(252.0, 8.58, theta)
         a_v, a_h = exciton_amplitudes(252.0, p)
         assert abs(a_v) ** 2 + abs(a_h) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-12)
 
@@ -51,7 +49,7 @@ class TestExcitonAmplitudes:
         # phase by exactly pi.
         t = math.pi * HBAR_UEV_PS / 8.58
         assert t == pytest.approx(241.0, abs=0.05)
-        p = ExcitonParams(252.0, 8.58, math.pi / 4)
+        p = exciton_source(252.0, 8.58, math.pi / 4)
         a_v, a_h = exciton_amplitudes(t, p)
         phase = np.angle(a_v * np.conj(a_h))
         assert abs(phase) == pytest.approx(math.pi, rel=1e-9)
@@ -63,12 +61,12 @@ class TestExcitonAmplitudes:
 
 class TestExcitonCrossIntensity:
     def test_zero_when_dipoles_aligned_with_cavity(self):
-        p = ExcitonParams(252.0, 8.58, 0.0)
+        p = exciton_source(252.0, 8.58, 0.0)
         t = np.linspace(0.0, 2000.0, 500)
         assert np.all(exciton_cross_intensity(t, p) == 0.0)
 
     def test_zero_in_vanishing_splitting_limit(self):
-        p = ExcitonParams(252.0, 0.0, math.pi / 4)
+        p = exciton_source(252.0, 0.0, math.pi / 4)
         t = np.linspace(0.0, 2000.0, 500)
         assert np.all(exciton_cross_intensity(t, p) == 0.0)
 
@@ -79,7 +77,7 @@ class TestExcitonCrossIntensity:
     def test_matches_amplitude_projection_oracle(self):
         rng = np.random.default_rng(11235)
         for _ in range(100):
-            p = ExcitonParams(
+            p = exciton_source(
                 tau_ps=rng.uniform(20.0, 2000.0),
                 delta_fss_uev=rng.uniform(0.1, 50.0),
                 theta_rad=rng.uniform(0.0, math.pi),
@@ -109,19 +107,19 @@ class TestPeakEmissionDelay:
         assert t_star == pytest.approx(195.666, abs=0.01)
 
     def test_long_lifetime_limit_is_half_beat_period(self):
-        p = ExcitonParams(tau_ps=1e9, delta_fss_uev=8.58, theta_rad=0.4)
+        p = exciton_source(tau_ps=1e9, delta_fss_uev=8.58, theta_rad=0.4)
         assert peak_emission_delay(p) == pytest.approx(241.006, abs=0.01)
 
     def test_time_rescaling(self):
-        p = ExcitonParams(252.0, 8.58, 0.4)
-        p_scaled = ExcitonParams(252.0 / 2, 2 * 8.58, 0.4)
+        p = exciton_source(252.0, 8.58, 0.4)
+        p_scaled = exciton_source(252.0 / 2, 2 * 8.58, 0.4)
         assert peak_emission_delay(p_scaled) == pytest.approx(
             peak_emission_delay(p) / 2, rel=1e-12
         )
 
     def test_no_maximum_without_splitting(self):
         with pytest.raises(ValueError):
-            peak_emission_delay(ExcitonParams(252.0, 0.0, 0.4))
+            peak_emission_delay(exciton_source(252.0, 0.0, 0.4))
 
 
 class TestGaussianKernel:
@@ -159,7 +157,7 @@ class TestIntegralIdentity:
     )
     @settings(max_examples=15, deadline=None)
     def test_quadrature_matches_closed_form_generic(self, tau, delta, theta):
-        p = ExcitonParams(tau, delta, theta)
+        p = exciton_source(tau, delta, theta)
         numeric, _ = integrate.quad(
             lambda t: float(exciton_cross_intensity(t, p)), 0.0, 60 * tau, limit=800
         )
@@ -172,17 +170,17 @@ class TestPhiScan:
 
     def test_cavity_light_vanishes_along_cavity_axis(self):
         for src in (self.exciton, self.trion):
-            pt = phi_scan_model(0.0, src.kind, src, amp_cavity=3.0, amp_qd=2.0)
+            pt = phi_scan_model(0.0, src, amp_cavity=3.0, amp_qd=2.0)
             assert pt.cavity_light == 0.0
 
     def test_exciton_dark_when_pumping_an_eigenstate(self):
-        pt = phi_scan_model(math.radians(30.0), TransitionKind.EXCITON, self.exciton, 1.0, 2.0)
+        pt = phi_scan_model(math.radians(30.0), self.exciton, 1.0, 2.0)
         assert pt.qd_light == pytest.approx(0.0, abs=1e-12)
 
     def test_cavity_light_maximal_at_45_degrees(self):
         phis = np.linspace(0.0, math.pi, 361)
         vals = [
-            phi_scan_model(p, TransitionKind.TRION, self.trion, 1.0, 1.0).cavity_light
+            phi_scan_model(p, self.trion, 1.0, 1.0).cavity_light
             for p in phis
         ]
         assert max(vals) == pytest.approx(1.0, rel=1e-9)
@@ -190,22 +188,20 @@ class TestPhiScan:
 
     def test_periods(self):
         for phi in np.linspace(0.0, math.pi, 17):
-            a = phi_scan_model(phi, TransitionKind.EXCITON, self.exciton, 1.0, 2.0)
-            b = phi_scan_model(
-                phi + math.pi / 2, TransitionKind.EXCITON, self.exciton, 1.0, 2.0
-            )
-            c = phi_scan_model(phi + math.pi, TransitionKind.EXCITON, self.exciton, 1.0, 2.0)
+            a = phi_scan_model(phi, self.exciton, 1.0, 2.0)
+            b = phi_scan_model(phi + math.pi / 2, self.exciton, 1.0, 2.0)
+            c = phi_scan_model(phi + math.pi, self.exciton, 1.0, 2.0)
             assert b.cavity_light == pytest.approx(a.cavity_light, rel=1e-9, abs=1e-12)
             assert c.qd_light == pytest.approx(a.qd_light, rel=1e-9, abs=1e-12)
 
     def test_trion_emission_independent_of_phi(self):
         vals = {
-            phi_scan_model(p, TransitionKind.TRION, self.trion, 1.0, 1.7).qd_light
+            phi_scan_model(p, self.trion, 1.0, 1.7).qd_light
             for p in np.linspace(0.0, math.pi, 50)
         }
         assert vals == {1.7}
 
     def test_negative_amplitude_rejected(self):
         with pytest.raises(ValueError):
-            phi_scan_model(0.3, TransitionKind.TRION, self.trion, -1.0, 1.0)
+            phi_scan_model(0.3, self.trion, -1.0, 1.0)
 

@@ -195,7 +195,7 @@ class TestFitDecay:
                 fit = fit_decay(folded_decay_trace(hbt0, hbt1, setup, source), source.kind,
                                 setup.jitter_fwhm_ps)
                 z_tau = (fit.params["tau"] - source.tau_ps) / fit.std_errs["tau"]
-                z_delta = ((fit.params["delta_fss"] - source.exciton.delta_fss_uev)
+                z_delta = ((fit.params["delta_fss"] - source.delta_fss_uev)
                            / fit.std_errs["delta_fss"])
                 worst.append((max(abs(z_tau), abs(z_delta)), seed, source.label))
         assert len(worst) == 70
@@ -210,7 +210,7 @@ def noisy_scan(kind, theta_deg, seed, noise=0.05, n=13, amp_qd=1.0):
         src = trion_source(S11_TAU_PS)
     points = []
     for phi in np.linspace(0.0, math.pi, n):
-        clean = phi_scan_model(float(phi), kind, src, 1.0, amp_qd)
+        clean = phi_scan_model(float(phi), src, 1.0, amp_qd)
         points.append(
             PhiScanPoint(
                 phi_rad=clean.phi_rad,
@@ -271,7 +271,7 @@ class TestClassifyTransition:
     def test_insufficient_span_rejected(self):
         src = trion_source(S11_TAU_PS)
         points = [
-            phi_scan_model(float(p), TransitionKind.TRION, src, 1.0, 1.0)
+            phi_scan_model(float(p), src, 1.0, 1.0)
             for p in np.linspace(0.0, math.pi / 2, 9)
         ]
         with pytest.raises(ValueError):

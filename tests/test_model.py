@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from qdbench.dynamics import exciton_amplitudes
 from qdbench.model import (
     HBAR_UEV_PS,
-    ExcitonParams,
     SetupParams,
     SourceParams,
     SourceValidationError,
     TransitionKind,
-    TrionParams,
     exciton_source,
     fss_period,
     setup_violations,
@@ -61,7 +59,7 @@ class TestValidation:
     def test_valid_trion_accepted_unchanged(self):
         src = SourceParams(
             kind=TransitionKind.TRION,
-            trion=TrionParams(tau_ps=164.9),
+            tau_ps=164.9,
             brightness_first_lens=0.147,
             label="S11",
         )
@@ -70,7 +68,9 @@ class TestValidation:
     def test_negative_tau_names_field(self):
         src = SourceParams(
             kind=TransitionKind.EXCITON,
-            exciton=ExcitonParams(tau_ps=-1.0, delta_fss_uev=8.58, theta_rad=0.3),
+            tau_ps=-1.0,
+            delta_fss_uev=8.58,
+            theta_rad=0.3,
         )
         with pytest.raises(SourceValidationError) as err:
             validate_source(src)
@@ -79,7 +79,7 @@ class TestValidation:
     def test_p_two_photon_above_brightness_names_field(self):
         src = SourceParams(
             kind=TransitionKind.TRION,
-            trion=TrionParams(tau_ps=100.0),
+            tau_ps=100.0,
             brightness_first_lens=0.1,
             p_two_photon=0.2,
         )
@@ -90,7 +90,7 @@ class TestValidation:
     def test_all_violations_reported_together(self):
         src = SourceParams(
             kind=TransitionKind.TRION,
-            trion=TrionParams(tau_ps=-5.0),
+            tau_ps=-5.0,
             brightness_first_lens=0.9,
             wavelength_nm=-1.0,
         )
@@ -117,12 +117,12 @@ class TestValidation:
     def test_valid_exciton_round_trip(self, tau, delta, theta, b):
         src = exciton_source(tau, delta, theta, brightness_first_lens=b, p_two_photon=0.0)
         assert validate_source(src) is src
-        assert 0.0 <= src.exciton.theta_rad < math.pi
+        assert 0.0 <= src.theta_rad < math.pi
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_every_non_finite_field_is_one_error(self, value):
-        # Every float field, of the setup, of a source and of its kind's
-        # block, gives exactly one error that names it.
+        # Every float field, of the setup and of a source of either kind,
+        # gives exactly one error that names it.
         setup = SetupParams()
         for f in fields(setup):
             errs = setup_violations(replace(setup, **{f.name: value}))
@@ -130,24 +130,34 @@ class TestValidation:
         common = dict(brightness_first_lens=0.2, p_two_photon=0.001, label="S1")
         for source in (exciton_source(252.0, 8.58, 0.3, **common),
                        trion_source(164.9, **common)):
-            block = source.exciton or source.trion
-            changed = [(f.name, replace(source, **{f.name: value})) for f in fields(source)
-                       if isinstance(f.default, float)]
-            changed += [(f.name, replace(source, **{source.kind.value: replace(
-                block, **{f.name: value})})) for f in fields(block)]
-            for name, bad in changed:
-                errs = source_violations(bad)
-                assert len(errs) == 1 and name in errs[0], errs
+            for f in fields(source):
+                if isinstance(getattr(source, f.name), float):
+                    errs = source_violations(replace(source, **{f.name: value}))
+                    assert len(errs) == 1 and f.name in errs[0], errs
+
+    def test_kind_and_exciton_values_agree(self):
+        # A trion with exciton values, or an exciton without them, is one error.
+        trion = trion_source(164.9, label="T1")
+        for bad in (replace(trion, delta_fss_uev=8.0, theta_rad=0.5),
+                    replace(trion, theta_rad=0.5)):
+            with pytest.raises(SourceValidationError) as err:
+                validate_source(bad)
+            assert err.value.errors == ["T1: a trion has no delta_fss_uev or theta_rad"]
+        exciton = exciton_source(252.0, 8.58, 0.3, label="X1")
+        for bad in (replace(exciton, delta_fss_uev=None), replace(exciton, theta_rad=None)):
+            with pytest.raises(SourceValidationError) as err:
+                validate_source(bad)
+            assert err.value.errors == ["X1: an exciton needs delta_fss_uev and theta_rad"]
 
 
-class TestExcitonParams:
+class TestExcitonSource:
     def test_theta_canonicalized_mod_pi(self):
-        assert ExcitonParams(100.0, 5.0, math.pi + 0.25).theta_rad == pytest.approx(0.25)
-        assert ExcitonParams(100.0, 5.0, -0.25).theta_rad == pytest.approx(math.pi - 0.25)
+        assert exciton_source(100.0, 5.0, math.pi + 0.25).theta_rad == pytest.approx(0.25)
+        assert exciton_source(100.0, 5.0, -0.25).theta_rad == pytest.approx(math.pi - 0.25)
 
     def test_eigenstate_energy_difference_is_delta(self):
         # The relative phase of the two eigenstate amplitudes turns at delta / hbar.
-        p = ExcitonParams(100.0, 8.58, 0.5)
+        p = exciton_source(100.0, 8.58, 0.5)
         a_v, a_h = exciton_amplitudes(37.0, p)
         assert np.angle(a_h / a_v) == pytest.approx(8.58 * 37.0 / HBAR_UEV_PS, rel=1e-12)
 

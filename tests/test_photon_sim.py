@@ -108,17 +108,17 @@ class TestSampleEmissionTime:
         window = slice(i - 25, i + 26)
         coeffs = np.polyfit(centers[window], hist[window], 2)
         mode = -coeffs[1] / (2 * coeffs[0])
-        assert mode == pytest.approx(peak_emission_delay(S7.exciton), abs=3.0)
+        assert mode == pytest.approx(peak_emission_delay(S7), abs=3.0)
 
     def test_exciton_mean_matches_quadrature(self):
         rng = RngSpec(13, 0).generator()
         n = 1_000_000
         draws = sample_emission_time(rng, S7, size=n)
         weight, _ = integrate.quad(
-            lambda t: float(exciton_cross_intensity(t, S7.exciton)), 0, 40 * S7_TAU_PS, limit=400
+            lambda t: float(exciton_cross_intensity(t, S7)), 0, 40 * S7_TAU_PS, limit=400
         )
         first_moment, _ = integrate.quad(
-            lambda t: t * float(exciton_cross_intensity(t, S7.exciton)), 0, 40 * S7_TAU_PS, limit=400
+            lambda t: t * float(exciton_cross_intensity(t, S7)), 0, 40 * S7_TAU_PS, limit=400
         )
         expected_mean = first_moment / weight
         se = np.std(draws) / math.sqrt(n)
@@ -132,8 +132,8 @@ class TestSampleEmissionTime:
             sample_emission_time(rng, exciton_source(252.0, 0.0, 0.7), size=10)
 
     def test_sorted_lookup_bit_equal_to_interp(self):
-        cdf, t = _exciton_inverse_cdf_table(S7.exciton.tau_ps, S7.exciton.delta_fss_uev,
-                                            S7.exciton.theta_rad)
+        cdf, t = _exciton_inverse_cdf_table(S7.tau_ps, S7.delta_fss_uev,
+                                            S7.theta_rad)
         rng = np.random.default_rng(15)
         # Uniforms off the knots, exactly on every knot (u = 0 included),
         # and repeated values, in shuffled order.

@@ -137,7 +137,7 @@ class TestRunPipeline:
         # artifacts under every parameter that only the simulation reads.
         setup, n_pulses = SetupParams(), 300_000
         truth = GOLDEN_SOURCES["exciton"]
-        other = exciton_source(truth.tau_ps, 2.0 * truth.exciton.delta_fss_uev, 0.3,
+        other = exciton_source(truth.tau_ps, 2.0 * truth.delta_fss_uev, 0.3,
                                brightness_first_lens=0.2, p_two_photon=0.03, dephasing=0.2,
                                label=truth.label, wavelength_nm=truth.wavelength_nm)
         blocks = {train: list(photon_sim.detected_chunks(3, 0, truth, setup, n_pulses, train))
