@@ -21,7 +21,7 @@ from qdbench.pipeline import write_table
 def scan(source, rng, n_angles=25, noise=0.05):
     points = []
     for phi in np.linspace(0.0, math.pi, n_angles):
-        clean = phi_scan_model(float(phi), source, 1.0, 1.0)
+        clean = phi_scan_model(float(phi), source)
         points.append(PhiScanPoint(
             phi_rad=clean.phi_rad,
             cavity_light=clean.cavity_light * max(0.0, 1 + noise * rng.standard_normal()),

@@ -30,8 +30,7 @@ from .dynamics import (
 from .photon_sim import RngSpec, sample_emission_time
 from .correlation import (
     CorrelationHistogram,
-    G2Result,
-    HomResult,
+    PeakEstimate,
     brightness_chain,
     build_histogram,
     corrected_overlap,

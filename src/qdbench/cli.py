@@ -43,7 +43,7 @@ from .pipeline import (
     write_json,
     write_train_clicks,
 )
-from .report import aggregate_benchmark, emit_report, parse_reports_json
+from .report import SUMMARY_FILES, aggregate_benchmark, emit_report, parse_reports_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,8 +167,7 @@ def _cmd_report(args) -> int:
         reports, header = parse_reports_json(f.read())
     summary = aggregate_benchmark(reports)
     os.makedirs(args.out, exist_ok=True)
-    suffix = {"structured-json": "json", "csv": "csv", "table-text": "txt"}[args.format]
-    path = os.path.join(args.out, f"summary.{suffix}")
+    path = os.path.join(args.out, SUMMARY_FILES[args.format])
     # The summary keeps the provenance of the run that wrote its input.
     emit_report(summary, reports, args.format, path, header=header)
     _print_file(path)
@@ -233,8 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate source reports")
     p.add_argument("--reports", required=True, help="structured-json report file")
-    p.add_argument("--format", choices=["table-text", "structured-json", "csv"],
-                   default="table-text")
+    p.add_argument("--format", choices=list(SUMMARY_FILES), default="table-text")
     _add_flags(p, "--out")
     p.set_defaults(func=_cmd_report)
 

@@ -11,7 +11,7 @@ Poisson counting statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +25,8 @@ WINDOW_PS = 2000.0
 #: Coincidence histograms span +/- this many repetition periods, so that
 #: the outermost side peaks lie inside with their whole window.
 HISTOGRAM_PERIODS = 10.5
+#: The most bins a histogram may hold, 128 MiB of counts; the default grid has 2593.
+_MAX_BINS = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,15 +66,9 @@ class CorrelationHistogram:
 
 
 @dataclass(frozen=True)
-class G2Result:
-    value: float
-    std_err: float
-    zero_area: int
-    side_mean: float
+class PeakEstimate:
+    """An estimate from the zero-peak area over the mean ``SIDE_PEAKS`` area, with its error."""
 
-
-@dataclass(frozen=True)
-class HomResult:
     value: float
     std_err: float
     zero_area: int
@@ -144,9 +140,18 @@ class PairCounter:
     def __init__(self, bin_width_ps: float, rep_period_ps: float):
         if not bin_width_ps > 0:
             raise ValueError(f"bin_width_ps must be > 0, got {bin_width_ps}")
+        if not (math.isfinite(rep_period_ps) and rep_period_ps > 0):
+            raise ValueError(f"rep_period_ps must be finite and > 0, got {rep_period_ps}")
+        half = HISTOGRAM_PERIODS * rep_period_ps / bin_width_ps
+        bins = 2 * round(half) + 1 if math.isfinite(half) else math.inf
+        if not 3 <= bins <= _MAX_BINS:
+            raise ValueError(
+                f"a histogram of {bin_width_ps} ps bins over +/-{HISTOGRAM_PERIODS} periods "
+                f"of {rep_period_ps} ps needs {bins:.3g} bins; it may hold 3 to {_MAX_BINS}"
+            )
         self.bin_width_ps = bin_width_ps
         self.rep_period_ps = rep_period_ps
-        self._half = int(round(HISTOGRAM_PERIODS * rep_period_ps / bin_width_ps))
+        self._half = int(round(half))
         self._e = math.floor((self._half + 0.5) * bin_width_ps)
         self.counts = np.zeros(2 * self._half + 1, dtype=np.int64)
         empty = np.empty(0, dtype=np.int64)
@@ -225,7 +230,8 @@ def integrate_peaks(
     return areas
 
 
-def _peak_ratio(hist, window_ps):
+def g2_zero(hist: CorrelationHistogram, window_ps: float = WINDOW_PS) -> PeakEstimate:
+    """Zero-delay autocorrelation: the zero-peak area over the mean ``SIDE_PEAKS`` area."""
     areas = integrate_peaks(hist, window_ps, (0, *SIDE_PEAKS))
     a0 = areas[0]
     side_areas = np.array([areas[k] for k in SIDE_PEAKS], dtype=float)
@@ -240,24 +246,13 @@ def _peak_ratio(hist, window_ps):
         math.sqrt(max(a0, 1)) / s_mean,
         a0 * math.sqrt(side_areas.sum()) / (n * s_mean**2),
     )
-    return ratio, err, a0, s_mean
+    return PeakEstimate(value=ratio, std_err=err, zero_area=a0, side_mean=s_mean)
 
 
-def g2_zero(hist: CorrelationHistogram, window_ps: float = WINDOW_PS) -> G2Result:
-    """Zero-delay autocorrelation normalized by the mean ``SIDE_PEAKS`` area."""
-    ratio, err, a0, s_mean = _peak_ratio(hist, window_ps)
-    return G2Result(value=ratio, std_err=err, zero_area=a0, side_mean=s_mean)
-
-
-def hom_visibility(hist: CorrelationHistogram, window_ps: float = WINDOW_PS) -> HomResult:
-    """Raw two-photon interference visibility V = 1 - 2 * A0, A0 normalized by ``SIDE_PEAKS``."""
-    ratio, err, a0, s_mean = _peak_ratio(hist, window_ps)
-    return HomResult(
-        value=1.0 - 2.0 * ratio,
-        std_err=2.0 * err,
-        zero_area=a0,
-        side_mean=s_mean,
-    )
+def hom_visibility(hist: CorrelationHistogram, window_ps: float = WINDOW_PS) -> PeakEstimate:
+    """Raw two-photon interference visibility V = 1 - 2 * A0, A0 the ratio of :func:`g2_zero`."""
+    r = g2_zero(hist, window_ps)
+    return replace(r, value=1.0 - 2.0 * r.value, std_err=2.0 * r.std_err)
 
 
 def corrected_overlap(v_raw: float, g2: float) -> CorrectedOverlap:
@@ -276,7 +271,7 @@ def corrected_overlap(v_raw: float, g2: float) -> CorrectedOverlap:
     return CorrectedOverlap(value=m, clamped=False)
 
 
-def corrected_overlap_err(vis: HomResult, g2: G2Result) -> float:
+def corrected_overlap_err(vis: PeakEstimate, g2: PeakEstimate) -> float:
     """Standard error of M = (V_raw + g2) / (1 - g2), the two errors propagated as independent."""
     return math.hypot(
         vis.std_err / (1.0 - g2.value),

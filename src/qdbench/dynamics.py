@@ -107,24 +107,17 @@ def gaussian_kernel(grid_step_ps: float, fwhm_ps: float):
     return k / k.sum(), radius
 
 
-def phi_scan_model(
-    phi_rad: float,
-    params: SourceParams,
-    amp_cavity: float,
-    amp_qd: float,
-) -> PhiScanPoint:
-    """Integrated line intensities versus excitation polarization angle phi.
+def phi_scan_model(phi_rad: float, params: SourceParams) -> PhiScanPoint:
+    """Integrated line intensities versus excitation polarization angle phi, each at most 1.
 
     The cavity-rotated laser light vanishes when the excitation is along a
     cavity axis and is maximal at 45 degrees, hence sin^2(2 phi).  The QD
     line follows sin^2(2(theta - phi)) for an exciton (no cross-polarized
     emission when pumping an eigenstate) and is constant for a trion.
     """
-    if amp_cavity < 0 or amp_qd < 0:
-        raise ValueError("amplitudes must be non-negative")
-    cavity = amp_cavity * math.sin(2.0 * phi_rad) ** 2
+    cavity = math.sin(2.0 * phi_rad) ** 2
     if params.kind is TransitionKind.EXCITON:
-        qd = amp_qd * math.sin(2.0 * (params.theta_rad - phi_rad)) ** 2
+        qd = math.sin(2.0 * (params.theta_rad - phi_rad)) ** 2
     else:
-        qd = amp_qd
+        qd = 1.0
     return PhiScanPoint(phi_rad=phi_rad, cavity_light=cavity, qd_light=qd)

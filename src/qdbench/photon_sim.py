@@ -743,7 +743,7 @@ def synthesize_phi_scan(seed: int, source_index: int, source: SourceParams) -> l
     """
     g = source_streams(seed, source_index).phi_scan.generator()
     factors = np.maximum(0.0, 1.0 + _PHI_SCAN_NOISE * g.standard_normal((_PHI_SCAN_ANGLES, 2)))
-    clean = (phi_scan_model(phi, source, amp_cavity=1.0, amp_qd=1.0)
+    clean = (phi_scan_model(phi, source)
              for phi in np.linspace(0.0, math.pi, _PHI_SCAN_ANGLES).tolist())
     return [PhiScanPoint(p.phi_rad, p.cavity_light * fc, p.qd_light * fq)
             for p, (fc, fq) in zip(clean, factors.tolist())]

@@ -43,7 +43,7 @@ from .inference import DecayTrace, classify_transition, fit_decay
 from .model import SetupParams, SourceParams
 from .photon_sim import (STREAM_LAYOUT, TRAINS, check_pulses, detected_chunks,
                          synthesize_phi_scan)
-from .report import SourceReport, aggregate_benchmark, emit_report
+from .report import SUMMARY_FILES, SourceReport, aggregate_benchmark, emit_report
 
 #: Clicks folded at a time by :func:`_fold_decay`.
 _FOLD_BLOCK = 1 << 16
@@ -83,11 +83,17 @@ def read_header(path) -> str | None:
     return line[2:].rstrip("\n") if line.startswith("# qdbench ") else None
 
 
+#: The run settings that :func:`read_notes` reads.
+_NOTES = ("rep_period_ps", "irf_fwhm_ps", "bin_width_ps")
+
+
 def read_notes(path) -> dict[str, float]:
-    """The ``key=value`` settings on a text file's leading ``#`` lines, header excluded.
+    """The run settings on a text file's leading ``#`` lines, header excluded.
 
     Tables hold them on the note line after the header, and click files on
     the line after ``# channel,time_ps``; a hand-made file may hold none.
+    Of the ``key=value`` tokens there, those not in ``_NOTES`` are ignored,
+    and a setting whose value is not a number raises ``ValueError``.
     """
     notes = {}
     with open(path) as f:
@@ -96,7 +102,14 @@ def read_notes(path) -> dict[str, float]:
                 break
             if not line.startswith("# qdbench "):
                 notes.update(token.split("=", 1) for token in line[1:].split() if "=" in token)
-    return {key: float(value) for key, value in notes.items()}
+    settings = {}
+    for key in _NOTES:
+        if key in notes:
+            try:
+                settings[key] = float(notes[key])
+            except ValueError:
+                raise ValueError(f"{path}: note {key}={notes[key]} is not a number") from None
+    return settings
 
 
 def _comment(header: str | None) -> str:
@@ -491,11 +504,7 @@ def run_pipeline(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if reports:
-            for fmt, name in (
-                ("structured-json", "summary.json"),
-                ("csv", "summary.csv"),
-                ("table-text", "summary.txt"),
-            ):
+            for fmt, name in SUMMARY_FILES.items():
                 emit_report(summary, reports, fmt, os.path.join(out_dir, name), header=header)
         if failures:
             write_json(os.path.join(out_dir, "failures.json"), failures, header)

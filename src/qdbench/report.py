@@ -14,6 +14,9 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from .model import TransitionKind
 
 STD_CONVENTION = "population (divide by n)"
+#: The summary file of each report format.
+SUMMARY_FILES = {"table-text": "summary.txt", "structured-json": "summary.json",
+                 "csv": "summary.csv"}
 
 #: Summarized per kind and overall; a trion's None splitting is left out of its statistics.
 _METRICS = ("g2", "overlap_corrected", "first_lens_brightness", "wavelength_nm", "tau_fit_ps",
@@ -98,7 +101,6 @@ class BenchmarkSummary:
 
     stats: dict
     counts: dict
-    std_convention: str = STD_CONVENTION
 
 
 def _population_stats(values) -> MetricStats:
@@ -139,8 +141,6 @@ _CSV_FIELDS = tuple(f.name for f in fields(SourceReport))
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, TransitionKind):
-        return value.value
     if isinstance(value, float):
         return repr(float(value))
     return str(value)
@@ -161,7 +161,7 @@ def render_report(
     reports = _sorted_reports(reports)
     if fmt == "structured-json":
         payload = {
-            "std_convention": summary.std_convention,
+            "std_convention": STD_CONVENTION,
             "counts": summary.counts,
             "stats": {
                 g: {m: asdict(s) for m, s in metrics.items()}
@@ -180,7 +180,7 @@ def render_report(
             lines.append(",".join(_csv_cell(d[field]) for field in _CSV_FIELDS))
         return "\n".join(lines) + "\n"
     if fmt == "table-text":
-        lines.append(f"std convention: {summary.std_convention}")
+        lines.append(f"std convention: {STD_CONVENTION}")
         columns = (
             f"{'label':<10}{'kind':<9}{'g2':>9}{'V_raw':>9}{'M':>9}"
             f"{'B_lens':>9}{'tau_ps':>9}{'lambda_nm':>11}"

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,6 +150,41 @@ def test_pair_counter_rejects_a_block_that_starts_too_early():
     counter.add(np.array([5, 900]), np.array([1_000]))
     with pytest.raises(ValueError, match="follows a click"):
         counter.add(np.array([999]), np.array([2_000]))
+
+
+@pytest.mark.parametrize("bin_width, period, message", [
+    (100.0, 1e9, "a histogram of 100.0 ps bins over +/-10.5 periods of 1000000000.0 ps "
+                 "needs 2.1e+08 bins; it may hold 3 to 16777216"),
+    (1e-300, 1e300, "needs inf bins; it may hold 3 to 16777216"),
+    (1e9, PERIOD, "needs 1 bins; it may hold 3 to 16777216"),
+    (math.inf, PERIOD, "a histogram of inf ps bins over +/-10.5 periods of 12345.67901234568 ps "
+                       "needs 1 bins; it may hold 3 to 16777216"),
+    (100.0, 0.0, "rep_period_ps must be finite and > 0, got 0.0"),
+    (100.0, -PERIOD, "rep_period_ps must be finite and > 0, got -"),
+    (100.0, math.inf, "rep_period_ps must be finite and > 0, got inf"),
+    (100.0, math.nan, "rep_period_ps must be finite and > 0, got nan"),
+])
+def test_pair_counter_rejects_an_impossible_grid_before_allocating_it(bin_width, period,
+                                                                        message):
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+        with pytest.raises(ValueError) as exc:
+            PairCounter(bin_width, period)
+    assert message in str(exc.value)
+
+
+def test_pair_counter_allocates_at_most_2_to_the_24_bins():
+    sizes = []
+
+    def zeros(n, dtype):
+        sizes.append(n)
+        return np.empty(0, dtype)
+
+    with mock.patch.object(np, "zeros", zeros):
+        PairCounter(100.0, PERIOD)
+        PairCounter(1.0, (2**23 - 1) / 10.5)
+        with pytest.raises(ValueError, match=r"needs 1.68e\+07 bins"):
+            PairCounter(1.0, 2**23 / 10.5)
+    assert sizes == [2593, 2**24 - 1]
 
 
 class TestIntegratePeaks:

@@ -170,17 +170,17 @@ class TestPhiScan:
 
     def test_cavity_light_vanishes_along_cavity_axis(self):
         for src in (self.exciton, self.trion):
-            pt = phi_scan_model(0.0, src, amp_cavity=3.0, amp_qd=2.0)
+            pt = phi_scan_model(0.0, src)
             assert pt.cavity_light == 0.0
 
     def test_exciton_dark_when_pumping_an_eigenstate(self):
-        pt = phi_scan_model(math.radians(30.0), self.exciton, 1.0, 2.0)
+        pt = phi_scan_model(math.radians(30.0), self.exciton)
         assert pt.qd_light == pytest.approx(0.0, abs=1e-12)
 
     def test_cavity_light_maximal_at_45_degrees(self):
         phis = np.linspace(0.0, math.pi, 361)
         vals = [
-            phi_scan_model(p, self.trion, 1.0, 1.0).cavity_light
+            phi_scan_model(p, self.trion).cavity_light
             for p in phis
         ]
         assert max(vals) == pytest.approx(1.0, rel=1e-9)
@@ -188,20 +188,16 @@ class TestPhiScan:
 
     def test_periods(self):
         for phi in np.linspace(0.0, math.pi, 17):
-            a = phi_scan_model(phi, self.exciton, 1.0, 2.0)
-            b = phi_scan_model(phi + math.pi / 2, self.exciton, 1.0, 2.0)
-            c = phi_scan_model(phi + math.pi, self.exciton, 1.0, 2.0)
+            a = phi_scan_model(phi, self.exciton)
+            b = phi_scan_model(phi + math.pi / 2, self.exciton)
+            c = phi_scan_model(phi + math.pi, self.exciton)
             assert b.cavity_light == pytest.approx(a.cavity_light, rel=1e-9, abs=1e-12)
             assert c.qd_light == pytest.approx(a.qd_light, rel=1e-9, abs=1e-12)
 
     def test_trion_emission_independent_of_phi(self):
         vals = {
-            phi_scan_model(p, self.trion, 1.0, 1.7).qd_light
+            phi_scan_model(p, self.trion).qd_light
             for p in np.linspace(0.0, math.pi, 50)
         }
-        assert vals == {1.7}
-
-    def test_negative_amplitude_rejected(self):
-        with pytest.raises(ValueError):
-            phi_scan_model(0.3, self.trion, -1.0, 1.0)
+        assert vals == {1.0}
 

@@ -202,7 +202,7 @@ class TestFitDecay:
         assert max(worst)[0] < 5.0, max(worst)
 
 
-def noisy_scan(kind, theta_deg, seed, noise=0.05, n=13, amp_qd=1.0):
+def noisy_scan(kind, theta_deg, seed, noise=0.05, n=13):
     rng = np.random.default_rng(seed)
     if kind is TransitionKind.EXCITON:
         src = exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.radians(theta_deg))
@@ -210,7 +210,7 @@ def noisy_scan(kind, theta_deg, seed, noise=0.05, n=13, amp_qd=1.0):
         src = trion_source(S11_TAU_PS)
     points = []
     for phi in np.linspace(0.0, math.pi, n):
-        clean = phi_scan_model(float(phi), src, 1.0, amp_qd)
+        clean = phi_scan_model(float(phi), src)
         points.append(
             PhiScanPoint(
                 phi_rad=clean.phi_rad,
@@ -271,7 +271,7 @@ class TestClassifyTransition:
     def test_insufficient_span_rejected(self):
         src = trion_source(S11_TAU_PS)
         points = [
-            phi_scan_model(float(p), src, 1.0, 1.0)
+            phi_scan_model(float(p), src)
             for p in np.linspace(0.0, math.pi / 2, 9)
         ]
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """The package's own rules about what it is made of."""
 
 import ast
+import dataclasses
+import importlib
 import pathlib
 import re
 import sys
@@ -159,3 +161,22 @@ def test_no_public_name_is_used_only_by_tests():
     readme = (ROOT / "README.md").read_text()
     unread = {name for name in public - reads if not re.search(rf"\b{name}\b", readme)}
     assert unread == TEST_ORACLES
+
+
+def _public_records():
+    """Every public dataclass defined in a module of ``src/qdbench``, by qualified name."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"qdbench.{path.stem}")
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and isinstance(obj, type)
+                    and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__):
+                yield f"{path.stem}.{name}", obj
+
+
+def test_no_two_public_records_share_their_fields():
+    # One concept, one record: two records with the same fields are one.
+    by_fields = {}
+    for name, record in _public_records():
+        key = tuple(sorted(f.name for f in dataclasses.fields(record)))
+        by_fields.setdefault(key, []).append(name)
+    assert [names for names in by_fields.values() if len(names) > 1] == []

@@ -25,6 +25,7 @@ from qdbench.cli import main as cli_main
 from qdbench.config import FleetConfig, write_config
 from qdbench.correlation import CorrelationHistogram
 from qdbench.fleet import draw_fleet
+from qdbench.leastsq import DegenerateFitError
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
 from qdbench.pipeline import (
     PipelineOptions,
@@ -336,6 +337,18 @@ class TestRunPipeline:
         assert text.endswith(f" stream_layout={photon_sim.STREAM_LAYOUT}")
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert "seed=21" in summary["_header"]
+
+    @pytest.mark.xfail(strict=True, raises=DegenerateFitError,
+                       reason="ROADMAP B5: the decay fit models no laser-leak photons, and the "
+                              "trace holds no clicks before the pulse")
+    def test_a_trion_fits_under_a_laser_leak_and_dark_counts(self):
+        # At seed 3 the first pass ends at t0 = -116 ps, where t0 and the
+        # amplitude are collinear, and the final inverse fails.
+        setup = SetupParams(laser_leak_per_pulse=0.02, dark_rate_cps=2e5)
+        source = draw_fleet(2026)[10]
+        assert source.label == "T04"
+        for seed in (3, 4):
+            assert pipeline.analyze_source(source, setup, seed, 10, 200_000).label == "T04"
 
 
 def _t01_peaks(run) -> list[int]:
@@ -733,6 +746,11 @@ class TestCli:
         ("--pulses", "0", "n_pulses must be > 0, got 0"),
         ("--bin-width", "0", "bin_width_ps must be > 0, got 0.0"),
         ("--bin-width", "nan", "bin_width_ps must be > 0, got nan"),
+        ("--bin-width", "inf", "a histogram of inf ps bins over +/-10.5 periods of "
+                               "12345.67901234568 ps needs 1 bins; it may hold 3 to 16777216"),
+        ("--bin-width", "0.001", "a histogram of 0.001 ps bins over +/-10.5 periods of "
+                                 "12345.67901234568 ps needs 2.59e+08 bins; it may hold 3 to "
+                                 "16777216"),
         ("--window", "7000", "window 7000.0 ps must be > 0 and at most half a repetition period"),
         ("--window", "0", "window 0.0 ps must be > 0 and at most half a repetition period"),
         ("--window", "-5", "window -5.0 ps must be > 0 and at most half a repetition period"),
@@ -750,6 +768,67 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
+
+    def test_a_repetition_rate_too_low_for_the_grid_fails_the_run_once(self, tmp_path, capsys):
+        cfg = FleetConfig.from_parts(trion_config(n=3).sources, SetupParams(rep_rate_mhz=0.001))
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(cfg, cfg_path)
+        assert cli_main(["pipeline", "--config", str(cfg_path), "--pulses", "1000",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: a histogram of 100.0 ps bins over +/-10.5 periods of 1000000000.0 ps "
+            "needs 2.1e+08 bins; it may hold 3 to 16777216"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rate, message", [
+        ("0.001", "periods of 1000000000.0 ps needs 2.1e+08 bins; it may hold 3 to 16777216"),
+        ("1e-300", "periods of 1e+306 ps needs 2.1e+305 bins; it may hold 3 to 16777216"),
+        ("inf", "rep_period_ps must be finite and > 0, got 0.0"),
+    ])
+    def test_analyze_rejects_an_impossible_grid(self, tmp_path, capsys, rate, message):
+        path = tmp_path / "clicks.csv"
+        path.write_text("# channel,time_ps\n0,1\n1,2\n")
+        assert cli_main(["analyze", "--timestamps", str(path), "--mode", "hbt",
+                         "--rep-rate-mhz", rate, "--out", str(tmp_path / "o")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.endswith(message)
+
+    def test_notes_that_qdbench_does_not_read_are_ignored(self, tmp_path, capsys):
+        # A hand-made file may note more than the run settings, such as its
+        # tagger; analyze and fit read it as the file without those notes.
+        run = tmp_path / "run"
+        assert cli_main(["pipeline", "--config", str(self._write_config(tmp_path)),
+                         "--pulses", "100000", "--seed", "3", "--save-clicks",
+                         "--out", str(run)]) == 0
+        plain, noted = run / "S11", tmp_path / "noted"
+        noted.mkdir()
+        for name in ("hbt_clicks.csv", "decay_trace.csv"):
+            lines = (plain / name).read_text().split("\n")
+            i = next(i for i, line in enumerate(lines) if "_ps=" in line)
+            lines[i] = f"# tagger=HydraHarp {lines[i][2:]} version=1.2.3"
+            (noted / name).write_text("\n".join(lines))
+        for d in (plain, noted):
+            assert cli_main(["analyze", "--timestamps", str(d / "hbt_clicks.csv"),
+                             "--mode", "hbt", "--out", str(d / "out")]) == 0
+            assert cli_main(["fit", "--trace", str(d / "decay_trace.csv"), "--kind", "trion",
+                             "--out", str(d / "out")]) == 0
+        for name in ("hbt_clicks_histogram.csv", "hbt_clicks_estimates.json", "fit.json"):
+            assert (noted / "out" / name).read_bytes() == (plain / "out" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv, lines, note", [
+        (["analyze", "--mode", "hbt", "--timestamps"],
+         "# channel,time_ps\n# tagger=HydraHarp rep_period_ps=abc\n0,1\n1,2\n",
+         "rep_period_ps=abc"),
+        (["fit", "--kind", "trion", "--trace"], "# irf_fwhm_ps=53ps\nt_ps,counts\n2.0,5\n",
+         "irf_fwhm_ps=53ps"),
+    ], ids=["analyze", "fit"])
+    def test_a_setting_that_is_not_a_number_is_one_error_line(self, tmp_path, capsys, argv,
+                                                              lines, note):
+        path = tmp_path / "noted.csv"
+        path.write_text(lines)
+        assert cli_main([*argv, str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: note {note} is not a number"]
 
     def test_fit_subcommand(self, tmp_path, capsys):
         from conftest import synth_trace

@@ -20,7 +20,7 @@ def _block(section: str, language: str) -> str:
 
 def test_library_use_example_runs(capsys):
     exec(compile(_block("Library use", "python"), str(README), "exec"), {})
-    assert "G2Result(" in capsys.readouterr().out
+    assert "PeakEstimate(" in capsys.readouterr().out
 
 
 def test_stream_layout_is_the_current_one():
