@@ -18,7 +18,6 @@ from .model import (
     exciton_source,
     fss_period,
     trion_source,
-    validate_source,
 )
 from .dynamics import (
     PhiScanPoint,

@@ -101,13 +101,13 @@ def _setting(path, note: str, flag: str, given: float | None) -> float:
 
 
 def _cmd_analyze(args) -> int:
-    t0, t1 = read_timestamps(args.timestamps)
-    header = read_header(args.timestamps)
     rate = args.rep_rate_mhz
     if rate is not None and not rate > 0:
         raise ValueError(f"--rep-rate-mhz must be > 0, got {rate}")
     period = _setting(args.timestamps, "rep_period_ps", "--rep-rate-mhz",
                       None if rate is None else 1e6 / rate)
+    t0, t1 = read_timestamps(args.timestamps)
+    header = read_header(args.timestamps)
     hist = build_histogram(t0, t1, args.bin_width, period)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.timestamps))[0]

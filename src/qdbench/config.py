@@ -21,6 +21,10 @@ exciton also ``delta_fss_uev`` and ``theta_deg``; its other keys are the
 remaining fields of :class:`SourceParams` and default to theirs.  Unknown
 keys are rejected with their line number; all validation problems across
 the whole file are aggregated into one error.
+
+The records check their own values and the parser collects their errors;
+:class:`FleetConfig` holds the fleet rules, at least one source and every
+label non-empty and unique, for a parsed config and one built in memory.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .model import SetupParams, SourceParams, TransitionKind, setup_violations, source_violations
+from .model import SetupParams, SourceParams, SourceValidationError, TransitionKind
 
 _SETUP_KEYS = tuple(f.name for f in fields(SetupParams))
 _EXCITON_KEYS = ("delta_fss_uev", "theta_deg")
@@ -47,11 +51,33 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
+def _fleet_violations(labels) -> list[str]:
+    """The fleet rules over ``(where, label)`` pairs: a source at all, each label set and unique."""
+    if not labels:
+        return ["config defines no [source:...] sections"]
+    errs, seen = [], set()
+    for where, label in labels:
+        if not label:
+            errs.append(f"{where}: source section needs a label, e.g. [source:S1]")
+        elif label in seen:
+            errs.append(f"{where}: duplicate source label {label!r}")
+        seen.add(label)
+    return errs
+
+
 @dataclass(frozen=True)
 class FleetConfig:
+    """A fleet's sources and setup; building one with a broken fleet rule raises ``ConfigError``."""
+
     sources: tuple[SourceParams, ...]
     setup: SetupParams
     config_hash: str
+
+    def __post_init__(self):
+        errs = _fleet_violations([(f"source {i}", s.label)
+                                  for i, s in enumerate(self.sources, start=1)])
+        if errs:
+            raise ConfigError(errs)
 
     @staticmethod
     def from_parts(sources, setup: SetupParams) -> "FleetConfig":
@@ -119,7 +145,7 @@ def _number(key, value, lineno, errors):
         return None
 
 
-def _build_setup(entries, errors) -> SetupParams:
+def _build_setup(entries, errors) -> SetupParams | None:
     kwargs = {}
     for key, (value, lineno) in entries.items():
         if key not in _SETUP_KEYS:
@@ -128,9 +154,11 @@ def _build_setup(entries, errors) -> SetupParams:
         v = _number(key, value, lineno, errors)
         if v is not None:
             kwargs[key] = v
-    setup = SetupParams(**kwargs)
-    errors.extend(setup_violations(setup))
-    return setup
+    try:
+        return SetupParams(**kwargs)
+    except SourceValidationError as exc:
+        errors.extend(exc.errors)
+        return None
 
 
 def _build_source(label, header_line, entries, errors) -> SourceParams | None:
@@ -165,9 +193,11 @@ def _build_source(label, header_line, entries, errors) -> SourceParams | None:
         for key in _EXCITON_KEYS:
             if key in entries:
                 errors.append(f"line {entries[key][1]}: {key} is not valid for a trion source")
-    source = SourceParams(kind, values["tau_ps"], label=label, **kwargs)
-    errors.extend(source_violations(source))
-    return source
+    try:
+        return SourceParams(kind, values["tau_ps"], label=label, **kwargs)
+    except SourceValidationError as exc:
+        errors.extend(exc.errors)
+        return None
 
 
 def parse_config(text: str) -> FleetConfig:
@@ -180,25 +210,17 @@ def parse_config(text: str) -> FleetConfig:
         if name == "setup":
             setup_entries.update(entries)
         elif name.startswith("source:"):
-            label = name.split(":", 1)[1].strip()
-            if not label:
-                errors.append(f"line {lineno}: source section needs a label, e.g. [source:S1]")
-            source_sections.append((label, lineno, entries))
+            source_sections.append((name.split(":", 1)[1].strip(), lineno, entries))
         else:
             errors.append(f"line {lineno}: unknown section [{name}]")
 
     setup = _build_setup(setup_entries, errors)
-    sources = []
-    labels = set()
-    for label, lineno, entries in source_sections:
-        if label in labels:
-            errors.append(f"line {lineno}: duplicate source label {label!r}")
-        labels.add(label)
-        src = _build_source(label, lineno, entries, errors)
-        if src is not None:
-            sources.append(src)
-    if not source_sections:
-        errors.append("config defines no [source:...] sections")
+    sources = [_build_source(label, lineno, entries, errors)
+               for label, lineno, entries in source_sections]
+    # FleetConfig's rules, over every section's label, its source valid or
+    # not, so that one broken source does not hide a duplicate label.
+    errors.extend(_fleet_violations([(f"line {lineno}", label)
+                                     for label, lineno, _ in source_sections]))
     if errors:
         raise ConfigError(errors)
     return FleetConfig.from_parts(sources, setup)

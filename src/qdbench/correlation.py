@@ -288,8 +288,6 @@ def brightness_chain(detected_rate_cps: float, setup: SetupParams) -> Brightness
     """
     if detected_rate_cps < 0:
         raise ValueError(f"detected rate must be >= 0, got {detected_rate_cps}")
-    if not 0.0 < setup.eta_det <= 1.0 or not 0.0 < setup.eta_setup <= 1.0:
-        raise ValueError("efficiencies must lie in (0, 1]")
     fibered_rate = detected_rate_cps / setup.eta_det
     fibered_b = fibered_rate / (setup.rep_rate_mhz * 1e6)
     first_lens_b = fibered_b / setup.eta_setup

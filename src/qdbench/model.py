@@ -1,4 +1,4 @@
-"""Physical constants, parameter records and validation.
+"""Physical constants and the parameter records, which check themselves.
 
 Internal units are fixed throughout the package: times in picoseconds,
 energies in micro-eV, wavelengths in nanometers, rates in counts per
@@ -8,7 +8,9 @@ Planck constant is of order 10^2 and every quantity of interest
 rescaling is needed anywhere downstream.
 
 All parameter types are frozen dataclasses and can be shared freely
-between threads.
+between threads.  Each checks its values when it is built and raises
+:class:`SourceValidationError` with every violation, NaN and inf
+included, so an invalid record cannot exist.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ class TransitionKind(enum.Enum):
 
 
 class SourceValidationError(ValueError):
-    """Raised when a parameter record violates one or more invariants.
+    """Raised when a parameter record is built with values that violate its invariants.
 
     Carries the complete list of violations so a config loader can report
     everything at once instead of stopping at the first problem.
@@ -80,6 +82,40 @@ class SourceParams:
                 # float modulo of a tiny negative angle rounds up to pi itself
                 theta = 0.0
             object.__setattr__(self, "theta_rad", theta)
+        who = self.label or "source"
+        errs: list[str] = []
+        if not 0 < self.tau_ps < math.inf:
+            errs.append(f"{who}: tau_ps must be finite and > 0, got {self.tau_ps}")
+        if self.kind is TransitionKind.EXCITON:
+            if self.delta_fss_uev is None or self.theta_rad is None:
+                errs.append(f"{who}: an exciton needs delta_fss_uev and theta_rad")
+            else:
+                if not 0 <= self.delta_fss_uev < math.inf:
+                    errs.append(f"{who}: delta_fss_uev must be finite and >= 0, "
+                                f"got {self.delta_fss_uev}")
+                if not (0.0 <= self.theta_rad < math.pi):
+                    errs.append(f"{who}: theta_rad must lie in [0, pi), got {self.theta_rad}")
+        elif self.kind is TransitionKind.TRION:
+            if self.delta_fss_uev is not None or self.theta_rad is not None:
+                errs.append(f"{who}: a trion has no delta_fss_uev or theta_rad")
+        else:
+            errs.append(f"{who}: unknown transition kind {self.kind!r}")
+        b = self.brightness_first_lens
+        b_valid = 0.0 <= b <= 0.5
+        if not b_valid:
+            errs.append(f"{who}: brightness_first_lens must lie in [0, 0.5] "
+                        f"(cross-polarization cap), got {b}")
+        if not self.p_two_photon >= 0:
+            errs.append(f"{who}: p_two_photon must be >= 0, got {self.p_two_photon}")
+        elif b_valid and self.p_two_photon > b:
+            errs.append(f"{who}: p_two_photon ({self.p_two_photon}) cannot exceed "
+                        f"brightness_first_lens ({b})")
+        if not 0 < self.wavelength_nm < math.inf:
+            errs.append(f"{who}: wavelength_nm must be finite and > 0, got {self.wavelength_nm}")
+        if not (0.0 <= self.dephasing <= 1.0):
+            errs.append(f"{who}: dephasing must lie in [0, 1], got {self.dephasing}")
+        if errs:
+            raise SourceValidationError(errs)
 
     @property
     def overlap(self) -> float:
@@ -107,6 +143,27 @@ class SetupParams:
     laser_leak_per_pulse: float = 0.0
     dark_rate_cps: float = 0.0
 
+    def __post_init__(self):
+        errs: list[str] = []
+        if not 0 < self.rep_rate_mhz < math.inf:
+            errs.append(f"setup: rep_rate_mhz must be finite and > 0, got {self.rep_rate_mhz}")
+        if not 0 < self.pulse_fwhm_ps < math.inf:
+            errs.append(f"setup: pulse_fwhm_ps must be finite and > 0, got {self.pulse_fwhm_ps}")
+        if not 0 <= self.jitter_fwhm_ps < math.inf:
+            errs.append(f"setup: jitter_fwhm_ps must be finite and >= 0, "
+                        f"got {self.jitter_fwhm_ps}")
+        for name in ("eta_setup", "eta_det"):
+            v = getattr(self, name)
+            if not 0.0 < v <= 1.0:
+                errs.append(f"setup: {name} must lie in (0, 1], got {v}")
+        if not 0.0 <= self.laser_leak_per_pulse <= 1.0:
+            errs.append(f"setup: laser_leak_per_pulse must lie in [0, 1], "
+                        f"got {self.laser_leak_per_pulse}")
+        if not 0 <= self.dark_rate_cps < math.inf:
+            errs.append(f"setup: dark_rate_cps must be finite and >= 0, got {self.dark_rate_cps}")
+        if errs:
+            raise SourceValidationError(errs)
+
     @property
     def rep_period_ps(self) -> float:
         return 1.0e6 / self.rep_rate_mhz
@@ -128,90 +185,12 @@ def fss_period(delta_fss_uev: float) -> float:
     return _TWO_PI * HBAR_UEV_PS / delta_fss_uev
 
 
-def source_violations(params: SourceParams) -> list[str]:
-    """Return the complete list of invariant violations (empty if valid), NaN and inf included."""
-    errs: list[str] = []
-    who = params.label or "source"
-
-    if not 0 < params.tau_ps < math.inf:
-        errs.append(f"{who}: tau_ps must be finite and > 0, got {params.tau_ps}")
-    if params.kind is TransitionKind.EXCITON:
-        if params.delta_fss_uev is None or params.theta_rad is None:
-            errs.append(f"{who}: an exciton needs delta_fss_uev and theta_rad")
-        else:
-            if not 0 <= params.delta_fss_uev < math.inf:
-                errs.append(f"{who}: delta_fss_uev must be finite and >= 0, "
-                            f"got {params.delta_fss_uev}")
-            if not (0.0 <= params.theta_rad < math.pi):
-                errs.append(f"{who}: theta_rad must lie in [0, pi), got {params.theta_rad}")
-    elif params.kind is TransitionKind.TRION:
-        if params.delta_fss_uev is not None or params.theta_rad is not None:
-            errs.append(f"{who}: a trion has no delta_fss_uev or theta_rad")
-    else:
-        errs.append(f"{who}: unknown transition kind {params.kind!r}")
-
-    b = params.brightness_first_lens
-    b_valid = 0.0 <= b <= 0.5
-    if not b_valid:
-        errs.append(
-            f"{who}: brightness_first_lens must lie in [0, 0.5] "
-            f"(cross-polarization cap), got {b}"
-        )
-    if not params.p_two_photon >= 0:
-        errs.append(f"{who}: p_two_photon must be >= 0, got {params.p_two_photon}")
-    elif b_valid and params.p_two_photon > b:
-        errs.append(
-            f"{who}: p_two_photon ({params.p_two_photon}) cannot exceed "
-            f"brightness_first_lens ({b})"
-        )
-    if not 0 < params.wavelength_nm < math.inf:
-        errs.append(f"{who}: wavelength_nm must be finite and > 0, got {params.wavelength_nm}")
-    if not (0.0 <= params.dephasing <= 1.0):
-        errs.append(f"{who}: dephasing must lie in [0, 1], got {params.dephasing}")
-    return errs
-
-
-def validate_source(params: SourceParams) -> SourceParams:
-    """Return ``params`` unchanged if valid, else raise with all violations."""
-    errs = source_violations(params)
-    if errs:
-        raise SourceValidationError(errs)
-    return params
-
-
-def setup_violations(setup: SetupParams) -> list[str]:
-    """Return the complete list of invariant violations (empty if valid), NaN and inf included."""
-    errs: list[str] = []
-    if not 0 < setup.rep_rate_mhz < math.inf:
-        errs.append(f"setup: rep_rate_mhz must be finite and > 0, got {setup.rep_rate_mhz}")
-    if not 0 < setup.pulse_fwhm_ps < math.inf:
-        errs.append(f"setup: pulse_fwhm_ps must be finite and > 0, got {setup.pulse_fwhm_ps}")
-    if not 0 <= setup.jitter_fwhm_ps < math.inf:
-        errs.append(f"setup: jitter_fwhm_ps must be finite and >= 0, got {setup.jitter_fwhm_ps}")
-    for name in ("eta_setup", "eta_det", "laser_leak_per_pulse"):
-        v = getattr(setup, name)
-        if not (0.0 <= v <= 1.0):
-            errs.append(f"setup: {name} must lie in [0, 1], got {v}")
-    if not 0 <= setup.dark_rate_cps < math.inf:
-        errs.append(f"setup: dark_rate_cps must be finite and >= 0, got {setup.dark_rate_cps}")
-    return errs
-
-
-def validate_setup(setup: SetupParams) -> SetupParams:
-    errs = setup_violations(setup)
-    if errs:
-        raise SourceValidationError(errs)
-    return setup
-
-
 def exciton_source(tau_ps: float, delta_fss_uev: float, theta_rad: float,
                    **common) -> SourceParams:
-    """Validated exciton source; ``common`` takes the other ``SourceParams`` fields."""
-    return validate_source(
-        SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_rad, **common)
-    )
+    """An exciton source; ``common`` takes the other ``SourceParams`` fields."""
+    return SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_rad, **common)
 
 
 def trion_source(tau_ps: float, **common) -> SourceParams:
-    """Validated trion source; ``common`` takes the other ``SourceParams`` fields."""
-    return validate_source(SourceParams(TransitionKind.TRION, tau_ps, **common))
+    """A trion source; ``common`` takes the other ``SourceParams`` fields."""
+    return SourceParams(TransitionKind.TRION, tau_ps, **common)

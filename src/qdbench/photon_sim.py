@@ -66,14 +66,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dynamics import FWHM_TO_SIGMA, PhiScanPoint, exciton_cross_intensity, phi_scan_model
-from .model import (
-    SetupParams,
-    SourceParams,
-    TransitionKind,
-    fss_period,
-    validate_setup,
-    validate_source,
-)
+from .model import SetupParams, SourceParams, TransitionKind, fss_period
 
 #: The fewest pulses of an RNG chunk; a train's chunks hold this many times
 #: a power of two, at most 64 (see :func:`_chunk_pulses`).  Changing it, or
@@ -375,10 +368,8 @@ def check_pulses(n_pulses: int):
         raise ValueError(f"n_pulses must be > 0, got {n_pulses}")
 
 
-def _check_train(source: SourceParams, setup: SetupParams, n_pulses: int):
+def _check_train(source: SourceParams, n_pulses: int):
     check_pulses(n_pulses)
-    validate_source(source)
-    validate_setup(setup)
     if source.kind is TransitionKind.EXCITON and source.brightness_first_lens > 0:
         # Fail fast on unsamplable emission before simulating any chunk.
         _exciton_inverse_cdf_table(source.tau_ps, source.delta_fss_uev, source.theta_rad)
@@ -707,12 +698,13 @@ def detected_chunks(seed: int, source_index: int, source: SourceParams, setup: S
     (:func:`source_streams`) in chunks of :func:`_chunk_pulses` pulses, the
     same for both trains of a source: per chunk its rows
     (:func:`_simulate_chunk`), then the detector stage (:func:`_hbt_chunks`
-    or :func:`_hom_chunks`).  The source and setup are checked before this
-    returns.  Returns an iterator of (t0, t1) blocks, the two channels'
-    clicks as sorted int64 ps, cut by :func:`_time_ordered`: every click of
-    a block precedes every click of the next, so the blocks joined per
-    channel are the train's whole streams, one block per chunk and one of
-    the clicks carried past the last.  A caller holds one chunk's rows,
+    or :func:`_hom_chunks`).  The pulse count, and whether an exciton's
+    emission can be sampled, are checked before this returns.  Returns an
+    iterator of (t0, t1) blocks, the two channels' clicks as sorted int64
+    ps, cut by :func:`_time_ordered`: every click of a block precedes every
+    click of the next, so the blocks joined per channel are the train's
+    whole streams, one block per chunk and one of the clicks carried past
+    the last.  A caller holds one chunk's rows,
     :data:`CHUNK_ROWS` to twice that unless the chunk is at the floor or
     the cap of its size, and one chunk's clicks, whatever the train length.
     """
@@ -723,7 +715,7 @@ def detected_chunks(seed: int, source_index: int, source: SourceParams, setup: S
         events, clicks = streams.hom_events, streams.hom_clicks
     else:
         raise ValueError(f"train must be one of {TRAINS}, got {train!r}")
-    _check_train(source, setup, n_pulses)
+    _check_train(source, n_pulses)
     chunks = ((i, lo, hi, _simulate_chunk(events, source, setup, lo, hi, i))
               for i, lo, hi in _chunks(n_pulses, _chunk_pulses(source, setup)))
     if train == "hbt":

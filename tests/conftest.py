@@ -128,7 +128,7 @@ def train_chunks(rng, source, setup, n_pulses: int) -> list:
     The chunks are those of ``photon_sim.detected_chunks``: of
     ``_chunk_pulses(source, setup)`` pulses each.
     """
-    _check_train(source, setup, n_pulses)
+    _check_train(source, n_pulses)
     return [(i, lo, hi, _simulate_chunk(rng, source, setup, lo, hi, i))
             for i, lo, hi in _chunks(n_pulses, _chunk_pulses(source, setup))]
 

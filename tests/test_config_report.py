@@ -225,6 +225,63 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config("[setup]\nrep_rate_mhz = 81\n")
 
+    def test_duplicate_label_and_out_of_range_value_reported_together(self):
+        # The second S11 is also out of range: neither rule hides the other.
+        text = ("[setup]\neta_det = 1.5\n" + MINIMAL_TRION
+                + "\n[source:S11]\nkind = trion\ntau_ps = -150\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.errors == [
+            "setup: eta_det must lie in (0, 1], got 1.5",
+            "S11: tau_ps must be finite and > 0, got -150.0",
+            "line 9: duplicate source label 'S11'",
+        ]
+
+    def test_zero_efficiency_is_one_error(self, tmp_path, capsys):
+        # A detector that detects nothing left every source to fail on
+        # empty side peaks, and the run to exit 2.
+        path = tmp_path / "fleet.cfg"
+        path.write_text("[setup]\neta_det = 0\n" + MINIMAL_TRION)
+        code = cli_main(["pipeline", "--config", str(path), "--pulses", "200000",
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: setup: eta_det must lie in (0, 1], got 0.0"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestFleetRules:
+    """The fleet rules hold for a config built in memory, as for a parsed one."""
+
+    S1 = trion_source(164.9, brightness_first_lens=0.147, label="S1")
+
+    def test_duplicate_labels_rejected(self):
+        # run_pipeline keys its results by label, and so kept one of the two.
+        with pytest.raises(ConfigError) as err:
+            FleetConfig.from_parts([self.S1, self.S1], SetupParams())
+        assert err.value.errors == ["source 2: duplicate source label 'S1'"]
+
+    def test_unlabeled_source_rejected(self):
+        # Its artifacts went into the run directory itself, beside summary.*.
+        with pytest.raises(ConfigError) as err:
+            FleetConfig.from_parts([trion_source(164.9)], SetupParams())
+        assert err.value.errors == ["source 1: source section needs a label, e.g. [source:S1]"]
+
+    def test_empty_fleet_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            FleetConfig.from_parts([], SetupParams())
+        assert err.value.errors == ["config defines no [source:...] sections"]
+
+    def test_every_violation_is_listed(self):
+        unlabeled = trion_source(150.0)
+        with pytest.raises(ConfigError) as err:
+            FleetConfig((unlabeled, self.S1, self.S1, unlabeled), SetupParams(), "0")
+        assert err.value.errors == [
+            "source 1: source section needs a label, e.g. [source:S1]",
+            "source 3: duplicate source label 'S1'",
+            "source 4: source section needs a label, e.g. [source:S1]",
+        ]
+
 
 class TestFleetGenerator:
     def test_two_photon_calibration_hits_g2(self):

@@ -15,11 +15,7 @@ from qdbench.model import (
     TransitionKind,
     exciton_source,
     fss_period,
-    setup_violations,
-    source_violations,
     trion_source,
-    validate_setup,
-    validate_source,
 )
 
 
@@ -63,40 +59,44 @@ class TestValidation:
             brightness_first_lens=0.147,
             label="S11",
         )
-        assert validate_source(src) is src
+        assert (src.tau_ps, src.brightness_first_lens, src.label) == (164.9, 0.147, "S11")
+        assert src.delta_fss_uev is None and src.theta_rad is None
 
     def test_negative_tau_names_field(self):
-        src = SourceParams(
-            kind=TransitionKind.EXCITON,
-            tau_ps=-1.0,
-            delta_fss_uev=8.58,
-            theta_rad=0.3,
-        )
         with pytest.raises(SourceValidationError) as err:
-            validate_source(src)
-        assert any("tau" in e for e in err.value.errors)
+            SourceParams(
+                kind=TransitionKind.EXCITON,
+                tau_ps=-1.0,
+                delta_fss_uev=8.58,
+                theta_rad=0.3,
+            )
+        assert err.value.errors == ["source: tau_ps must be finite and > 0, got -1.0"]
 
     def test_p_two_photon_above_brightness_names_field(self):
-        src = SourceParams(
-            kind=TransitionKind.TRION,
-            tau_ps=100.0,
-            brightness_first_lens=0.1,
-            p_two_photon=0.2,
-        )
         with pytest.raises(SourceValidationError) as err:
-            validate_source(src)
-        assert any("p_two_photon" in e for e in err.value.errors)
+            SourceParams(
+                kind=TransitionKind.TRION,
+                tau_ps=100.0,
+                brightness_first_lens=0.1,
+                p_two_photon=0.2,
+            )
+        assert err.value.errors == [
+            "source: p_two_photon (0.2) cannot exceed brightness_first_lens (0.1)"
+        ]
 
     def test_all_violations_reported_together(self):
-        src = SourceParams(
-            kind=TransitionKind.TRION,
-            tau_ps=-5.0,
-            brightness_first_lens=0.9,
-            wavelength_nm=-1.0,
-        )
         with pytest.raises(SourceValidationError) as err:
-            validate_source(src)
-        assert len(err.value.errors) == 3
+            SourceParams(
+                kind=TransitionKind.TRION,
+                tau_ps=-5.0,
+                brightness_first_lens=0.9,
+                wavelength_nm=-1.0,
+            )
+        assert err.value.errors == [
+            "source: tau_ps must be finite and > 0, got -5.0",
+            "source: brightness_first_lens must lie in [0, 0.5] (cross-polarization cap), got 0.9",
+            "source: wavelength_nm must be finite and > 0, got -1.0",
+        ]
 
     def test_brightness_cross_polarization_cap(self):
         with pytest.raises(SourceValidationError):
@@ -104,8 +104,11 @@ class TestValidation:
         assert trion_source(100.0, brightness_first_lens=0.5).brightness_first_lens == 0.5
 
     def test_validation_idempotent(self):
-        src = trion_source(180.0, brightness_first_lens=0.15)
-        assert validate_source(validate_source(src)) is src
+        # Rebuilding a valid record checks it again and changes nothing, its
+        # canonicalized angle included.
+        for src in (trion_source(180.0, brightness_first_lens=0.15),
+                    exciton_source(252.0, 8.58, math.pi + 0.25)):
+            assert replace(src) == src
 
     @given(
         tau=st.floats(min_value=1.0, max_value=1e4),
@@ -116,7 +119,7 @@ class TestValidation:
     @settings(max_examples=50)
     def test_valid_exciton_round_trip(self, tau, delta, theta, b):
         src = exciton_source(tau, delta, theta, brightness_first_lens=b, p_two_photon=0.0)
-        assert validate_source(src) is src
+        assert (src.tau_ps, src.delta_fss_uev, src.brightness_first_lens) == (tau, delta, b)
         assert 0.0 <= src.theta_rad < math.pi
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -125,28 +128,30 @@ class TestValidation:
         # gives exactly one error that names it.
         setup = SetupParams()
         for f in fields(setup):
-            errs = setup_violations(replace(setup, **{f.name: value}))
-            assert len(errs) == 1 and f.name in errs[0], errs
+            with pytest.raises(SourceValidationError) as err:
+                replace(setup, **{f.name: value})
+            assert len(err.value.errors) == 1 and f.name in err.value.errors[0], err.value.errors
         common = dict(brightness_first_lens=0.2, p_two_photon=0.001, label="S1")
         for source in (exciton_source(252.0, 8.58, 0.3, **common),
                        trion_source(164.9, **common)):
             for f in fields(source):
                 if isinstance(getattr(source, f.name), float):
-                    errs = source_violations(replace(source, **{f.name: value}))
+                    with pytest.raises(SourceValidationError) as err:
+                        replace(source, **{f.name: value})
+                    errs = err.value.errors
                     assert len(errs) == 1 and f.name in errs[0], errs
 
     def test_kind_and_exciton_values_agree(self):
         # A trion with exciton values, or an exciton without them, is one error.
         trion = trion_source(164.9, label="T1")
-        for bad in (replace(trion, delta_fss_uev=8.0, theta_rad=0.5),
-                    replace(trion, theta_rad=0.5)):
+        for bad in (dict(delta_fss_uev=8.0, theta_rad=0.5), dict(theta_rad=0.5)):
             with pytest.raises(SourceValidationError) as err:
-                validate_source(bad)
+                replace(trion, **bad)
             assert err.value.errors == ["T1: a trion has no delta_fss_uev or theta_rad"]
         exciton = exciton_source(252.0, 8.58, 0.3, label="X1")
-        for bad in (replace(exciton, delta_fss_uev=None), replace(exciton, theta_rad=None)):
+        for bad in (dict(delta_fss_uev=None), dict(theta_rad=None)):
             with pytest.raises(SourceValidationError) as err:
-                validate_source(bad)
+                replace(exciton, **bad)
             assert err.value.errors == ["X1: an exciton needs delta_fss_uev and theta_rad"]
 
 
@@ -191,9 +196,23 @@ class TestSetupParams:
         assert setup.rep_period_ps == pytest.approx(12345.679, abs=1e-3)
 
     def test_invalid_efficiency_rejected(self):
-        with pytest.raises(SourceValidationError):
-            validate_setup(SetupParams(eta_det=1.5))
+        # Each efficiency lies in (0, 1]: a zero one detects nothing.
+        for value in (0.0, 1.5):
+            with pytest.raises(SourceValidationError) as err:
+                SetupParams(eta_det=value)
+            assert err.value.errors == [f"setup: eta_det must lie in (0, 1], got {value}"]
+        assert SetupParams(eta_setup=1.0, eta_det=1.0).eta_total == 1.0
 
     def test_nonpositive_times_rejected(self):
-        with pytest.raises(SourceValidationError):
-            validate_setup(SetupParams(pulse_fwhm_ps=0.0))
+        with pytest.raises(SourceValidationError) as err:
+            SetupParams(pulse_fwhm_ps=0.0)
+        assert err.value.errors == ["setup: pulse_fwhm_ps must be finite and > 0, got 0.0"]
+
+    def test_every_violation_is_listed(self):
+        with pytest.raises(SourceValidationError) as err:
+            SetupParams(rep_rate_mhz=-81.0, eta_setup=0.0, laser_leak_per_pulse=2.0)
+        assert err.value.errors == [
+            "setup: rep_rate_mhz must be finite and > 0, got -81.0",
+            "setup: eta_setup must lie in (0, 1], got 0.0",
+            "setup: laser_leak_per_pulse must lie in [0, 1], got 2.0",
+        ]

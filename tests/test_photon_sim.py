@@ -248,11 +248,9 @@ class TestTrainRows:
         assert len(pulse) == 0
 
     def test_invalid_two_photon_probability_rejected(self):
-        # detected_chunks validates before it returns, not at the first block.
-        src = trion_source(100.0, brightness_first_lens=0.1)
-        object.__setattr__(src, "p_two_photon", 0.2)
+        # No train can be simulated from such a source: it cannot be built.
         with pytest.raises(SourceValidationError):
-            detected_chunks(1, 0, src, SetupParams(), 100, "hbt")
+            trion_source(100.0, brightness_first_lens=0.1, p_two_photon=0.2)
 
     def test_reexcitation_rate_and_delay(self):
         n = 500_000
@@ -737,13 +735,17 @@ def _expected_rows_per_pulse(source, setup) -> float:
     return first + anchor + first * r * eta + anchor + setup.laser_leak_per_pulse * eta
 
 
+#: An efficiency, eta_setup or eta_det, over its whole range (0, 1].
+_EFFICIENCIES = st.floats(0.0, 1.0, exclude_min=True)
+
+
 @st.composite
 def _sources_and_setups(draw):
     """A trion source and a setup, over the whole range of b, p2, eta and the leak."""
     b = draw(st.floats(0.0, 0.5))
     source = trion_source(150.0, brightness_first_lens=b,
                           p_two_photon=draw(st.floats(0.0, 1.0)) * b)
-    setup = SetupParams(eta_setup=draw(st.floats(0.0, 1.0)), eta_det=draw(st.floats(0.0, 1.0)),
+    setup = SetupParams(eta_setup=draw(_EFFICIENCIES), eta_det=draw(_EFFICIENCIES),
                         laser_leak_per_pulse=draw(st.sampled_from([0.0, 1e-4, 0.02, 1.0])))
     return source, setup
 
@@ -775,7 +777,7 @@ class TestChunkPulses:
             assert rows < 2 * CHUNK_ROWS * (1 + 1e-12)
 
     @settings(max_examples=200, deadline=None)
-    @given(case=_sources_and_setups(), low=st.floats(0.0, 1.0), high=st.floats(0.0, 1.0))
+    @given(case=_sources_and_setups(), low=_EFFICIENCIES, high=_EFFICIENCIES)
     def test_brighter_sources_and_higher_efficiencies_never_get_longer_chunks(self, case, low,
                                                                               high):
         source, setup = case

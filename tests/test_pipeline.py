@@ -734,6 +734,20 @@ class TestCli:
         assert "records no rep_period_ps; pass --rep-rate-mhz" in err
         assert "--rep-rate-mhz must be > 0, got 0.0" in err
 
+    def test_analyze_checks_its_settings_before_the_rows(self, tmp_path, capsys):
+        # The flag and the file's note are checked before any row is read.
+        path = tmp_path / "clicks.csv"
+        path.write_text("# channel,time_ps\n0,1\nnot a row\n")
+        noted = tmp_path / "noted.csv"
+        noted.write_text("# channel,time_ps\n# rep_period_ps=12345.0\n0,1\nnot a row\n")
+        for clicks, rate in ((path, "0"), (noted, "81")):
+            assert cli_main(["analyze", "--timestamps", str(clicks), "--mode", "hbt",
+                             "--rep-rate-mhz", rate, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: --rep-rate-mhz must be > 0, got 0.0",
+            f"error: {noted} records rep_period_ps; --rep-rate-mhz is only for files without it",
+        ]
+
     def test_threads_below_one_rejected(self, tmp_path, capsys):
         code = cli_main([
             "pipeline", "--config", str(self._write_config(tmp_path)), "--pulses", "1000",
