@@ -40,7 +40,7 @@ def main():
     rng = np.random.default_rng(args.seed)
     os.makedirs(args.out, exist_ok=True)
     sources = [
-        exciton_source(252.0, 8.58, math.radians(30.0), label="S5-like"),
+        exciton_source(252.0, 8.58, 30.0, label="S5-like"),
         trion_source(164.9, label="S13-like"),
     ]
     for source in sources:
@@ -50,8 +50,8 @@ def main():
                     zip(*((p.phi_rad, p.cavity_light, p.qd_light) for p in points)))
         res = classify_transition(points)
         theta = (
-            f", theta = {math.degrees(res.theta_est_rad):.1f} deg"
-            if res.theta_est_rad is not None
+            f", theta = {res.theta_est_deg:.1f} deg"
+            if res.theta_est_deg is not None
             else ""
         )
         print(

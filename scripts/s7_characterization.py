@@ -8,7 +8,6 @@ plot-ready artifacts to the output directory.
 """
 
 import argparse
-import math
 
 from qdbench.config import FleetConfig
 from qdbench.model import SetupParams, exciton_source
@@ -25,7 +24,7 @@ def main():
     source = exciton_source(
         tau_ps=252.0,
         delta_fss_uev=8.58,
-        theta_rad=math.pi / 4,
+        theta_deg=45.0,
         brightness_first_lens=0.136,
         p_two_photon=0.00022,
         wavelength_nm=925.0,

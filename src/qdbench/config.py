@@ -24,23 +24,22 @@ the whole file are aggregated into one error.
 
 The records check their own values and the parser collects their errors;
 :class:`FleetConfig` holds the fleet rules, at least one source and every
-label non-empty and unique, for a parsed config and one built in memory.
+label a unique plain name, for a parsed config and one built in memory.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
+import re
 from dataclasses import dataclass, fields
 
 from .model import SetupParams, SourceParams, SourceValidationError, TransitionKind
 
+_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 _SETUP_KEYS = tuple(f.name for f in fields(SetupParams))
 _EXCITON_KEYS = ("delta_fss_uev", "theta_deg")
-#: Source keys shared by both kinds, each a SourceParams field with its default.
-_COMMON_KEYS = tuple(f.name for f in fields(SourceParams)
-                     if f.name not in ("kind", "tau_ps", "delta_fss_uev", "theta_rad", "label"))
-_SOURCE_KEYS = ("kind", "tau_ps", *_EXCITON_KEYS, *_COMMON_KEYS)
+#: Every SourceParams field but the label, which names the section.
+_SOURCE_KEYS = tuple(f.name for f in fields(SourceParams) if f.name != "label")
 
 
 class ConfigError(ValueError):
@@ -52,13 +51,19 @@ class ConfigError(ValueError):
 
 
 def _fleet_violations(labels) -> list[str]:
-    """The fleet rules over ``(where, label)`` pairs: a source at all, each label set and unique."""
+    """The fleet rules over ``(where, label)`` pairs: a source at all, each label a unique plain name.
+
+    A label names the source's artifact directory and its ``[source:...]``
+    header, so it holds no path separator, comment or bracket.
+    """
     if not labels:
         return ["config defines no [source:...] sections"]
     errs, seen = [], set()
     for where, label in labels:
         if not label:
             errs.append(f"{where}: source section needs a label, e.g. [source:S1]")
+        elif not _LABEL.fullmatch(label):
+            errs.append(f"{where}: source label {label!r} must match {_LABEL.pattern}")
         elif label in seen:
             errs.append(f"{where}: duplicate source label {label!r}")
         seen.add(label)
@@ -98,12 +103,10 @@ def dump_config(sources, setup: SetupParams) -> str:
         lines.append("")
         lines.append(f"[source:{s.label}]")
         lines.append(f"kind = {s.kind.value}")
-        lines.append(f"tau_ps = {s.tau_ps!r}")
-        if s.kind is TransitionKind.EXCITON:
-            lines.append(f"delta_fss_uev = {s.delta_fss_uev!r}")
-            lines.append(f"theta_deg = {math.degrees(s.theta_rad)!r}")
-        for key in _COMMON_KEYS:
-            lines.append(f"{key} = {getattr(s, key)!r}")
+        for key in _SOURCE_KEYS[1:]:
+            value = getattr(s, key)
+            if value is not None:  # a trion's exciton keys
+                lines.append(f"{key} = {value!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -181,20 +184,14 @@ def _build_source(label, header_line, entries, errors) -> SourceParams | None:
                       f"got {values['kind']!r}")
         return None
     kind = TransitionKind(kind_text)
-    kwargs = {key: values[key] for key in _COMMON_KEYS if key in values}
-    if kind is TransitionKind.EXCITON:
-        theta_deg = values["theta_deg"]
-        if not math.isfinite(theta_deg):
-            errors.append(f"line {entries['theta_deg'][1]}: theta_deg must be finite, "
-                          f"got {theta_deg}")
-            theta_deg = 0.0  # reported above; the other keys are still checked
-        kwargs.update(delta_fss_uev=values["delta_fss_uev"], theta_rad=math.radians(theta_deg))
-    else:
+    del values["kind"]
+    if kind is TransitionKind.TRION:
         for key in _EXCITON_KEYS:
             if key in entries:
                 errors.append(f"line {entries[key][1]}: {key} is not valid for a trion source")
+                values.pop(key, None)
     try:
-        return SourceParams(kind, values["tau_ps"], label=label, **kwargs)
+        return SourceParams(kind, label=label, **values)
     except SourceValidationError as exc:
         errors.extend(exc.errors)
         return None

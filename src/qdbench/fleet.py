@@ -83,12 +83,12 @@ def draw_fleet(seed: int) -> list[SourceParams]:
     for i in range(7):
         g2, overlap, b, tau, wl = draw_common(EXCITON_STATS)
         delta = float(rng.uniform(5.0, 10.0))
-        theta = float(rng.uniform(math.radians(20.0), math.radians(70.0)))
+        theta = math.degrees(rng.uniform(math.radians(20.0), math.radians(70.0)))
         sources.append(
             exciton_source(
                 tau_ps=tau,
                 delta_fss_uev=delta,
-                theta_rad=theta,
+                theta_deg=theta,
                 brightness_first_lens=b,
                 p_two_photon=p_two_photon_for_g2(g2, b),
                 wavelength_nm=wl,

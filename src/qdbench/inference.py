@@ -72,21 +72,13 @@ class FitResult:
 @dataclass(frozen=True)
 class ClassificationResult:
     kind: TransitionKind
-    theta_est_rad: float | None
+    theta_est_deg: float | None
     modulation_depth: float
     score_exciton: float
     score_trion: float
 
     def to_dict(self) -> dict:
-        """JSON fields; the angle is given in degrees."""
-        theta = self.theta_est_rad
-        return {
-            "kind": self.kind.value,
-            "theta_est_deg": math.degrees(theta) if theta is not None else None,
-            "modulation_depth": self.modulation_depth,
-            "score_exciton": self.score_exciton,
-            "score_trion": self.score_trion,
-        }
+        return {**asdict(self), "kind": self.kind.value}
 
 
 def _raw_model_and_derivs(
@@ -341,7 +333,7 @@ def classify_transition(points: list[PhiScanPoint]) -> ClassificationResult:
     is_exciton = depth > MODULATION_DEPTH_THRESHOLD and score_sin < score_const
     return ClassificationResult(
         kind=TransitionKind.EXCITON if is_exciton else TransitionKind.TRION,
-        theta_est_rad=theta if is_exciton else None,
+        theta_est_deg=math.degrees(theta) if is_exciton else None,
         modulation_depth=depth,
         score_exciton=score_sin,
         score_trion=score_const,

@@ -3,7 +3,8 @@
 Small, dependency-free implementation tailored to the decay-curve fits in
 this package: dense Jacobians with a handful of parameters, step damping
 adjusted by the gain ratio (Nielsen update), and covariance from the
-scaled inverse of the normal matrix.
+inverse of the normal matrix, unscaled: the residuals are taken to be
+weighted by their variances, so the weights alone set the errors.
 """
 
 from __future__ import annotations
@@ -104,10 +105,8 @@ def levenberg_marquardt(fun, jac, p0: np.ndarray) -> LMResult:
             if lam > 1e150:
                 break
 
-    n, k = r.size, p.size
-    dof = max(n - k, 1)
     try:
-        cov = np.linalg.inv(a) * (rss / dof)
+        cov = np.linalg.inv(a)
     except np.linalg.LinAlgError as exc:
         raise DegenerateFitError("singular normal matrix at the solution") from exc
     return LMResult(

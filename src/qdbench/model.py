@@ -51,10 +51,11 @@ class SourceParams:
     ``tau_ps`` is the radiative lifetime of either kind.  An exciton also
     has a fine-structure splitting ``delta_fss_uev``: its two eigenstates
     sit at +/- half of it, and their mean energy is a global phase with no
-    observable effect, so it is not a parameter.  ``theta_rad`` is the
-    angle between the cavity polarization axis and the exciton dipole
-    axis; the emission depends on it only through sin^2(2*theta), so it is
-    canonicalized into [0, pi).  A trion has neither, and leaves both None.
+    observable effect, so it is not a parameter.  ``theta_deg`` is the
+    angle in degrees between the cavity polarization axis and the exciton
+    dipole axis, as a config file states it; the emission depends on it
+    only through sin^2(2*theta), so it is kept in [0, 180), and trig code
+    reads :attr:`theta_rad`.  A trion has neither, and leaves both None.
 
     ``brightness_first_lens`` is the probability of collecting a photon
     per excitation pulse at the first lens; it is capped at 0.5 because a
@@ -68,7 +69,7 @@ class SourceParams:
     kind: TransitionKind
     tau_ps: float
     delta_fss_uev: float | None = None
-    theta_rad: float | None = None
+    theta_deg: float | None = None
     brightness_first_lens: float = 0.0
     p_two_photon: float = 0.0
     wavelength_nm: float = 924.7
@@ -76,28 +77,26 @@ class SourceParams:
     label: str = ""
 
     def __post_init__(self):
-        if self.theta_rad is not None:
-            theta = float(self.theta_rad) % math.pi
-            if theta >= math.pi:
-                # float modulo of a tiny negative angle rounds up to pi itself
-                theta = 0.0
-            object.__setattr__(self, "theta_rad", theta)
+        if self.theta_deg is not None and math.isfinite(self.theta_deg):
+            theta = float(self.theta_deg) % 180.0
+            # float modulo of a tiny negative angle rounds up to 180 itself
+            object.__setattr__(self, "theta_deg", theta if theta < 180.0 else 0.0)
         who = self.label or "source"
         errs: list[str] = []
         if not 0 < self.tau_ps < math.inf:
             errs.append(f"{who}: tau_ps must be finite and > 0, got {self.tau_ps}")
         if self.kind is TransitionKind.EXCITON:
-            if self.delta_fss_uev is None or self.theta_rad is None:
-                errs.append(f"{who}: an exciton needs delta_fss_uev and theta_rad")
+            if self.delta_fss_uev is None or self.theta_deg is None:
+                errs.append(f"{who}: an exciton needs delta_fss_uev and theta_deg")
             else:
                 if not 0 <= self.delta_fss_uev < math.inf:
                     errs.append(f"{who}: delta_fss_uev must be finite and >= 0, "
                                 f"got {self.delta_fss_uev}")
-                if not (0.0 <= self.theta_rad < math.pi):
-                    errs.append(f"{who}: theta_rad must lie in [0, pi), got {self.theta_rad}")
+                if not math.isfinite(self.theta_deg):
+                    errs.append(f"{who}: theta_deg must be finite, got {self.theta_deg}")
         elif self.kind is TransitionKind.TRION:
-            if self.delta_fss_uev is not None or self.theta_rad is not None:
-                errs.append(f"{who}: a trion has no delta_fss_uev or theta_rad")
+            if self.delta_fss_uev is not None or self.theta_deg is not None:
+                errs.append(f"{who}: a trion has no delta_fss_uev or theta_deg")
         else:
             errs.append(f"{who}: unknown transition kind {self.kind!r}")
         b = self.brightness_first_lens
@@ -116,6 +115,11 @@ class SourceParams:
             errs.append(f"{who}: dephasing must lie in [0, 1], got {self.dephasing}")
         if errs:
             raise SourceValidationError(errs)
+
+    @property
+    def theta_rad(self) -> float | None:
+        """The dipole angle in radians, for trig code."""
+        return None if self.theta_deg is None else math.radians(self.theta_deg)
 
     @property
     def overlap(self) -> float:
@@ -185,10 +189,10 @@ def fss_period(delta_fss_uev: float) -> float:
     return _TWO_PI * HBAR_UEV_PS / delta_fss_uev
 
 
-def exciton_source(tau_ps: float, delta_fss_uev: float, theta_rad: float,
+def exciton_source(tau_ps: float, delta_fss_uev: float, theta_deg: float,
                    **common) -> SourceParams:
     """An exciton source; ``common`` takes the other ``SourceParams`` fields."""
-    return SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_rad, **common)
+    return SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_deg, **common)
 
 
 def trion_source(tau_ps: float, **common) -> SourceParams:

@@ -148,21 +148,21 @@ def source_streams(seed: int, source_index: int) -> SourceStreams:
 
 
 @functools.lru_cache(maxsize=64)
-def _exciton_inverse_cdf_table(tau_ps: float, delta_fss_uev: float, theta_rad: float):
+def _exciton_inverse_cdf_table(tau_ps: float, delta_fss_uev: float, theta_deg: float):
     """Tabulated inverse CDF of the cross-polarized emission density.
 
     The table spans 14 lifetimes (truncated mass ~ 1e-6) with a step fine
     enough to resolve both the decay and the beat oscillation.
     """
-    if delta_fss_uev <= 0 or math.sin(2.0 * theta_rad) == 0.0:
+    source = SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_deg)
+    if delta_fss_uev <= 0 or math.sin(2.0 * source.theta_rad) == 0.0:
         raise UnsamplableEmissionError(
             "exciton emits no cross-polarized light for delta_fss = 0 or "
-            "theta in {0, pi/2}; nothing to sample"
+            "theta_deg in {0, 90}; nothing to sample"
         )
     step = min(tau_ps, fss_period(delta_fss_uev)) / 256.0
     t = np.arange(0.0, 14.0 * tau_ps + step, step)
-    pdf = exciton_cross_intensity(
-        t, SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_rad))
+    pdf = exciton_cross_intensity(t, source)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * step)])
     total = cdf[-1]
     if total <= 0.0:
@@ -178,7 +178,7 @@ def sample_emission_time(rng: np.random.Generator, source: SourceParams, size: i
     """
     if source.kind is TransitionKind.TRION:
         return source.tau_ps * rng.standard_exponential(size=size)
-    cdf, t = _exciton_inverse_cdf_table(source.tau_ps, source.delta_fss_uev, source.theta_rad)
+    cdf, t = _exciton_inverse_cdf_table(source.tau_ps, source.delta_fss_uev, source.theta_deg)
     return _interp_sorted(rng.random(size), cdf, t)
 
 
@@ -372,7 +372,7 @@ def _check_train(source: SourceParams, n_pulses: int):
     check_pulses(n_pulses)
     if source.kind is TransitionKind.EXCITON and source.brightness_first_lens > 0:
         # Fail fast on unsamplable emission before simulating any chunk.
-        _exciton_inverse_cdf_table(source.tau_ps, source.delta_fss_uev, source.theta_rad)
+        _exciton_inverse_cdf_table(source.tau_ps, source.delta_fss_uev, source.theta_deg)
 
 
 def _dark_clicks(g: np.random.Generator, setup: SetupParams, lo_ps: float, hi_ps: float):

@@ -5,7 +5,6 @@ Trace builders deliberately construct their truth curves with plain numpy
 machinery, so round-trip tests exercise an independent path.
 """
 
-import math
 
 import numpy as np
 import pytest
@@ -56,7 +55,7 @@ IRF_FWHM_PS = 53.0
 #: Sources and detection setups whose outputs are pinned by golden digests:
 #: the detector streams and the saved click files.
 GOLDEN_SOURCES = {
-    "exciton": exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.pi / 4, brightness_first_lens=0.3,
+    "exciton": exciton_source(S7_TAU_PS, S7_DELTA_UEV, 45.0, brightness_first_lens=0.3,
                               p_two_photon=0.01, dephasing=0.1, label="X1"),
     "trion": trion_source(S11_TAU_PS, brightness_first_lens=0.3, p_two_photon=0.01,
                           dephasing=0.1, label="T1"),

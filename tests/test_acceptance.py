@@ -57,7 +57,7 @@ from qdbench.model import (
 from qdbench.photon_sim import RngSpec
 from qdbench.pipeline import run_pipeline
 
-S7 = exciton_source(tau_ps=S7_TAU_PS, delta_fss_uev=S7_DELTA_UEV, theta_rad=math.pi / 4)
+S7 = exciton_source(tau_ps=S7_TAU_PS, delta_fss_uev=S7_DELTA_UEV, theta_deg=45.0)
 
 # First intensity maximum for the S7 parameters, frozen from the defining
 # stationarity condition tan(t*delta/2hbar) = tau*delta/hbar solved on the
@@ -81,7 +81,7 @@ def test_criterion_01_closed_form_matches_amplitude_oracle():
         p = exciton_source(
             tau_ps=rng.uniform(20.0, 2000.0),
             delta_fss_uev=rng.uniform(0.1, 50.0),
-            theta_rad=rng.uniform(0.05, math.pi - 0.05),
+            theta_deg=rng.uniform(3.0, 177.0),
         )
         t = rng.uniform(0.0, 10.0 * p.tau_ps)
         a_v, a_h = exciton_amplitudes(t, p)
@@ -259,7 +259,7 @@ def test_criterion_08_classifier_monte_carlo():
         )
         if res.kind is TransitionKind.EXCITON:
             err = abs(
-                (math.degrees(res.theta_est_rad) - theta + 45.0) % 90.0 - 45.0
+                (res.theta_est_deg - theta + 45.0) % 90.0 - 45.0
             )
             if err <= 2.0:
                 exciton_hits += 1

@@ -1,8 +1,9 @@
 import json
-import math
 from dataclasses import MISSING, fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdbench import config
 from qdbench.cli import main as cli_main
@@ -119,7 +120,7 @@ class TestConfig:
                             jitter_fwhm_ps=40.0, laser_leak_per_pulse=0.01, dark_rate_cps=150.0)
         common = dict(brightness_first_lens=0.2, p_two_photon=0.001, wavelength_nm=925.3,
                       dephasing=0.05)
-        sources = (exciton_source(240.0, 7.5, math.radians(30.0), label="X1", **common),
+        sources = (exciton_source(240.0, 7.5, 30.0, label="X1", **common),
                    trion_source(170.0, label="T1", **common))
         # Every value with a default is set away from it; the None-default
         # fields are the exciton's splitting and angle, which a trion leaves None.
@@ -183,8 +184,7 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
-    @pytest.mark.parametrize("key", ["tau_ps", "delta_fss_uev", "theta_deg",
-                                     *config._COMMON_KEYS])
+    @pytest.mark.parametrize("key", config._SOURCE_KEYS[1:])
     def test_non_finite_source_key_is_one_error_that_names_it(self, key, value):
         source = {"kind": "exciton", "tau_ps": "252.0", "delta_fss_uev": "8.58",
                   "theta_deg": "45.0", "brightness_first_lens": "0.147", key: value}
@@ -201,14 +201,12 @@ class TestConfig:
 
     def test_source_keys_are_the_source_fields(self):
         # A SourceParams field added without a config key fails here.
-        names = ["theta_deg" if f.name == "theta_rad" else f.name
-                 for f in fields(SourceParams) if f.name != "label"]
+        names = [f.name for f in fields(SourceParams) if f.name != "label"]
         assert list(config._SOURCE_KEYS) == names
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP F: theta_deg does not round-trip (FOUND 30)")
     def test_fleet_round_trips_through_its_text(self):
-        # dump_config writes theta in degrees, so parsing moves an angle by an
-        # ulp, and a second round moves it again under the same config hash.
+        # A record holds theta in the degrees its config text states; held in
+        # radians, an angle moved by an ulp on each round through the text.
         config = FleetConfig.from_parts(draw_fleet(2026), SetupParams())
         once = parse_config(dump_config(config.sources, config.setup))
         twice = parse_config(dump_config(once.sources, once.setup))
@@ -281,6 +279,38 @@ class TestFleetRules:
             "source 3: duplicate source label 'S1'",
             "source 4: source section needs a label, e.g. [source:S1]",
         ]
+
+
+    @pytest.mark.parametrize("label", ["S#1", "a]b", "S\n1", "../escaped", "/abs", ".hidden"])
+    def test_label_must_be_a_plain_name(self, label):
+        # A label names a directory and a section header: a path, a comment
+        # or a bracket in it escaped the run directory or did not parse back.
+        with pytest.raises(ConfigError) as err:
+            FleetConfig.from_parts([trion_source(164.9, label=label)], SetupParams())
+        assert err.value.errors == [
+            f"source 1: source label {label!r} must match [A-Za-z0-9][A-Za-z0-9._-]*"]
+
+    @pytest.mark.parametrize("label", ["../escaped", "{tmp}/abs"])
+    def test_a_path_label_fails_the_run_before_writing(self, tmp_path, capsys, label):
+        label = label.format(tmp=tmp_path)
+        path = tmp_path / "fleet.cfg"
+        path.write_text(MINIMAL_TRION.replace("[source:S11]", f"[source:{label}]"))
+        code = cli_main(["pipeline", "--config", str(path), "--pulses", "200000",
+                         "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and repr(label) in err[0], err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fleet.cfg"]
+
+    @given(label=st.one_of(st.from_regex(config._LABEL, fullmatch=True), st.text(max_size=6)))
+    @settings(max_examples=100)
+    def test_a_label_is_refused_or_round_trips(self, label):
+        try:
+            fleet = FleetConfig.from_parts([trion_source(164.9, label=label)], SetupParams())
+        except ConfigError:
+            assert not config._LABEL.fullmatch(label)
+            return
+        assert parse_config(dump_config(fleet.sources, fleet.setup)) == fleet
 
 
 class TestFleetGenerator:

@@ -30,7 +30,6 @@ STD_BAND = (0.85, 1.15)
 
 EXCITON, TRION = TransitionKind.EXCITON, TransitionKind.TRION
 B1 = "B1: re-excitation photons lengthen the trion trace the fit models as one exponential"
-B2 = "B2: the fit scales its covariance by rss/dof under weights floored at one count"
 G1 = "G1: M is clamped at 1, which narrows and lowers its spread"
 G2 = "G2: a sparse zero peak's variance is taken from its observed area"
 
@@ -66,9 +65,9 @@ def part(kind, quantity, stat, owner=None):
 
 @pytest.mark.parametrize("kind, quantity, stat", [
     part(EXCITON, "tau", "mean"),
-    part(EXCITON, "tau", "std", B2),
+    part(EXCITON, "tau", "std"),
     part(EXCITON, "delta_fss", "mean"),
-    part(EXCITON, "delta_fss", "std", B2),
+    part(EXCITON, "delta_fss", "std"),
     part(EXCITON, "g2", "mean"),
     part(EXCITON, "g2", "std", G2),
     part(EXCITON, "V", "mean"),
@@ -76,7 +75,7 @@ def part(kind, quantity, stat, owner=None):
     part(EXCITON, "M", "mean"),
     part(EXCITON, "M", "std", G2),
     part(TRION, "tau", "mean", B1),
-    part(TRION, "tau", "std", B2),
+    part(TRION, "tau", "std"),
     part(TRION, "g2", "mean", G2),
     part(TRION, "g2", "std", G2),
     part(TRION, "V", "mean"),

@@ -21,7 +21,7 @@ from qdbench.model import (
     trion_source,
 )
 
-S7 = exciton_source(tau_ps=252.0, delta_fss_uev=8.58, theta_rad=math.pi / 4)
+S7 = exciton_source(tau_ps=252.0, delta_fss_uev=8.58, theta_deg=45.0)
 
 
 def projection_oracle(t, p):
@@ -32,15 +32,15 @@ def projection_oracle(t, p):
 
 class TestExcitonAmplitudes:
     def test_initial_condition(self):
-        p = exciton_source(100.0, 5.0, 0.7)
+        p = exciton_source(100.0, 5.0, 40.0)
         a_v, a_h = exciton_amplitudes(0.0, p)
-        assert complex(a_v) == pytest.approx(math.cos(0.7))
-        assert complex(a_h) == pytest.approx(math.sin(0.7))
+        assert complex(a_v) == pytest.approx(math.cos(math.radians(40.0)))
+        assert complex(a_h) == pytest.approx(math.sin(math.radians(40.0)))
         assert abs(a_v) ** 2 + abs(a_h) ** 2 == pytest.approx(1.0, rel=1e-12)
 
-    @pytest.mark.parametrize("theta", [0.1, math.pi / 4, 1.3])
-    def test_population_decays_with_tau(self, theta):
-        p = exciton_source(252.0, 8.58, theta)
+    @pytest.mark.parametrize("theta_rad", [0.1, math.pi / 4, 1.3])
+    def test_population_decays_with_tau(self, theta_rad):
+        p = exciton_source(252.0, 8.58, math.degrees(theta_rad))
         a_v, a_h = exciton_amplitudes(252.0, p)
         assert abs(a_v) ** 2 + abs(a_h) ** 2 == pytest.approx(math.exp(-1.0), rel=1e-12)
 
@@ -49,7 +49,7 @@ class TestExcitonAmplitudes:
         # phase by exactly pi.
         t = math.pi * HBAR_UEV_PS / 8.58
         assert t == pytest.approx(241.0, abs=0.05)
-        p = exciton_source(252.0, 8.58, math.pi / 4)
+        p = exciton_source(252.0, 8.58, 45.0)
         a_v, a_h = exciton_amplitudes(t, p)
         phase = np.angle(a_v * np.conj(a_h))
         assert abs(phase) == pytest.approx(math.pi, rel=1e-9)
@@ -66,7 +66,7 @@ class TestExcitonCrossIntensity:
         assert np.all(exciton_cross_intensity(t, p) == 0.0)
 
     def test_zero_in_vanishing_splitting_limit(self):
-        p = exciton_source(252.0, 0.0, math.pi / 4)
+        p = exciton_source(252.0, 0.0, 45.0)
         t = np.linspace(0.0, 2000.0, 500)
         assert np.all(exciton_cross_intensity(t, p) == 0.0)
 
@@ -80,7 +80,7 @@ class TestExcitonCrossIntensity:
             p = exciton_source(
                 tau_ps=rng.uniform(20.0, 2000.0),
                 delta_fss_uev=rng.uniform(0.1, 50.0),
-                theta_rad=rng.uniform(0.0, math.pi),
+                theta_deg=rng.uniform(0.0, 180.0),
             )
             t = rng.uniform(0.0, 10.0 * p.tau_ps)
             assert exciton_cross_intensity(t, p) == pytest.approx(
@@ -107,19 +107,19 @@ class TestPeakEmissionDelay:
         assert t_star == pytest.approx(195.666, abs=0.01)
 
     def test_long_lifetime_limit_is_half_beat_period(self):
-        p = exciton_source(tau_ps=1e9, delta_fss_uev=8.58, theta_rad=0.4)
+        p = exciton_source(tau_ps=1e9, delta_fss_uev=8.58, theta_deg=23.0)
         assert peak_emission_delay(p) == pytest.approx(241.006, abs=0.01)
 
     def test_time_rescaling(self):
-        p = exciton_source(252.0, 8.58, 0.4)
-        p_scaled = exciton_source(252.0 / 2, 2 * 8.58, 0.4)
+        p = exciton_source(252.0, 8.58, 23.0)
+        p_scaled = exciton_source(252.0 / 2, 2 * 8.58, 23.0)
         assert peak_emission_delay(p_scaled) == pytest.approx(
             peak_emission_delay(p) / 2, rel=1e-12
         )
 
     def test_no_maximum_without_splitting(self):
         with pytest.raises(ValueError):
-            peak_emission_delay(exciton_source(252.0, 0.0, 0.4))
+            peak_emission_delay(exciton_source(252.0, 0.0, 23.0))
 
 
 class TestGaussianKernel:
@@ -153,7 +153,7 @@ class TestIntegralIdentity:
     @given(
         tau=st.floats(min_value=30.0, max_value=800.0),
         delta=st.floats(min_value=1.0, max_value=20.0),
-        theta=st.floats(min_value=0.1, max_value=1.4),
+        theta=st.floats(min_value=5.0, max_value=80.0),
     )
     @settings(max_examples=15, deadline=None)
     def test_quadrature_matches_closed_form_generic(self, tau, delta, theta):
@@ -165,7 +165,7 @@ class TestIntegralIdentity:
 
 
 class TestPhiScan:
-    exciton = exciton_source(252.0, 8.58, math.radians(30.0))
+    exciton = exciton_source(252.0, 8.58, 30.0)
     trion = trion_source(164.9)
 
     def test_cavity_light_vanishes_along_cavity_axis(self):

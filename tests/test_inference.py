@@ -205,7 +205,7 @@ class TestFitDecay:
 def noisy_scan(kind, theta_deg, seed, noise=0.05, n=13):
     rng = np.random.default_rng(seed)
     if kind is TransitionKind.EXCITON:
-        src = exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.radians(theta_deg))
+        src = exciton_source(S7_TAU_PS, S7_DELTA_UEV, theta_deg)
     else:
         src = trion_source(S11_TAU_PS)
     points = []
@@ -226,7 +226,7 @@ class TestClassifyTransition:
         points = noisy_scan(TransitionKind.EXCITON, 30.0, seed=0, noise=0.0)
         res = classify_transition(points)
         assert res.kind is TransitionKind.EXCITON
-        assert math.degrees(res.theta_est_rad) == pytest.approx(30.0, abs=1e-6)
+        assert res.theta_est_deg == pytest.approx(30.0, abs=1e-6)
         assert res.modulation_depth == pytest.approx(1.0, abs=1e-9)
 
     def test_noisy_trion_flat(self):
@@ -240,7 +240,7 @@ class TestClassifyTransition:
     def test_theta_mod_90_ambiguity(self):
         points = noisy_scan(TransitionKind.EXCITON, 100.0, seed=1, noise=0.0)
         res = classify_transition(points)
-        assert math.degrees(res.theta_est_rad) == pytest.approx(10.0, abs=1e-6)
+        assert res.theta_est_deg == pytest.approx(10.0, abs=1e-6)
 
     def test_scale_invariance(self):
         points = noisy_scan(TransitionKind.EXCITON, 42.0, seed=3)
@@ -250,7 +250,7 @@ class TestClassifyTransition:
         a = classify_transition(points)
         b = classify_transition(scaled)
         assert a.kind is b.kind
-        assert b.theta_est_rad == pytest.approx(a.theta_est_rad, rel=1e-9)
+        assert b.theta_est_deg == pytest.approx(a.theta_est_deg, rel=1e-9)
         assert b.modulation_depth == pytest.approx(a.modulation_depth, rel=1e-9)
 
     def test_all_dark_scan_unclassifiable(self):
@@ -284,4 +284,4 @@ class TestClassifyTransition:
             noisy_scan(TransitionKind.EXCITON, theta, seed=0, noise=0.0)
         )
         assert res.kind is TransitionKind.EXCITON
-        assert math.degrees(res.theta_est_rad) == pytest.approx(theta, abs=1e-6)
+        assert res.theta_est_deg == pytest.approx(theta, abs=1e-6)

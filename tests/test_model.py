@@ -60,7 +60,7 @@ class TestValidation:
             label="S11",
         )
         assert (src.tau_ps, src.brightness_first_lens, src.label) == (164.9, 0.147, "S11")
-        assert src.delta_fss_uev is None and src.theta_rad is None
+        assert src.delta_fss_uev is None and src.theta_deg is None
 
     def test_negative_tau_names_field(self):
         with pytest.raises(SourceValidationError) as err:
@@ -68,7 +68,7 @@ class TestValidation:
                 kind=TransitionKind.EXCITON,
                 tau_ps=-1.0,
                 delta_fss_uev=8.58,
-                theta_rad=0.3,
+                theta_deg=17.0,
             )
         assert err.value.errors == ["source: tau_ps must be finite and > 0, got -1.0"]
 
@@ -107,20 +107,20 @@ class TestValidation:
         # Rebuilding a valid record checks it again and changes nothing, its
         # canonicalized angle included.
         for src in (trion_source(180.0, brightness_first_lens=0.15),
-                    exciton_source(252.0, 8.58, math.pi + 0.25)):
+                    exciton_source(252.0, 8.58, 194.0)):
             assert replace(src) == src
 
     @given(
         tau=st.floats(min_value=1.0, max_value=1e4),
         delta=st.floats(min_value=0.0, max_value=50.0),
-        theta=st.floats(min_value=-10.0, max_value=10.0),
+        theta=st.floats(min_value=-600.0, max_value=600.0),
         b=st.floats(min_value=0.0, max_value=0.5),
     )
     @settings(max_examples=50)
     def test_valid_exciton_round_trip(self, tau, delta, theta, b):
         src = exciton_source(tau, delta, theta, brightness_first_lens=b, p_two_photon=0.0)
         assert (src.tau_ps, src.delta_fss_uev, src.brightness_first_lens) == (tau, delta, b)
-        assert 0.0 <= src.theta_rad < math.pi
+        assert 0.0 <= src.theta_deg < 180.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_every_non_finite_field_is_one_error(self, value):
@@ -132,7 +132,7 @@ class TestValidation:
                 replace(setup, **{f.name: value})
             assert len(err.value.errors) == 1 and f.name in err.value.errors[0], err.value.errors
         common = dict(brightness_first_lens=0.2, p_two_photon=0.001, label="S1")
-        for source in (exciton_source(252.0, 8.58, 0.3, **common),
+        for source in (exciton_source(252.0, 8.58, 17.0, **common),
                        trion_source(164.9, **common)):
             for f in fields(source):
                 if isinstance(getattr(source, f.name), float):
@@ -144,25 +144,27 @@ class TestValidation:
     def test_kind_and_exciton_values_agree(self):
         # A trion with exciton values, or an exciton without them, is one error.
         trion = trion_source(164.9, label="T1")
-        for bad in (dict(delta_fss_uev=8.0, theta_rad=0.5), dict(theta_rad=0.5)):
+        for bad in (dict(delta_fss_uev=8.0, theta_deg=30.0), dict(theta_deg=30.0)):
             with pytest.raises(SourceValidationError) as err:
                 replace(trion, **bad)
-            assert err.value.errors == ["T1: a trion has no delta_fss_uev or theta_rad"]
-        exciton = exciton_source(252.0, 8.58, 0.3, label="X1")
-        for bad in (dict(delta_fss_uev=None), dict(theta_rad=None)):
+            assert err.value.errors == ["T1: a trion has no delta_fss_uev or theta_deg"]
+        exciton = exciton_source(252.0, 8.58, 17.0, label="X1")
+        for bad in (dict(delta_fss_uev=None), dict(theta_deg=None)):
             with pytest.raises(SourceValidationError) as err:
                 replace(exciton, **bad)
-            assert err.value.errors == ["X1: an exciton needs delta_fss_uev and theta_rad"]
+            assert err.value.errors == ["X1: an exciton needs delta_fss_uev and theta_deg"]
 
 
 class TestExcitonSource:
     def test_theta_canonicalized_mod_pi(self):
-        assert exciton_source(100.0, 5.0, math.pi + 0.25).theta_rad == pytest.approx(0.25)
-        assert exciton_source(100.0, 5.0, -0.25).theta_rad == pytest.approx(math.pi - 0.25)
+        assert exciton_source(100.0, 5.0, 194.0).theta_deg == 14.0
+        assert exciton_source(100.0, 5.0, -14.0).theta_deg == 166.0
+        # -1e-300 % 180 rounds up to 180 itself, which is 0.
+        assert exciton_source(100.0, 5.0, -1e-300).theta_deg == 0.0
 
     def test_eigenstate_energy_difference_is_delta(self):
         # The relative phase of the two eigenstate amplitudes turns at delta / hbar.
-        p = exciton_source(100.0, 8.58, 0.5)
+        p = exciton_source(100.0, 8.58, 30.0)
         a_v, a_h = exciton_amplitudes(37.0, p)
         assert np.angle(a_h / a_v) == pytest.approx(8.58 * 37.0 / HBAR_UEV_PS, rel=1e-12)
 

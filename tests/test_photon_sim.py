@@ -50,7 +50,7 @@ from qdbench.photon_sim import (
     source_streams,
 )
 
-S7 = exciton_source(S7_TAU_PS, S7_DELTA_UEV, math.pi / 4, brightness_first_lens=0.136, label="S7")
+S7 = exciton_source(S7_TAU_PS, S7_DELTA_UEV, 45.0, brightness_first_lens=0.136, label="S7")
 S11 = trion_source(S11_TAU_PS, brightness_first_lens=0.147, label="S11")
 LOSSLESS = SetupParams(eta_setup=1.0, eta_det=1.0)
 
@@ -129,11 +129,10 @@ class TestSampleEmissionTime:
         with pytest.raises(UnsamplableEmissionError):
             sample_emission_time(rng, exciton_source(252.0, 8.58, 0.0), size=10)
         with pytest.raises(UnsamplableEmissionError):
-            sample_emission_time(rng, exciton_source(252.0, 0.0, 0.7), size=10)
+            sample_emission_time(rng, exciton_source(252.0, 0.0, 40.0), size=10)
 
     def test_sorted_lookup_bit_equal_to_interp(self):
-        cdf, t = _exciton_inverse_cdf_table(S7.tau_ps, S7.delta_fss_uev,
-                                            S7.theta_rad)
+        cdf, t = _exciton_inverse_cdf_table(S7.tau_ps, S7.delta_fss_uev, S7.theta_deg)
         rng = np.random.default_rng(15)
         # Uniforms off the knots, exactly on every knot (u = 0 included),
         # and repeated values, in shuffled order.

@@ -22,7 +22,7 @@ from conftest import (
 
 from qdbench import correlation, photon_sim, pipeline
 from qdbench.cli import main as cli_main
-from qdbench.config import FleetConfig, write_config
+from qdbench.config import FleetConfig, dump_config, parse_config, write_config
 from qdbench.correlation import CorrelationHistogram
 from qdbench.fleet import draw_fleet
 from qdbench.leastsq import DegenerateFitError
@@ -54,7 +54,7 @@ def s7_config():
     src = exciton_source(
         252.0,
         8.58,
-        math.pi / 4,
+        45.0,
         brightness_first_lens=0.136,
         p_two_photon=0.00022,
         dephasing=0.059,
@@ -113,16 +113,20 @@ class TestRunPipeline:
         run_pipeline(cfg, n_pulses=100_000, seed=9, out_dir=str(dirs[0]), threads=1)
         run_pipeline(cfg, n_pulses=100_000, seed=9, out_dir=str(dirs[1]), threads=1)
         run_pipeline(cfg, n_pulses=100_000, seed=9, out_dir=str(dirs[2]), threads=3)
-        files = []
-        for base, _, names in os.walk(dirs[0]):
-            rel = os.path.relpath(base, dirs[0])
-            files.extend(os.path.join(rel, n) for n in names)
-        assert files
-        for other in dirs[1:]:
-            match, mismatch, errors = filecmp.cmpfiles(
-                dirs[0], other, files, shallow=False
-            )
-            assert not mismatch and not errors
+        _assert_same_files(dirs)
+
+    def test_one_fleet_gives_one_set_of_bytes(self, tmp_path):
+        # The fleet in memory, written and loaded, and through a second round
+        # are one config.  With theta held in radians, X05's and X07's angles
+        # moved by an ulp through the text, and so did their phi scans and
+        # the config hash in every header.
+        memory = FleetConfig.from_parts(draw_fleet(2026), SetupParams())
+        once = parse_config(dump_config(memory.sources, memory.setup))
+        twice = parse_config(dump_config(once.sources, once.setup))
+        dirs = [tmp_path / name for name in ("memory", "once", "twice")]
+        for config, out in zip((memory, once, twice), dirs):
+            run_pipeline(config, n_pulses=100_000, seed=1, out_dir=str(out))
+        _assert_same_files(dirs)
 
     def test_golden_phi_scan_digest(self, tmp_path):
         # The golden sources' scans at seed 2026 as sources 0 and 1: their
@@ -138,7 +142,7 @@ class TestRunPipeline:
         # artifacts under every parameter that only the simulation reads.
         setup, n_pulses = SetupParams(), 300_000
         truth = GOLDEN_SOURCES["exciton"]
-        other = exciton_source(truth.tau_ps, 2.0 * truth.delta_fss_uev, 0.3,
+        other = exciton_source(truth.tau_ps, 2.0 * truth.delta_fss_uev, 17.0,
                                brightness_first_lens=0.2, p_two_photon=0.03, dephasing=0.2,
                                label=truth.label, wavelength_nm=truth.wavelength_nm)
         blocks = {train: list(photon_sim.detected_chunks(3, 0, truth, setup, n_pulses, train))
@@ -349,6 +353,18 @@ class TestRunPipeline:
         assert source.label == "T04"
         for seed in (3, 4):
             assert pipeline.analyze_source(source, setup, seed, 10, 200_000).label == "T04"
+
+
+def _assert_same_files(dirs):
+    """Every file under ``dirs[0]`` has the same bytes under each other directory."""
+    files = []
+    for base, _, names in os.walk(dirs[0]):
+        rel = os.path.relpath(base, dirs[0])
+        files.extend(os.path.join(rel, n) for n in names)
+    assert files
+    for other in dirs[1:]:
+        match, mismatch, errors = filecmp.cmpfiles(dirs[0], other, files, shallow=False)
+        assert not mismatch and not errors, (other, mismatch, errors)
 
 
 def _t01_peaks(run) -> list[int]:
