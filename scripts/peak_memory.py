@@ -44,7 +44,7 @@ from qdbench.cli import main as qdbench_main
 from qdbench.config import FleetConfig, write_config
 from qdbench.fleet import draw_fleet
 from qdbench.model import SetupParams
-from qdbench.pipeline import PipelineOptions, analyze_source, run_pipeline
+from qdbench.pipeline import analyze_source, run_pipeline
 
 FLEET_SEED = 2026
 RUN_SEED = 1
@@ -86,13 +86,13 @@ def source_peaks(setup: SetupParams, pulses: int, save_clicks: bool) -> dict[str
 
     With ``save_clicks`` every artifact and both click files are written.
     """
-    options = PipelineOptions(save_clicks=save_clicks)
     peaks = {}
     with tempfile.TemporaryDirectory() as tmp:
         out = tmp if save_clicks else None
         for index, source in enumerate(draw_fleet(FLEET_SEED)):
             peaks[source.label] = _traced_peak_mib(
-                lambda: analyze_source(source, setup, RUN_SEED, index, pulses, options, out))
+                lambda: analyze_source(source, setup, RUN_SEED, index, pulses, out,
+                                       save_clicks=save_clicks))
     return peaks
 
 
@@ -114,7 +114,7 @@ def run_rusage(name: str, scale: float) -> dict[str, float]:
     with tempfile.TemporaryDirectory() as out:
         before = resource.getrusage(resource.RUSAGE_SELF)
         run_pipeline(config, max(1, int(pulses * scale)), RUN_SEED, out_dir=out, threads=threads,
-                     options=PipelineOptions(save_clicks=save))
+                     save_clicks=save)
         after = resource.getrusage(resource.RUSAGE_SELF)
     return {"maxrss_mib": round(after.ru_maxrss / 1024.0, 1),
             "user_s": round(after.ru_utime - before.ru_utime, 2),

@@ -22,6 +22,8 @@ import sys
 from . import __version__
 from .config import load_config
 from .correlation import (
+    BIN_WIDTH_PS,
+    WINDOW_PS,
     build_histogram,
     corrected_overlap,
     g2_zero,
@@ -32,7 +34,6 @@ from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
 from .photon_sim import TRAINS
 from .pipeline import (
-    PipelineOptions,
     file_header,
     read_header,
     read_notes,
@@ -58,10 +59,6 @@ _FLAGS = {
     "--seed": dict(type=int, default=1, help="global RNG seed"),
     "--pulses": dict(type=int, default=1_000_000, help="excitation pulses per source"),
     "--out": dict(required=True, help="output directory"),
-    "--bin-width": dict(type=float, default=PipelineOptions.bin_width_ps,
-                        help="histogram bin width (ps)"),
-    "--window": dict(type=float, default=PipelineOptions.window_ps,
-                     help="peak integration half-window (ps)"),
 }
 
 
@@ -90,6 +87,14 @@ def _print_file(path):
         print(f.read())
 
 
+def _write_result(out: str, name: str, payload: dict, header: str | None):
+    """Write a re-analysis result as the JSON file ``out/name`` and print it."""
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, name)
+    write_json(path, payload, header)
+    _print_file(path)
+
+
 def _setting(path, note: str, flag: str, given: float | None) -> float:
     """A run setting: the ``note`` that ``path`` records, or ``flag``'s value if it records none."""
     notes = read_notes(path)
@@ -109,9 +114,7 @@ def _cmd_analyze(args) -> int:
     t0, t1 = read_timestamps(args.timestamps)
     header = read_header(args.timestamps)
     hist = build_histogram(t0, t1, args.bin_width, period)
-    os.makedirs(args.out, exist_ok=True)
-    stem = os.path.splitext(os.path.basename(args.timestamps))[0]
-    write_histogram(hist, os.path.join(args.out, f"{stem}_histogram.csv"), header)
+    # Every estimate is made before anything is written, so a failed one writes nothing.
     result: dict = {"mode": args.mode}
     if args.mode == "hbt":
         g2 = g2_zero(hist, args.window)
@@ -124,9 +127,9 @@ def _cmd_analyze(args) -> int:
         if args.g2 is not None:
             m = corrected_overlap(vis.value, args.g2)
             result.update(overlap_corrected=m.value, overlap_clamped=m.clamped)
-    path = os.path.join(args.out, f"{stem}_estimates.json")
-    write_json(path, result, header)
-    _print_file(path)
+    stem = os.path.splitext(os.path.basename(args.timestamps))[0]
+    _write_result(args.out, f"{stem}_estimates.json", result, header)
+    write_histogram(hist, os.path.join(args.out, f"{stem}_histogram.csv"), header)
     return 0
 
 
@@ -143,22 +146,16 @@ def _columns(path, names: tuple[str, ...], column_line: str):
 def _cmd_fit(args) -> int:
     t, counts = _columns(args.trace, ("t_ps", "counts"), "t_ps")
     irf_fwhm = _setting(args.trace, "irf_fwhm_ps", "--irf-fwhm", args.irf_fwhm)
-    payload = fit_decay(DecayTrace(t, counts), TransitionKind(args.kind), irf_fwhm).to_dict()
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "fit.json")
-    write_json(path, payload, read_header(args.trace))
-    _print_file(path)
+    fit = fit_decay(DecayTrace(t, counts), TransitionKind(args.kind), irf_fwhm)
+    _write_result(args.out, "fit.json", fit.to_dict(), read_header(args.trace))
     return 0
 
 
 def _cmd_classify(args) -> int:
     phi, cavity, qd = _columns(args.phiscan, ("phi_rad", "cavity_light", "qd_light"), "phi")
     points = list(map(PhiScanPoint, phi.tolist(), cavity.tolist(), qd.tolist()))
-    payload = classify_transition(points).to_dict()
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "classification.json")
-    write_json(path, payload, read_header(args.phiscan))
-    _print_file(path)
+    _write_result(args.out, "classification.json", classify_transition(points).to_dict(),
+                  read_header(args.phiscan))
     return 0
 
 
@@ -176,14 +173,8 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = load_config(args.config)
-    options = PipelineOptions(
-        bin_width_ps=args.bin_width,
-        window_ps=args.window,
-        save_clicks=args.save_clicks,
-    )
-    result = run_pipeline(
-        config, args.pulses, args.seed, out_dir=args.out, threads=args.threads, options=options
-    )
+    result = run_pipeline(config, args.pulses, args.seed, out_dir=args.out, threads=args.threads,
+                          save_clicks=args.save_clicks)
     for report in result.reports:
         print(
             f"{report.label}: g2={report.g2:.4f}+-{report.g2_err:.4f} "
@@ -213,8 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repetition rate, for a file without a rep_period_ps note")
     p.add_argument("--g2", type=float, default=None,
                    help="g2 value used to correct the HOM visibility")
+    p.add_argument("--bin-width", type=float, default=BIN_WIDTH_PS, help="histogram bin width (ps)")
+    p.add_argument("--window", type=float, default=WINDOW_PS,
+                   help="peak integration half-window (ps)")
     p.add_argument("--seed", type=int, help="ignored: outputs carry the timestamp file's header")
-    _add_flags(p, "--out", "--bin-width", "--window")
+    _add_flags(p, "--out")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fit", help="fit a decay trace")
@@ -240,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--save-clicks", action="store_true")
-    _add_flags(p, "--seed", "--pulses", "--out", "--bin-width", "--window")
+    _add_flags(p, "--seed", "--pulses", "--out")
     p.set_defaults(func=_cmd_pipeline)
     return parser
 

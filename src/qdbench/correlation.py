@@ -20,7 +20,9 @@ from .model import SetupParams
 #: The side peaks that normalize the zero-delay peak.  The |k| = 1 peaks
 #: are partially suppressed by the interferometer pairing, so they are left out.
 SIDE_PEAKS = (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6)
-#: Default peak integration half-window (ps).
+#: The histogram bin width (ps) of a run's analysis, and ``analyze``'s default.
+BIN_WIDTH_PS = 100.0
+#: The peak integration half-window (ps) of a run's analysis, and ``analyze``'s default.
 WINDOW_PS = 2000.0
 #: Coincidence histograms span +/- this many repetition periods, so that
 #: the outermost side peaks lie inside with their whole window.

@@ -155,7 +155,9 @@ def _exciton_inverse_cdf_table(tau_ps: float, delta_fss_uev: float, theta_deg: f
     enough to resolve both the decay and the beat oscillation.
     """
     source = SourceParams(TransitionKind.EXCITON, tau_ps, delta_fss_uev, theta_deg)
-    if delta_fss_uev <= 0 or math.sin(2.0 * source.theta_rad) == 0.0:
+    # sin(2 theta) vanishes at theta_deg 0 and 90 (theta_deg lies in [0, 180)); the
+    # degrees test it exactly, as a float sin(pi) does not.
+    if delta_fss_uev <= 0 or source.theta_deg % 90.0 == 0.0:
         raise UnsamplableEmissionError(
             "exciton emits no cross-polarized light for delta_fss = 0 or "
             "theta_deg in {0, 90}; nothing to sample"

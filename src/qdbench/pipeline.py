@@ -30,6 +30,7 @@ import numpy as np
 from . import __version__
 from .config import FleetConfig
 from .correlation import (
+    BIN_WIDTH_PS,
     WINDOW_PS,
     PairCounter,
     brightness_chain,
@@ -55,13 +56,6 @@ _RUN_LAYOUTS = [(True, 19 - i) for i in range(19)] + [(False, d) for d in range(
 _RUN_WIDTHS = np.array([3 + negative + digits for negative, digits in _RUN_LAYOUTS])
 #: Bin width (ps) of the decay trace.
 _TRACE_BIN_PS = 4.0
-
-
-@dataclass(frozen=True)
-class PipelineOptions:
-    bin_width_ps: float = 100.0
-    window_ps: float = WINDOW_PS
-    save_clicks: bool = False
 
 
 @dataclass
@@ -314,9 +308,9 @@ class _TrainFold:
     ``trace_bins``) and the click count.
     """
 
-    def __init__(self, options: PipelineOptions, period: float, trace_bins: int = 0):
+    def __init__(self, period: float, trace_bins: int = 0):
         self.period = period
-        self.pairs = PairCounter(options.bin_width_ps, period)
+        self.pairs = PairCounter(BIN_WIDTH_PS, period)
         self.decay = np.zeros(trace_bins, dtype=np.int64)
         self.n_clicks = 0
 
@@ -380,9 +374,9 @@ def analyze_source(
     seed: int,
     source_index: int,
     n_pulses: int,
-    options: PipelineOptions = PipelineOptions(),
     out_dir: str | None = None,
     header: str | None = None,
+    save_clicks: bool = False,
 ) -> SourceReport:
     """Simulate one source and recover all of its figures of merit.
 
@@ -390,26 +384,26 @@ def analyze_source(
     so a source holds one chunk's events and clicks whatever the pulse
     count.  With ``out_dir`` set, the source's artifacts are written to
     ``out_dir/<label>/``, each file starting with ``header``; with
-    ``--save-clicks``, each train's click file is written block by block
-    as the train is folded, and removed if the source fails.
+    ``save_clicks``, which needs ``out_dir``, each train's click file is
+    written there block by block as the train is folded, and removed if
+    the source fails.
     """
     period = setup.rep_period_ps
-    save_dir = (os.path.join(out_dir, source.label)
-                if out_dir is not None and options.save_clicks else None)
+    save_dir = os.path.join(out_dir, source.label) if save_clicks else None
 
     with _click_writers(save_dir, header, period) as writers:
         # HBT is analysed before the HOM train is simulated.
-        hbt = _TrainFold(options, period, _trace_bins(period, source.tau_ps)).fold(
+        hbt = _TrainFold(period, _trace_bins(period, source.tau_ps)).fold(
             detected_chunks(seed, source_index, source, setup, n_pulses, "hbt"), writers["hbt"])
         hbt_hist = hbt.pairs.histogram()
-        g2 = g2_zero(hbt_hist, options.window_ps)
+        g2 = g2_zero(hbt_hist)
         trace = _decay_trace(hbt.decay)
         fit = fit_decay(trace, source.kind, setup.jitter_fwhm_ps)
 
-        hom = _TrainFold(options, period).fold(
+        hom = _TrainFold(period).fold(
             detected_chunks(seed, source_index, source, setup, n_pulses, "hom"), writers["hom"])
         hom_hist = hom.pairs.histogram()
-        vis = hom_visibility(hom_hist, options.window_ps)
+        vis = hom_visibility(hom_hist)
         overlap = corrected_overlap(vis.value, g2.value)
 
         phi_points = synthesize_phi_scan(seed, source_index, source)
@@ -465,7 +459,7 @@ def run_pipeline(
     seed: int,
     out_dir: str | None = None,
     threads: int = 1,
-    options: PipelineOptions = PipelineOptions(),
+    save_clicks: bool = False,
 ) -> PipelineResult:
     """Simulate and analyze every source in the config.
 
@@ -474,22 +468,26 @@ def run_pipeline(
     whose analysis or artifact writing raises is recorded as a failure, left
     out of the summary, and does not abort the rest of the fleet.
     Rerunning with identical (config, seed, n_pulses) reproduces identical
-    analysis outputs regardless of ``threads``.  Settings that every source
-    shares (``threads``, ``n_pulses``, the bin width and the window) raise
-    ``ValueError`` once, before any source runs.
+    analysis outputs regardless of ``threads``.  With ``save_clicks`` each
+    source's click files are written to ``out_dir/<label>/`` too.  A run-wide
+    setting that cannot work (``threads`` or ``n_pulses`` below 1,
+    ``save_clicks`` without ``out_dir``, or a repetition period that does not
+    fit the analysis grid) raises ``ValueError`` once, before any source runs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if save_clicks and out_dir is None:
+        raise ValueError("save_clicks needs an out_dir to write the click files to")
     check_pulses(n_pulses)
-    # An empty histogram of the run: PairCounter checks the bin width, and
-    # integrate_peaks the window against the period.
-    integrate_peaks(PairCounter(options.bin_width_ps, config.setup.rep_period_ps).histogram(),
-                    options.window_ps, ())
+    # An empty histogram of the run: PairCounter checks the grid, and
+    # integrate_peaks the window, against the config's period.
+    integrate_peaks(PairCounter(BIN_WIDTH_PS, config.setup.rep_period_ps).histogram(),
+                    WINDOW_PS, ())
     header = file_header(seed, config.config_hash)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {
-            src.label: pool.submit(analyze_source, src, config.setup, seed, i, n_pulses, options,
-                                   out_dir, header)
+            src.label: pool.submit(analyze_source, src, config.setup, seed, i, n_pulses, out_dir,
+                                   header, save_clicks)
             for i, src in enumerate(config.sources)
         }
     reports: list[SourceReport] = []

@@ -455,7 +455,7 @@ def _assert_streamed_equal_whole(tmp_path, config, n_pulses, seed, chunks):
     for threads in (1, 2):
         runs.append(tmp_path / f"threads{threads}")
         run_pipeline(config, n_pulses, seed, out_dir=str(runs[-1]), threads=threads,
-                     options=pipeline.PipelineOptions(save_clicks=True))
+                     save_clicks=True)
     names = sorted(os.path.relpath(os.path.join(base, name), runs[0])
                    for base, _, files in os.walk(runs[0]) for name in files)
     for other in runs[1:]:

@@ -131,6 +131,15 @@ class TestSampleEmissionTime:
         with pytest.raises(UnsamplableEmissionError):
             sample_emission_time(rng, exciton_source(252.0, 0.0, 40.0), size=10)
 
+    def test_an_exciton_at_90_degrees_is_dark_as_at_0(self):
+        # sin(2 theta) vanishes at 90 degrees too, though the float sin(pi) does not.
+        for theta_deg in (0.0, 90.0):
+            dark = exciton_source(252.0, 8.58, theta_deg, brightness_first_lens=0.1)
+            with pytest.raises(UnsamplableEmissionError):
+                next(detected_chunks(1, 0, dark, LOSSLESS, 1000, "hbt"))
+        bright = exciton_source(252.0, 8.58, 45.0, brightness_first_lens=0.1)
+        assert sum(t0.size for t0, _ in detected_chunks(1, 0, bright, LOSSLESS, 1000, "hbt")) > 0
+
     def test_sorted_lookup_bit_equal_to_interp(self):
         cdf, t = _exciton_inverse_cdf_table(S7.tau_ps, S7.delta_fss_uev, S7.theta_deg)
         rng = np.random.default_rng(15)

@@ -27,11 +27,7 @@ from qdbench.correlation import CorrelationHistogram
 from qdbench.fleet import draw_fleet
 from qdbench.leastsq import DegenerateFitError
 from qdbench.model import SetupParams, TransitionKind, exciton_source, trion_source
-from qdbench.pipeline import (
-    PipelineOptions,
-    read_timestamps,
-    run_pipeline,
-)
+from qdbench.pipeline import read_timestamps, run_pipeline
 
 CLEAN_SETUP = SetupParams(eta_setup=1.0, eta_det=1.0)
 
@@ -152,24 +148,31 @@ class TestRunPipeline:
                             lambda seed, index, source, setup, n, train: iter(blocks[train]))
         monkeypatch.setattr(pipeline, "synthesize_phi_scan", lambda seed, index, source: scan)
         for name, source in (("truth", truth), ("other", other)):
-            pipeline.analyze_source(source, setup, 3, 0, n_pulses, PipelineOptions(),
-                                    str(tmp_path / name), "qdbench test")
+            pipeline.analyze_source(source, setup, 3, 0, n_pulses, str(tmp_path / name),
+                                    "qdbench test")
         a, b = (tmp_path / name / truth.label for name in ("truth", "other"))
         files = sorted(os.listdir(a))
         assert len(files) == 7
         assert filecmp.cmpfiles(a, b, files, shallow=False)[0] == files
+
+    def test_saving_clicks_needs_an_out_dir(self, monkeypatch):
+        def no_source(*args, **kwargs):
+            raise AssertionError("a source ran")
+
+        monkeypatch.setattr(pipeline, "analyze_source", no_source)
+        with pytest.raises(ValueError, match="save_clicks needs an out_dir"):
+            run_pipeline(trion_config(n=3), 1000, 1, save_clicks=True)
 
     @pytest.mark.parametrize("setup_name", sorted(GOLDEN_SETUPS))
     def test_block_sizes_change_no_byte(self, tmp_path, monkeypatch, setup_name):
         # Detector stamping and pairing, the histogram gather and the decay
         # trace fold all work in blocks; small blocks split every train.
         config = FleetConfig.from_parts(list(GOLDEN_SOURCES.values()), GOLDEN_SETUPS[setup_name])
-        options = PipelineOptions(save_clicks=True)
-        run_pipeline(config, 300_000, 11, out_dir=str(tmp_path / "a"), options=options)
+        run_pipeline(config, 300_000, 11, out_dir=str(tmp_path / "a"), save_clicks=True)
         monkeypatch.setattr(photon_sim, "_ROW_BLOCK", 1000)
         monkeypatch.setattr(correlation, "_HISTOGRAM_BLOCK", 777)
         monkeypatch.setattr(pipeline, "_FOLD_BLOCK", 999)
-        run_pipeline(config, 300_000, 11, out_dir=str(tmp_path / "b"), options=options)
+        run_pipeline(config, 300_000, 11, out_dir=str(tmp_path / "b"), save_clicks=True)
         for source in config.sources:
             names = sorted(os.listdir(tmp_path / "a" / source.label))
             assert "hom_clicks.csv" in names
@@ -267,10 +270,9 @@ class TestRunPipeline:
     def test_saving_clicks_keeps_a_source_flat_in_pulses(self, tmp_path):
         # With --save-clicks each block is written to the click file as it
         # is folded, so no train's clicks are held.
-        options = PipelineOptions(save_clicks=True)
         peaks = _t01_peaks(lambda source, index, n_pulses: pipeline.analyze_source(
-            source, SetupParams(), 1, index, n_pulses, options, str(tmp_path / str(n_pulses)),
-            "qdbench test"))
+            source, SetupParams(), 1, index, n_pulses, str(tmp_path / str(n_pulses)),
+            "qdbench test", save_clicks=True))
         assert (tmp_path / str(16 * 2**22) / "T01" / "hom_clicks.csv").exists()
         assert peaks[1] < 1.25 * peaks[0], [f"{peak / 2**20:.2f} MiB" for peak in peaks]
 
@@ -300,9 +302,8 @@ class TestRunPipeline:
         cfg = trion_config(n=3)
         assert all(len(photon_sim._chunks(20_000, photon_sim._chunk_pulses(s, cfg.setup))) == 7
                    for s in cfg.sources)
-        options = PipelineOptions(save_clicks=True)
         clean, out = tmp_path / "clean", tmp_path / "out"
-        run_pipeline(cfg, 20_000, 5, out_dir=str(clean), threads=threads, options=options)
+        run_pipeline(cfg, 20_000, 5, out_dir=str(clean), threads=threads, save_clicks=True)
 
         detected_chunks = pipeline.detected_chunks
         open_files = []
@@ -319,7 +320,8 @@ class TestRunPipeline:
                 yield block
 
         monkeypatch.setattr(pipeline, "detected_chunks", failing)
-        result = run_pipeline(cfg, 20_000, 5, out_dir=str(out), threads=threads, options=options)
+        result = run_pipeline(cfg, 20_000, 5, out_dir=str(out), threads=threads,
+                              save_clicks=True)
         assert list(result.failures) == ["S12"]
         assert open_files == [["hbt_clicks.csv", "hom_clicks.csv"]]
         failures = json.loads((out / "failures.json").read_text())
@@ -545,7 +547,7 @@ class TestTimestampFiles:
     def test_golden_click_file_digest(self, tmp_path, setup_name):
         config = FleetConfig.from_parts(list(GOLDEN_SOURCES.values()), GOLDEN_SETUPS[setup_name])
         run_pipeline(config, _GOLDEN_CLICK_PULSES, _GOLDEN_CLICK_SEED, out_dir=str(tmp_path),
-                     options=PipelineOptions(save_clicks=True))
+                     save_clicks=True)
         files = [
             (tmp_path / source.label / name).read_bytes()
             for source in config.sources
@@ -774,17 +776,6 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--pulses", "0", "n_pulses must be > 0, got 0"),
-        ("--bin-width", "0", "bin_width_ps must be > 0, got 0.0"),
-        ("--bin-width", "nan", "bin_width_ps must be > 0, got nan"),
-        ("--bin-width", "inf", "a histogram of inf ps bins over +/-10.5 periods of "
-                               "12345.67901234568 ps needs 1 bins; it may hold 3 to 16777216"),
-        ("--bin-width", "0.001", "a histogram of 0.001 ps bins over +/-10.5 periods of "
-                                 "12345.67901234568 ps needs 2.59e+08 bins; it may hold 3 to "
-                                 "16777216"),
-        ("--window", "7000", "window 7000.0 ps must be > 0 and at most half a repetition period"),
-        ("--window", "0", "window 0.0 ps must be > 0 and at most half a repetition period"),
-        ("--window", "-5", "window -5.0 ps must be > 0 and at most half a repetition period"),
-        ("--window", "nan", "window nan ps must be > 0 and at most half a repetition period"),
     ])
     def test_run_wide_settings_fail_the_run_once(self, tmp_path, capsys, flag, value, message):
         # A setting shared by every source fails the run before any source
@@ -808,6 +799,48 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             "error: a histogram of 100.0 ps bins over +/-10.5 periods of 1000000000.0 ps "
             "needs 2.1e+08 bins; it may hold 3 to 16777216"]
+        assert not (tmp_path / "o").exists()
+
+    def test_a_repetition_rate_too_high_for_the_window_fails_the_run_once(self, tmp_path,
+                                                                         capsys):
+        cfg = FleetConfig.from_parts(trion_config(n=3).sources, SetupParams(rep_rate_mhz=300))
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(cfg, cfg_path)
+        assert cli_main(["pipeline", "--config", str(cfg_path), "--pulses", "1000",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: window 2000.0 ps must be > 0 and at most half a repetition period "
+            "(1666.7 ps), so that peaks do not overlap"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--bin-width", "0", "bin_width_ps must be > 0, got 0.0"),
+        ("--bin-width", "nan", "bin_width_ps must be > 0, got nan"),
+        ("--bin-width", "inf", "a histogram of inf ps bins over +/-10.5 periods of "
+                               "12345.67901234568 ps needs 1 bins; it may hold 3 to 16777216"),
+        ("--bin-width", "0.001", "a histogram of 0.001 ps bins over +/-10.5 periods of "
+                                 "12345.67901234568 ps needs 2.59e+08 bins; it may hold 3 to "
+                                 "16777216"),
+        ("--window", "7000", "window 7000.0 ps must be > 0 and at most half a repetition period"),
+        ("--window", "0", "window 0.0 ps must be > 0 and at most half a repetition period"),
+        ("--window", "-5", "window -5.0 ps must be > 0 and at most half a repetition period"),
+        ("--window", "nan", "window nan ps must be > 0 and at most half a repetition period"),
+        # No 100 ps bin center lies within 1 ps of a side peak's center.
+        ("--window", "1", "side peaks are empty; normalization undefined"),
+        ("--g2", "1.5", "g2 must lie in [0, 1), got 1.5"),
+    ])
+    def test_a_failed_analysis_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        # Every estimate is made before the first file is written.
+        period = 1e6 / 81
+        path = tmp_path / "clicks.csv"
+        path.write_text("# channel,time_ps\n" + "".join(
+            f"{channel},{round(k * period)}\n" for k in range(30) for channel in (0, 1)))
+        argv = ["analyze", "--timestamps", str(path), "--mode", "hom", "--rep-rate-mhz", "81",
+                "--out", str(tmp_path / "o"), flag, value]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and message in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("rate, message", [
@@ -957,6 +990,8 @@ class TestCli:
         ["pipeline", "--config", "fleet.cfg"],
         ["fit", "--trace", "t.csv", "--kind", "trion", "--out", "o", "--seed", "1"],
         ["simulate", "--config", "fleet.cfg", "--out", "o", "--window", "2000"],
+        ["pipeline", "--config", "fleet.cfg", "--out", "o", "--window", "2000"],
+        ["pipeline", "--config", "fleet.cfg", "--out", "o", "--bin-width", "50"],
         ["frobnicate"],
         ["analyze", "--timestamps", "missing.csv", "--mode", "hbt", "--out", "o"],
         ["fit", "--trace", "missing.csv", "--kind", "trion", "--out", "o"],
@@ -964,10 +999,13 @@ class TestCli:
         ["report", "--reports", "missing.json", "--out", "o"],
         ["simulate", "--config", "missing.cfg", "--out", "o"],
         ["pipeline", "--config", "missing.cfg", "--out", "o"],
-    ], ids=["bad-choice", "missing-flag", "fit-seed", "simulate-window", "unknown-command",
+    ], ids=["bad-choice", "missing-flag", "fit-seed", "simulate-window", "pipeline-window",
+            "pipeline-bin-width", "unknown-command",
             "no-timestamps", "no-trace", "no-phiscan", "no-reports", "simulate-no-config",
             "pipeline-no-config"])
     def test_usage_error_and_missing_input_exit_1(self, tmp_path, monkeypatch, capsys, argv):
+        # fleet.cfg is a valid config, so a command that names it fails on its flags alone.
+        write_config(trion_config(), tmp_path / "fleet.cfg")
         monkeypatch.chdir(tmp_path)
         try:
             code = cli_main(argv)

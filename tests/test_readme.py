@@ -1,8 +1,10 @@
 """The README's code examples run against the current package."""
 
+import argparse
 import pathlib
 import re
 
+from qdbench.cli import build_parser
 from qdbench.config import _SETUP_KEYS, _SOURCE_KEYS, parse_config
 from qdbench.model import SetupParams
 from qdbench.photon_sim import CHUNK_PULSES, CHUNK_ROWS, STREAM_LAYOUT
@@ -39,3 +41,15 @@ def test_config_example_parses_and_names_every_key():
     assert config.setup == SetupParams()  # its [setup] says it lists the defaults
     keys = re.findall(r"^(\w+) =", text, flags=re.MULTILINE)
     assert sorted(keys) == sorted(_SETUP_KEYS + _SOURCE_KEYS)
+
+
+def test_each_command_bullet_names_its_flags():
+    # Every command takes --out, as the text before the bullets says.
+    body = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    bullets = dict(re.findall(r"^- `(\w+)`: (.*?)(?=^- |^$)", body, flags=re.M | re.S))
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(bullets) == sorted(sub.choices)
+    for command, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings
+                 if flag.startswith("--")} - {"--out", "--help"}
+        assert set(re.findall(r"`(--[a-z0-9-]+)`", bullets[command])) == flags, command
