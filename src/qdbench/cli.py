@@ -9,7 +9,7 @@ Subcommands:
   pipeline   simulate -> analyze -> fit -> classify -> report in one go
 
 Exit codes: 0 success, 1 validation/usage error or unreadable input file,
-2 per-source partial failure inside a pipeline run.
+2 per-source partial failure inside a pipeline or simulate run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .correlation import (
 from .dynamics import PhiScanPoint
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
-from .photon_sim import TRAINS
+from .photon_sim import TRAINS, check_pulses
 from .pipeline import (
     file_header,
     read_header,
@@ -48,7 +48,7 @@ from .report import SUMMARY_FILES, aggregate_benchmark, emit_report, parse_repor
 
 
 class _Parser(argparse.ArgumentParser):
-    """Exits 1 on a usage error; exit code 2 is kept for a partial pipeline failure."""
+    """Exits 1 on a usage error; exit code 2 is kept for a run in which some sources failed."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -69,17 +69,28 @@ def _add_flags(p: argparse.ArgumentParser, *names: str):
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
+    check_pulses(args.pulses)
     os.makedirs(args.out, exist_ok=True)
     header = file_header(args.seed, config.config_hash)
+    failures: dict[str, str] = {}
     for index, source in enumerate(config.sources):
-        counts = [
-            write_train_clicks(os.path.join(args.out, f"{source.label}_{train}.csv"), source,
-                               config.setup, args.seed, index, args.pulses, train, header)
-            for train in TRAINS
-        ]
+        paths = [os.path.join(args.out, f"{source.label}_{train}.csv") for train in TRAINS]
+        try:
+            counts = [write_train_clicks(path, source, config.setup, args.seed, index,
+                                         args.pulses, train, header)
+                      for path, train in zip(paths, TRAINS)]
+        except Exception as exc:  # per-source isolation, as in run_pipeline
+            failures[source.label] = f"{type(exc).__name__}: {exc}"
+            print(f"{source.label}: FAILED ({failures[source.label]})", file=sys.stderr)
+            for path in paths:
+                if os.path.exists(path):
+                    os.remove(path)
+            continue
         print(f"{source.label}: wrote HBT ({counts[0]} clicks) and "
               f"HOM ({counts[1]} clicks) streams")
-    return 0
+    if failures:
+        write_json(os.path.join(args.out, "failures.json"), failures, header)
+    return 2 if failures else 0
 
 
 def _print_file(path):

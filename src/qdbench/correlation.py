@@ -102,9 +102,19 @@ def _integer_clicks(clicks, name: str) -> np.ndarray:
 
 
 #: Reference clicks per gather in :meth:`PairCounter._count`; bounds its memory.
-#: Any value gives the same counts.  On 1.5M lossless clicks, 32768 was as
-#: fast as 4096 and faster than 200000 (54 against 67 ms).
-_HISTOGRAM_BLOCK = 1 << 15
+#: Any value gives the same counts.  Against the binary searches the cell
+#: table replaced, 2^13 to 2^16 took 0.66-0.68 of their time on lossless
+#: blocks and 0.69-0.73 on default-setup ones, one thread; at 2^15 the
+#: gathers raised the largest default-setup source's peak from 3.82 to
+#: 4.07 MiB, at 2^14 they stay under it.
+_HISTOGRAM_BLOCK = 1 << 14
+#: The most cells per reference click of the table in :meth:`PairCounter._count`,
+#: which sparse blocks reach.  Two cells took 0.63-0.66 of the searches'
+#: time, three or four 0.61-0.62 and six 0.62-0.66.
+_CELLS_PER_CLICK = 4
+#: Candidates per reference click above which a gather of
+#: :meth:`PairCounter._count` takes the exact windows instead of whole cells.
+_CANDIDATES_PER_CLICK = 8
 
 
 def build_histogram(
@@ -119,11 +129,10 @@ def build_histogram(
     them; float arrays are rejected.  With ``half = round(HISTOGRAM_PERIODS
     * rep_period_ps / bin_width_ps)`` the outermost bin edge is ``(half +
     0.5) * bin_width_ps`` and E is its floor, so the pairs counted are
-    exactly those inside the edge, and the window search compares integers
-    only.
-    A two-pointer sweep (binary-searched window bounds per click) keeps the
-    cost linear in clicks plus emitted pairs rather than all-pairs
-    quadratic.
+    exactly those inside the edge, and the window test compares integers
+    only.  :class:`PairCounter` finds each click's partners through a table
+    of cells, so the cost is linear in clicks plus pairs rather than
+    all-pairs quadratic.
     """
     counter = PairCounter(bin_width_ps, rep_period_ps)
     counter.add(clicks0, clicks1)
@@ -137,6 +146,19 @@ class PairCounter:
     before it.  A pair across blocks then pairs a click of the new block
     with one of the last E ps before it, so only those clicks are kept
     between blocks, and the counts equal those of the whole streams.
+
+    Within a block, time is cut into cells of width g, the smallest whole
+    multiple of E that leaves at most ``_CELLS_PER_CLICK`` cells per
+    reference click: g = E where clicks are dense and wider where they are
+    sparse, so the table stays small at any density.  One cumulative count
+    of the t1 clicks per cell gives each reference click its candidates,
+    the t1 clicks of its own cell and the two beside it, which hold its
+    whole +/-E window.  Candidates with |t1 - t0| > E are dropped before
+    binning, so the counts are those of the exact windows.  Where clicks
+    cluster, so that a gather's candidates exceed ``_CANDIDATES_PER_CLICK``
+    per reference click (two bursts about 1.5 E apart, say), that gather
+    binary-searches the exact windows instead, and its memory stays bounded
+    by the pairs.
     """
 
     def __init__(self, bin_width_ps: float, rep_period_ps: float):
@@ -181,21 +203,49 @@ class PairCounter:
         self._tail = tuple(_since(tail, t, last - e) for tail, t in ((tail0, t0), (tail1, t1)))
 
     def _count(self, t0: np.ndarray, t1: np.ndarray):
-        half, e, counts = self._half, self._e, self.counts
+        if not (t0.size and t1.size):
+            return
+        e = self._e
+        # Cell c holds the clicks in [first + c * g, first + (c + 1) * g).
+        # ``table[j]`` counts the t1 clicks before cell j - 1, so cells
+        # c - 1 .. c + 1 hold ``t1[table[c]:table[c + 3]]``.
+        first = int(min(t0[0], t1[0]))
+        span = int(max(t0[-1], t1[-1])) - first
+        unit = max(e, 1)
+        g = unit * max(1, -(-span // (_CELLS_PER_CLICK * unit * t0.size)))
+        cells = t1 - (first - 2 * g)
+        cells //= g
+        table = np.bincount(cells, minlength=span // g + 4)
+        np.cumsum(table, out=table)
+        below, through = table[:-3], table[3:]
         for start in range(0, t0.size, _HISTOGRAM_BLOCK):
             ref = t0[start : start + _HISTOGRAM_BLOCK]
-            lo = np.searchsorted(t1, ref - e, side="left")
-            hi = np.searchsorted(t1, ref + e, side="right")
-            m = hi - lo
-            total = int(m.sum())
-            if total == 0:
-                continue
-            # Flat index trick: for each reference click, take its window
-            # [lo, hi) of partner clicks in one vectorized gather.
-            offsets = np.repeat(hi - np.cumsum(m), m) + np.arange(total)
-            deltas = t1[offsets] - np.repeat(ref, m)
-            idx = np.rint(deltas / self.bin_width_ps).astype(np.int64) + half
-            np.add.at(counts, np.clip(idx, 0, counts.size - 1), 1)
+            cells = ref - first
+            cells //= g
+            hi = through[cells]
+            m = hi - below[cells]
+            if m.sum() > _CANDIDATES_PER_CLICK * ref.size:
+                hi = np.searchsorted(t1, ref + e, side="right")
+                m = hi - np.searchsorted(t1, ref - e, side="left")
+            self._bin(ref, t1, hi, m)
+
+    def _bin(self, ref: np.ndarray, t1: np.ndarray, hi: np.ndarray, m: np.ndarray):
+        """Count the pairs among the candidates ``t1[hi - m : hi]`` of each click of ``ref``."""
+        total = int(m.sum())
+        if total == 0:
+            return
+        # Flat index trick: take every click's candidates in one gather,
+        # each candidate tagged with the position of its reference click.
+        owner = np.repeat(np.arange(ref.size), m)
+        offsets = (hi - np.cumsum(m))[owner]
+        offsets += np.arange(total)
+        deltas = t1[offsets]
+        deltas -= ref[owner]
+        deltas = deltas[np.abs(deltas) <= self._e]
+        idx = np.rint(deltas / self.bin_width_ps).astype(np.int64)
+        idx += self._half
+        np.clip(idx, 0, self.counts.size - 1, out=idx)
+        self.counts += np.bincount(idx, minlength=self.counts.size)
 
     def histogram(self) -> CorrelationHistogram:
         return CorrelationHistogram(self.bin_width_ps, self.counts.copy(), self.rep_period_ps)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     train_clicks,
 )
 
+from qdbench import correlation
 from qdbench.correlation import (
     SIDE_PEAKS,
     CorrelationHistogram,
@@ -143,6 +145,90 @@ def test_pair_counter_blocks_count_as_the_whole_streams(data, n0, n1, span):
         counter.add(*(t[(t >= lo) & (t < hi)] for t in (t0, t1)))
     assert np.array_equal(counter.histogram().counts,
                           build_histogram(t0, t1, 99.9, 1e5).counts)
+
+
+#: (bin width, period) grids: E = 1050098 below the edge 1050098.85; the
+#: default grid, whose edge 129650 is an integer and rounds into the last
+#: bin; a grid whose integer edge 129750 rounds one bin further out; a small E.
+REFERENCE_GRIDS = [(99.9, 1e5), (100.0, PERIOD), (100.0, 12355.0), (7.0, 300.0)]
+
+
+def reference_counts(t0, t1, bin_width, period):
+    """Every pair with |t1 - t0| <= E, binned at rint((t1 - t0) / w) + half and clipped."""
+    half = round(correlation.HISTOGRAM_PERIODS * period / bin_width)
+    e = math.floor((half + 0.5) * bin_width)
+    deltas = (t1[None, :] - t0[:, None]).ravel()
+    deltas = deltas[np.abs(deltas) <= e]
+    idx = np.clip(np.rint(deltas / bin_width).astype(np.int64) + half, 0, 2 * half)
+    return np.bincount(idx, minlength=2 * half + 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), grid=st.sampled_from(REFERENCE_GRIDS),
+       n0=st.integers(0, 80), n1=st.integers(0, 80),
+       spread=st.sampled_from([0.05, 3.0, 50.0, 1e4]),
+       origin=st.integers(-10**12, 10**12), edges=st.booleans(), bursts=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_pair_counter_matches_the_definition_bin_by_bin(data, grid, n0, n1, spread, origin,
+                                                         edges, bursts, seed):
+    # Streams from dense (many clicks per E) to sparse (span >> n * E), at
+    # negative times too; partners at exactly +-E and +-(E + 1); and two
+    # bursts 1.2-1.9 E apart, whose gathers take the exact windows.
+    bin_width, period = grid
+    counter = PairCounter(bin_width, period)
+    e = counter._e
+    rng = np.random.default_rng(seed)
+    span = max(1, int(spread * e))
+    t0 = origin + rng.integers(0, span, n0)
+    t1 = origin + rng.integers(0, span, n1)
+    if edges and n0:
+        offsets = np.array([-e - 1, -e, e, e + 1])
+        t1 = np.concatenate([t1, (t0[:5, None] + offsets).ravel()])
+    if bursts:
+        at = origin + int(rng.integers(0, span))
+        gap = int(data.draw(st.floats(1.2, 1.9)) * e)
+        width = max(1, e // 20)
+        t0 = np.concatenate([t0, at + rng.integers(0, width, 40)])
+        t1 = np.concatenate([t1, at + gap + rng.integers(0, width, 40),
+                             at + rng.integers(0, width, 3)])
+    t0, t1 = np.sort(t0), np.sort(t1)
+    ends = np.concatenate([t0, t1])
+    lo, hi = (int(ends.min()), int(ends.max()) + 1) if ends.size else (0, 1)
+    cuts = sorted(data.draw(st.lists(st.integers(lo, hi), max_size=5)))
+    for a, b in zip([lo, *cuts], [*cuts, hi]):
+        counter.add(*(t[(t >= a) & (t < b)] for t in (t0, t1)))
+    assert np.array_equal(counter.histogram().counts,
+                          reference_counts(t0, t1, bin_width, period))
+
+
+def test_pair_counter_counts_clustered_clicks_in_bounded_memory():
+    # 2e4 reference clicks in a burst of 0.15 E and 2e4 partners in one
+    # 1.5 E later: every partner shares a neighbouring cell with every
+    # reference click, but none is within E.  The exact windows keep the gathers to the 5
+    # partners near the first burst, where 4e8 candidates would take GiBs.
+    counter = PairCounter(100.0, PERIOD)
+    e = counter._e
+    t0 = -3 * e + np.arange(20_000, dtype=np.int64)
+    near = t0[0] + np.array([-e, -5, 0, 9_000, e])
+    t1 = np.sort(np.concatenate([near, t0[0] + 3 * e // 2 + np.arange(20_000)]))
+    real_repeat = np.repeat
+
+    def bounded_repeat(a, repeats, *args, **kwargs):
+        assert int(np.sum(repeats)) <= 1 << 20, "a gather of quadratic size"
+        return real_repeat(a, repeats, *args, **kwargs)
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(np, "repeat", bounded_repeat):
+            counter.add(t0, t1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"{peak / 2**20:.1f} MiB"
+    expected = sum(reference_counts(t0[i : i + 1000], near, 100.0, PERIOD)
+                   for i in range(0, t0.size, 1000))
+    assert np.array_equal(counter.counts, expected)
+    assert expected.sum() > 20_000
 
 
 def test_pair_counter_rejects_a_block_that_starts_too_early():

@@ -665,6 +665,30 @@ class TestCli:
         assert 0.5 < hom_payload["v_raw"] <= 1.0
         assert 0.5 < hom_payload["overlap_corrected"] <= 1.0
 
+    def test_simulate_isolates_a_failing_source(self, tmp_path, capsys):
+        # As in `pipeline`, a source that fails is listed in failures.json,
+        # leaves no click file, and the later sources still run.
+        good = trion_source(164.9, brightness_first_lens=0.147, label="T1")
+        dark = exciton_source(252.0, 8.58, 90.0, brightness_first_lens=0.1, label="DARK")
+        late = trion_source(164.9, brightness_first_lens=0.147, label="T2")
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(FleetConfig.from_parts([good, dark, late], CLEAN_SETUP), cfg_path)
+        out = tmp_path / "sim"
+        out.mkdir()
+        (out / "DARK_hom.csv").write_text("a stale file of an earlier run\n")
+        assert cli_main(["simulate", "--config", str(cfg_path), "--pulses", "10000",
+                         "--out", str(out)]) == 2
+        assert sorted(os.listdir(out)) == ["T1_hbt.csv", "T1_hom.csv", "T2_hbt.csv",
+                                           "T2_hom.csv", "failures.json"]
+        failures = json.loads((out / "failures.json").read_text())
+        assert list(failures) == ["DARK", "_header"]
+        assert failures["DARK"].startswith("UnsamplableEmissionError: ")
+        assert "DARK: FAILED (UnsamplableEmissionError" in capsys.readouterr().err
+        # A pulse count that no source can use fails the run once, as a usage error.
+        assert cli_main(["simulate", "--config", str(cfg_path), "--pulses", "0",
+                         "--out", str(tmp_path / "none")]) == 1
+        assert not (tmp_path / "none").exists()
+
     def test_simulate_rows_equal_pipeline_clicks(self, tmp_path, capsys):
         cfg = FleetConfig.from_parts(
             [*trion_config(2).sources, *s7_config().sources], CLEAN_SETUP
