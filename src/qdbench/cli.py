@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands:
-  simulate   write click-stream timestamp files for every source
+  simulate   write every source's click files, as pipeline --save-clicks does
   analyze    histogram + estimators from a timestamp file
   fit        decay-model fit of a trace file
   classify   exciton/trion decision from a polarization-scan file
-  report     aggregate per-source reports into a fleet summary
+  report     rewrite a run's three summary files from its summary.json
   pipeline   simulate -> analyze -> fit -> classify -> report in one go
 
 Exit codes: 0 success, 1 validation/usage error or unreadable input file,
@@ -15,7 +15,6 @@ Exit codes: 0 success, 1 validation/usage error or unreadable input file,
 from __future__ import annotations
 
 import argparse
-import ctypes
 import os
 import sys
 
@@ -32,7 +31,7 @@ from .correlation import (
 from .dynamics import PhiScanPoint
 from .inference import DecayTrace, classify_transition, fit_decay
 from .model import TransitionKind
-from .photon_sim import TRAINS, check_pulses
+from .photon_sim import check_pulses
 from .pipeline import (
     file_header,
     read_header,
@@ -42,7 +41,7 @@ from .pipeline import (
     run_pipeline,
     write_histogram,
     write_json,
-    write_train_clicks,
+    write_source_clicks,
 )
 from .report import SUMMARY_FILES, aggregate_benchmark, emit_report, parse_reports_json
 
@@ -74,20 +73,15 @@ def _cmd_simulate(args) -> int:
     header = file_header(args.seed, config.config_hash)
     failures: dict[str, str] = {}
     for index, source in enumerate(config.sources):
-        paths = [os.path.join(args.out, f"{source.label}_{train}.csv") for train in TRAINS]
         try:
-            counts = [write_train_clicks(path, source, config.setup, args.seed, index,
-                                         args.pulses, train, header)
-                      for path, train in zip(paths, TRAINS)]
+            counts = write_source_clicks(source, config.setup, args.seed, index, args.pulses,
+                                         args.out, header)
         except Exception as exc:  # per-source isolation, as in run_pipeline
             failures[source.label] = f"{type(exc).__name__}: {exc}"
             print(f"{source.label}: FAILED ({failures[source.label]})", file=sys.stderr)
-            for path in paths:
-                if os.path.exists(path):
-                    os.remove(path)
             continue
-        print(f"{source.label}: wrote HBT ({counts[0]} clicks) and "
-              f"HOM ({counts[1]} clicks) streams")
+        print(f"{source.label}: wrote HBT ({counts['hbt']} clicks) and "
+              f"HOM ({counts['hom']} clicks) streams")
     if failures:
         write_json(os.path.join(args.out, "failures.json"), failures, header)
     return 2 if failures else 0
@@ -175,10 +169,9 @@ def _cmd_report(args) -> int:
         reports, header = parse_reports_json(f.read())
     summary = aggregate_benchmark(reports)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, SUMMARY_FILES[args.format])
-    # The summary keeps the provenance of the run that wrote its input.
-    emit_report(summary, reports, args.format, path, header=header)
-    _print_file(path)
+    # The summaries keep the provenance of the run that wrote their input.
+    emit_report(summary, reports, args.out, header)
+    _print_file(os.path.join(args.out, SUMMARY_FILES["table-text"]))
     return 0
 
 
@@ -203,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="write click-stream timestamp files")
+    p = sub.add_parser("simulate", help="write every source's click files")
     p.add_argument("--config", required=True)
     _add_flags(p, "--seed", "--pulses", "--out")
     p.set_defaults(func=_cmd_simulate)
@@ -235,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, "--out")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("report", help="aggregate source reports")
-    p.add_argument("--reports", required=True, help="structured-json report file")
-    p.add_argument("--format", choices=list(SUMMARY_FILES), default="table-text")
+    p = sub.add_parser("report", help="rewrite a run's summary files")
+    p.add_argument("--reports", required=True, help="a run's summary.json")
     _add_flags(p, "--out")
     p.set_defaults(func=_cmd_report)
 
@@ -250,30 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: glibc ``mallopt`` parameters (malloc.h).
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-
-
-def _keep_freed_blocks():
-    """Let the C allocator keep freed blocks of up to a few MiB for reuse.
-
-    A pipeline run allocates and frees each RNG chunk's events, clicks and
-    temporaries in turn.  By default glibc hands such blocks back to the
-    kernel once freed, so each chunk faults its pages in again: about 3e4
-    minor faults and a tenth of the wall time of a default fleet run on two
-    threads.  Without glibc's ``mallopt`` nothing changes.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
-
-
 def main(argv=None) -> int:
-    _keep_freed_blocks()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -35,7 +35,8 @@ from dataclasses import dataclass, fields
 
 from .model import SetupParams, SourceParams, SourceValidationError, TransitionKind
 
-_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+#: No dot, so that no label names a run-level file (summary.csv, failures.json).
+_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_-]*")
 _SETUP_KEYS = tuple(f.name for f in fields(SetupParams))
 _EXCITON_KEYS = ("delta_fss_uev", "theta_deg")
 #: Every SourceParams field but the label, which names the section.

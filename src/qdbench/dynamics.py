@@ -35,6 +35,9 @@ class PhiScanPoint:
     qd_light: float
 
     def __post_init__(self):
+        values = (self.phi_rad, self.cavity_light, self.qd_light)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"a scan point must be finite, got {values}")
         if self.cavity_light < 0 or self.qd_light < 0:
             raise ValueError("intensities must be non-negative")
 

@@ -51,10 +51,12 @@ class DecayTrace:
         object.__setattr__(self, "counts", c)
         if t.ndim != 1 or t.size != c.size:
             raise ValueError("t_ps and counts must be matching 1-d arrays")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t_ps must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("time grid must be strictly increasing")
-        if np.any(c < 0):
-            raise ValueError("counts must be non-negative")
+        if not np.all(np.isfinite(c) & (c >= 0)):
+            raise ValueError("counts must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ class _DecayModel:
     def residuals(self, params: np.ndarray) -> np.ndarray:
         tau = params[0]
         if tau <= 0 or (self.kind is TransitionKind.EXCITON and params[1] < 0):
-            return np.full(self.counts.size, 1e100)
+            return np.full(self.counts.size, np.inf)  # vetoes the step
         pred = self.predict_components(params)[0]
         return (pred - self.counts) * self.sqrt_w
 

@@ -18,6 +18,7 @@ written.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import json
 import os
@@ -44,7 +45,7 @@ from .inference import DecayTrace, classify_transition, fit_decay
 from .model import SetupParams, SourceParams
 from .photon_sim import (STREAM_LAYOUT, TRAINS, check_pulses, detected_chunks,
                          synthesize_phi_scan)
-from .report import SUMMARY_FILES, SourceReport, aggregate_benchmark, emit_report
+from .report import SourceReport, aggregate_benchmark, emit_report
 
 #: Clicks folded at a time by :func:`_fold_decay`.
 _FOLD_BLOCK = 1 << 16
@@ -56,6 +57,30 @@ _RUN_LAYOUTS = [(True, 19 - i) for i in range(19)] + [(False, d) for d in range(
 _RUN_WIDTHS = np.array([3 + negative + digits for negative, digits in _RUN_LAYOUTS])
 #: Bin width (ps) of the decay trace.
 _TRACE_BIN_PS = 4.0
+#: glibc ``mallopt`` parameters (malloc.h).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_blocks():
+    """Let the C allocator keep freed blocks of up to a few MiB for reuse.
+
+    A pipeline run allocates and frees each RNG chunk's events, clicks and
+    temporaries in turn.  By default glibc hands such blocks back to the
+    kernel once freed, so each chunk faults its pages in again: about 3e4
+    minor faults and a tenth of the wall time of a default fleet run on two
+    threads.  Without glibc's ``mallopt`` nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
+# Set once per process, for every command and every in-process caller alike.
+_keep_freed_blocks()
 
 
 @dataclass
@@ -352,20 +377,23 @@ def _click_writers(src_dir: str | None, header: str | None, period: float):
         raise
 
 
-def write_train_clicks(path, source: SourceParams, setup: SetupParams, seed: int,
-                       source_index: int, n_pulses: int, train: str,
-                       header: str | None) -> int:
-    """Simulate and detect one train of one source into the click file ``path``.
+def write_source_clicks(source: SourceParams, setup: SetupParams, seed: int,
+                        source_index: int, n_pulses: int, out_dir: str,
+                        header: str | None) -> dict[str, int]:
+    """Simulate and detect one source's trains into its click files in ``out_dir/<label>/``.
 
-    The train is written one time-ordered block at a time, so it holds one
-    chunk's events and clicks whatever its length.  Returns its click count.
+    These are the files :func:`run_pipeline` writes with ``save_clicks``.
+    Each train is written one time-ordered block at a time, so it holds one
+    chunk's events and clicks whatever its length, and a source that raises
+    leaves no click file.  Returns each train's click count.
     """
-    blocks = detected_chunks(seed, source_index, source, setup, n_pulses, train)
-    with _ClickWriter(path, header, setup.rep_period_ps) as writer:
-        for t0, t1 in blocks:
-            writer.write(t0, t1)
-            del t0, t1  # free the block before the next one is simulated
-    return writer.rows
+    with _click_writers(os.path.join(out_dir, source.label), header,
+                        setup.rep_period_ps) as writers:
+        for train, writer in writers.items():
+            for t0, t1 in detected_chunks(seed, source_index, source, setup, n_pulses, train):
+                writer.write(t0, t1)
+                del t0, t1  # free the block before the next one is simulated
+    return {train: writer.rows for train, writer in writers.items()}
 
 
 def analyze_source(
@@ -502,8 +530,7 @@ def run_pipeline(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         if reports:
-            for fmt, name in SUMMARY_FILES.items():
-                emit_report(summary, reports, fmt, os.path.join(out_dir, name), header=header)
+            emit_report(summary, reports, out_dir, header)
         if failures:
             write_json(os.path.join(out_dir, "failures.json"), failures, header)
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import MISSING, asdict, dataclass, fields
 
 from .model import TransitionKind
@@ -206,15 +207,12 @@ def render_report(
     raise ValueError(f"unknown report format {fmt!r}; use table-text, structured-json or csv")
 
 
-def emit_report(
-    summary: BenchmarkSummary,
-    reports: list[SourceReport],
-    fmt: str,
-    path,
-    header: str | None = None,
-):
-    with open(path, "w") as f:
-        f.write(render_report(summary, reports, fmt, header=header))
+def emit_report(summary: BenchmarkSummary, reports: list[SourceReport], out_dir,
+                header: str | None):
+    """Write the fleet report in every format, to its ``SUMMARY_FILES`` name in ``out_dir``."""
+    for fmt, name in SUMMARY_FILES.items():
+        with open(os.path.join(out_dir, name), "w") as f:
+            f.write(render_report(summary, reports, fmt, header=header))
 
 
 def parse_reports_json(text: str) -> tuple[list[SourceReport], str | None]:

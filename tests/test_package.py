@@ -80,9 +80,34 @@ def test_the_analysis_takes_no_source():
     # Only the functions that simulate take a whole source; the analysis is
     # given its clicks, its scan, and of its config the kind and tau.
     assert sorted(_source_takers(_parsed("pipeline.py"))) == ["analyze_source",
-                                                                "write_train_clicks"]
+                                                                "write_source_clicks"]
     for name in ("correlation.py", "inference.py"):
         assert "SourceParams" not in set(_names(_parsed(name)))
+
+
+def _write_opens(tree: ast.AST):
+    """The line of every ``open`` call in ``tree`` whose mode is not a plain read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "open":
+            modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+            if any(not (isinstance(m, ast.Constant) and m.value in ("r", "rb")) for m in modes):
+                yield node.lineno
+
+
+def test_the_cli_keeps_no_run_logic():
+    # The command line parses flags, calls pipeline and report, and prints:
+    # every file is written, and removed on failure, by the module that owns
+    # it, and the allocator is set where every caller of the pipeline gets it.
+    tree = _parsed("cli.py")
+    assert "ctypes" not in set(_imported_roots(tree))
+    removes = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and node.attr in ("remove", "unlink", "rmdir", "rmtree")]
+    assert removes == []
+    assert list(_write_opens(tree)) == []
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if "_keep_freed_blocks" in set(_names(ast.parse(path.read_text()))))
+    assert users == ["pipeline.py"]
 
 
 #: What the other modules take from ``photon_sim``: its one way into the

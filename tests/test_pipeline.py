@@ -280,11 +280,9 @@ class TestRunPipeline:
         # `qdbench simulate` writes each train block by block, as it comes
         # out of the detector stage.
         def simulate(source, index, n_pulses):
-            for train in pipeline.TRAINS:
-                path = tmp_path / f"{n_pulses}_{train}.csv"
-                rows = pipeline.write_train_clicks(path, source, SetupParams(), 1, index,
-                                                   n_pulses, train, "qdbench test")
-                assert rows > 10_000
+            rows = pipeline.write_source_clicks(source, SetupParams(), 1, index, n_pulses,
+                                                str(tmp_path / str(n_pulses)), "qdbench test")
+            assert min(rows.values()) > 10_000
 
         peaks = _t01_peaks(simulate)
         assert peaks[1] < 1.25 * peaks[0], [f"{peak / 2**20:.2f} MiB" for peak in peaks]
@@ -355,6 +353,12 @@ class TestRunPipeline:
         assert source.label == "T04"
         for seed in (3, 4):
             assert pipeline.analyze_source(source, setup, seed, 10, 200_000).label == "T04"
+
+
+def _files(root) -> list[str]:
+    """The path of every file under ``root``, relative to it, sorted."""
+    return sorted(path.relative_to(root).as_posix() for path in root.rglob("*")
+                  if path.is_file())
 
 
 def _assert_same_files(dirs):
@@ -567,12 +571,10 @@ class TestTimestampFiles:
         assert photon_sim._chunk_pulses(source, setup) == 2**22
         config = FleetConfig.from_parts([source], setup)
         header = pipeline.file_header(_GOLDEN_CLICK_SEED, config.config_hash)
-        files = []
-        for train in pipeline.TRAINS:
-            path = tmp_path / f"{train}_clicks.csv"
-            pipeline.write_train_clicks(path, source, setup, _GOLDEN_CLICK_SEED, 0,
-                                        _GOLDEN_ROW_SIZED_PULSES, train, header)
-            files.append(path.read_bytes())
+        pipeline.write_source_clicks(source, setup, _GOLDEN_CLICK_SEED, 0,
+                                     _GOLDEN_ROW_SIZED_PULSES, str(tmp_path), header)
+        files = [(tmp_path / source.label / f"{train}_clicks.csv").read_bytes()
+                 for train in ("hbt", "hom")]
         digest = hashlib.sha256(b"".join(files)).hexdigest()
         assert digest == _GOLDEN_ROW_SIZED_CLICK_DIGEST
 
@@ -646,22 +648,20 @@ class TestCli:
             "simulate", "--config", str(cfg_path), "--pulses", "200000",
             "--seed", "3", "--out", str(out),
         ]) == 0
-        hbt = out / "S11_hbt.csv"
+        hbt = out / "S11" / "hbt_clicks.csv"
         assert hbt.exists()
+        analysis = tmp_path / "analysis" / "S11"
         assert cli_main([
-            "analyze", "--timestamps", str(hbt), "--mode", "hbt",
-            "--out", str(tmp_path / "analysis"),
+            "analyze", "--timestamps", str(hbt), "--mode", "hbt", "--out", str(analysis),
         ]) == 0
-        payload = json.loads((tmp_path / "analysis" / "S11_hbt_estimates.json").read_text())
+        payload = json.loads((analysis / "hbt_clicks_estimates.json").read_text())
         assert 0.0 <= payload["g2"] < 0.05
-        hom = out / "S11_hom.csv"
+        hom = out / "S11" / "hom_clicks.csv"
         assert cli_main([
             "analyze", "--timestamps", str(hom), "--mode", "hom",
-            "--g2", str(payload["g2"]), "--out", str(tmp_path / "analysis"),
+            "--g2", str(payload["g2"]), "--out", str(analysis),
         ]) == 0
-        hom_payload = json.loads(
-            (tmp_path / "analysis" / "S11_hom_estimates.json").read_text()
-        )
+        hom_payload = json.loads((analysis / "hom_clicks_estimates.json").read_text())
         assert 0.5 < hom_payload["v_raw"] <= 1.0
         assert 0.5 < hom_payload["overlap_corrected"] <= 1.0
 
@@ -674,12 +674,12 @@ class TestCli:
         cfg_path = tmp_path / "fleet.cfg"
         write_config(FleetConfig.from_parts([good, dark, late], CLEAN_SETUP), cfg_path)
         out = tmp_path / "sim"
-        out.mkdir()
-        (out / "DARK_hom.csv").write_text("a stale file of an earlier run\n")
+        (out / "DARK").mkdir(parents=True)
+        (out / "DARK" / "hom_clicks.csv").write_text("a stale file of an earlier run\n")
         assert cli_main(["simulate", "--config", str(cfg_path), "--pulses", "10000",
                          "--out", str(out)]) == 2
-        assert sorted(os.listdir(out)) == ["T1_hbt.csv", "T1_hom.csv", "T2_hbt.csv",
-                                           "T2_hom.csv", "failures.json"]
+        assert _files(out) == ["T1/hbt_clicks.csv", "T1/hom_clicks.csv", "T2/hbt_clicks.csv",
+                               "T2/hom_clicks.csv", "failures.json"]
         failures = json.loads((out / "failures.json").read_text())
         assert list(failures) == ["DARK", "_header"]
         assert failures["DARK"].startswith("UnsamplableEmissionError: ")
@@ -696,15 +696,17 @@ class TestCli:
         cfg_path = tmp_path / "fleet.cfg"
         write_config(cfg, cfg_path)
         common = ["--config", str(cfg_path), "--pulses", "150000", "--seed", "9"]
-        assert cli_main(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
-        assert cli_main(["pipeline", *common, "--save-clicks",
-                         "--out", str(tmp_path / "pipe")]) == 0
-        for source in cfg.sources:
-            for mode in ("hbt", "hom"):
-                simulated = (tmp_path / "sim" / f"{source.label}_{mode}.csv").read_text()
-                saved = (tmp_path / "pipe" / source.label / f"{mode}_clicks.csv").read_text()
-                assert simulated.count("\n") > 1000
-                assert simulated == saved
+        # `simulate` writes exactly the click files of `pipeline --save-clicks`.
+        sim, pipe = tmp_path / "sim", tmp_path / "pipe"
+        assert cli_main(["simulate", *common, "--out", str(sim)]) == 0
+        assert cli_main(["pipeline", *common, "--save-clicks", "--out", str(pipe)]) == 0
+        names = _files(sim)
+        assert names == [name for name in _files(pipe) if name.endswith("_clicks.csv")]
+        assert len(names) == 2 * len(cfg.sources)
+        for name in names:
+            simulated = (sim / name).read_bytes()
+            assert simulated.count(b"\n") > 1000
+            assert simulated == (pipe / name).read_bytes()
 
     def test_analyze_of_simulated_files_reproduces_pipeline(self, tmp_path, capsys):
         # Re-analysing saved clicks bins the same integers the pipeline
@@ -718,18 +720,19 @@ class TestCli:
         assert cli_main(["simulate", *common, "--out", str(tmp_path / "sim")]) == 0
         assert cli_main(["pipeline", *common, "--out", str(tmp_path / "pipe")]) == 0
 
-        def analyze(name, mode, *extra):
-            analysis = tmp_path / "analysis"
-            assert cli_main(["analyze", "--timestamps", str(tmp_path / "sim" / f"{name}.csv"),
+        def analyze(label, mode, *extra):
+            analysis = tmp_path / "analysis" / label
+            assert cli_main(["analyze", "--timestamps",
+                             str(tmp_path / "sim" / label / f"{mode}_clicks.csv"),
                              "--mode", mode, "--out", str(analysis), *extra]) == 0
-            estimates = json.loads((analysis / f"{name}_estimates.json").read_text())
-            return estimates, analysis / f"{name}_histogram.csv"
+            estimates = json.loads((analysis / f"{mode}_clicks_estimates.json").read_text())
+            return estimates, analysis / f"{mode}_clicks_histogram.csv"
 
         for source in cfg.sources:
             pipe = tmp_path / "pipe" / source.label
             report = json.loads((pipe / "report.json").read_text())
-            hbt, hbt_hist = analyze(f"{source.label}_hbt", "hbt")
-            hom, hom_hist = analyze(f"{source.label}_hom", "hom", "--g2", repr(hbt["g2"]))
+            hbt, hbt_hist = analyze(source.label, "hbt")
+            hom, hom_hist = analyze(source.label, "hom", "--g2", repr(hbt["g2"]))
             assert hbt["g2"] == report["g2"]
             assert hom["v_raw"] == report["v_raw"]
             assert hom["overlap_corrected"] == report["overlap_corrected"]
@@ -946,22 +949,49 @@ class TestCli:
         assert payload["theta_est_deg"] == pytest.approx(math.degrees(0.6), abs=0.01)
         assert "_header" not in payload  # a hand-made file carries no provenance
 
-    def test_report_subcommand(self, tmp_path):
+    @pytest.mark.parametrize("command", ["fit", "classify"])
+    def test_a_non_finite_value_is_one_error_line(self, tmp_path, capsys, command):
+        # One nan in a hand-made trace or scan fails the command before it
+        # fits or decides anything, and nothing is written.
+        from conftest import synth_trace
+
+        path = tmp_path / "input.csv"
+        if command == "fit":
+            trace = synth_trace(TransitionKind.TRION, 12, 164.9)
+            rows = [f"{t},{int(c)}" for t, c in zip(trace.t_ps, trace.counts)]
+            rows[40] = f"{trace.t_ps[40]},nan"
+            path.write_text("t_ps,counts\n" + "\n".join(rows) + "\n")
+            argv = ["fit", "--trace", str(path), "--kind", "trion", "--irf-fwhm", "53"]
+        else:
+            rows = [f"{phi},{math.sin(2 * phi) ** 2},{math.sin(2 * (0.6 - phi)) ** 2}"
+                    for phi in np.linspace(0, math.pi, 13)]
+            rows[5] = f"{rows[5].rsplit(',', 1)[0]},nan"
+            path.write_text("phi_rad,cavity_light,qd_light\n" + "\n".join(rows) + "\n")
+            argv = ["classify", "--phiscan", str(path)]
+        assert cli_main([*argv, "--out", str(tmp_path / "out")]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "finite" in line, line
+        assert not (tmp_path / "out").exists()
+
+    def test_report_subcommand(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)
         out = tmp_path / "out"
         cli_main([
             "pipeline", "--config", str(cfg_path), "--pulses", "100000",
             "--seed", "7", "--out", str(out),
         ])
-        assert cli_main([
-            "report", "--reports", str(out / "summary.json"), "--format", "csv",
-            "--out", str(tmp_path / "rep"),
-        ]) == 0
-        # The summary carries the provenance line of the run it summarises.
-        first_line = (tmp_path / "rep" / "summary.csv").read_text().splitlines()[0]
+        rep = tmp_path / "rep"
+        assert cli_main(["report", "--reports", str(out / "summary.json"),
+                         "--out", str(rep)]) == 0
+        # `report` rewrites the run's three summaries, each with the
+        # provenance line of the run it summarises.
+        assert _files(rep) == ["summary.csv", "summary.json", "summary.txt"]
+        for name in _files(rep):
+            assert (rep / name).read_bytes() == (out / name).read_bytes()
+        first_line = (rep / "summary.csv").read_text().splitlines()[0]
         assert first_line.startswith("# qdbench ")
         assert first_line.endswith(f" stream_layout={photon_sim.STREAM_LAYOUT}")
-        assert first_line == (out / "summary.csv").read_text().splitlines()[0]
+        assert capsys.readouterr().out.endswith((rep / "summary.txt").read_text() + "\n")
 
     @pytest.mark.parametrize("text", ["{}", '{"sources": [{"label": "X"}]}', "[1, 2]"],
                              ids=["no-sources", "missing-fields", "not-an-object"])
