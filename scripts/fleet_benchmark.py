@@ -14,7 +14,7 @@ from qdbench.config import FleetConfig, write_config
 from qdbench.fleet import analytic_g2, draw_fleet
 from qdbench.model import SetupParams, TransitionKind
 from qdbench.pipeline import run_pipeline
-from qdbench.report import render_report
+from qdbench.report import render_text
 
 
 def main():
@@ -33,7 +33,7 @@ def main():
         threads=args.threads,
     )
     write_config(config, f"{args.out}/fleet.cfg")
-    print(render_report(result.summary, result.reports, "table-text"))
+    print(render_text(result.summary, result.reports, None))
 
     truth = {s.label: s for s in sources}
     print("kind-level recovery (recovered vs generator truth):")

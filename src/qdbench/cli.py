@@ -43,7 +43,7 @@ from .pipeline import (
     write_json,
     write_source_clicks,
 )
-from .report import SUMMARY_FILES, aggregate_benchmark, emit_report, parse_reports_json
+from .report import aggregate_benchmark, emit_report, parse_reports_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,7 +171,7 @@ def _cmd_report(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     # The summaries keep the provenance of the run that wrote their input.
     emit_report(summary, reports, args.out, header)
-    _print_file(os.path.join(args.out, SUMMARY_FILES["table-text"]))
+    _print_file(os.path.join(args.out, "summary.txt"))
     return 0
 
 

@@ -121,6 +121,19 @@ def _raw_model_and_derivs(
     return m, dm_dtau, dm_ddelta, dm_du
 
 
+def check_irf(step_ps: float, irf_fwhm_ps: float):
+    """Refuse an instrument-response FWHM that a decay fit on a ``step_ps`` grid cannot use.
+
+    0 means no response; a width that is negative or not finite, or one the
+    grid undersamples (a step above FWHM/4 loses the kernel shape), raises ``ValueError``.
+    """
+    if not 0 <= irf_fwhm_ps < math.inf:
+        raise ValueError(f"irf_fwhm_ps must be finite and >= 0, got {irf_fwhm_ps}")
+    if irf_fwhm_ps > 0 and step_ps > irf_fwhm_ps / 4.0:
+        raise ValueError(f"trace grid step {step_ps} ps undersamples the "
+                         f"{irf_fwhm_ps} ps FWHM instrument response")
+
+
 class _DecayModel:
     """Model/Jacobian evaluator on a padded copy of the trace grid."""
 
@@ -133,14 +146,9 @@ class _DecayModel:
         self.kind = kind
         self.counts = trace.counts
         self.sqrt_w = 1.0 / np.sqrt(np.maximum(trace.counts, 1.0))
+        check_irf(self.step, irf_fwhm_ps)
         if irf_fwhm_ps > 0:
             self.kernel, self.radius = gaussian_kernel(self.step, irf_fwhm_ps)
-            if self.step > irf_fwhm_ps / 4.0:
-                # Coarse grids lose the kernel shape; widen bins upstream.
-                raise ValueError(
-                    f"trace grid step {self.step} ps undersamples the "
-                    f"{irf_fwhm_ps} ps FWHM instrument response"
-                )
         else:
             self.kernel, self.radius = np.array([1.0]), 1
         n = t.size

@@ -41,7 +41,7 @@ from .correlation import (
     hom_visibility,
     integrate_peaks,
 )
-from .inference import DecayTrace, classify_transition, fit_decay
+from .inference import DecayTrace, check_irf, classify_transition, fit_decay
 from .model import SetupParams, SourceParams
 from .photon_sim import (STREAM_LAYOUT, TRAINS, check_pulses, detected_chunks,
                          synthesize_phi_scan)
@@ -499,8 +499,9 @@ def run_pipeline(
     analysis outputs regardless of ``threads``.  With ``save_clicks`` each
     source's click files are written to ``out_dir/<label>/`` too.  A run-wide
     setting that cannot work (``threads`` or ``n_pulses`` below 1,
-    ``save_clicks`` without ``out_dir``, or a repetition period that does not
-    fit the analysis grid) raises ``ValueError`` once, before any source runs.
+    ``save_clicks`` without ``out_dir``, a repetition period that does not
+    fit the analysis grid, or a jitter that the decay trace's grid cannot
+    fit) raises ``ValueError`` once, before any source runs.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -511,6 +512,7 @@ def run_pipeline(
     # integrate_peaks the window, against the config's period.
     integrate_peaks(PairCounter(BIN_WIDTH_PS, config.setup.rep_period_ps).histogram(),
                     WINDOW_PS, ())
+    check_irf(_TRACE_BIN_PS, config.setup.jitter_fwhm_ps)
     header = file_header(seed, config.config_hash)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {

@@ -15,9 +15,6 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from .model import TransitionKind
 
 STD_CONVENTION = "population (divide by n)"
-#: The summary file of each report format.
-SUMMARY_FILES = {"table-text": "summary.txt", "structured-json": "summary.json",
-                 "csv": "summary.csv"}
 
 #: Summarized per kind and overall; a trion's None splitting is left out of its statistics.
 _METRICS = ("g2", "overlap_corrected", "first_lens_brightness", "wavelength_nm", "tau_fit_ps",
@@ -147,76 +144,76 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render_report(
-    summary: BenchmarkSummary,
-    reports: list[SourceReport],
-    fmt: str,
-    header: str | None = None,
-) -> str:
-    """Render the fleet report in one of: table-text, structured-json, csv.
+def render_json(summary: BenchmarkSummary, reports: list[SourceReport], header: str | None) -> str:
+    """``summary.json``: the fleet statistics and every source report, losslessly."""
+    payload = {
+        "std_convention": STD_CONVENTION,
+        "counts": summary.counts,
+        "stats": {g: {m: asdict(s) for m, s in metrics.items()}
+                  for g, metrics in summary.stats.items()},
+        "sources": [r.to_dict() for r in _sorted_reports(reports)],
+    }
+    if header is not None:
+        payload["_header"] = header
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-    ``header`` is the bare provenance line (``pipeline.file_header``).  Text
-    formats start with it behind ``# ``, and JSON holds it as ``_header``;
-    ``None`` writes neither.
-    """
-    reports = _sorted_reports(reports)
-    if fmt == "structured-json":
-        payload = {
-            "std_convention": STD_CONVENTION,
-            "counts": summary.counts,
-            "stats": {
-                g: {m: asdict(s) for m, s in metrics.items()}
-                for g, metrics in summary.stats.items()
-            },
-            "sources": [r.to_dict() for r in reports],
-        }
-        if header is not None:
-            payload["_header"] = header
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+def render_csv(summary: BenchmarkSummary, reports: list[SourceReport], header: str | None) -> str:
+    """``summary.csv``: one row of every ``SourceReport`` field per source."""
     lines = [] if header is None else [f"# {header}"]
-    if fmt == "csv":
-        lines.append(",".join(_CSV_FIELDS))
-        for r in reports:
-            d = r.to_dict()
-            lines.append(",".join(_csv_cell(d[field]) for field in _CSV_FIELDS))
-        return "\n".join(lines) + "\n"
-    if fmt == "table-text":
-        lines.append(f"std convention: {STD_CONVENTION}")
-        columns = (
-            f"{'label':<10}{'kind':<9}{'g2':>9}{'V_raw':>9}{'M':>9}"
-            f"{'B_lens':>9}{'tau_ps':>9}{'lambda_nm':>11}"
+    lines.append(",".join(_CSV_FIELDS))
+    for r in _sorted_reports(reports):
+        d = r.to_dict()
+        lines.append(",".join(_csv_cell(d[field]) for field in _CSV_FIELDS))
+    return "\n".join(lines) + "\n"
+
+
+def render_text(summary: BenchmarkSummary, reports: list[SourceReport], header: str | None) -> str:
+    """``summary.txt``: a table of the sources, then each group's means."""
+    lines = [] if header is None else [f"# {header}"]
+    lines.append(f"std convention: {STD_CONVENTION}")
+    columns = (
+        f"{'label':<10}{'kind':<9}{'g2':>9}{'V_raw':>9}{'M':>9}"
+        f"{'B_lens':>9}{'tau_ps':>9}{'lambda_nm':>11}"
+    )
+    lines.append(columns)
+    lines.append("-" * len(columns))
+    for r in _sorted_reports(reports):
+        lines.append(
+            f"{r.label:<10}{r.kind.value:<9}{r.g2:>9.4f}{r.v_raw:>9.4f}"
+            f"{r.overlap_corrected:>9.4f}{r.first_lens_brightness:>9.4f}"
+            f"{r.tau_fit_ps:>9.1f}{r.wavelength_nm:>11.2f}"
         )
-        lines.append(columns)
-        lines.append("-" * len(columns))
-        for r in reports:
-            lines.append(
-                f"{r.label:<10}{r.kind.value:<9}{r.g2:>9.4f}{r.v_raw:>9.4f}"
-                f"{r.overlap_corrected:>9.4f}{r.first_lens_brightness:>9.4f}"
-                f"{r.tau_fit_ps:>9.1f}{r.wavelength_nm:>11.2f}"
-            )
-        lines.append("-" * len(columns))
-        for group in ("exciton", "trion", "all"):
-            st = summary.stats[group]
-            lines.append(
-                f"{group:<10}{'n=' + str(summary.counts[group]):<9}"
-                f"{st['g2'].mean:>9.4f}{'':>9}{st['overlap_corrected'].mean:>9.4f}"
-                f"{st['first_lens_brightness'].mean:>9.4f}{st['tau_fit_ps'].mean:>9.1f}"
-                f"{st['wavelength_nm'].mean:>11.2f}"
-            )
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown report format {fmt!r}; use table-text, structured-json or csv")
+    lines.append("-" * len(columns))
+    for group in ("exciton", "trion", "all"):
+        st = summary.stats[group]
+        lines.append(
+            f"{group:<10}{'n=' + str(summary.counts[group]):<9}"
+            f"{st['g2'].mean:>9.4f}{'':>9}{st['overlap_corrected'].mean:>9.4f}"
+            f"{st['first_lens_brightness'].mean:>9.4f}{st['tau_fit_ps'].mean:>9.1f}"
+            f"{st['wavelength_nm'].mean:>11.2f}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+#: Each summary file a run writes, and its renderer.  A renderer takes the fleet summary, the
+#: source reports (written in label order) and ``header``, the bare provenance line
+#: (``pipeline.file_header``): text files start with it behind ``# ``, ``summary.json`` holds
+#: it as ``_header``, and ``None`` writes neither.
+SUMMARY_FILES = {"summary.txt": render_text, "summary.json": render_json,
+                 "summary.csv": render_csv}
 
 
 def emit_report(summary: BenchmarkSummary, reports: list[SourceReport], out_dir,
                 header: str | None):
-    """Write the fleet report in every format, to its ``SUMMARY_FILES`` name in ``out_dir``."""
-    for fmt, name in SUMMARY_FILES.items():
+    """Write every file of ``SUMMARY_FILES`` to ``out_dir``."""
+    for name, render in SUMMARY_FILES.items():
         with open(os.path.join(out_dir, name), "w") as f:
-            f.write(render_report(summary, reports, fmt, header=header))
+            f.write(render(summary, reports, header))
 
 
 def parse_reports_json(text: str) -> tuple[list[SourceReport], str | None]:
-    """The source reports of a structured-json report, and its header (None without one)."""
+    """The source reports of a ``summary.json``, and its header (None without one)."""
     payload = json.loads(text)
     if not isinstance(payload, dict) or not isinstance(payload.get("sources"), list):
         raise ValueError('a report file must be a JSON object with a "sources" list')

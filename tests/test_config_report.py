@@ -11,11 +11,13 @@ from qdbench.config import ConfigError, FleetConfig, dump_config, load_config, p
 from qdbench.fleet import analytic_g2, draw_fleet, p_two_photon_for_g2
 from qdbench.model import SetupParams, SourceParams, TransitionKind, exciton_source, trion_source
 from qdbench.report import (
+    SUMMARY_FILES,
     SourceReport,
     aggregate_benchmark,
     emit_report,
     parse_reports_json,
-    render_report,
+    render_csv,
+    render_text,
 )
 
 
@@ -407,14 +409,9 @@ class TestEmitReport:
         make_report("S13", TransitionKind.TRION, g2=0.06, overlap=0.88, tau=175.0),
     ]
 
-    def test_unknown_format_rejected(self):
-        summary = aggregate_benchmark(self.reports)
-        with pytest.raises(ValueError):
-            render_report(summary, self.reports, "yaml")
-
     def test_table_has_row_per_source_and_summary_rows(self):
         summary = aggregate_benchmark(self.reports)
-        text = render_report(summary, self.reports, "table-text")
+        text = render_text(summary, self.reports, None)
         lines = text.splitlines()
         for label in ("S7", "S11", "S13", "exciton", "trion", "all"):
             assert any(ln.startswith(label) for ln in lines)
@@ -465,10 +462,19 @@ class TestEmitReport:
         assert capsys.readouterr().err.splitlines() == [
             "error: delta_fss_fit_err_uev must be >= 0"]
 
+    def test_each_summary_file_is_its_renderer_output(self, tmp_path):
+        summary = aggregate_benchmark(self.reports)
+        emit_report(summary, self.reports, tmp_path, "test seed=1 config=x")
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SUMMARY_FILES) == [
+            "summary.csv", "summary.json", "summary.txt"]
+        for name, render in SUMMARY_FILES.items():
+            assert (tmp_path / name).read_text() == render(summary, self.reports,
+                                                             "test seed=1 config=x")
+
     def test_deterministic_label_ordering(self):
         summary = aggregate_benchmark(self.reports)
-        a = render_report(summary, self.reports, "csv")
-        b = render_report(summary, list(reversed(self.reports)), "csv")
+        a = render_csv(summary, self.reports, None)
+        b = render_csv(summary, list(reversed(self.reports)), None)
         assert a == b
 
     def test_kind_consistency_enforced(self):

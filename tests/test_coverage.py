@@ -2,9 +2,10 @@
 
 ``analyze_source`` runs over run seeds 1..N_SEEDS for the first exciton and
 the first trion of ``draw_fleet(2026)``, both with two-photon emission
-(p2 > 0), at the default setup and 1e6 pulses.  For tau, delta_fss, g2,
-V and M the z scores must have |mean| <= 0.3 and a standard deviation in
-[0.85, 1.15].
+(p2 > 0), at 1e6 pulses, in two setups: the default one (eta_total = 0.12)
+and lossless detection (eta_setup = eta_det = 1), which holds 8x the clicks
+per event.  For tau, delta_fss, g2, V and M the z scores must have
+|mean| <= 0.3 and a standard deviation in [0.85, 1.15].
 
 N_SEEDS = 201 makes the std band's half-width 3 sampling SDs of a sample
 standard deviation, 1 / sqrt(2 (N - 1)); the mean band's half-width is
@@ -32,13 +33,13 @@ EXCITON, TRION = TransitionKind.EXCITON, TransitionKind.TRION
 B1 = "B1: re-excitation photons lengthen the trion trace the fit models as one exponential"
 G1 = "G1: M is clamped at 1, which narrows and lowers its spread"
 G2 = "G2: a sparse zero peak's variance is taken from its observed area"
+SETUPS = {"default": SetupParams(), "lossless": SetupParams(eta_setup=1.0, eta_det=1.0)}
 
 
 @functools.cache
-def z_scores(kind: TransitionKind) -> dict[str, np.ndarray]:
+def z_scores(setup: str, kind: TransitionKind) -> dict[str, np.ndarray]:
     fleet = draw_fleet(2026)
     index, source = next((i, s) for i, s in enumerate(fleet) if s.kind is kind)
-    setup = SetupParams()
     g2 = analytic_g2(source)
     fields = {
         "tau": ("tau_fit_ps", "tau_fit_err_ps", source.tau_ps),
@@ -51,19 +52,25 @@ def z_scores(kind: TransitionKind) -> dict[str, np.ndarray]:
                                source.delta_fss_uev)
     z = {name: [] for name in fields}
     for seed in range(1, N_SEEDS + 1):
-        report = analyze_source(source, setup, seed, index, N_PULSES)
+        report = analyze_source(source, SETUPS[setup], seed, index, N_PULSES)
         for name, (value, err, truth) in fields.items():
             z[name].append((getattr(report, value) - truth) / getattr(report, err))
     return {name: np.array(values) for name, values in z.items()}
 
 
-def part(kind, quantity, stat, owner=None):
+def part(kind, quantity, stat, owner=None, setup="default"):
     marks = [pytest.mark.xfail(strict=True, reason=owner)] if owner else []
-    return pytest.param(kind, quantity, stat, marks=marks,
-                        id=f"{kind.value}-{quantity}-{stat}")
+    # A default-setup part's id names no setup.
+    prefix = "" if setup == "default" else f"{setup}-"
+    return pytest.param(setup, kind, quantity, stat, marks=marks,
+                        id=f"{prefix}{kind.value}-{quantity}-{stat}")
 
 
-@pytest.mark.parametrize("kind, quantity, stat", [
+def lossless(kind, quantity, stat, owner=None):
+    return part(kind, quantity, stat, owner, setup="lossless")
+
+
+@pytest.mark.parametrize("setup, kind, quantity, stat", [
     part(EXCITON, "tau", "mean"),
     part(EXCITON, "tau", "std"),
     part(EXCITON, "delta_fss", "mean"),
@@ -82,9 +89,27 @@ def part(kind, quantity, stat, owner=None):
     part(TRION, "V", "std"),
     part(TRION, "M", "mean"),
     part(TRION, "M", "std", G1),
+    lossless(EXCITON, "tau", "mean"),
+    lossless(EXCITON, "tau", "std"),
+    lossless(EXCITON, "delta_fss", "mean"),
+    lossless(EXCITON, "delta_fss", "std"),
+    lossless(EXCITON, "g2", "mean", G2),
+    lossless(EXCITON, "g2", "std", G2),
+    lossless(EXCITON, "V", "mean"),
+    lossless(EXCITON, "V", "std"),
+    lossless(EXCITON, "M", "mean"),
+    lossless(EXCITON, "M", "std"),
+    lossless(TRION, "tau", "mean", B1),
+    lossless(TRION, "tau", "std"),
+    lossless(TRION, "g2", "mean"),
+    lossless(TRION, "g2", "std"),
+    lossless(TRION, "V", "mean"),
+    lossless(TRION, "V", "std"),
+    lossless(TRION, "M", "mean"),
+    lossless(TRION, "M", "std"),
 ])
-def test_error_bar_coverage(kind, quantity, stat):
-    z = z_scores(kind)[quantity]
+def test_error_bar_coverage(setup, kind, quantity, stat):
+    z = z_scores(setup, kind)[quantity]
     if stat == "mean":
         assert abs(z.mean()) <= MEAN_BAND, f"mean z {z.mean():+.3f} over {z.size} seeds"
     else:

@@ -89,6 +89,13 @@ class TestFitDecay:
         _DecayModel(synth_trace(TransitionKind.TRION, None, S11_TAU_PS, bin_ps=13.25),
                     TransitionKind.TRION, 53.0)
 
+    @pytest.mark.parametrize("width", [-53.0, math.nan, math.inf])
+    def test_irf_width_must_be_finite_and_non_negative(self, width):
+        # Only 0 means no response; any other width the model cannot use is refused.
+        trace = synth_trace(TransitionKind.TRION, None, S11_TAU_PS)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            fit_decay(trace, TransitionKind.TRION, irf_fwhm_ps=width)
+
     def test_short_span_rejected(self):
         trace = synth_trace(TransitionKind.TRION, 4, 800.0, span_ps=900.0, t0_ps=50.0)
         with pytest.raises(ValueError):

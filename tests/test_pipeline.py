@@ -840,6 +840,22 @@ class TestCli:
             "(1666.7 ps), so that peaks do not overlap"]
         assert not (tmp_path / "o").exists()
 
+    def test_a_jitter_the_decay_fit_cannot_model_fails_the_run_once(self, tmp_path, capsys):
+        # The 4 ps trace grid undersamples a jitter under 16 ps FWHM, so every
+        # source's fit would fail after both its trains were simulated.
+        cfg = FleetConfig.from_parts(trion_config(n=3).sources, SetupParams(jitter_fwhm_ps=12.0))
+        with mock.patch.object(pipeline, "analyze_source") as analyze:
+            with pytest.raises(ValueError, match="undersamples"):
+                run_pipeline(cfg, 1000, seed=1)
+        analyze.assert_not_called()
+        cfg_path = tmp_path / "fleet.cfg"
+        write_config(cfg, cfg_path)
+        assert cli_main(["pipeline", "--config", str(cfg_path), "--pulses", "1000",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: trace grid step 4.0 ps undersamples the 12.0 ps FWHM instrument response"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("flag, value, message", [
         ("--bin-width", "0", "bin_width_ps must be > 0, got 0.0"),
         ("--bin-width", "nan", "bin_width_ps must be > 0, got nan"),
@@ -936,6 +952,25 @@ class TestCli:
         payload = json.loads((tmp_path / "fit" / "fit.json").read_text())
         assert payload["params"]["tau"] == pytest.approx(164.9, abs=1.5)
         assert "_header" not in payload  # a hand-made file carries no provenance
+
+    @pytest.mark.parametrize("note, flag, width", [
+        ("", "-53", "-53.0"), ("", "nan", "nan"), ("# irf_fwhm_ps=nan\n", None, "nan")],
+        ids=["negative-flag", "nan-flag", "nan-note"])
+    def test_an_irf_width_the_fit_cannot_use_is_one_error_line(self, tmp_path, capsys, note,
+                                                               flag, width):
+        # 0 means no instrument response; a negative or non-finite width is
+        # refused rather than fitted as none.
+        from conftest import synth_trace
+
+        trace = synth_trace(TransitionKind.TRION, 12, 164.9)
+        path = tmp_path / "trace.csv"
+        path.write_text(note + "t_ps,counts\n" + "".join(
+            f"{t},{int(c)}\n" for t, c in zip(trace.t_ps, trace.counts)))
+        argv = ["fit", "--trace", str(path), "--kind", "trion", "--out", str(tmp_path / "out")]
+        assert cli_main(argv + (["--irf-fwhm", flag] if flag else [])) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: irf_fwhm_ps must be finite and >= 0, got {width}"]
+        assert not (tmp_path / "out").exists()
 
     def test_classify_subcommand(self, tmp_path):
         path = tmp_path / "scan.csv"

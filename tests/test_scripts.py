@@ -78,3 +78,22 @@ def test_benchmark_job_passes_its_checks(tmp_path, workload):
                                      str(tmp_path / "job"), trace=workload == "clicks_roundtrip")
     assert check.attempted > 0
     assert check.failed == 0, check.problems
+
+
+#: The wrap points of perfbench's tracer that name no attribute of the package,
+#: so their spans, and the per-layer metrics read from them, are never recorded.
+#: ROADMAP Y empties this set.
+BLIND_WRAP_POINTS = {("qdbench.pipeline", name) for name in (
+    "simulate_pulse_train", "hbt_streams", "hom_streams", "build_histogram",
+    "decay_trace_from_clicks", "write_timestamps")}
+
+
+def test_perfbench_tracer_is_blind_only_where_known():
+    # The tracer skips a wrap point it cannot resolve with a warning, so a
+    # rename in the package blinds a per-layer metric without failing a run.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    blind = {(module, attr) for module, attr, _ in tracing.WRAP_POINTS
+             if not hasattr(importlib.import_module(module), attr)}
+    assert blind == BLIND_WRAP_POINTS
