@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class DegenerateFitError(RuntimeError):
+class DegenerateFitError(ValueError):
     """Normal matrix singular or the data carry no fittable signal."""
 
 

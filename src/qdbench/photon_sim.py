@@ -303,7 +303,8 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
     ``laser_leak_per_pulse > 0``, the pulses of the detected leak photons,
     as geometric gaps; the emission times of the rows' first photons, the
     delays of the detected re-excitation photons, the times of the leak
-    photons.
+    photons.  The rows follow the grammar that :func:`_kept_pairs` states:
+    per pulse, in this order, a first photon or anchor, re-excitation, leak.
     """
     g = rng.generator(chunk_key)
     n = hi - lo
@@ -324,9 +325,8 @@ def _simulate_chunk(rng: RngSpec, source, setup, lo: int, hi: int, chunk_key: in
     first_origin = np.full(k, Origin.QD_FIRST, dtype=np.int8)
     first_origin[anchor] = Origin.ANCHOR
 
-    # Within a pulse: the first photon, its re-excitation photon, the leak
-    # photon.  Each column is sorted by pulse, so a row's place is its index
-    # in its column plus the rows of the other columns that come before it.
+    # Each column is sorted by pulse, so a row's place is its index in its
+    # column plus the rows of the other columns that come before it.
     re_pulses = row_pulses[re_row]
     re_pos = re_row + np.arange(1, re_row.size + 1) + np.searchsorted(leak_pulses, re_pulses)
     leak_pos = (np.arange(leak_pulses.size) + np.searchsorted(row_pulses, leak_pulses, "right")
@@ -646,41 +646,34 @@ def _kept_pairs(pulse_index: np.ndarray, qd: np.ndarray, arm: np.ndarray,
     pulse.  A detected photon that is not the first of its arm in its pulse
     stays unpaired even when the first one was not detected.  A lost
     photon matters only when it can shadow a later detected QD photon of
-    its pulse, so the rows of the other lost photons may be left out, as
-    :func:`_simulate_chunk` leaves them out: its rows, with the rows that
-    :func:`_carry_rows` carries into the chunk, are what the HOM stage
-    pairs.  ``pulse_index`` must be sorted.
-    """
-    first = qd & detected
-    # Only events that share their pulse with the event before them can be
-    # preceded by an earlier photon of their pulse and arm, and few pulses
-    # hold more than one event.  Walk each of them back through its pulse.
-    later = np.flatnonzero(pulse_index[1:] == pulse_index[:-1]) + 1
-    earlier = later - 1
-    while later.size:
-        clash = qd[earlier] & (arm[earlier] == arm[later])
-        first[later[clash]] = False
-        go_on = ~clash & (earlier > 0)
-        later, earlier = later[go_on], earlier[go_on] - 1
-        same = pulse_index[earlier] == pulse_index[later]
-        later, earlier = later[same], earlier[same]
+    its pulse, so the rows of the other lost photons may be left out.
 
-    # Matched a block of rows at a time.  The long photons of a block's
-    # pulses meet short ones of those pulses or of the pulse after its last.
+    The rows follow the grammar of :func:`_simulate_chunk`'s rows, with
+    those :func:`_carry_rows` carries ahead of them: sorted by pulse, and
+    per pulse, in this order, a first photon or anchor, its re-excitation
+    photon (only after one) and a leak photon, any of them absent.
+    """
+    # Within a pulse a QD row can only follow the first photon or anchor, so
+    # it is the first on its arm unless the row before it is of its pulse and arm.
+    first = qd & detected
+    first[1:] &= (pulse_index[1:] != pulse_index[:-1]) | (arm[1:] != arm[:-1])
+    # A long first photon meets a short one 1 to 4 rows on: past at most two
+    # more rows of its pulse, among the next pulse's first two.  step_to[i]
+    # is that distance for row lo + i of a block, or 0.
+    n = pulse_index.size
     long_met, short_met = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for lo in range(0, pulse_index.size, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, pulse_index.size)
-        end = np.searchsorted(pulse_index, pulse_index[hi - 1] + 2)
-        long_idx = lo + np.flatnonzero(first[lo:hi] & arm[lo:hi])
-        short_idx = lo + np.flatnonzero(first[lo:end] & ~arm[lo:end])
-        # A pulse holds at most one first photon per arm, so the short-arm
-        # pulses are sorted and unique.  The -1 sentinel meets no long photon.
-        short_pulse = np.append(pulse_index[short_idx], -1)
-        want = pulse_index[long_idx] + 1
-        at = np.searchsorted(short_pulse[:-1], want)
-        met = short_pulse[at] == want
-        long_met.append(long_idx[met])
-        short_met.append(short_idx[at[met]])
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        long_first = first[lo:hi] & arm[lo:hi]
+        step_to = np.zeros(hi - lo, dtype=np.int8)
+        for step in range(1, 5):
+            m = max(0, min(hi, n - step) - lo)  # the block's rows with a row that far on
+            on = slice(lo + step, lo + step + m)
+            meets = long_first[:m] & first[on] & ~arm[on]
+            step_to[:m][meets & (pulse_index[on] == pulse_index[lo:lo + m] + 1)] = step
+        met = np.flatnonzero(step_to)
+        long_met.append(lo + met)
+        short_met.append(lo + met + step_to[met])
     return np.concatenate(long_met), np.concatenate(short_met)
 
 

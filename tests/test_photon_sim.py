@@ -611,19 +611,31 @@ class TestHomStage:
                                                                    lossless.std_err)
 
 
+def _grammar_rows(rng: np.random.Generator, pulses: np.ndarray, p_detect: float):
+    """Rows of ``pulses`` laid out as _simulate_chunk lays them, before thinning.
+
+    Per pulse, in this order: a first photon, its re-excitation photon
+    (only after one) and a leak photon, each maybe absent.  Every row takes
+    a random arm and is detected with probability ``p_detect``.  Returns
+    (pulse, qd, arm, detected).
+    """
+    first = rng.random(pulses.size) < 0.6
+    kinds = np.stack([first, first & (rng.random(pulses.size) < 0.5),
+                      rng.random(pulses.size) < 0.3], axis=1)
+    pulse = np.repeat(pulses, kinds.sum(axis=1))
+    qd = np.broadcast_to([True, True, False], kinds.shape)[kinds]
+    arm = rng.random(pulse.size) < 0.5
+    return pulse, qd, arm, _bernoulli(rng, p_detect, pulse.size)
+
+
 @st.composite
 def _paired_batches(draw):
-    """Pulses of zero to three events across a chunk edge, with arms and detections."""
+    """Pulses of zero to three rows across a chunk edge, with arms and detections."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 400))
-    per_pulse = rng.choice(4, size=n, p=[0.3, 0.3, 0.25, 0.15])
     start = CHUNK_PULSES - n // 2
-    pulse = np.repeat(np.arange(start, start + n, dtype=np.int64), per_pulse)
-    origin = rng.choice([Origin.QD_FIRST, Origin.QD_REEXCITE, Origin.LASER],
-                        size=pulse.size, p=[0.5, 0.3, 0.2])
-    arm = rng.random(pulse.size) < 0.5
-    detected = _bernoulli(rng, draw(st.sampled_from([0.0, 0.12, 1.0])), pulse.size)
-    return pulse, origin <= Origin.QD_REEXCITE, arm, detected
+    return _grammar_rows(rng, np.arange(start, start + n, dtype=np.int64),
+                         draw(st.sampled_from([0.0, 0.12, 1.0])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -647,17 +659,12 @@ def test_kept_pairs_are_the_full_batch_pairs_both_detected(case):
 
 @st.composite
 def _chunked_batches(draw):
-    """Pulses of zero to three events over one or more chunk edges, with arms and detections."""
+    """Pulses of zero to three rows over one or more chunk edges, with arms and detections."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     chunk = draw(st.integers(1, 40))
     n = draw(st.integers(chunk + 1, 400))
-    per_pulse = rng.choice(4, size=n, p=[0.3, 0.3, 0.25, 0.15])
-    pulse = np.repeat(np.arange(n, dtype=np.int64), per_pulse)
-    origin = rng.choice([Origin.QD_FIRST, Origin.QD_REEXCITE, Origin.LASER],
-                        size=pulse.size, p=[0.5, 0.3, 0.2])
-    arm = rng.random(pulse.size) < 0.5
-    detected = _bernoulli(rng, draw(st.sampled_from([0.0, 0.12, 1.0])), pulse.size)
-    return chunk, n, pulse, origin <= Origin.QD_REEXCITE, arm, detected
+    return chunk, n, *_grammar_rows(rng, np.arange(n, dtype=np.int64),
+                                    draw(st.sampled_from([0.0, 0.12, 1.0])))
 
 
 @settings(max_examples=300, deadline=None)
@@ -688,6 +695,77 @@ def test_chunk_edge_carry_keeps_every_meeting_pair(case):
     assert carry is None
     assert np.array_equal(np.concatenate(long_met), rows[long_whole])
     assert np.array_equal(np.concatenate(short_met), rows[short_whole])
+
+
+def _follows_grammar(pulse: np.ndarray, qd: np.ndarray, detected: np.ndarray) -> bool:
+    """Whether rows follow the grammar that _kept_pairs states.
+
+    Sorted by pulse; per pulse at most two QD rows, first, and at most one
+    other row after them; a lost QD row (an anchor) only first.
+    """
+    new_pulse = np.ones(pulse.size, dtype=bool)
+    new_pulse[1:] = pulse[1:] != pulse[:-1]
+    at = np.arange(pulse.size)
+    rank = at - np.maximum.accumulate(np.where(new_pulse, at, 0))
+    last = np.append(new_pulse[1:], True)
+    return bool(np.all(pulse[1:] >= pulse[:-1]) and np.all(rank[qd] <= 1)
+                and np.all(last[~qd]) and np.all(rank[qd & ~detected] == 0))
+
+
+@pytest.mark.parametrize("source,setup,n_pulses,chunk_pulses", [
+    (GOLDEN_SOURCES["exciton"], SetupParams(), 200_000, None),
+    (GOLDEN_SOURCES["trion"], LOSSLESS, 100_000, None),
+    (GOLDEN_SOURCES["exciton"], SetupParams(laser_leak_per_pulse=0.05, dark_rate_cps=3e5),
+     200_000, None),
+    # Anchors, re-excitation and leak rows in most pulses, over 100 chunks.
+    (trion_source(S11_TAU_PS, brightness_first_lens=0.5, p_two_photon=0.25),
+     SetupParams(eta_setup=0.5, eta_det=1.0, laser_leak_per_pulse=0.3), 5_000, 50),
+], ids=["default-anchors", "lossless", "leak-dark", "carried"])
+def test_the_hom_stage_pairs_rows_in_the_grammar(monkeypatch, source, setup, n_pulses,
+                                                  chunk_pulses):
+    # _kept_pairs relies on the row order that _simulate_chunk and
+    # _carry_rows make, so every call of a train must see it.
+    if chunk_pulses is not None:
+        monkeypatch.setattr(photon_sim, "CHUNK_PULSES", chunk_pulses)
+        monkeypatch.setattr(photon_sim, "CHUNK_ROWS", 0)
+    calls = []
+
+    def checked(pulse, qd, arm, detected):
+        assert _follows_grammar(pulse, qd, detected)
+        # Chunk i starts at pulse i * chunk_pulses; rows before it were carried in.
+        lo = len(calls) * (chunk_pulses or 0)
+        calls.append((np.count_nonzero(pulse < lo), np.count_nonzero(qd & ~detected),
+                      np.count_nonzero(~qd), np.count_nonzero(pulse[1:] == pulse[:-1])))
+        return _kept_pairs(pulse, qd, arm, detected)
+
+    monkeypatch.setattr(photon_sim, "_kept_pairs", checked)
+    for _ in detected_chunks(7, 0, source, setup, n_pulses, "hom"):
+        pass
+    carried, anchors, others, shared = np.array(calls).T
+    assert shared.sum() > 0
+    assert (anchors.sum() > 0) == (setup.eta_total < 1.0)
+    assert (others.sum() > 0) == (setup.laser_leak_per_pulse > 0)
+    if chunk_pulses is not None:
+        assert len(calls) == n_pulses // chunk_pulses
+        assert np.count_nonzero(carried) > 10
+
+
+def test_pairing_holds_a_block_of_look_ahead():
+    # The look-ahead of _kept_pairs is made a block of rows at a time, so
+    # its temporaries do not grow with the chunk.
+    rng = np.random.default_rng(11)
+    pulse, qd, arm, detected = _grammar_rows(rng, np.arange(450_000, dtype=np.int64), 1.0)
+    n = pulse.size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        long_met, short_met = _kept_pairs(pulse, qd, arm, detected)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert long_met.size > n // 10
+    assert peak - before < 12 * n, f"{(peak - before) / n:.1f} bytes per row"
 
 
 @pytest.mark.parametrize("carry_in", [False, True])

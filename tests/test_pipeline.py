@@ -972,6 +972,18 @@ class TestCli:
             f"error: irf_fwhm_ps must be finite and >= 0, got {width}"]
         assert not (tmp_path / "out").exists()
 
+    def test_a_trace_without_signal_is_one_error_line(self, tmp_path, capsys):
+        # A flat trace holds no decay to fit: the fit refuses it as input,
+        # with exit 1 and nothing written, not with a traceback.
+        path = tmp_path / "trace.csv"
+        path.write_text("# irf_fwhm_ps=53.0\nt_ps,counts\n"
+                        + "".join(f"{4 * i + 2},5\n" for i in range(600)))
+        argv = ["fit", "--trace", str(path), "--kind", "trion", "--out", str(tmp_path / "out")]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: no decay signal above background"]
+        assert not (tmp_path / "out").exists()
+
     def test_classify_subcommand(self, tmp_path):
         path = tmp_path / "scan.csv"
         with open(path, "w") as f:
